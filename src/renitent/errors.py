@@ -41,6 +41,10 @@ class FieldMismatch(InputError):
     pass
 
 
+class FieldTooLarge(InputError):
+    pass
+
+
 # -- polynomials ---------------------------------------------------------
 
 class BothZero(InputError):

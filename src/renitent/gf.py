@@ -11,6 +11,26 @@ The modulus is a monic irreducible polynomial of degree e over GF(p),
 stored constant-first.  When none is given, the default is the first
 irreducible monic polynomial of degree e in ascending index order
 (same base-p encoding as elements), e.g. x^3 + x + 1 for GF(8).
+
+Prime fields (e = 1) compute on the indices with native integer
+arithmetic.  Extension fields compute through a primitive element g:
+the smallest index whose powers run through all q - 1 nonzero elements
+(the root of the modulus need not be one; under the default t^2 + 1 of
+GF(9), t has order 4).  Three tables, built once with the digit-vector
+arithmetic below, make every operation one or two lookups at any q:
+
+* exp[i] = g^i, stored twice over (length 2(q - 1)) so that a product
+  exp[log a + log b] needs no reduction mod q - 1;
+* log[a], the discrete logarithm of a nonzero a (None at 0);
+* zech[d] = log(1 + g^d), Zech's logarithm, None where 1 + g^d = 0, so
+  that g^i + g^j = g^(i + zech[j - i]) (K. Huber, "Some comments on
+  Zech's logarithms", IEEE Trans. Inf. Theory 36, 1990).  In
+  characteristic 2 addition is XOR of the indices and there is no zech.
+
+The tables take O(q) memory.  Element indices do not depend on them:
+they stay the base-p encoding above.  Orders above MAX_ORDER are refused
+before the modulus search or any table build, so an oversized field fails
+at once instead of building tables of that size.
 """
 
 import functools
@@ -20,13 +40,37 @@ from .errors import (
     DegreeMismatch,
     DivisionByZero,
     FieldMismatch,
+    FieldTooLarge,
     InputError,
     NotPrime,
     ParseError,
     ReducibleModulus,
 )
 
-_TABLE_LIMIT = 64  # precompute mul/inv tables for extension fields this small
+MAX_ORDER = 2 ** 15  # largest field order q accepted; its table build takes under a second
+
+
+def _order_exceeds(p, e, limit):
+    """Whether p**e > limit, for p >= 2, without forming a huge power."""
+    q = p
+    while q <= limit:
+        if e <= 1:
+            return False
+        q, e = q * p, e - 1
+    return True
+
+
+def _prime_factors(n):
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _is_prime(n):
@@ -120,14 +164,19 @@ def _irreducible(mod, p):
 class GF:
     """Context for GF(p^e); all element operations live here."""
 
-    __slots__ = ("p", "e", "q", "modulus", "_mul_table", "_inv_table",
-                 "_add_table", "_digit_cache")
+    __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_zech", "_half")
 
     def __init__(self, p, e=1, modulus=None):
-        if not isinstance(p, int) or not _is_prime(p):
+        if not isinstance(p, int) or p < 2:
             raise NotPrime(f"{p!r} is not prime")
         if not isinstance(e, int) or e < 1:
             raise InputError(f"extension degree must be a positive integer, got {e!r}")
+        if _order_exceeds(p, e, MAX_ORDER):
+            name = f"GF({p})" if e == 1 else f"GF({p}^{e})"
+            raise FieldTooLarge(
+                f"{name} is too large: field orders above {MAX_ORDER} are not supported")
+        if not _is_prime(p):
+            raise NotPrime(f"{p!r} is not prime")
         self.p = p
         self.e = e
         self.q = p ** e
@@ -145,10 +194,9 @@ class GF:
             if e > 1 and not _irreducible(list(modulus), p):
                 raise ReducibleModulus(f"modulus {list(modulus)} is reducible over GF({p})")
             self.modulus = modulus
-        self._digit_cache = None
-        self._mul_table = self._inv_table = self._add_table = None
-        if e > 1 and self.q <= _TABLE_LIMIT:
-            self._build_tables()
+        self._exp = self._log = self._zech = self._half = None
+        if e > 1:
+            self._build_log_tables()
 
     def _default_modulus(self):
         if self.e == 1:
@@ -162,15 +210,27 @@ class GF:
                 return tuple(mod)
         raise RuntimeError("unreachable: irreducible polynomials exist for every degree")
 
-    def _build_tables(self):
-        q = self.q
-        self._digit_cache = [self.coeffs(a) for a in range(q)]
-        self._mul_table = [[self._mul_raw(a, b) for b in range(q)] for a in range(q)]
-        self._inv_table = [0] * q
-        for a in range(1, q):
-            self._inv_table[a] = self._inv_raw(a)
+    def _primitive_element(self):
+        """Smallest index of multiplicative order q - 1."""
+        n = self.q - 1
+        cofactors = [n // r for r in _prime_factors(n)]
+        for g in range(2, self.q):
+            if all(self._pow_raw(g, k) != 1 for k in cofactors):
+                return g
+        raise RuntimeError("unreachable: the multiplicative group is cyclic")
+
+    def _build_log_tables(self):
+        n = self.q - 1
+        g = self._primitive_element()
+        exp, log = [0] * (2 * n), [None] * self.q
+        x = 1
+        for i in range(n):
+            exp[i] = exp[i + n] = x
+            log[x] = i
+            x = self._mul_raw(x, g)
+        self._exp, self._log, self._half = exp, log, n // 2  # g^half = -1 for odd p
         if self.p != 2:
-            self._add_table = [[self._add_raw(a, b) for b in range(q)] for a in range(q)]
+            self._zech = [log[self._add_raw(1, x)] for x in exp[:n]]
 
     # -- element <-> coefficient vector ---------------------------------
 
@@ -203,7 +263,7 @@ class GF:
         """All elements in ascending index order (0 first, then 1)."""
         return range(self.q)
 
-    # -- arithmetic ------------------------------------------------------
+    # -- arithmetic: native integers when e = 1, the log tables when e > 1
 
     def add(self, a, b):
         self.check(a), self.check(b)
@@ -211,24 +271,22 @@ class GF:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._add_raw(a, b)
-
-    def _add_raw(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        p = self.p
-        return self.from_coeffs([(x + y) % p
-                                 for x, y in zip(self.coeffs(a), self.coeffs(b))])
+        if not a or not b:
+            return a or b
+        log = self._log
+        i = log[a]
+        # g^i + g^j = g^i (1 + g^(j - i)); a negative j - i indexes zech
+        # from the end, which is the same as reducing it mod q - 1
+        z = self._zech[log[b] - i]
+        return 0 if z is None else self._exp[i + z]
 
     def neg(self, a):
         self.check(a)
         if self.e == 1:
             return (-a) % self.p
-        if self.p == 2:
+        if self.p == 2 or not a:
             return a
-        return self.from_coeffs([(-c) % self.p for c in self.coeffs(a)])
+        return self._exp[self._log[a] + self._half]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -237,13 +295,10 @@ class GF:
         self.check(a), self.check(b)
         if self.e == 1:
             return a * b % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_raw(a, b)
-
-    def _mul_raw(self, a, b):
-        prod = _pmul(_trim(self.coeffs(a)), _trim(self.coeffs(b)), self.p)
-        return self.from_coeffs(_pmod(prod, list(self.modulus), self.p))
+        if not a or not b:
+            return 0
+        log = self._log
+        return self._exp[log[a] + log[b]]
 
     def inv(self, a):
         self.check(a)
@@ -251,12 +306,7 @@ class GF:
             raise DivisionByZero(f"inverse of zero in {self!r}")
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self._inv_raw(a)
-
-    def _inv_raw(self, a):
-        return self.from_coeffs(_pinvmod(_trim(self.coeffs(a)), list(self.modulus), self.p))
+        return self._exp[self.q - 1 - self._log[a]]
 
     def div(self, a, b):
         if b == 0:
@@ -264,15 +314,44 @@ class GF:
         return self.mul(a, self.inv(b))
 
     def pow(self, a, k):
-        """a**k by square-and-multiply; k must be a non-negative integer."""
+        """a**k for a non-negative integer k (0**0 is 1)."""
         self.check(a)
         if not isinstance(k, int) or k < 0:
             raise InputError(f"exponent must be a non-negative integer, got {k!r}")
+        if self.e > 1:
+            if not a:
+                return 0 if k else 1
+            return self._exp[self._log[a] * k % (self.q - 1)]
         result, base = 1, a
         while k:
             if k & 1:
                 result = self.mul(result, base)
             base = self.mul(base, base)
+            k >>= 1
+        return result
+
+    # -- digit-vector arithmetic: builds the tables, and is the tests' oracle
+
+    def _add_raw(self, a, b):
+        if self.p == 2:
+            return a ^ b
+        p = self.p
+        return self.from_coeffs([(x + y) % p
+                                 for x, y in zip(self.coeffs(a), self.coeffs(b))])
+
+    def _mul_raw(self, a, b):
+        prod = _pmul(_trim(self.coeffs(a)), _trim(self.coeffs(b)), self.p)
+        return self.from_coeffs(_pmod(prod, list(self.modulus), self.p))
+
+    def _inv_raw(self, a):
+        return self.from_coeffs(_pinvmod(_trim(self.coeffs(a)), list(self.modulus), self.p))
+
+    def _pow_raw(self, a, k):
+        result = 1
+        while k:
+            if k & 1:
+                result = self._mul_raw(result, a)
+            a = self._mul_raw(a, a)
             k >>= 1
         return result
 

@@ -10,6 +10,7 @@ operands to share one field context.
 
 from .errors import (
     BothZero,
+    DegreeMismatch,
     DegreeTooSmall,
     FieldMismatch,
     InputError,

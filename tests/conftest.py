@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from renitent import field_create
+
+# Fixed examples and no example database: a run does not depend on what an
+# earlier run left in .hypothesis/, and every run tries the same inputs.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 # (p, e) pairs small enough for exhaustive sweeps over all elements,
 # directions, or plane points.

@@ -133,6 +133,19 @@ def test_analyze_input_errors(tmp_path, capsys):
     assert rc == EXIT_INPUT  # lambda above (q-1)/2
 
 
+def test_analyze_rejects_oversized_field_at_once(tmp_path):
+    # the ceiling is checked before any table is built; the timeout only
+    # guards against a build that never finishes
+    path = write_points(tmp_path, "0 0 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "renitent.cli", "analyze", "--field", "2^30",
+         "--in", path, "--lambda", "1"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert "too large" in proc.stderr
+
+
 # -- envelope ---------------------------------------------------------------------
 
 

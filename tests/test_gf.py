@@ -1,5 +1,8 @@
 """Field contexts: construction, arithmetic, trace, spec-string parsing."""
 
+import random
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,16 +11,19 @@ from renitent.errors import (
     DegreeMismatch,
     DivisionByZero,
     FieldMismatch,
+    FieldTooLarge,
     InputError,
     NotPrime,
     ParseError,
     ReducibleModulus,
 )
 
+from renitent.gf import MAX_ORDER, _order_exceeds
+
 from conftest import SMALL_FIELDS
 
 # also the larger fields the constructions run over
-ALL_FIELDS = SMALL_FIELDS + [(11, 1), (13, 1), (2, 4)]
+ALL_FIELDS = SMALL_FIELDS + [(11, 1), (13, 1), (2, 4), (3, 4), (2, 7)]
 
 
 def test_prime_field_modulus_is_x():
@@ -200,3 +206,74 @@ def test_parse_field_spec_rejects_garbage():
         parse_field_spec("4")
     with pytest.raises(ReducibleModulus):
         parse_field_spec("2^2:m=1,0,1")
+
+
+# -- the log/exp/Zech kernel against digit-vector arithmetic -------------
+
+# every extension field with q <= 81 (all pairs), then larger ones (sampled)
+EXHAUSTIVE_SPECS = ["2^2", "2^3", "3^2", "2^4", "5^2", "3^3", "2^5", "7^2",
+                    "2^6", "3^4", "3^2:m=2,1,1"]
+SAMPLED_SPECS = ["5^3", "2^7", "3^5", "2^8"]
+
+
+def _neg_oracle(K, a):
+    return K.from_coeffs([-c % K.p for c in K.coeffs(a)])
+
+
+def _assert_kernel_matches_oracle(K, pairs):
+    for a, b in pairs:
+        assert K.add(a, b) == K._add_raw(a, b), (a, b)
+        assert K.sub(a, b) == K._add_raw(a, _neg_oracle(K, b)), (a, b)
+        assert K.mul(a, b) == K._mul_raw(a, b), (a, b)
+    for a in {a for pair in pairs for a in pair}:
+        assert K.neg(a) == _neg_oracle(K, a), a
+        if a:
+            assert K.inv(a) == K._inv_raw(a), a
+        for k in (0, 1, 2, K.p, K.q - 2, K.q - 1, K.q, 3 * K.q + 5):
+            assert K.pow(a, k) == K._pow_raw(a, k), (a, k)
+
+
+@pytest.mark.parametrize("spec", EXHAUSTIVE_SPECS)
+def test_kernel_matches_oracle_on_all_pairs(spec):
+    K = parse_field_spec(spec)
+    _assert_kernel_matches_oracle(K, [(a, b) for a in K.elements() for b in K.elements()])
+
+
+@pytest.mark.parametrize("spec", SAMPLED_SPECS)
+def test_kernel_matches_oracle_on_sampled_pairs(spec):
+    K = parse_field_spec(spec)
+    rng = random.Random(spec)
+    pairs = [(rng.randrange(K.q), rng.randrange(K.q)) for _ in range(1500)]
+    pairs += [(0, b) for b in range(4)] + [(a, K.neg(a)) for a in range(1, 9)]
+    _assert_kernel_matches_oracle(K, pairs)
+
+
+def test_generator_is_smallest_primitive_element_not_modulus_root():
+    K = field_create(3, 2)         # t^2 + 1, with t at index 3
+    assert K._pow_raw(3, 4) == 1   # t has order 4, not 8
+    assert K._exp[1] == 4          # 1 + t, the smallest index of order 8
+
+
+def test_field_order_ceiling():
+    assert MAX_ORDER == 2 ** 15
+    assert not _order_exceeds(2, 15, MAX_ORDER)
+    assert _order_exceeds(2, 16, MAX_ORDER)
+    assert not _order_exceeds(181, 2, MAX_ORDER)   # 32761
+    assert _order_exceeds(3, 10, MAX_ORDER)
+    assert field_create(32749).q == 32749           # largest prime below it
+    with pytest.raises(FieldTooLarge):
+        field_create(32771)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: field_create(2, 30),
+    lambda: parse_field_spec("2^30"),
+    lambda: field_create(2, 10 ** 18),
+    lambda: field_create(10 ** 30 + 57),
+    lambda: parse_field_spec("3^20:m=1,2"),
+], ids=["2^30", "spec-2^30", "2^10^18", "huge-p", "spec-with-modulus"])
+def test_oversized_field_rejected_at_once(make):
+    start = time.perf_counter()
+    with pytest.raises(FieldTooLarge):
+        make()
+    assert time.perf_counter() - start < 1.0

@@ -16,7 +16,7 @@ from renitent import (
     roots_with_multiplicity,
     uni_gcd,
 )
-from renitent.errors import BothZero, DegreeTooSmall, ZeroPolynomial
+from renitent.errors import BothZero, DegreeMismatch, DegreeTooSmall, ZeroPolynomial
 
 K5 = field_create(5)
 K7 = field_create(7)
@@ -248,6 +248,13 @@ def test_proportional_to():
     assert g.proportional_to(g.scale(4))
     assert not g.proportional_to(TriHomPoly.linear(K5, 1, 2, 4))
     assert not g.proportional_to(g.scale(4) + TriHomPoly.linear(K5, 0, 1, 0))
+
+
+def test_adding_curves_of_different_degrees_rejected():
+    line = TriHomPoly.linear(K5, 1, 2, 3)
+    conic = TriHomPoly(K5, 2, {(2, 0, 0): 1, (0, 0, 2): 2})
+    with pytest.raises(DegreeMismatch):
+        line + conic
 
 
 def test_render_formats():
