@@ -286,6 +286,16 @@ def cmd_envelope(args):
 # -- check ------------------------------------------------------------------
 
 
+def _uniform_slope_reports(T, lam):
+    """The uniform slope directions the count and gcd bounds run on; with
+    none, the hypothesis fails (exit 3), the input is fine."""
+    reports = [r for r in uniform_directions(T, lam)
+               if slope_of(r.direction) is not None]
+    if not reports:
+        raise HypothesisNotMet("no uniform slope direction")
+    return reports
+
+
 def cmd_check(args):
     field, T = _load_multiset(args)
     if args.bound == "deficiency":
@@ -301,9 +311,7 @@ def cmd_check(args):
         }
         ok = rep.ok
     elif args.bound == "count":
-        reports = [r for r in uniform_directions(T, args.lam)
-                   if slope_of(r.direction) is not None]
-        rep = renitent_lower_bound_check(T, reports)
+        rep = renitent_lower_bound_check(T, _uniform_slope_reports(T, args.lam))
         payload = {
             "theorem": "renitent-count-lower-bound",
             "hypotheses": {"lambda": rep.lam, "directions": rep.n_directions},
@@ -315,10 +323,7 @@ def cmd_check(args):
         }
         ok = rep.ok
     elif args.bound == "gcd":
-        reports = [r for r in uniform_directions(T, args.lam)
-                   if slope_of(r.direction) is not None]
-        if not reports:
-            raise HypothesisNotMet("no uniform slope direction")
+        reports = _uniform_slope_reports(T, args.lam)
         det = build_slope_detector(T, reports)
         profile = gcd_profile(det.f, det.g)
         checks = [gcd_degree_bound(profile, y) for y in field.elements()]

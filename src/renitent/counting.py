@@ -15,6 +15,7 @@ of the plane sits on at most lam renitent lines or on almost all of
 them).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,10 +30,10 @@ from .errors import (
 )
 from .plane import (
     ProjPoint,
-    all_directions,
     format_point,
     frame_collineation,
     incident,
+    slope_direction,
     slope_of,
     vertical_direction,
 )
@@ -130,31 +131,111 @@ def _check_detector_reports(T, reports, allow_vertical=False):
                 "slope directions only; re-coordinatize the vertical away")
 
 
+def _linear_power_table(K):
+    """(rows, F) for writing (aX + bY + c)^(q-1) down term by term.
+
+    The coefficient of X^i Y^j is the multinomial (q-1)! / (i! j! k!),
+    k = q-1-i-j, times a^i b^j c^k.  Every base-p digit of q - 1 is
+    p - 1, so by Lucas's theorem the multinomial mod p is the product
+    over digits t of (p-1)! / (i_t! j_t! k_t!) when every digit pair has
+    i_t + j_t <= p - 1, and 0 otherwise.  Since (p-1)! = -1 (Wilson),
+    that is (-1)^e F[i] F[j] F[k] with F[i] the product of 1/i_t! mod p.
+    rows[i] lists the j whose digits fit, those of the nonzero terms.
+    """
+    p, q = K.p, K.q
+    inv_fact = [1] * p
+    for d in range(1, p):
+        inv_fact[d] = inv_fact[d - 1] * pow(d, p - 2, p) % p
+    F, rows = [1], [[0]]
+    place = 1
+    while place < q:   # the digit of weight place: d for i, e <= p-1-d for j
+        F = [inv_fact[d] * f % p for d in range(p) for f in F]
+        rows = [[e * place + j for e in range(p - d) for j in row]
+                for d in range(p) for row in rows]
+        place *= p
+    return rows, F
+
+
+def _powers(K, a, n):
+    """[a^0, a^1, ..., a^n] (0^0 is 1)."""
+    out = [1]
+    for _ in range(n):
+        out.append(K.mul(out[-1], a))
+    return out
+
+
+def _add_linear_power(K, table, out, w, alpha, beta, gamma):
+    """out += w (alpha X + beta Y + gamma)^(q-1), on a {(i, j): coeff} map.
+
+    Term by term from _linear_power_table: O(q^2) field operations, no
+    polynomial products.
+    """
+    rows, F = table
+    n = K.q - 1
+    w = K.mul(w, K.from_int((-1) ** K.e))
+    A = [K.mul(K.mul(w, f), a) for f, a in zip(F, _powers(K, alpha, n))]
+    B = [K.mul(f, b) for f, b in zip(F, _powers(K, beta, n))]
+    C = [K.mul(f, c) for f, c in zip(F, _powers(K, gamma, n))]
+    mul, add = K.mul, K.add
+    for i, row in enumerate(rows):
+        a = A[i]
+        if not a:
+            continue
+        for j in row:
+            b, c = B[j], C[n - i - j]
+            if b and c:
+                key = (i, j)
+                out[key] = add(out.get(key, 0), mul(a, mul(b, c)))
+
+
+def _bump_sum(K, bumps):
+    """Sum of m (1 - (X - c)^(q-1)) over the (m, c) pairs.
+
+    Over GF(q), binom(q-1, k) = (-1)^k, so (X - c)^(q-1) is the sum of
+    c^k X^(q-1-k): a bump is 1 at X = c and 0 elsewhere.
+    """
+    n = K.q - 1
+    coeffs = [0] * (n + 1)
+    for m, c in bumps:
+        if not m:
+            continue
+        coeffs[0] = K.add(coeffs[0], m)
+        for k, ck in enumerate(_powers(K, c, n)):
+            coeffs[n - k] = K.sub(coeffs[n - k], K.mul(m, ck))
+    return UniPoly(K, coeffs)
+
+
+def _detector_g(K, T, h, var, lin_coeffs):
+    """g = -|T| + h(var) + sum of w (alpha X + beta Y + gamma)^(q-1),
+    one power per support point with nonzero weight w = mult mod p.
+    lin_coeffs(a, b) gives (alpha, beta, gamma) for the point (a, b)."""
+    out = {(0, 0): K.neg(K.from_int(T.size))}
+    for n, c in enumerate(h.coeffs):
+        key = (n, 0) if var == 0 else (0, n)
+        out[key] = K.add(out.get(key, 0), c)
+    table = _linear_power_table(K)
+    for (a, b), mult in T.items():
+        w = K.from_int(mult)
+        if w:
+            _add_linear_power(K, table, out, w, *lin_coeffs(a, b))
+    return BiPoly(K, out)
+
+
 def build_slope_detector(T, reports):
     """The pair whose gcd profile counts renitent lines per slope.
 
     g(x, y) = m_y - |line of slope y, intercept x meets T| mod p holds
     at every covered slope y, so the common roots of f(X,y) = X^q - X
     and g(X,y) are the typical intercepts: k_y = q - lambda_y there.
+    Each point (a, b) of T contributes (X + aY - b)^(q-1), written
+    down in closed form.
     """
     _check_detector_reports(T, reports)
     K = T.field
     q = K.q
     f = BiPoly(K, {(q, 0): 1, (1, 0): K.neg(1)})
-    h = UniPoly.zero(K)
-    for r in reports:
-        m = K.from_int(r.m_d)
-        if m == 0:
-            continue
-        bump = UniPoly.one(K) - UniPoly.x_minus(K, slope_of(r.direction)) ** (q - 1)
-        h = h + bump.scale(m)
-    g = BiPoly.constant(K, K.neg(K.from_int(T.size))) + BiPoly.from_uni(h, var=1)
-    for (a, b), mult in T.items():
-        w = K.from_int(mult)
-        if w == 0:
-            continue
-        lin = BiPoly(K, {(1, 0): 1, (0, 1): a, (0, 0): K.neg(b)})
-        g = g + (lin ** (q - 1)).scale(w)
+    h = _bump_sum(K, [(K.from_int(r.m_d), slope_of(r.direction)) for r in reports])
+    g = _detector_g(K, T, h, 1, lambda a, b: (1, a, K.neg(b)))
     return SlopeDetector(f, g, h)
 
 
@@ -257,9 +338,9 @@ class DichotomyReport:
 def dichotomy_check(T, lam):
     """Every point of the plane meets at most lam renitent lines or at
     least |F| + 1 - lam of them, where F is the set of all uniform
-    directions.  Needs q > 2 and |F| > lam^2 + lam; scans all
-    q^2 + q + 1 points and reports any middle index, ordered nearest
-    the middle first (there must be none)."""
+    directions.  Needs q > 2 and |F| > lam^2 + lam; walks the q + 1
+    points of each renitent line, O(q) per line, and reports any middle
+    index, ordered nearest the middle first (there must be none)."""
     K = T.field
     if K.q <= 2:
         raise HypothesisNotMet("the dichotomy needs q > 2")
@@ -271,25 +352,60 @@ def dichotomy_check(T, lam):
     lines = [entry.line for r in reports for entry in r.renitent]
     low = lam
     high = len(reports) + 1 - lam
+    high_points, offenders = _split_indices(K, lines, low, high)
+    return DichotomyReport(lam, len(reports), len(lines), low, high,
+                           high_points, offenders)
+
+
+def _split_indices(K, lines, low, high):
+    """(high_points, offenders): the (point, index) pairs with index >= high,
+    and those with low < index < high ordered nearest the middle first.
+
+    Indices are counted by walking each line's q + 1 points.  Points are
+    keyed a*q + b for affine (a, b), q^2 + d for slope d and q^2 + q for
+    the vertical direction, so ascending keys list affine points, then
+    slopes 0..q-1, then the vertical direction.  Points on none of the
+    lines (index 0 <= low < high) are in neither list, so only the keys
+    walked need sorting.
+    """
+    index = Counter(key for line in lines for key in _line_keys(K, line))
     high_points = []
     offenders = []
-    for P in _all_points(K):
-        ind = sum(1 for l in lines if incident(P, l))
+    for key in sorted(index):
+        ind = index[key]
         if ind >= high:
-            high_points.append((P, ind))
+            high_points.append((_key_point(K, key), ind))
         elif ind > low:
-            offenders.append((P, ind))
+            offenders.append((_key_point(K, key), ind))
     mid = (low + high) / 2
     offenders.sort(key=lambda pair: (abs(pair[1] - mid), pair[1]))
-    return DichotomyReport(lam, len(reports), len(lines), low, high,
-                           tuple(high_points), tuple(offenders))
+    return tuple(high_points), tuple(offenders)
 
 
-def _all_points(field):
-    for a in field.elements():
-        for b in field.elements():
-            yield ProjPoint.affine(field, a, b)
-    yield from all_directions(field)
+def _line_keys(K, line):
+    """Keys of the q + 1 points of the line [a:b:c] (see _split_indices)."""
+    q = K.q
+    a, b, c = line.coords
+    if b:    # y = s x + t through the slope-s direction
+        nb = K.neg(K.inv(b))
+        s, t = K.mul(a, nb), K.mul(c, nb)
+        yield from (x * q + K.add(K.mul(s, x), t) for x in K.elements())
+        yield q * q + s
+    elif a:  # x = x0 through the vertical direction
+        x0 = K.neg(K.div(c, a))
+        yield from range(x0 * q, x0 * q + q)
+        yield q * q + q
+    else:    # the line at infinity: every direction
+        yield from range(q * q, q * q + q + 1)
+
+
+def _key_point(K, key):
+    q = K.q
+    if key < q * q:
+        return ProjPoint.affine(K, key // q, key % q)
+    if key < q * q + q:
+        return slope_direction(K, key - q * q)
+    return vertical_direction(K)
 
 
 class PointDetector(NamedTuple):
@@ -320,7 +436,6 @@ def build_point_detector(T, reports, R):
     """
     _check_detector_reports(T, reports, allow_vertical=True)
     K = T.field
-    q = K.q
     coll = frame_collineation(K, [r.direction for r in reports], R)
     c_vals = []
     for r in reports:
@@ -337,25 +452,13 @@ def build_point_detector(T, reports, R):
     for c in c_vals:
         f_uni = f_uni * UniPoly.x_minus(K, c)
     f = BiPoly.from_uni(f_uni, var=0)
-    h = UniPoly.zero(K)
-    for r, c in zip(reports, c_vals):
-        m = K.from_int(r.m_d)
-        if m == 0:
-            continue
-        bump = UniPoly.one(K) - UniPoly.x_minus(K, c) ** (q - 1)
-        h = h + bump.scale(m)
-    g = BiPoly.constant(K, K.neg(K.from_int(T.size))) + BiPoly.from_uni(h, var=0)
-    for (a, b), mult in T.items():
-        w = K.from_int(mult)
-        if w == 0:
-            continue
-        img = coll.apply_point(ProjPoint.affine(K, a, b))
-        x, y, z = img.coords
+    h = _bump_sum(K, [(K.from_int(r.m_d), c) for r, c in zip(reports, c_vals)])
+
+    def lin_coeffs(a, b):
+        x, y, z = coll.apply_point(ProjPoint.affine(K, a, b)).coords
         if z != 0:
-            ai, bi = K.div(x, z), K.div(y, z)
-            lin = BiPoly(K, {(1, 0): 1, (0, 1): ai, (0, 0): K.neg(bi)})
-        else:
-            zj = K.div(y, x)
-            lin = BiPoly(K, {(0, 1): 1, (0, 0): K.neg(zj)})
-        g = g + (lin ** (q - 1)).scale(w)
+            return 1, K.div(x, z), K.neg(K.div(y, z))
+        return 0, 1, K.neg(K.div(y, x))
+
+    g = _detector_g(K, T, h, 0, lin_coeffs)
     return PointDetector(f, g, coll)

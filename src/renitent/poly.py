@@ -266,10 +266,6 @@ class BiPoly:
     def deg_u(self):
         return max((i for i, _ in self.terms), default=-1)
 
-    @property
-    def deg_v(self):
-        return max((j for _, j in self.terms), default=-1)
-
     def __add__(self, other):
         if not isinstance(other, BiPoly):
             return NotImplemented

@@ -52,11 +52,6 @@ class PointMultiset:
         self.field = field
         self._mults = mults
 
-    @classmethod
-    def from_points(cls, field, points):
-        """Multiset with multiplicity 1 per occurrence of each point."""
-        return cls(field, [((a, b), 1) for a, b in points])
-
     @property
     def size(self):
         return sum(self._mults.values())

@@ -1,0 +1,264 @@
+"""The fast paths of `counting` against the slow computations they replaced.
+
+The detector builds write (alpha X + beta Y + gamma)^(q-1) and the bumps
+1 - (X - c)^(q-1) down in closed form; here they are compared with
+repeated squaring (`BiPoly.__pow__`, `UniPoly.__pow__`).  The dichotomy
+walks the points of each renitent line; here it is compared with the
+incidence scan of every point of the plane.
+"""
+
+import random
+
+import pytest
+
+from renitent import (
+    BiPoly,
+    PointMultiset,
+    ProjLine,
+    ProjPoint,
+    UniPoly,
+    all_directions,
+    build_point_detector,
+    build_slope_detector,
+    dichotomy_check,
+    field_create,
+    frame_collineation,
+    gen_norm_conic,
+    gen_planted,
+    gen_random,
+    incident,
+    index_of_point,
+    renitent_lower_bound_check,
+    slope_of,
+    uniform_directions,
+)
+from renitent import counting
+from renitent.counting import (
+    _add_linear_power,
+    _bump_sum,
+    _linear_power_table,
+    _split_indices,
+)
+
+from conftest import SMALL_FIELDS
+
+# the sampled rungs of the q ladder: p = 2, odd p, prime and extension
+LADDER = [(2, 4), (5, 2), (3, 3), (31, 1), (7, 2), (2, 6), (3, 4), (5, 3), (2, 7)]
+
+
+def linear_power(K, alpha, beta, gamma, w=1):
+    out = {}
+    _add_linear_power(K, _linear_power_table(K), out, w, alpha, beta, gamma)
+    return BiPoly(K, out)
+
+
+def linear_power_by_squaring(K, alpha, beta, gamma, w=1):
+    lin = BiPoly(K, {(1, 0): alpha, (0, 1): beta, (0, 0): gamma})
+    return (lin ** (K.q - 1)).scale(w)
+
+
+# -- (alpha X + beta Y + gamma)^(q-1) -------------------------------------------
+
+
+@pytest.mark.parametrize("pe", SMALL_FIELDS, ids=lambda pe: f"q{pe[0] ** pe[1]}")
+def test_linear_power_every_coefficient_triple(pe):
+    K = field_create(*pe)
+    for alpha in K.elements():
+        for beta in K.elements():
+            for gamma in K.elements():
+                assert (linear_power(K, alpha, beta, gamma)
+                        == linear_power_by_squaring(K, alpha, beta, gamma)), \
+                    (alpha, beta, gamma)
+
+
+@pytest.mark.parametrize("pe", LADDER, ids=lambda pe: f"q{pe[0] ** pe[1]}")
+def test_linear_power_sampled_on_the_ladder(pe):
+    K = field_create(*pe)
+    rng = random.Random(K.q)
+    nonzero = range(1, K.q)
+    triples = [
+        (rng.choice(nonzero), rng.choice(nonzero), rng.choice(nonzero)),
+        (1, rng.choice(nonzero), rng.choice(nonzero)),   # slope detector shape
+        (0, 1, rng.choice(nonzero)),                     # a point sent to infinity
+        (rng.choice(nonzero), rng.choice(nonzero), 0),
+    ]
+    for alpha, beta, gamma in triples:
+        w = rng.choice(nonzero)
+        assert (linear_power(K, alpha, beta, gamma, w)
+                == linear_power_by_squaring(K, alpha, beta, gamma, w)), \
+            (alpha, beta, gamma, w)
+
+
+@pytest.mark.parametrize("pe", SMALL_FIELDS + LADDER, ids=lambda pe: f"q{pe[0] ** pe[1]}")
+def test_bump_sum_matches_repeated_squaring(pe):
+    K = field_create(*pe)
+    rng = random.Random(K.q)
+    bumps = [(rng.randrange(K.p), rng.randrange(K.q)) for _ in range(4)]
+    bumps += [(1, 0), (0, rng.randrange(K.q))]
+    expected = UniPoly.zero(K)
+    for m, c in bumps:
+        bump = UniPoly.one(K) - UniPoly.x_minus(K, c) ** (K.q - 1)
+        expected = expected + bump.scale(m)
+    assert _bump_sum(K, bumps) == expected
+
+
+# -- both detectors, built by repeated squaring -----------------------------------
+
+
+def slope_detector_by_squaring(T, reports):
+    K = T.field
+    q = K.q
+    f = BiPoly(K, {(q, 0): 1, (1, 0): K.neg(1)})
+    h = UniPoly.zero(K)
+    for r in reports:
+        bump = UniPoly.one(K) - UniPoly.x_minus(K, slope_of(r.direction)) ** (q - 1)
+        h = h + bump.scale(K.from_int(r.m_d))
+    g = BiPoly.constant(K, K.neg(K.from_int(T.size))) + BiPoly.from_uni(h, var=1)
+    for (a, b), mult in T.items():
+        g = g + linear_power_by_squaring(K, 1, a, K.neg(b), K.from_int(mult))
+    return f, g, h
+
+
+def point_detector_by_squaring(T, reports, R):
+    K = T.field
+    q = K.q
+    coll = frame_collineation(K, [r.direction for r in reports], R)
+    f = BiPoly.constant(K, 1)
+    h = UniPoly.zero(K)
+    for r in reports:
+        x, y, z = coll.apply_point(r.direction).coords
+        c = K.div(y, z)
+        f = f * BiPoly(K, {(1, 0): 1, (0, 0): K.neg(c)})
+        bump = UniPoly.one(K) - UniPoly.x_minus(K, c) ** (q - 1)
+        h = h + bump.scale(K.from_int(r.m_d))
+    g = BiPoly.constant(K, K.neg(K.from_int(T.size))) + BiPoly.from_uni(h, var=0)
+    for (a, b), mult in T.items():
+        x, y, z = coll.apply_point(ProjPoint.affine(K, a, b)).coords
+        w = K.from_int(mult)
+        if z != 0:
+            g = g + linear_power_by_squaring(K, 1, K.div(x, z), K.neg(K.div(y, z)), w)
+        else:
+            g = g + linear_power_by_squaring(K, 0, 1, K.neg(K.div(y, x)), w)
+    return f, g
+
+
+def detector_corpus():
+    """(name, multiset, lam): planted, conic and random inputs, some with
+    multiplicities and sizes divisible by p."""
+    rng = random.Random(2021)
+    out = []
+    for p, e in [(5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (5, 2)]:
+        K = field_create(p, e)
+        lam = min(2, p - 1)
+        pts = [(rng.randrange(K.q), rng.randrange(K.q)) for _ in range(lam)]
+        if len(set(pts)) == lam:
+            out.append((f"planted-q{K.q}", gen_planted(K, pts, [1] * lam).multiset, lam))
+        heavy = PointMultiset(K, [((rng.randrange(K.q), rng.randrange(K.q)),
+                                   rng.choice([1, 2, p, 2 * p, p + 1]))
+                                  for _ in range(4)])
+        out.append((f"heavy-q{K.q}", heavy, (K.q - 1) // 2))
+        out.append((f"size-0-mod-p-q{K.q}", PointMultiset(K, [((0, 0), p), ((1, 2), p)]), 1))
+    for e in (2, 3, 4):
+        K = field_create(2, e)
+        out.append((f"conic-q{K.q}", gen_norm_conic(K).multiset, 1))
+    for p, e in [(7, 1), (2, 3), (3, 2), (11, 1)]:
+        K = field_create(p, e)
+        out.append((f"random-q{K.q}", gen_random(K, 7 * K.q, 0.3), (K.q - 1) // 2))
+    return out
+
+
+CORPUS = detector_corpus()
+
+
+@pytest.mark.parametrize("name,T,lam", CORPUS, ids=[c[0] for c in CORPUS])
+def test_detectors_match_repeated_squaring(name, T, lam):
+    K = T.field
+    reports = [r for r in uniform_directions(T, lam) if slope_of(r.direction) is not None]
+    assert reports, "every corpus entry has a uniform slope direction"
+    det = build_slope_detector(T, reports)
+    assert (det.f, det.g, det.h) == slope_detector_by_squaring(T, reports)
+    R = ProjPoint.affine(K, *T.items()[0][0])
+    pdet = build_point_detector(T, reports, R)
+    assert (pdet.f, pdet.g) == point_detector_by_squaring(T, reports, R)
+
+
+# -- the dichotomy, by incidence at every point ----------------------------------
+
+
+def split_by_scan(K, index, low, high):
+    """(high_points, offenders) over all q^2 + q + 1 points in scan order:
+    affine (a, b) ascending, then slopes 0..q-1, then the vertical."""
+    points = [ProjPoint.affine(K, a, b) for a in K.elements() for b in K.elements()]
+    high_points, offenders = [], []
+    for P in points + all_directions(K):
+        ind = index(P)
+        if ind >= high:
+            high_points.append((P, ind))
+        elif ind > low:
+            offenders.append((P, ind))
+    mid = (low + high) / 2
+    offenders.sort(key=lambda pair: (abs(pair[1] - mid), pair[1]))
+    return tuple(high_points), tuple(offenders)
+
+
+def dichotomy_lam(T):
+    """The smallest lam at which the dichotomy's hypotheses hold, or None."""
+    q = T.field.q
+    for lam in range(1, (q - 1) // 2 + 1):
+        if q > 2 and len(uniform_directions(T, lam)) > lam * lam + lam:
+            return lam
+    return None
+
+
+DICHOTOMY_CASES = [(name, T, lam) for name, T, _ in CORPUS
+                   if (lam := dichotomy_lam(T)) is not None]
+
+
+@pytest.mark.parametrize("name,T,lam", DICHOTOMY_CASES, ids=[c[0] for c in DICHOTOMY_CASES])
+def test_dichotomy_matches_incidence_scan(name, T, lam):
+    reports = uniform_directions(T, lam)
+    rep = dichotomy_check(T, lam)
+    expected = split_by_scan(T.field, lambda P: index_of_point(reports, P).count,
+                             rep.low, rep.high)
+    assert (rep.high_points, rep.offenders) == expected
+
+
+def random_lines(K, rng, n):
+    lines = [ProjLine(K, 0, 0, 1), ProjLine(K, 1, 0, K.neg(rng.randrange(K.q)))]
+    while len(lines) < n:
+        coords = [rng.randrange(K.q) for _ in range(3)]
+        if any(coords):
+            lines.append(ProjLine(K, *coords))
+    return lines
+
+
+@pytest.mark.parametrize("pe", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1)],
+                         ids=lambda pe: f"q{pe[0] ** pe[1]}")
+def test_index_split_orders_offenders_like_the_scan(pe):
+    K = field_create(*pe)
+    rng = random.Random(K.q)
+    lines = random_lines(K, rng, 3 * K.q)   # repeats allowed: each counts once more
+    for low, high in [(1, 3), (1, 4), (2, 6), (0, 2)]:
+        got = _split_indices(K, lines, low, high)
+        expected = split_by_scan(K, lambda P: sum(incident(P, l) for l in lines), low, high)
+        assert got == expected, (low, high)
+        assert got[1], "offenders exist, so their order is compared"
+
+
+# -- no slow path left -------------------------------------------------------------
+
+
+def test_counting_runs_no_incidence_scan_or_polynomial_power(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a slow path ran")
+
+    monkeypatch.setattr(counting, "incident", forbidden)
+    monkeypatch.setattr(BiPoly, "__pow__", forbidden)
+    monkeypatch.setattr(UniPoly, "__pow__", forbidden)
+    K = field_create(13)
+    T = gen_planted(K, [(1, 2), (3, 5)], [1, 1]).multiset
+    reports = [r for r in uniform_directions(T, 2) if slope_of(r.direction) is not None]
+    assert dichotomy_check(T, 2).ok
+    assert renitent_lower_bound_check(T, reports).ok
+    build_slope_detector(T, reports)
+    build_point_detector(T, reports, ProjPoint.affine(K, 1, 2))
