@@ -37,7 +37,7 @@ from .plane import (
     slope_of,
     vertical_direction,
 )
-from .poly import BiPoly, UniPoly, uni_gcd
+from .poly import BiPoly, UniPoly, power_list, uni_gcd
 from .uniformity import uniform_directions
 
 
@@ -156,14 +156,6 @@ def _linear_power_table(K):
     return rows, F
 
 
-def _powers(K, a, n):
-    """[a^0, a^1, ..., a^n] (0^0 is 1)."""
-    out = [1]
-    for _ in range(n):
-        out.append(K.mul(out[-1], a))
-    return out
-
-
 def _add_linear_power(K, table, out, w, alpha, beta, gamma):
     """out += w (alpha X + beta Y + gamma)^(q-1), on a {(i, j): coeff} map.
 
@@ -172,11 +164,11 @@ def _add_linear_power(K, table, out, w, alpha, beta, gamma):
     """
     rows, F = table
     n = K.q - 1
-    w = K.mul(w, K.from_int((-1) ** K.e))
-    A = [K.mul(K.mul(w, f), a) for f, a in zip(F, _powers(K, alpha, n))]
-    B = [K.mul(f, b) for f, b in zip(F, _powers(K, beta, n))]
-    C = [K.mul(f, c) for f, c in zip(F, _powers(K, gamma, n))]
-    mul, add = K.mul, K.add
+    mul, add = K.umul, K.uadd
+    w = mul(w, K.from_int((-1) ** K.e))
+    A = [mul(mul(w, f), a) for f, a in zip(F, power_list(K, alpha, n))]
+    B = [mul(f, b) for f, b in zip(F, power_list(K, beta, n))]
+    C = [mul(f, c) for f, c in zip(F, power_list(K, gamma, n))]
     for i, row in enumerate(rows):
         a = A[i]
         if not a:
@@ -195,13 +187,14 @@ def _bump_sum(K, bumps):
     c^k X^(q-1-k): a bump is 1 at X = c and 0 elsewhere.
     """
     n = K.q - 1
+    add, sub, mul = K.uadd, K.usub, K.umul
     coeffs = [0] * (n + 1)
     for m, c in bumps:
         if not m:
             continue
-        coeffs[0] = K.add(coeffs[0], m)
-        for k, ck in enumerate(_powers(K, c, n)):
-            coeffs[n - k] = K.sub(coeffs[n - k], K.mul(m, ck))
+        coeffs[0] = add(coeffs[0], m)
+        for k, ck in enumerate(power_list(K, c, n)):
+            coeffs[n - k] = sub(coeffs[n - k], mul(m, ck))
     return UniPoly(K, coeffs)
 
 
@@ -209,10 +202,10 @@ def _detector_g(K, T, h, var, lin_coeffs):
     """g = -|T| + h(var) + sum of w (alpha X + beta Y + gamma)^(q-1),
     one power per support point with nonzero weight w = mult mod p.
     lin_coeffs(a, b) gives (alpha, beta, gamma) for the point (a, b)."""
-    out = {(0, 0): K.neg(K.from_int(T.size))}
+    out = {(0, 0): K.uneg(K.from_int(T.size))}
     for n, c in enumerate(h.coeffs):
         key = (n, 0) if var == 0 else (0, n)
-        out[key] = K.add(out.get(key, 0), c)
+        out[key] = K.uadd(out.get(key, 0), c)
     table = _linear_power_table(K)
     for (a, b), mult in T.items():
         w = K.from_int(mult)
@@ -233,9 +226,9 @@ def build_slope_detector(T, reports):
     _check_detector_reports(T, reports)
     K = T.field
     q = K.q
-    f = BiPoly(K, {(q, 0): 1, (1, 0): K.neg(1)})
+    f = BiPoly(K, {(q, 0): 1, (1, 0): K.uneg(1)})
     h = _bump_sum(K, [(K.from_int(r.m_d), slope_of(r.direction)) for r in reports])
-    g = _detector_g(K, T, h, 1, lambda a, b: (1, a, K.neg(b)))
+    g = _detector_g(K, T, h, 1, lambda a, b: (1, a, K.uneg(b)))
     return SlopeDetector(f, g, h)
 
 
@@ -385,14 +378,15 @@ def _split_indices(K, lines, low, high):
 def _line_keys(K, line):
     """Keys of the q + 1 points of the line [a:b:c] (see _split_indices)."""
     q = K.q
+    add, mul = K.uadd, K.umul
     a, b, c = line.coords
     if b:    # y = s x + t through the slope-s direction
-        nb = K.neg(K.inv(b))
-        s, t = K.mul(a, nb), K.mul(c, nb)
-        yield from (x * q + K.add(K.mul(s, x), t) for x in K.elements())
+        nb = K.uneg(K.uinv(b))
+        s, t = mul(a, nb), mul(c, nb)
+        yield from (x * q + add(mul(s, x), t) for x in K.elements())
         yield q * q + s
     elif a:  # x = x0 through the vertical direction
-        x0 = K.neg(K.div(c, a))
+        x0 = K.uneg(K.udiv(c, a))
         yield from range(x0 * q, x0 * q + q)
         yield q * q + q
     else:    # the line at infinity: every direction
@@ -445,7 +439,7 @@ def build_point_detector(T, reports, R):
             raise InputError(
                 f"direction {format_point(r.direction)} did not land on the "
                 f"affine Y-axis")
-        c_vals.append(K.div(y, z))
+        c_vals.append(K.udiv(y, z))
     if len(set(c_vals)) != len(c_vals):
         raise InputError("moved directions collide; frame is broken")
     f_uni = UniPoly.one(K)
@@ -457,8 +451,8 @@ def build_point_detector(T, reports, R):
     def lin_coeffs(a, b):
         x, y, z = coll.apply_point(ProjPoint.affine(K, a, b)).coords
         if z != 0:
-            return 1, K.div(x, z), K.neg(K.div(y, z))
-        return 0, 1, K.neg(K.div(y, x))
+            return 1, K.udiv(x, z), K.uneg(K.udiv(y, z))
+        return 0, 1, K.uneg(K.udiv(y, x))
 
     g = _detector_g(K, T, h, 0, lin_coeffs)
     return PointDetector(f, g, coll)

@@ -48,7 +48,7 @@ from .poly import BiPoly, PolyMatrix, TriHomPoly, UniPoly, homogenize
 def dual_coords(line):
     """Dual-plane coordinates (U:V:W) of a line: [a:b:c] -> (c:a:-b)."""
     a, b, c = line.coords
-    return (c, a, line.field.neg(b))
+    return (c, a, line.field.uneg(b))
 
 
 @dataclass
@@ -88,7 +88,7 @@ def power_sum_polys(T, k_max):
         weight = K.from_int(m)
         if weight == 0:
             continue
-        lin = UniPoly(K, (b, K.neg(a)))
+        lin = UniPoly(K, (b, K.uneg(a)))
         cur = UniPoly.one(K)
         for k in range(k_max + 1):
             sums[k] = sums[k] + cur.scale(weight)
@@ -112,7 +112,7 @@ def newton_sigma(power_sums, lam, c):
             f"need power sums up to index {lam}, got {len(power_sums) - 1}")
     if not isinstance(c, int) or not 0 < c < K.p:
         raise CZero(f"count offset must be a nonzero residue mod p, got {c!r}")
-    c_inv = K.inv(c)
+    c_inv = K.uinv(c)
     scaled = [ps.scale(c_inv) for ps in power_sums[: lam + 1]]
     sigma = [UniPoly.one(K)]
     for j in range(1, lam + 1):
@@ -120,7 +120,7 @@ def newton_sigma(power_sums, lam, c):
         for i in range(1, j + 1):
             term = sigma[j - i] * scaled[i]
             acc = acc + (term if i % 2 == 1 else -term)
-        sigma.append(acc.scale(K.inv(K.from_int(j))))
+        sigma.append(acc.scale(K.uinv(K.from_int(j))))
     return sigma[1:]
 
 

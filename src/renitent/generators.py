@@ -100,7 +100,7 @@ def gen_planted(field, points, weights, c=1):
     T = PointMultiset(K, [((a, b), c * w) for (a, b), w in zip(pts, weights)])
     oracle = None
     for (a, b), w in zip(pts, weights):
-        factor = TriHomPoly.linear(K, 1, a, K.neg(b)) ** w
+        factor = TriHomPoly.linear(K, 1, a, K.uneg(b)) ** w
         oracle = factor if oracle is None else oracle * factor
     spanned = set()
     for i in range(lam):
@@ -109,7 +109,7 @@ def gen_planted(field, points, weights, c=1):
             if a1 == a2:
                 spanned.add(vertical_direction(K))
             else:
-                s = K.div(K.sub(b2, b1), K.sub(a2, a1))
+                s = K.udiv(K.usub(b2, b1), K.usub(a2, a1))
                 spanned.add(slope_direction(K, s))
     generic = tuple(d for d in all_directions(K) if d not in spanned)
     return PlantedInstance(T, oracle, generic, sum(weights),
@@ -141,11 +141,12 @@ def gen_norm_conic(field):
     if K.p != 2 or K.e < 2:
         raise NotEvenCharacteristic("needs q = 2^e with e >= 2")
     delta = next(g for g in K.elements() if K.trace(g) == 1)
+    add, mul = K.uadd, K.umul
     pts = []
     for x in K.elements():
-        xx = K.mul(x, x)
+        xx = mul(x, x)
         for y in K.elements():
-            val = K.add(xx, K.add(K.mul(x, y), K.mul(delta, K.mul(y, y))))
+            val = add(xx, add(mul(x, y), mul(delta, mul(y, y))))
             if val == 1:
                 pts.append((x, y))
     assert len(pts) == K.q + 1, "the unit-norm set must be an oval"

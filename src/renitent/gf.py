@@ -24,16 +24,35 @@ arithmetic below, make every operation one or two lookups at any q:
 * log[a], the discrete logarithm of a nonzero a (None at 0);
 * zech[d] = log(1 + g^d), Zech's logarithm, None where 1 + g^d = 0, so
   that g^i + g^j = g^(i + zech[j - i]) (K. Huber, "Some comments on
-  Zech's logarithms", IEEE Trans. Inf. Theory 36, 1990).  In
-  characteristic 2 addition is XOR of the indices and there is no zech.
+  Zech's logarithms", IEEE Trans. Inf. Theory 36, 1990); also stored
+  twice over, so that a - b = g^i + g^(j + (q - 1)/2) needs no reduction
+  either.  In characteristic 2 addition is XOR of the indices and there
+  is no zech.
 
 The tables take O(q) memory.  Element indices do not depend on them:
-they stay the base-p encoding above.  Orders above MAX_ORDER are refused
+they stay the base-p encoding above.
+
+Each operation is bound once, when the field is built, to one of three
+kernel sets: prime field, p = 2 (XOR addition) or odd-p extension (Zech
+addition).  The kernels are the attributes uadd, usub, uneg, umul, uinv,
+udiv and upow.  They do not check their operands: an out-of-range index
+gives a wrong answer or an IndexError, and uinv/udiv need a nonzero
+divisor.  The methods add, sub, neg, mul, inv, div and pow are the
+checked entry points: each runs `check` on every operand (and refuses a
+zero divisor or a bad exponent), then calls its kernel.
+
+Validation therefore happens where elements enter: these checked methods,
+the constructors of the polynomial, plane and multiset types, the parsers
+and the generators, and a `check` on each raw scalar a public function
+takes.  Inner loops run on operands that one of those already validated,
+so they call the kernels.  Only this module reads the tables; everything
+else goes through the kernels.  Orders above MAX_ORDER are refused
 before the modulus search or any table build, so an oversized field fails
 at once instead of building tables of that size.
 """
 
 import functools
+import operator
 import re
 
 from .errors import (
@@ -161,10 +180,96 @@ def _irreducible(mod, p):
     return True
 
 
+# -- the kernels: one function per operation, no operand checks
+
+
+def _prime_kernels(p):
+    """add, sub, neg, mul, inv, div, pow of GF(p), on the integers mod p."""
+
+    def add(a, b):
+        return (a + b) % p
+
+    def sub(a, b):
+        return (a - b) % p
+
+    def neg(a):
+        return -a % p
+
+    def mul(a, b):
+        return a * b % p
+
+    def inv(a):
+        return pow(a, p - 2, p)
+
+    def div(a, b):
+        return a * pow(b, p - 2, p) % p
+
+    def power(a, k):
+        return pow(a, k, p)
+
+    return add, sub, neg, mul, inv, div, power
+
+
+def _log_kernels(exp, log, zech):
+    """The same seven for an extension field, from its exp/log/zech tables.
+
+    zech is None in characteristic 2, where addition is XOR and every
+    element is its own negative.
+    """
+    n = len(exp) // 2   # q - 1
+
+    def mul(a, b):
+        return exp[log[a] + log[b]] if a and b else 0
+
+    def inv(a):
+        return exp[n - log[a]]
+
+    def div(a, b):
+        return exp[log[a] - log[b] + n] if a else 0
+
+    def power(a, k):
+        if not a:
+            return 0 if k else 1
+        return exp[log[a] * k % n]
+
+    if zech is None:
+        def neg(a):
+            return a
+
+        return operator.xor, operator.xor, neg, mul, inv, div, power
+
+    half = n // 2   # g^half = -1
+
+    def add(a, b):
+        if not a or not b:
+            return a or b
+        i = log[a]
+        # g^i + g^j = g^i (1 + g^(j - i)); zech is stored twice over, so
+        # j - i indexes it without a reduction mod q - 1 (negative j - i
+        # counts from the end, which is the same thing)
+        z = zech[log[b] - i]
+        return 0 if z is None else exp[i + z]
+
+    def sub(a, b):
+        if not b:
+            return a
+        if not a:
+            return exp[log[b] + half]
+        i = log[a]
+        z = zech[log[b] + half - i]   # -g^j = g^(j + half)
+        return 0 if z is None else exp[i + z]
+
+    def neg(a):
+        return exp[log[a] + half] if a else 0
+
+    return add, sub, neg, mul, inv, div, power
+
+
 class GF:
     """Context for GF(p^e); all element operations live here."""
 
-    __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_zech", "_half")
+    __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_zech",
+                 "uadd", "usub", "uneg", "umul", "uinv", "udiv", "upow")
 
     def __init__(self, p, e=1, modulus=None):
         if not isinstance(p, int) or p < 2:
@@ -194,9 +299,14 @@ class GF:
             if e > 1 and not _irreducible(list(modulus), p):
                 raise ReducibleModulus(f"modulus {list(modulus)} is reducible over GF({p})")
             self.modulus = modulus
-        self._exp = self._log = self._zech = self._half = None
-        if e > 1:
+        self._exp = self._log = self._zech = None
+        if e == 1:
+            kernels = _prime_kernels(p)
+        else:
             self._build_log_tables()
+            kernels = _log_kernels(self._exp, self._log, self._zech)
+        (self.uadd, self.usub, self.uneg, self.umul,
+         self.uinv, self.udiv, self.upow) = kernels
 
     def _default_modulus(self):
         if self.e == 1:
@@ -228,9 +338,9 @@ class GF:
             exp[i] = exp[i + n] = x
             log[x] = i
             x = self._mul_raw(x, g)
-        self._exp, self._log, self._half = exp, log, n // 2  # g^half = -1 for odd p
+        self._exp, self._log = exp, log
         if self.p != 2:
-            self._zech = [log[self._add_raw(1, x)] for x in exp[:n]]
+            self._zech = [log[self._add_raw(1, x)] for x in exp[:n]] * 2
 
     # -- element <-> coefficient vector ---------------------------------
 
@@ -263,72 +373,41 @@ class GF:
         """All elements in ascending index order (0 first, then 1)."""
         return range(self.q)
 
-    # -- arithmetic: native integers when e = 1, the log tables when e > 1
+    # -- arithmetic: check every operand, then run the kernel -----------
 
     def add(self, a, b):
         self.check(a), self.check(b)
-        if self.e == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        if not a or not b:
-            return a or b
-        log = self._log
-        i = log[a]
-        # g^i + g^j = g^i (1 + g^(j - i)); a negative j - i indexes zech
-        # from the end, which is the same as reducing it mod q - 1
-        z = self._zech[log[b] - i]
-        return 0 if z is None else self._exp[i + z]
-
-    def neg(self, a):
-        self.check(a)
-        if self.e == 1:
-            return (-a) % self.p
-        if self.p == 2 or not a:
-            return a
-        return self._exp[self._log[a] + self._half]
+        return self.uadd(a, b)
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        self.check(a), self.check(b)
+        return self.usub(a, b)
+
+    def neg(self, a):
+        return self.uneg(self.check(a))
 
     def mul(self, a, b):
         self.check(a), self.check(b)
-        if self.e == 1:
-            return a * b % self.p
-        if not a or not b:
-            return 0
-        log = self._log
-        return self._exp[log[a] + log[b]]
+        return self.umul(a, b)
 
     def inv(self, a):
         self.check(a)
         if a == 0:
             raise DivisionByZero(f"inverse of zero in {self!r}")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
-        return self._exp[self.q - 1 - self._log[a]]
+        return self.uinv(a)
 
     def div(self, a, b):
         if b == 0:
             raise DivisionByZero(f"division by zero in {self!r}")
-        return self.mul(a, self.inv(b))
+        self.check(b), self.check(a)
+        return self.udiv(a, b)
 
     def pow(self, a, k):
         """a**k for a non-negative integer k (0**0 is 1)."""
         self.check(a)
         if not isinstance(k, int) or k < 0:
             raise InputError(f"exponent must be a non-negative integer, got {k!r}")
-        if self.e > 1:
-            if not a:
-                return 0 if k else 1
-            return self._exp[self._log[a] * k % (self.q - 1)]
-        result, base = 1, a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        return self.upow(a, k)
 
     # -- digit-vector arithmetic: builds the tables, and is the tests' oracle
 
@@ -363,8 +442,8 @@ class GF:
         """Absolute trace to GF(p): a + a^p + ... + a^(p^(e-1))."""
         acc, x = 0, self.check(a)
         for _ in range(self.e):
-            acc = self.add(acc, x)
-            x = self.pow(x, self.p)
+            acc = self.uadd(acc, x)
+            x = self.upow(x, self.p)
         return acc
 
     # -- identity --------------------------------------------------------
@@ -375,6 +454,10 @@ class GF:
 
     def __hash__(self):
         return hash((self.p, self.e, self.modulus))
+
+    def __reduce__(self):
+        # the kernels are closures, which pickle cannot carry: rebuild
+        return field_create, (self.p, self.e, self.modulus)
 
     def __repr__(self):
         return f"GF({self.p})" if self.e == 1 else f"GF({self.p}^{self.e})"

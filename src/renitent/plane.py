@@ -26,8 +26,8 @@ def _canonical(field, coords):
         raise InputError("expected three homogeneous coordinates")
     for i in (2, 1, 0):
         if coords[i]:
-            inv = field.inv(coords[i])
-            return tuple(field.mul(c, inv) for c in coords)
+            inv, mul = field.uinv(coords[i]), field.umul
+            return tuple(mul(c, inv) for c in coords)
     raise InputError("projective coordinates cannot all be zero")
 
 
@@ -89,17 +89,17 @@ def incident(point, line):
     if point.field != line.field:
         raise FieldMismatch("point and line use different contexts")
     K = point.field
-    acc = 0
-    for pc, lc in zip(point.coords, line.coords):
-        acc = K.add(acc, K.mul(pc, lc))
-    return acc == 0
+    add, mul = K.uadd, K.umul
+    (x, y, z), (a, b, c) = point.coords, line.coords
+    return add(add(mul(x, a), mul(y, b)), mul(z, c)) == 0
 
 
 def _cross(K, u, v):
+    sub, mul = K.usub, K.umul
     return (
-        K.sub(K.mul(u[1], v[2]), K.mul(u[2], v[1])),
-        K.sub(K.mul(u[2], v[0]), K.mul(u[0], v[2])),
-        K.sub(K.mul(u[0], v[1]), K.mul(u[1], v[0])),
+        sub(mul(u[1], v[2]), mul(u[2], v[1])),
+        sub(mul(u[2], v[0]), mul(u[0], v[2])),
+        sub(mul(u[0], v[1]), mul(u[1], v[0])),
     )
 
 
@@ -145,7 +145,7 @@ def slope_of(direction):
     x, y, _ = direction.coords
     if x == 0:
         return None
-    return direction.field.div(y, x)
+    return direction.field.udiv(y, x)
 
 
 def direction_index(direction):
@@ -169,8 +169,8 @@ def parallel_class(field, direction):
     """
     s = slope_of(direction)
     if s is None:
-        return [ProjLine(field, 1, 0, field.neg(t)) for t in field.elements()]
-    m = field.neg(1)
+        return [ProjLine(field, 1, 0, field.uneg(t)) for t in field.elements()]
+    m = field.uneg(1)
     return [ProjLine(field, s, m, t) for t in field.elements()]
 
 
@@ -178,26 +178,30 @@ def parallel_class(field, direction):
 
 
 def _mat_det(K, m):
-    t0 = K.mul(m[0][0], K.sub(K.mul(m[1][1], m[2][2]), K.mul(m[1][2], m[2][1])))
-    t1 = K.mul(m[0][1], K.sub(K.mul(m[1][0], m[2][2]), K.mul(m[1][2], m[2][0])))
-    t2 = K.mul(m[0][2], K.sub(K.mul(m[1][0], m[2][1]), K.mul(m[1][1], m[2][0])))
-    return K.add(K.sub(t0, t1), t2)
+    add, sub, mul = K.uadd, K.usub, K.umul
+    t0 = mul(m[0][0], sub(mul(m[1][1], m[2][2]), mul(m[1][2], m[2][1])))
+    t1 = mul(m[0][1], sub(mul(m[1][0], m[2][2]), mul(m[1][2], m[2][0])))
+    t2 = mul(m[0][2], sub(mul(m[1][0], m[2][1]), mul(m[1][1], m[2][0])))
+    return add(sub(t0, t1), t2)
 
 
 def _mat_adjugate(K, m):
+    sub, mul = K.usub, K.umul
+
     def cof(i, j):
         r = [x for x in (0, 1, 2) if x != i]
         c = [x for x in (0, 1, 2) if x != j]
-        minor = K.sub(K.mul(m[r[0]][c[0]], m[r[1]][c[1]]),
-                      K.mul(m[r[0]][c[1]], m[r[1]][c[0]]))
-        return minor if (i + j) % 2 == 0 else K.neg(minor)
+        minor = sub(mul(m[r[0]][c[0]], m[r[1]][c[1]]),
+                    mul(m[r[0]][c[1]], m[r[1]][c[0]]))
+        return minor if (i + j) % 2 == 0 else K.uneg(minor)
 
     return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
 
 
 def _mat_vec(K, m, v):
+    add, mul = K.uadd, K.umul
     return tuple(
-        K.add(K.add(K.mul(row[0], v[0]), K.mul(row[1], v[1])), K.mul(row[2], v[2]))
+        add(add(mul(row[0], v[0]), mul(row[1], v[1])), mul(row[2], v[2]))
         for row in m)
 
 

@@ -6,6 +6,10 @@ degree -1 (a sentinel below every true degree).  BiPoly and TriHomPoly
 store sparse {exponents: coefficient} maps with no zero entries, which
 keeps representations canonical.  All binary operations require both
 operands to share one field context.
+
+The constructors check every coefficient, and each method that takes a
+raw field element checks it on entry; past that, the loops run on the
+field's unchecked kernels (see gf).
 """
 
 from .errors import (
@@ -21,6 +25,15 @@ from .errors import (
 def _same_field(a, b):
     if a.field != b.field:
         raise FieldMismatch(f"mixed contexts {a.field!r} and {b.field!r}")
+
+
+def power_list(K, a, n):
+    """[a^0, a^1, ..., a^n] (0^0 is 1) for an already checked element a."""
+    mul = K.umul
+    out = [1]
+    for _ in range(n):
+        out.append(mul(out[-1], a))
+    return out
 
 
 class UniPoly:
@@ -76,13 +89,14 @@ class UniPoly:
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
+        add = K.uadd
         for i, c in enumerate(b):
-            out[i] = K.add(out[i], c)
+            out[i] = add(out[i], c)
         return UniPoly(K, out)
 
     def __neg__(self):
         K = self.field
-        return UniPoly(K, [K.neg(c) for c in self.coeffs])
+        return UniPoly(K, list(map(K.uneg, self.coeffs)))
 
     def __sub__(self, other):
         if not isinstance(other, UniPoly):
@@ -96,17 +110,20 @@ class UniPoly:
         K = self.field
         if not self.coeffs or not other.coeffs:
             return UniPoly.zero(K)
+        add, mul = K.uadd, K.umul
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     if b:
-                        out[i + j] = K.add(out[i + j], K.mul(a, b))
+                        out[i + j] = add(out[i + j], mul(a, b))
         return UniPoly(K, out)
 
     def scale(self, c):
         K = self.field
-        return UniPoly(K, [K.mul(c, x) for x in self.coeffs])
+        K.check(c)
+        mul = K.umul
+        return UniPoly(K, [mul(c, x) for x in self.coeffs])
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -127,16 +144,17 @@ class UniPoly:
         if other.is_zero():
             raise ZeroPolynomial("division by the zero polynomial")
         K = self.field
+        sub, mul = K.usub, K.umul
         rem = list(self.coeffs)
         db = other.degree
-        inv_lead = K.inv(other.leading())
+        inv_lead = K.uinv(other.leading())
         quo = [0] * max(len(rem) - db, 0)
         while len(rem) - 1 >= db:
             da = len(rem) - 1
-            c = K.mul(rem[-1], inv_lead)
+            c = mul(rem[-1], inv_lead)
             quo[da - db] = c
             for j, bc in enumerate(other.coeffs):
-                rem[da - db + j] = K.sub(rem[da - db + j], K.mul(c, bc))
+                rem[da - db + j] = sub(rem[da - db + j], mul(c, bc))
             while rem and rem[-1] == 0:
                 rem.pop()
         return UniPoly(K, quo), UniPoly(K, rem)
@@ -151,15 +169,16 @@ class UniPoly:
         if self.is_zero():
             raise ZeroPolynomial("cannot normalize the zero polynomial")
         lead = self.leading()
-        return self if lead == 1 else self.scale(self.field.inv(lead))
+        return self if lead == 1 else self.scale(self.field.uinv(lead))
 
     def eval(self, x):
         """Horner evaluation at the element x."""
         K = self.field
         K.check(x)
+        add, mul = K.uadd, K.umul
         acc = 0
         for c in reversed(self.coeffs):
-            acc = K.add(K.mul(acc, x), c)
+            acc = add(mul(acc, x), c)
         return acc
 
     __call__ = eval
@@ -271,9 +290,10 @@ class BiPoly:
             return NotImplemented
         _same_field(self, other)
         K = self.field
+        add = K.uadd
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = K.add(out.get(key, 0), c)
+            s = add(out.get(key, 0), c)
             if s:
                 out[key] = s
             elif key in out:
@@ -282,7 +302,8 @@ class BiPoly:
 
     def __neg__(self):
         K = self.field
-        return BiPoly(K, {k: K.neg(c) for k, c in self.terms.items()})
+        neg = K.uneg
+        return BiPoly(K, {k: neg(c) for k, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, BiPoly):
@@ -294,11 +315,12 @@ class BiPoly:
             return NotImplemented
         _same_field(self, other)
         K = self.field
+        add, mul = K.uadd, K.umul
         out = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 key = (i1 + i2, j1 + j2)
-                s = K.add(out.get(key, 0), K.mul(c1, c2))
+                s = add(out.get(key, 0), mul(c1, c2))
                 if s:
                     out[key] = s
                 elif key in out:
@@ -307,7 +329,9 @@ class BiPoly:
 
     def scale(self, c):
         K = self.field
-        return BiPoly(K, {k: K.mul(c, x) for k, x in self.terms.items()})
+        K.check(c)
+        mul = K.umul
+        return BiPoly(K, {k: mul(c, x) for k, x in self.terms.items()})
 
     def __pow__(self, k):
         """Repeated squaring; k must be a non-negative integer."""
@@ -326,20 +350,23 @@ class BiPoly:
         """Substitute the second variable, leaving a UniPoly in the first."""
         K = self.field
         K.check(d)
-        powers = {0: 1}
-        out = [0] * (self.deg_u + 1) if self.terms else []
+        if not self.terms:
+            return UniPoly.zero(K)
+        add, mul = K.uadd, K.umul
+        us, vs = zip(*self.terms)
+        powers = power_list(K, d, max(vs))
+        out = [0] * (max(us) + 1)
         for (i, j), c in self.terms.items():
-            if j not in powers:
-                powers[j] = K.pow(d, j)
-            out[i] = K.add(out[i], K.mul(c, powers[j]))
+            out[i] = add(out[i], mul(c, powers[j]))
         return UniPoly(K, out)
 
     def eval(self, u, v):
         K = self.field
         K.check(u), K.check(v)
+        add, mul, pow_ = K.uadd, K.umul, K.upow
         acc = 0
         for (i, j), c in self.terms.items():
-            acc = K.add(acc, K.mul(c, K.mul(K.pow(u, i), K.pow(v, j))))
+            acc = add(acc, mul(c, mul(pow_(u, i), pow_(v, j))))
         return acc
 
     def __eq__(self, other):
@@ -390,9 +417,10 @@ class TriHomPoly:
 
     def dehomogenize(self):
         K = self.field
+        add = K.uadd
         out = {}
         for (i, j, _), c in self.terms.items():
-            out[(i, j)] = K.add(out.get((i, j), 0), c)
+            out[(i, j)] = add(out.get((i, j), 0), c)
         return BiPoly(K, out)
 
     def __add__(self, other):
@@ -402,9 +430,10 @@ class TriHomPoly:
         if self.degree != other.degree:
             raise DegreeMismatch("cannot add homogeneous parts of different degrees")
         K = self.field
+        add = K.uadd
         out = dict(self.terms)
         for key, c in other.terms.items():
-            s = K.add(out.get(key, 0), c)
+            s = add(out.get(key, 0), c)
             if s:
                 out[key] = s
             elif key in out:
@@ -416,11 +445,12 @@ class TriHomPoly:
             return NotImplemented
         _same_field(self, other)
         K = self.field
+        add, mul = K.uadd, K.umul
         out = {}
         for (i1, j1, k1), c1 in self.terms.items():
             for (i2, j2, k2), c2 in other.terms.items():
                 key = (i1 + i2, j1 + j2, k1 + k2)
-                s = K.add(out.get(key, 0), K.mul(c1, c2))
+                s = add(out.get(key, 0), mul(c1, c2))
                 if s:
                     out[key] = s
                 elif key in out:
@@ -441,24 +471,29 @@ class TriHomPoly:
 
     def scale(self, c):
         K = self.field
-        return TriHomPoly(K, self.degree, {k: K.mul(c, x) for k, x in self.terms.items()})
+        K.check(c)
+        mul = K.umul
+        return TriHomPoly(K, self.degree, {k: mul(c, x) for k, x in self.terms.items()})
 
     def eval(self, u, v, w):
         K = self.field
         K.check(u), K.check(v), K.check(w)
+        add, mul, pow_ = K.uadd, K.umul, K.upow
         acc = 0
         for (i, j, k), c in self.terms.items():
-            t = K.mul(K.mul(K.pow(u, i), K.pow(v, j)), K.pow(w, k))
-            acc = K.add(acc, K.mul(c, t))
+            t = mul(mul(pow_(u, i), pow_(v, j)), pow_(w, k))
+            acc = add(acc, mul(c, t))
         return acc
 
     def at_vw(self, v, w):
         """Substitute the last two variables, leaving a UniPoly in the first."""
         K = self.field
         K.check(v), K.check(w)
+        add, mul = K.uadd, K.umul
+        pv, pw = power_list(K, v, self.degree), power_list(K, w, self.degree)
         out = [0] * (max((i for i, _, _ in self.terms), default=-1) + 1)
         for (i, j, k), c in self.terms.items():
-            out[i] = K.add(out[i], K.mul(c, K.mul(K.pow(v, j), K.pow(w, k))))
+            out[i] = add(out[i], mul(c, mul(pv[j], pw[k])))
         return UniPoly(K, out)
 
     def proportional_to(self, other):
@@ -472,8 +507,9 @@ class TriHomPoly:
             return False
         K = self.field
         key = next(iter(self.terms))
-        ratio = K.div(other.terms[key], self.terms[key])
-        return all(K.mul(ratio, c) == other.terms[k] for k, c in self.terms.items())
+        ratio = K.udiv(other.terms[key], self.terms[key])
+        mul = K.umul
+        return all(mul(ratio, c) == other.terms[k] for k, c in self.terms.items())
 
     def monomials(self):
         """Sorted (i, j, k, coeff) rows, highest U then V power first."""

@@ -148,10 +148,11 @@ def line_count(T, line):
     if line.is_line_at_infinity():
         raise LineAtInfinity("the multiset is affine; [0:0:1] carries no points")
     K = T.field
+    add, mul = K.uadd, K.umul
     a, b, c = line.coords
     total = 0
     for (x, y), m in T._mults.items():
-        if K.add(K.add(K.mul(a, x), K.mul(b, y)), c) == 0:
+        if add(add(mul(a, x), mul(b, y)), c) == 0:
             total += m
     return total
 
@@ -159,18 +160,19 @@ def line_count(T, line):
 def intercept_profile(T, direction):
     """Nonzero line counts of a parallel class, keyed by intercept."""
     K = T.field
+    sub, mul = K.usub, K.umul
     s = slope_of(direction)
     profile = {}
     for (a, b), m in T._mults.items():
-        key = a if s is None else K.sub(b, K.mul(a, s))
+        key = a if s is None else sub(b, mul(a, s))
         profile[key] = profile.get(key, 0) + m
     return profile
 
 
 def _class_line(field, slope, alpha):
     if slope is None:
-        return ProjLine(field, 1, 0, field.neg(alpha))
-    return ProjLine(field, slope, field.neg(1), alpha)
+        return ProjLine(field, 1, 0, field.uneg(alpha))
+    return ProjLine(field, slope, field.uneg(1), alpha)
 
 
 def classify_direction(T, direction, lam):

@@ -33,6 +33,7 @@ from renitent.errors import (
     TooManyDirections,
     VerticalDirectionPresent,
 )
+from renitent.gf import GF
 
 K5 = field_create(5)
 K7 = field_create(7)
@@ -298,3 +299,43 @@ def test_point_detector_accepts_vertical_reports():
     for y in K5.elements():
         pre = inv.apply_point(ProjPoint(K5, 1, y, 0))
         assert profile.k[y] == len(reports) - index_of_point(reports, pre).count
+
+
+# -- cost guard: operands are checked where they enter, not per operation
+
+
+def _count_checks(monkeypatch, run):
+    """How many GF.check calls run() makes (a count, not a timing)."""
+    calls = [0]
+    check = GF.check
+
+    def counted(self, a):
+        calls[0] += 1
+        return check(self, a)
+
+    monkeypatch.setattr(GF, "check", counted)
+    result = run()
+    return calls[0], result
+
+
+def _planted_q31():
+    K = field_create(31)
+    return gen_planted(K, [(1, 2), (3, 5), (7, 11)], [1, 1, 1], 1).multiset
+
+
+def test_lower_bound_checks_elements_at_the_edges(monkeypatch):
+    # a check per field operation made 118,046 calls here
+    T = _planted_q31()
+    reports = [r for r in uniform_directions(T, 3) if slope_of(r.direction) is not None]
+    calls, report = _count_checks(
+        monkeypatch, lambda: renitent_lower_bound_check(T, reports))
+    assert report.ok and report.count == 91
+    assert calls < 10_000
+
+
+def test_dichotomy_checks_elements_at_the_edges(monkeypatch):
+    # a check per field operation made 13,877 calls here
+    T = _planted_q31()
+    calls, report = _count_checks(monkeypatch, lambda: dichotomy_check(T, 3))
+    assert report.ok
+    assert calls < 2_000

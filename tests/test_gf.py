@@ -1,5 +1,6 @@
 """Field contexts: construction, arithmetic, trace, spec-string parsing."""
 
+import pickle
 import random
 import time
 
@@ -208,10 +209,12 @@ def test_parse_field_spec_rejects_garbage():
         parse_field_spec("2^2:m=1,0,1")
 
 
-# -- the log/exp/Zech kernel against digit-vector arithmetic -------------
+# -- the kernels and the checked methods against digit-vector arithmetic
 
-# every extension field with q <= 81 (all pairs), then larger ones (sampled)
-EXHAUSTIVE_SPECS = ["2^2", "2^3", "3^2", "2^4", "5^2", "3^3", "2^5", "7^2",
+# every prime field listed and every extension field with q <= 81 (all
+# pairs), then larger extension fields (sampled)
+EXHAUSTIVE_SPECS = ["2", "3", "5", "7", "13", "31",
+                    "2^2", "2^3", "3^2", "2^4", "5^2", "3^3", "2^5", "7^2",
                     "2^6", "3^4", "3^2:m=2,1,1"]
 SAMPLED_SPECS = ["5^3", "2^7", "3^5", "2^8"]
 
@@ -221,16 +224,24 @@ def _neg_oracle(K, a):
 
 
 def _assert_kernel_matches_oracle(K, pairs):
+    """Each kernel (K.uadd, ...) and its checked method (K.add, ...) give
+    the digit-vector answer; sub and div are compared as operations of
+    their own, not through add/neg and mul/inv."""
     for a, b in pairs:
-        assert K.add(a, b) == K._add_raw(a, b), (a, b)
-        assert K.sub(a, b) == K._add_raw(a, _neg_oracle(K, b)), (a, b)
-        assert K.mul(a, b) == K._mul_raw(a, b), (a, b)
-    for a in {a for pair in pairs for a in pair}:
-        assert K.neg(a) == _neg_oracle(K, a), a
+        want = {"add": K._add_raw(a, b),
+                "sub": K._add_raw(a, _neg_oracle(K, b)),
+                "mul": K._mul_raw(a, b)}
+        if b:
+            want["div"] = K._mul_raw(a, K._inv_raw(b))
+        for op, value in want.items():
+            assert getattr(K, "u" + op)(a, b) == value, (op, a, b)
+            assert getattr(K, op)(a, b) == value, (op, a, b)
+    for a in {0} | {a for pair in pairs for a in pair}:
+        assert K.uneg(a) == K.neg(a) == _neg_oracle(K, a), a
         if a:
-            assert K.inv(a) == K._inv_raw(a), a
+            assert K.uinv(a) == K.inv(a) == K._inv_raw(a), a
         for k in (0, 1, 2, K.p, K.q - 2, K.q - 1, K.q, 3 * K.q + 5):
-            assert K.pow(a, k) == K._pow_raw(a, k), (a, k)
+            assert K.upow(a, k) == K.pow(a, k) == K._pow_raw(a, k), (a, k)
 
 
 @pytest.mark.parametrize("spec", EXHAUSTIVE_SPECS)
@@ -246,6 +257,14 @@ def test_kernel_matches_oracle_on_sampled_pairs(spec):
     pairs = [(rng.randrange(K.q), rng.randrange(K.q)) for _ in range(1500)]
     pairs += [(0, b) for b in range(4)] + [(a, K.neg(a)) for a in range(1, 9)]
     _assert_kernel_matches_oracle(K, pairs)
+
+
+@pytest.mark.parametrize("spec", ["7", "2^3", "3^2:m=2,1,1"])
+def test_field_survives_pickling(spec):
+    K = parse_field_spec(spec)
+    K2 = pickle.loads(pickle.dumps(K))
+    assert K2 == K
+    assert [K2.mul(a, 3) for a in K.elements()] == [K.mul(a, 3) for a in K.elements()]
 
 
 def test_generator_is_smallest_primitive_element_not_modulus_root():

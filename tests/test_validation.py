@@ -1,0 +1,86 @@
+"""Every public entry that takes a raw field element refuses a bad index.
+
+Inner loops run on the field's unchecked kernels, so the check has to
+happen where an element enters: the checked GF methods, the constructors
+of the polynomial, plane and multiset types, the parsers, the generators
+and the scalar arguments of the polynomial methods.  Each row below hands
+one such entry an index outside GF(7) and expects a typed error, never a
+silently wrong answer.
+"""
+
+import pytest
+
+from renitent import field_create
+from renitent.envelope import hankel_det_closed_form, weighted_power_recursion_check
+from renitent.errors import FieldMismatch, ParseError
+from renitent.generators import gen_planted
+from renitent.plane import Collineation, ProjLine, ProjPoint, parse_point, slope_direction
+from renitent.poly import BiPoly, TriHomPoly, UniPoly
+from renitent.uniformity import PointMultiset, parse_points
+
+K = field_create(7)
+F = UniPoly(K, (3, 1, 2))
+G = BiPoly(K, {(2, 0): 1, (1, 1): 3, (0, 2): 5})
+H = TriHomPoly(K, 2, {(2, 0, 0): 1, (1, 1, 0): 3, (0, 1, 1): 5})
+
+ENTRIES = {
+    "GF.check": lambda x: K.check(x),
+    "GF.add.left": lambda x: K.add(x, 1),
+    "GF.add.right": lambda x: K.add(1, x),
+    "GF.sub.left": lambda x: K.sub(x, 1),
+    "GF.sub.right": lambda x: K.sub(1, x),
+    "GF.neg": lambda x: K.neg(x),
+    "GF.mul.left": lambda x: K.mul(x, 2),
+    "GF.mul.right": lambda x: K.mul(2, x),
+    "GF.inv": lambda x: K.inv(x),
+    "GF.div.left": lambda x: K.div(x, 2),
+    "GF.div.right": lambda x: K.div(2, x),
+    "GF.pow": lambda x: K.pow(x, 3),
+    "GF.coeffs": lambda x: K.coeffs(x),
+    "GF.trace": lambda x: K.trace(x),
+    "UniPoly": lambda x: UniPoly(K, (1, x)),
+    "UniPoly.x_minus": lambda x: UniPoly.x_minus(K, x),
+    "UniPoly.eval": lambda x: F.eval(x),
+    "UniPoly.scale": lambda x: F.scale(x),
+    "BiPoly": lambda x: BiPoly(K, {(1, 0): x}),
+    "BiPoly.eval_v": lambda x: G.eval_v(x),
+    "BiPoly.eval.u": lambda x: G.eval(x, 1),
+    "BiPoly.eval.v": lambda x: G.eval(1, x),
+    "BiPoly.scale": lambda x: G.scale(x),
+    "TriHomPoly.linear": lambda x: TriHomPoly.linear(K, 1, x, 2),
+    "TriHomPoly.eval": lambda x: H.eval(1, 2, x),
+    "TriHomPoly.at_vw.v": lambda x: H.at_vw(x, 1),
+    "TriHomPoly.at_vw.w": lambda x: H.at_vw(1, x),
+    "TriHomPoly.scale": lambda x: H.scale(x),
+    "ProjPoint": lambda x: ProjPoint(K, x, 1, 1),
+    "ProjLine": lambda x: ProjLine(K, 1, x, 1),
+    "slope_direction": lambda x: slope_direction(K, x),
+    "Collineation": lambda x: Collineation(K, ((1, 0, 0), (0, 1, 0), (0, x, 1))),
+    "PointMultiset": lambda x: PointMultiset(K, [((1, x), 1)]),
+    "parse_points": lambda x: parse_points(K, f"1 2\n{x} 3\n"),
+    "parse_point": lambda x: parse_point(K, f"1,{x}"),
+    "gen_planted": lambda x: gen_planted(K, [(1, 2), (x, 3)], [1, 1]),
+    "hankel_det_closed_form.c": lambda x: hankel_det_closed_form(K, [1, x], [2, 3]),
+    "hankel_det_closed_form.x": lambda x: hankel_det_closed_form(K, [1, 1], [2, x]),
+    "weighted_power_recursion_check.c":
+        lambda x: weighted_power_recursion_check(K, [1, x], [2, 3], 1),
+    "weighted_power_recursion_check.x":
+        lambda x: weighted_power_recursion_check(K, [1, 1], [2, x], 1),
+}
+
+PARSERS = {"parse_points", "parse_point"}
+
+
+@pytest.mark.parametrize("bad", [9, 7, -1], ids=["9", "q", "-1"])
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_out_of_range_element_is_refused(name, bad):
+    expected = ParseError if name in PARSERS else FieldMismatch
+    with pytest.raises(expected):
+        ENTRIES[name](bad)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_entries_accept_in_range_elements(name):
+    # the same calls with a valid index succeed, so each row above fails
+    # on the bad element and not on something else in its arguments
+    ENTRIES[name](4)
