@@ -9,7 +9,9 @@ sorted keys, written atomically when --out is given.
 """
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -70,10 +72,88 @@ def _atomic_write(path, text):
         raise
 
 
+class _NotPlain(Exception):
+    """A value the fast writer leaves to json.dumps."""
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write_json(obj, out, nl):
+    """Append obj as json.dumps(indent=2, sort_keys=True) would write it.
+
+    ``nl`` is the newline plus the indent of obj's own level.  This is a
+    module-level function, not a closure over ``out``: a closure that
+    calls itself is a reference cycle, which would keep every document's
+    chunks alive until the cyclic collector runs.
+    """
+    t = type(obj)
+    if t is str:
+        out.append(_encode_str(obj))
+    elif t is int:
+        out.append(int.__repr__(obj))
+    elif t is dict:
+        if not obj:
+            out.append("{}")
+            return
+        try:
+            keys = sorted(obj)
+        except TypeError:  # keys of mixed types
+            raise _NotPlain from None
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in keys:
+            if type(key) is not str:
+                raise _NotPlain
+            out.append(sep)
+            out.append(_encode_str(key))
+            out.append(": ")
+            _write_json(obj[key], out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif t is list or t is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif t is float and math.isfinite(obj):
+        out.append(float.__repr__(obj))
+    else:
+        raise _NotPlain
+
+
+def canonical_json(doc):
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
+
+    With an indent, json.dumps runs CPython's pure-Python encoder; this
+    writes the plain types (str, int, bool, None, finite float, list,
+    tuple, dict with str keys) in one pass and hands any other document
+    to json.dumps whole.
+    """
+    out = []
+    try:
+        _write_json(doc, out, "\n")
+    except _NotPlain:
+        return json.dumps(doc, indent=2, sort_keys=True)
+    return "".join(out)
+
+
 def _emit(args, payload):
     payload = dict(payload)
     payload["schema"] = 1
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = canonical_json(payload) + "\n"
     if args.out:
         _atomic_write(args.out, text)
         if args.json:
@@ -136,7 +216,7 @@ def cmd_gen(args):
     truth["field"] = args.field
     truth["schema"] = 1
     point_text = dump_points(T)
-    truth_text = json.dumps(truth, indent=2, sort_keys=True) + "\n"
+    truth_text = canonical_json(truth) + "\n"
     if args.out:
         _atomic_write(args.out, point_text)
         _atomic_write(args.out + ".json", truth_text)
@@ -370,7 +450,10 @@ def _add_common(sub, need_lambda=True):
                          help="uniformity bound (0 < lambda <= (q-1)/2)")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: each parse_args call
+    returns a fresh Namespace, and the parser keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="renitent",
         description="Uniform directions, renitent lines, and their envelopes "
@@ -422,9 +505,6 @@ def main(argv=None):
     except (HypothesisRejected, DegenerateCurve) as exc:
         print(f"hypothesis rejected: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except RenitentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -183,15 +183,23 @@ def classify_direction(T, direction, lam):
             f"need 0 < lam <= (q-1)/2 = {(K.q - 1) // 2}, got {lam!r}")
     s = slope_of(direction)  # raises NotADirection off the line at infinity
     profile = intercept_profile(T, direction)
-    counts = {t: profile.get(t, 0) for t in K.elements()}
-    freq = Counter(c % K.p for c in counts.values())
+    p = K.p
+    # Residue frequencies over all q lines: the q - |profile| lines the
+    # profile leaves out are empty, so they add to residue 0.
+    freq = Counter(c % p for c in profile.values())
+    freq[0] += K.q - len(profile)
     typical = [r for r, n in freq.items() if n >= K.q - lam]
     if not typical:
         return None
     m_d = typical[0]  # unique: two residues on q-lam lines each would exceed q
+    counts = dict.fromkeys(K.elements(), 0)
+    counts.update(profile)
+    # With m_d = 0 every renitent line is in the profile (an empty line has
+    # residue 0); otherwise empty lines are renitent too, so scan them all.
+    candidates = sorted(profile) if m_d == 0 else K.elements()
     renitent = tuple(
-        RenitentLine(_class_line(K, s, t), t, counts[t] % K.p)
-        for t in K.elements() if counts[t] % K.p != m_d)
+        RenitentLine(_class_line(K, s, t), t, counts[t] % p)
+        for t in candidates if counts[t] % p != m_d)
     return DirectionReport(direction=direction, bound=lam, m_d=m_d,
                            counts=counts, renitent=renitent)
 

@@ -1,6 +1,7 @@
 """The command-line contract: exit codes, JSON shape, determinism, and
 the gen -> analyze -> envelope -> check pipeline."""
 
+import argparse
 import importlib.util
 import io
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import renitent
-from renitent.cli import EXIT_HYPOTHESIS, EXIT_INPUT, EXIT_OK, main
+from renitent.cli import EXIT_HYPOTHESIS, EXIT_INPUT, EXIT_OK, build_parser, main
 
 GF13_LINE_PLUS_HEAVY = "".join(
     [f"{x} 0 {2 if x == 0 else 1}\n" for x in range(13)] + ["1 1 7\n"])
@@ -302,6 +303,57 @@ def test_out_file_is_exact_and_optionally_echoed(tmp_path, capsys):
     leftovers = [p for p in tmp_path.iterdir()
                  if p.name.startswith(".renitent-")]
     assert leftovers == []
+
+
+# -- one parser per process -------------------------------------------------------
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    path = write_points(tmp_path, "2 3 1\n")
+    for _ in range(3):
+        rc, _ = run(capsys, ["analyze", "--field", "5", "--in", path, "--lambda", "1"])
+        assert rc == EXIT_OK
+    three_calls = len(built)
+    build_parser.cache_clear()
+    build_parser()
+    one_build = len(built) - three_calls
+    assert one_build > 1  # the top parser and one per subcommand
+    assert three_calls == one_build
+
+
+def test_reused_parser_keeps_no_options_between_calls(tmp_path, capsys):
+    first = write_points(tmp_path, "2 3 1\n", "first.txt")
+    second = write_points(tmp_path, "0 0 1\n1 1 1\n", "second.txt")
+    out = tmp_path / "report.json"
+    rc, echoed = run(capsys, ["analyze", "--field", "5", "--in", first,
+                              "--lambda", "1", "--out", str(out), "--json"])
+    assert rc == EXIT_OK
+    stored = out.read_bytes()
+    assert echoed.encode() == stored
+    rc, printed = run(capsys, ["analyze", "--field", "5", "--in", second, "--lambda", "2"])
+    assert rc == EXIT_OK
+    assert json.loads(printed)["size"] == 2
+    assert out.read_bytes() == stored
+
+
+def test_parser_still_works_after_argparse_rejects_an_argv(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--field", "5", "--lambda", "1"])  # no --in
+    assert exc.value.code == 2
+    capsys.readouterr()
+    path = write_points(tmp_path, "2 3 1\n")
+    rc, stdout = run(capsys, ["analyze", "--field", "5", "--in", path, "--lambda", "1"])
+    assert rc == EXIT_OK
+    assert json.loads(stdout)["command"] == "analyze"
 
 
 REPO_ROOT = Path(__file__).resolve().parents[1]

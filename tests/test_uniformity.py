@@ -1,5 +1,7 @@
 """Multiset intersection profiles, uniform directions, renitent lines."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +31,11 @@ from renitent.errors import (
     LineAtInfinity,
     ParseError,
 )
+from renitent.generators import gen_random
+from renitent.plane import slope_of
+from renitent.uniformity import DirectionReport, RenitentLine, _class_line
+
+from conftest import SMALL_FIELDS
 
 K5 = field_create(5)
 
@@ -248,6 +255,70 @@ def test_report_json_shape():
     assert js["m_d"] == 0 and js["lambda_d"] == 1 and js["sharp"] is True
     # [1:-1:0] canonicalizes by scaling the last nonzero coordinate to 1
     assert js["renitent"] == [{"line": "[4:1:0]", "alpha": 0, "t": 1}]
+
+
+# -- sparse classification against the dense oracle ---------------------------------
+
+
+def _dense_classify_direction(T, direction, lam):
+    """classify_direction as it was before it ran at support size: counts
+    every one of the q lines, then scans every intercept for renitent ones."""
+    K = T.field
+    s = slope_of(direction)
+    profile = intercept_profile(T, direction)
+    counts = {t: profile.get(t, 0) for t in K.elements()}
+    freq = Counter(c % K.p for c in counts.values())
+    typical = [r for r, n in freq.items() if n >= K.q - lam]
+    if not typical:
+        return None
+    m_d = typical[0]
+    renitent = tuple(
+        RenitentLine(_class_line(K, s, t), t, counts[t] % K.p)
+        for t in K.elements() if counts[t] % K.p != m_d)
+    return DirectionReport(direction=direction, bound=lam, m_d=m_d,
+                           counts=counts, renitent=renitent)
+
+
+def _assert_matches_dense(T, lam):
+    """Compare every direction with the oracle; return how many reports
+    have m_d != 0 and an empty renitent line (the full-scan branch)."""
+    empty_renitent = 0
+    for d in all_directions(T.field):
+        fast = classify_direction(T, d, lam)
+        slow = _dense_classify_direction(T, d, lam)
+        assert fast == slow
+        if fast is None:
+            continue
+        assert fast.to_json() == slow.to_json()
+        assert list(fast.counts.items()) == list(slow.counts.items())
+        if fast.m_d != 0 and any(fast.counts[r.alpha] == 0 for r in fast.renitent):
+            empty_renitent += 1
+    return empty_renitent
+
+
+# q = 2 has no lambda with 0 < lambda <= (q - 1)/2, so it cannot be classified.
+SPARSE_LADDER = [pe for pe in SMALL_FIELDS if pe[0] ** pe[1] > 2] + [
+    (3, 3), (7, 2), (2, 6), (3, 4), (2, 7)]
+
+
+@pytest.mark.parametrize("pe", SPARSE_LADDER, ids=lambda pe: f"q{pe[0] ** pe[1]}")
+def test_sparse_classification_matches_dense_oracle(pe):
+    K = field_create(*pe)
+    # the dense end of the range runs below q = 64; above, it would cost
+    # seconds per field
+    densities = (0.02, 0.1, 0.3, 0.6, 1.0) if K.q < 64 else (0.02, 0.1, 0.3)
+    for density in densities:
+        T = gen_random(K, 0, density)
+        for lam in sorted({1, (K.q - 1) // 2}):
+            _assert_matches_dense(T, lam)
+
+
+def test_sparse_classification_with_an_empty_renitent_line():
+    """m_d != 0 makes every empty line renitent, and those lines are not in
+    the profile: the branch that still scans all q intercepts."""
+    K = field_create(3, 3)
+    T = gen_random(K, 0, 0.1)
+    assert _assert_matches_dense(T, (K.q - 1) // 2) > 0
 
 
 # -- concurrency ------------------------------------------------------------------
