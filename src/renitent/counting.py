@@ -13,10 +13,19 @@ infinity first, making k_y record how many renitent lines pass through
 each point of one pencil, which yields the index dichotomy (every point
 of the plane sits on at most lam renitent lines or on almost all of
 them).
+
+Both detectors' g is -|T| + h + a sum of w (alpha X + beta Y + gamma)^(q-1)
+over the support points, and a DetectorPoly keeps those parts.  The gcd
+profile needs the q rows g(X, y): while support size * q is at most the
+term count of g, each row is written in closed form from the parts;
+otherwise (dense input) each row evaluates g's terms.  The gcd degrees
+themselves always come from the Euclidean algorithm, so the algebra stays
+a second count beside the geometry.
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from .errors import (
@@ -56,7 +65,13 @@ class GcdProfile:
 def gcd_profile(f, g):
     """k_y for every y in the field.  The X-leading coefficient of f
     must be a nonzero constant, so deg f(X,y) never drops; g(X,y) = 0
-    falls out of the Euclidean algorithm as k_y = deg f."""
+    falls out of the Euclidean algorithm as k_y = deg f.
+
+    The rows f(X, y) and g(X, y) come from BiPoly.rows: an f with no Y
+    term is evaluated once, and a detector's g (a DetectorPoly) writes
+    each row in closed form from its support points while support size
+    times q is at most its term count, and evaluates its terms otherwise.
+    """
     if f.field != g.field:
         raise FieldMismatch("mixed contexts")
     K = f.field
@@ -65,14 +80,8 @@ def gcd_profile(f, g):
     if du < 0 or lead != {0}:
         raise BadLeadingCoefficient(
             "the X-leading coefficient of f must be a nonzero constant")
-    k = {}
-    for y in K.elements():
-        f_y = f.eval_v(y)
-        g_y = g.eval_v(y)
-        if g_y.is_zero():
-            k[y] = f_y.degree
-        else:
-            k[y] = uni_gcd(f_y, g_y).degree
+    k = {y: uni_gcd(f_y, g_y).degree
+         for y, f_y, g_y in zip(K.elements(), f.rows(), g.rows())}
     return GcdProfile(K, k, f.total_degree, g.total_degree)
 
 
@@ -198,20 +207,85 @@ def _bump_sum(K, bumps):
     return UniPoly(K, coeffs)
 
 
+class DetectorPoly(BiPoly):
+    """A detector's g = -|T| + h + sum of w (alpha X + beta Y + gamma)^(q-1),
+    which keeps the parts it was built from: the constant -|T|, h with
+    its variable, and one (w, alpha, beta, gamma) per support point.
+
+    It is equal, term for term, to the BiPoly of the same terms; only
+    rows() differs, writing each row g(X, y) from the parts.  A power
+    with alpha != 0 is (X - u)^(q-1) with u = -(beta y + gamma)/alpha,
+    and since binom(q-1, k) = (-1)^k mod p that is the sum of
+    u^k X^(q-1-k); a power with alpha = 0 is the constant 1 when
+    beta y + gamma != 0 and 0 otherwise.  Per row that costs (distinct
+    u) * q operations against eval_v's walk over every term, so the
+    closed form runs while support size * q is at most the term count,
+    and eval_v runs on denser input, where Lucas's theorem keeps the
+    term count far below support size * q.
+    """
+
+    __slots__ = ("_const", "_h", "_var", "_points")
+
+    def __init__(self, field, terms, const, h, var, points):
+        super().__init__(field, terms)
+        self._const, self._h, self._var, self._points = const, h, var, points
+
+    def rows(self):
+        if len(self._points) * self.field.q > len(self.terms):
+            return super().rows()
+        return self._closed_form_rows()
+
+    def _closed_form_rows(self):
+        K = self.field
+        n = K.q - 1
+        add, mul, div, neg = K.uadd, K.umul, K.udiv, K.uneg
+        # u = s y + t for alpha != 0; c = beta y + gamma for alpha = 0
+        moving, flat = [], []
+        for w, alpha, beta, gamma in self._points:
+            if alpha:
+                moving.append((w, neg(div(beta, alpha)), neg(div(gamma, alpha))))
+            else:
+                flat.append((w, beta, gamma))
+        base = [0] * (n + 1)   # the row's part that does not depend on y
+        base[0] = self._const
+        if self._var == 0:
+            for i, c in enumerate(self._h.coeffs):
+                base[i] = add(base[i], c)
+        for y in K.elements():
+            const = self._h.eval(y) if self._var == 1 else 0
+            for w, beta, gamma in flat:
+                if add(mul(beta, y), gamma):
+                    const = add(const, w)
+            weight = {}
+            for w, s, t in moving:
+                u = add(mul(s, y), t)
+                weight[u] = add(weight.get(u, 0), w)
+            sums = [0] * (n + 1)   # sums[k] = sum of weight(u) u^k
+            for u, w in weight.items():
+                if w:
+                    sums = list(map(add, sums, accumulate(repeat(u, n), mul, initial=w)))
+            row = list(map(add, base, reversed(sums)))
+            row[0] = add(row[0], const)
+            yield UniPoly(K, row)
+
+
 def _detector_g(K, T, h, var, lin_coeffs):
     """g = -|T| + h(var) + sum of w (alpha X + beta Y + gamma)^(q-1),
     one power per support point with nonzero weight w = mult mod p.
     lin_coeffs(a, b) gives (alpha, beta, gamma) for the point (a, b)."""
-    out = {(0, 0): K.uneg(K.from_int(T.size))}
+    const = K.uneg(K.from_int(T.size))
+    out = {(0, 0): const}
     for n, c in enumerate(h.coeffs):
         key = (n, 0) if var == 0 else (0, n)
         out[key] = K.uadd(out.get(key, 0), c)
     table = _linear_power_table(K)
+    points = []
     for (a, b), mult in T.items():
         w = K.from_int(mult)
         if w:
-            _add_linear_power(K, table, out, w, *lin_coeffs(a, b))
-    return BiPoly(K, out)
+            points.append((w, *lin_coeffs(a, b)))
+            _add_linear_power(K, table, out, *points[-1])
+    return DetectorPoly(K, out, const, h, var, points)
 
 
 def build_slope_detector(T, reports):
@@ -407,10 +481,6 @@ class PointDetector(NamedTuple):
     g: BiPoly           # vanishes at (c_k, y) exactly when the line from
                         # the moved direction c_k to (1:y:0) is typical
     collineation: object
-
-    @property
-    def frame(self):
-        return self.collineation
 
 
 def build_point_detector(T, reports, R):

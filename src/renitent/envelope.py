@@ -22,6 +22,7 @@ coefficient) or contains the direction's whole pencil.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     CZero,
@@ -466,10 +467,18 @@ class VerificationReport:
 
 
 def _root_multiplicity(poly, root):
+    """How often X - root divides poly (0 for constants), by Horner passes."""
     K = poly.field
+    add, mul = K.uadd, K.umul
+    coeffs = poly.coeffs
     m = 0
-    while poly.degree >= 1 and poly(root) == 0:
-        poly = poly // UniPoly.x_minus(K, root)
+    while len(coeffs) > 1:
+        # one synthetic division: the running values are the quotient's
+        # coefficients, highest first, and the last one is the remainder
+        quo = list(accumulate(reversed(coeffs), lambda acc, c: add(mul(acc, root), c)))
+        if quo.pop():
+            break
+        coeffs = quo[::-1]
         m += 1
     return m
 

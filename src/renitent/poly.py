@@ -12,6 +12,8 @@ raw field element checks it on entry; past that, the loops run on the
 field's unchecked kernels (see gf).
 """
 
+from itertools import repeat
+
 from .errors import (
     BothZero,
     DegreeMismatch,
@@ -210,15 +212,46 @@ class UniPoly:
 
 
 def uni_gcd(f, g):
-    """Monic gcd by the Euclidean algorithm; gcd(f, 0) is monic f."""
+    """Monic gcd by the Euclidean algorithm; gcd(f, 0) is monic f.
+
+    Runs on coefficient lists: each divisor is made monic and only the
+    remainders are kept, so no quotient and no intermediate UniPoly is
+    built.  Scaling a divisor changes no gcd, so the result is the same
+    monic polynomial the plain f % g loop ends with.
+    """
     if not isinstance(f, UniPoly) or not isinstance(g, UniPoly):
         raise InputError("uni_gcd expects two UniPoly operands")
     _same_field(f, g)
     if f.is_zero() and g.is_zero():
         raise BothZero("gcd of two zero polynomials is undefined")
-    while not g.is_zero():
-        f, g = g, f % g
-    return f.monic()
+    K = f.field
+    a, b = list(f.coeffs), list(g.coeffs)
+    while b:
+        b = _monic_list(K, b)
+        _rem_monic(K, a, b)
+        a, b = b, a
+    return UniPoly(K, _monic_list(K, a))
+
+
+def _monic_list(K, a):
+    """The nonzero coefficient list a scaled to leading coefficient 1."""
+    if a[-1] == 1:
+        return a
+    inv = K.uinv(a[-1])
+    return list(map(K.umul, repeat(inv), a))
+
+
+def _rem_monic(K, a, b):
+    """a mod b in place on a's list, for a monic b: only the remainder."""
+    sub, mul = K.usub, K.umul
+    db = len(b) - 1
+    low = b[:-1]
+    while len(a) > db:
+        c = a.pop()   # b is monic, so the leading term cancels exactly
+        s = len(a) - db
+        a[s:] = map(sub, a[s:], map(mul, repeat(c), low))
+        while a and not a[-1]:
+            a.pop()
 
 
 def roots_with_multiplicity(f):
@@ -359,6 +392,21 @@ class BiPoly:
         for (i, j), c in self.terms.items():
             out[i] = add(out[i], mul(c, powers[j]))
         return UniPoly(K, out)
+
+    def rows(self):
+        """The rows eval_v(y) for every field element y, in element order.
+
+        A polynomial with no V term has one row, built once.  Subclasses
+        that know more about their terms override this with a cheaper
+        build of the same rows.
+        """
+        K = self.field
+        if any(j for _, j in self.terms):
+            return map(self.eval_v, K.elements())
+        out = [0] * (self.deg_u + 1)
+        for (i, _), c in self.terms.items():
+            out[i] = c
+        return repeat(UniPoly(K, out), K.q)
 
     def eval(self, u, v):
         K = self.field

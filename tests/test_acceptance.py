@@ -269,7 +269,7 @@ def test_criterion_6_counting_suite(capsys):
             pprofile = gcd_profile(pdet.f, pdet.g)
             for y0 in K.elements():
                 assert gcd_degree_bound(pprofile, y0).ok, label
-            inv = pdet.frame.inverse()
+            inv = pdet.collineation.inverse()
             for y in K.elements():
                 pre = inv.apply_point(ProjPoint(K, 1, y, 0))
                 idx = index_of_point(slopes, pre).count

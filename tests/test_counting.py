@@ -267,7 +267,7 @@ def test_point_detector_counts_lines_through_the_pencil():
     R = ProjPoint.affine(K5, 0, 0)
     det = build_point_detector(T, reports, R)
     profile = gcd_profile(det.f, det.g)
-    inv = det.frame.inverse()
+    inv = det.collineation.inverse()
     for y in K5.elements():
         pre = inv.apply_point(ProjPoint(K5, 1, y, 0))
         idx = index_of_point(reports, pre).count
@@ -295,7 +295,7 @@ def test_point_detector_accepts_vertical_reports():
     assert any(slope_of(r.direction) is None for r in reports)
     det = build_point_detector(T, reports, ProjPoint.affine(K5, 0, 1))
     profile = gcd_profile(det.f, det.g)
-    inv = det.frame.inverse()
+    inv = det.collineation.inverse()
     for y in K5.elements():
         pre = inv.apply_point(ProjPoint(K5, 1, y, 0))
         assert profile.k[y] == len(reports) - index_of_point(reports, pre).count

@@ -2,14 +2,18 @@
 
 The detector builds write (alpha X + beta Y + gamma)^(q-1) and the bumps
 1 - (X - c)^(q-1) down in closed form; here they are compared with
-repeated squaring (`BiPoly.__pow__`, `UniPoly.__pow__`).  The dichotomy
-walks the points of each renitent line; here it is compared with the
-incidence scan of every point of the plane.
+repeated squaring (`BiPoly.__pow__`, `UniPoly.__pow__`).  The detectors'
+rows g(X, y) are written in closed form too; here they are compared with
+`BiPoly.eval_v`, and the gcd profiles with the eval_v-and-`%` loop.  The
+dichotomy walks the points of each renitent line; here it is compared
+with the incidence scan of every point of the plane.
 """
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from renitent import (
     BiPoly,
@@ -23,16 +27,19 @@ from renitent import (
     dichotomy_check,
     field_create,
     frame_collineation,
+    gcd_profile,
     gen_norm_conic,
     gen_planted,
     gen_random,
     incident,
     index_of_point,
     renitent_lower_bound_check,
+    slope_direction,
     slope_of,
     uniform_directions,
 )
 from renitent import counting
+from renitent.uniformity import DirectionReport
 from renitent.counting import (
     _add_linear_power,
     _bump_sum,
@@ -262,3 +269,179 @@ def test_counting_runs_no_incidence_scan_or_polynomial_power(monkeypatch):
     assert renitent_lower_bound_check(T, reports).ok
     build_slope_detector(T, reports)
     build_point_detector(T, reports, ProjPoint.affine(K, 1, 2))
+
+
+# -- the rows g(X, y), written in closed form ---------------------------------------
+
+
+def rows_by_eval_v(g):
+    """The loop gcd_profile ran before rows(): evaluate every term at each y."""
+    return [g.eval_v(y) for y in g.field.elements()]
+
+
+# every field of the oracles above with 2 < q <= 81 (no lam is valid at q = 2)
+ROW_FIELDS = sorted({pe for pe in SMALL_FIELDS + LADDER + [(11, 1), (13, 1)]
+                     if 2 < pe[0] ** pe[1] <= 81}, key=lambda pe: pe[0] ** pe[1])
+
+
+def row_corpus(pe):
+    """(name, multiset, lam) inputs for one field: planted, multiplicities
+    divisible by p, the norm conic (q even), random at densities 0.02,
+    0.1 and 0.3 up to q = 32 and 0.02 and 0.05 above (where hundreds of
+    points take seconds to build into g), and a denser one (0.6) up to
+    q = 16."""
+    K = field_create(*pe)
+    q, p = K.q, K.p
+    rng = random.Random(q)
+    lam = min(2, p - 1, (q - 1) // 2)
+    out = [("planted", gen_planted(K, [(1, 2), (3 % q, 1)][:lam], [1] * lam).multiset, lam)]
+    # R = (1, 2) goes to infinity below, so the points on x = 1 have alpha = 0
+    heavy = [((1, 2), 1), ((1, 0), p), ((1, 3 % q), 2), ((0, 1), 2 * p), ((2 % q, 1), p + 1)]
+    out.append(("heavy", PointMultiset(K, heavy), (q - 1) // 2))
+    if p == 2:
+        out.append(("conic", gen_norm_conic(K).multiset, 1))
+    for density in (0.02, 0.1, 0.3) if q <= 32 else (0.02, 0.05):
+        T = gen_random(K, rng.randrange(1000), density)
+        if T.size:
+            out.append((f"random{density}", T, (q - 1) // 2))
+    if q <= 16:
+        out.append(("dense", gen_random(K, 5, 0.6), (q - 1) // 2))
+    return out
+
+
+def row_detectors(T, lam, R=None):
+    """Both detectors of one input; the point detector sends R, by
+    default the first support point, to infinity.  The reports are the
+    uniform slope directions, or, where there are none, made-up reports
+    on half the slopes: the rows do not depend on uniformity."""
+    K = T.field
+    reports = [r for r in uniform_directions(T, lam) if slope_of(r.direction) is not None]
+    if not reports:
+        reports = [DirectionReport(slope_direction(K, s), lam, s % K.p, {}, ())
+                   for s in range(K.q // 2)]
+    R = R or ProjPoint.affine(K, *T.items()[0][0])
+    return [("slope", build_slope_detector(T, reports)),
+            ("point", build_point_detector(T, reports, R))]
+
+
+@functools.cache
+def field_detectors(pe):
+    """(input name, detector kind, multiset, g) over the row corpus of one field."""
+    return [(name, kind, T, det.g) for name, T, lam in row_corpus(pe)
+            for kind, det in row_detectors(T, lam)]
+
+
+def takes_closed_form(g):
+    return len(g._points) * g.field.q <= len(g.terms)
+
+
+@pytest.mark.parametrize("pe", ROW_FIELDS, ids=lambda pe: f"q{pe[0] ** pe[1]}")
+def test_rows_match_eval_v(pe):
+    for name, kind, _, g in field_detectors(pe):
+        expected = rows_by_eval_v(g)
+        assert list(g.rows()) == expected, (name, kind)
+        # the closed form is right on both sides of the rule, dense or not
+        assert list(g._closed_form_rows()) == expected, (name, kind)
+
+
+def test_row_corpus_covers_the_edge_cases():
+    """Both sides of the rule for both detectors, alpha = 0 points, and
+    multiplicities that vanish mod p."""
+    paths, alpha_zero, weight_zero = set(), False, False
+    for pe in ROW_FIELDS:
+        for _, kind, T, g in field_detectors(pe):
+            paths.add((kind, takes_closed_form(g)))
+            alpha_zero |= kind == "point" and any(alpha == 0 for _, alpha, _, _ in g._points)
+            weight_zero |= any(m % T.field.p == 0 for _, m in T.items())
+    assert paths == {(k, path) for k in ("slope", "point") for path in (True, False)}
+    assert alpha_zero and weight_zero
+
+
+@pytest.mark.parametrize("pe", [(5, 3), (2, 7), (3, 5)], ids=lambda pe: f"q{pe[0] ** pe[1]}")
+def test_rows_match_eval_v_sampled_at_large_q(pe):
+    K = field_create(*pe)
+    rng = random.Random(K.q)
+    lam = min(2, K.p - 1)
+    T = gen_planted(K, [(3, 7), (10, 1)][:lam], [1] * lam).multiset
+    for kind, det in row_detectors(T, lam, ProjPoint.affine(K, 0, 0)):
+        g = det.g
+        assert takes_closed_form(g), kind
+        rows = list(g.rows())
+        assert len(rows) == K.q
+        for y in [0, 1, K.q - 1] + rng.sample(range(2, K.q - 1), 5):
+            assert rows[y] == g.eval_v(y), (kind, y)
+
+
+def gcd_profile_by_eval_v(f, g):
+    """gcd_profile as it ran before rows() and the list Euclid."""
+    k = {}
+    for y in f.field.elements():
+        f_y, g_y = f.eval_v(y), g.eval_v(y)
+        if g_y.is_zero():
+            k[y] = f_y.degree
+        else:
+            while not g_y.is_zero():
+                f_y, g_y = g_y, f_y % g_y
+            k[y] = f_y.degree
+    return k
+
+
+@pytest.mark.parametrize("name,T,lam", CORPUS, ids=[c[0] for c in CORPUS])
+def test_detector_profiles_match_eval_v(name, T, lam):
+    for kind, det in row_detectors(T, lam):
+        assert gcd_profile(det.f, det.g).k == gcd_profile_by_eval_v(det.f, det.g), kind
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_gcd_profile_on_arbitrary_bipolys_matches_eval_v(data):
+    K = field_create(*data.draw(st.sampled_from([(5, 1), (2, 3), (3, 2), (7, 1)])))
+    element = st.integers(0, K.q - 1)
+    exps = st.tuples(st.integers(0, 5), st.integers(0, 4))
+    du = data.draw(st.integers(1, 5))
+    f_terms = {key: c for key, c in data.draw(st.dictionaries(exps, element)).items()
+               if key[0] < du}
+    f_terms[(du, 0)] = data.draw(st.integers(1, K.q - 1))
+    f = BiPoly(K, f_terms)
+    g = BiPoly(K, data.draw(st.dictionaries(exps, element, max_size=10)))
+    assert gcd_profile(f, g).k == gcd_profile_by_eval_v(f, g)
+
+
+# -- cost guards: which loops run, by call counts -----------------------------------
+
+
+def _planted_lam2_q31():
+    K = field_create(31)
+    T = gen_planted(K, [(1, 2), (3, 5)], [1, 1]).multiset
+    reports = [r for r in uniform_directions(T, 2) if slope_of(r.direction) is not None]
+    return K, T, reports
+
+
+def test_sparse_detectors_never_evaluate_g(monkeypatch):
+    K, T, reports = _planted_lam2_q31()
+
+    def forbidden(*args):
+        raise AssertionError("BiPoly.eval_v ran")
+
+    monkeypatch.setattr(BiPoly, "eval_v", forbidden)
+    assert renitent_lower_bound_check(T, reports).ok
+    det = build_point_detector(T, reports, ProjPoint.affine(K, 1, 2))
+    assert len(gcd_profile(det.f, det.g).k) == K.q
+
+
+def test_dense_detector_evaluates_g_once_per_row(monkeypatch):
+    K = field_create(2, 4)
+    T = gen_random(K, 3, 0.3)
+    reports = [r for r in uniform_directions(T, 7) if slope_of(r.direction) is not None]
+    det = build_slope_detector(T, reports)
+    assert not takes_closed_form(det.g)
+    calls = [0]
+    eval_v = BiPoly.eval_v
+
+    def counted(self, y):
+        calls[0] += 1
+        return eval_v(self, y)
+
+    monkeypatch.setattr(BiPoly, "eval_v", counted)
+    gcd_profile(det.f, det.g)
+    assert calls[0] == K.q

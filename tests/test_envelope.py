@@ -35,6 +35,7 @@ from renitent import (
     vertical_direction,
     weighted_power_recursion_check,
 )
+from renitent.envelope import _root_multiplicity
 from renitent.uniformity import DirectionReport, RenitentLine
 from renitent.errors import (
     CZero,
@@ -613,3 +614,66 @@ def test_exact_multiplicities_enforced_by_weight_map():
     assert verify_envelope(curve, reports).ok  # at-least-one default
     understated = {line: 1 for line in mults}
     assert not verify_envelope(curve, reports, understated).ok
+
+
+# -- root multiplicities by Horner passes ------------------------------------------
+
+
+def root_multiplicity_by_division(poly, root):
+    """The loop _root_multiplicity ran before it moved to Horner passes."""
+    K = poly.field
+    m = 0
+    while poly.degree >= 1 and poly(root) == 0:
+        poly = poly // UniPoly.x_minus(K, root)
+        m += 1
+    return m
+
+
+MULT_FIELDS = [field_create(2), field_create(3), field_create(2, 2), field_create(3, 2),
+               field_create(7)]
+
+
+@st.composite
+def planted_roots(draw):
+    """A cofactor times (x - r)^m for a few roots r, m up to 7 (so m >= p
+    at p = 2 and 3); the cofactor may be zero or constant."""
+    K = draw(st.sampled_from(MULT_FIELDS))
+    poly = UniPoly(K, draw(st.lists(st.integers(0, K.q - 1), max_size=4)))
+    roots = draw(st.lists(st.tuples(st.integers(0, K.q - 1), st.integers(0, 7)), max_size=3))
+    for r, m in roots:
+        for _ in range(m):
+            poly = poly * UniPoly.x_minus(K, r)
+    return poly
+
+
+@settings(max_examples=200)
+@given(planted_roots())
+def test_root_multiplicity_matches_the_division_loop(poly):
+    for root in poly.field.elements():
+        assert _root_multiplicity(poly, root) == root_multiplicity_by_division(poly, root)
+
+
+def test_root_multiplicity_edge_cases():
+    K2, K3 = field_create(2), field_create(3)
+    assert _root_multiplicity(UniPoly.zero(K3), 1) == 0
+    assert _root_multiplicity(UniPoly.constant(K3, 2), 0) == 0
+    # x^4 + 1 = (x + 1)^4 over GF(2); x^3 - 1 = (x - 1)^3 over GF(3)
+    assert _root_multiplicity(UniPoly(K2, (1, 0, 0, 0, 1)), 1) == 4
+    assert _root_multiplicity(UniPoly(K3, (2, 0, 0, 1)), 1) == 3
+    assert _root_multiplicity(UniPoly(K3, (2, 0, 0, 1)), 0) == 0
+
+
+def test_verification_divides_nothing_by_divmod(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("UniPoly.__divmod__ ran")
+
+    K = field_create(11)
+    inst = gen_planted(K, [(0, 0), (1, 2)], [1, 3], c=2)
+    reports = [classify_direction(inst.multiset, d, 2) for d in inst.generic_directions
+               if slope_of(d) is not None]
+    curve, mults = envelope_weighted(inst.multiset, reports, 2)
+    _, T, merged = merged_instance(11)
+    general = envelope_general(T, merged, 3)
+    monkeypatch.setattr(UniPoly, "__divmod__", forbidden)
+    assert verify_envelope(curve, reports, mults).ok
+    assert verify_envelope(general, merged).ok

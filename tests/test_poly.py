@@ -2,7 +2,7 @@
 trivariate, and determinants of polynomial matrices."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from renitent import (
     BiPoly,
@@ -136,6 +136,57 @@ def test_gcd_with_span_polynomial_counts_roots(gc):
     assert uni_gcd(span, g).degree == nroots
 
 
+def uni_gcd_by_remainders(f, g):
+    """The loop uni_gcd ran before it moved to lists: f % g until g = 0."""
+    while not g.is_zero():
+        f, g = g, f % g
+    return f.monic()
+
+
+GCD_FIELDS = [field_create(2), field_create(5), field_create(2, 3), field_create(3, 2),
+              field_create(13)]
+
+
+@st.composite
+def gcd_pairs(draw):
+    """(f, g), not both zero: arbitrary, with a common factor, equal, or
+    with one side zero; either degree may be the larger."""
+    K = draw(st.sampled_from(GCD_FIELDS))
+    coeffs = st.lists(st.integers(0, K.q - 1), max_size=8)
+    f, g = UniPoly(K, draw(coeffs)), UniPoly(K, draw(coeffs))
+    shape = draw(st.sampled_from(["any", "common factor", "equal", "f zero", "g zero"]))
+    if shape == "common factor":
+        h = UniPoly(K, draw(coeffs))
+        f, g = f * h, g * h
+    elif shape == "equal":
+        g = f
+    elif shape == "f zero":
+        f = UniPoly.zero(K)
+    elif shape == "g zero":
+        g = UniPoly.zero(K)
+    assume(not (f.is_zero() and g.is_zero()))
+    return f, g
+
+
+@settings(max_examples=300)
+@given(gcd_pairs())
+def test_gcd_matches_the_remainder_loop(pair):
+    f, g = pair
+    assert uni_gcd(f, g) == uni_gcd_by_remainders(f, g)
+    assert uni_gcd(g, f) == uni_gcd_by_remainders(g, f)
+
+
+def test_gcd_divides_nothing_by_divmod(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("UniPoly.__divmod__ ran")
+
+    monkeypatch.setattr(UniPoly, "__divmod__", forbidden)
+    K = field_create(13)
+    span = UniPoly(K, [0, K.neg(1)] + [0] * (K.q - 2) + [1])
+    assert uni_gcd(span, P(K, 3, 4, 1)).degree == 2    # (x + 1)(x + 3)
+    assert uni_gcd(P(K, 1, 2), span) == P(K, 7, 1)
+
+
 # -- roots -----------------------------------------------------------------
 
 
@@ -205,6 +256,16 @@ def test_bipoly_eval_matches_monomial_sum(terms, u, v):
 def test_eval_v_consistent_with_full_eval(terms, u, v):
     f = BiPoly(K5, terms)
     assert f.eval_v(v)(u) == f.eval(u, v)
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       st.integers(0, 4), max_size=8),
+       st.booleans())
+def test_rows_are_the_eval_v_rows(terms, v_free):
+    if v_free:
+        terms = {(i, 0): c for (i, _), c in terms.items()}
+    f = BiPoly(K5, terms)
+    assert list(f.rows()) == [f.eval_v(y) for y in K5.elements()]
 
 
 # -- homogenization --------------------------------------------------------
