@@ -31,13 +31,7 @@ from .envelope import (
     scan_weight_classes,
     verify_envelope,
 )
-from .errors import (
-    DegenerateCurve,
-    HypothesisNotMet,
-    HypothesisRejected,
-    InputError,
-    RenitentError,
-)
+from .errors import HypothesisRejected, InputError, RenitentError
 from .generators import gen_norm_conic, gen_planted, gen_random
 from .gf import parse_field_spec
 from .plane import all_directions, format_line, format_point, slope_of
@@ -50,26 +44,29 @@ EXIT_VERIFY = 4
 
 
 def _read_text(path):
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _atomic_write(path, text):
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".renitent-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".renitent-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 class _NotPlain(Exception):
@@ -268,7 +265,7 @@ def _candidate_reports(field, T, lam):
         if report is not None and report.lambda_d > 0:
             out.append(report)
     if not out:
-        raise HypothesisNotMet("no uniform direction carries a renitent line")
+        raise HypothesisRejected("no uniform direction carries a renitent line")
     return out
 
 
@@ -292,7 +289,7 @@ def _pick_regular(field, candidates):
         offset = (ts.pop() - r.m_d) % field.p
         groups.setdefault((r.lambda_d, offset), []).append(r)
     if not groups:
-        raise HypothesisNotMet("no slope direction has one repeated renitent count")
+        raise HypothesisRejected("no slope direction has one repeated renitent count")
     key = sorted(groups, key=lambda k: (-len(groups[k]), k))[0]
     for other, members in sorted(groups.items()):
         if other != key:
@@ -321,13 +318,13 @@ def cmd_envelope(args):
                     kept.append(r)
             used = kept
         if not used:
-            raise HypothesisNotMet("no usable direction")
+            raise HypothesisRejected("no usable direction")
         if args.c == "scan":
             cap = min(field.q - 2, field.p - 1)
             outcomes, best = scan_weight_classes(used, field.p, cap)
             extra["scan"] = {str(c): total for c, total in outcomes.items()}
             if best is None:
-                raise HypothesisNotMet("no count offset gives a constant class")
+                raise HypothesisRejected("no count offset gives a constant class")
             c = best
         else:
             try:
@@ -344,7 +341,7 @@ def cmd_envelope(args):
         excluded = [(r, "vertical direction")
                     for r in candidates if slope_of(r.direction) is None]
         if not used:
-            raise HypothesisNotMet("no usable slope direction")
+            raise HypothesisRejected("no usable slope direction")
         curve = envelope_general(T, used, args.lam)
         extra["lead_coeffs"] = list(curve.lead.coeffs)
     verification = verify_envelope(curve, used, mults)
@@ -372,7 +369,7 @@ def _uniform_slope_reports(T, lam):
     reports = [r for r in uniform_directions(T, lam)
                if slope_of(r.direction) is not None]
     if not reports:
-        raise HypothesisNotMet("no uniform slope direction")
+        raise HypothesisRejected("no uniform slope direction")
     return reports
 
 
@@ -502,7 +499,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (HypothesisRejected, DegenerateCurve) as exc:
+    except HypothesisRejected as exc:
         print(f"hypothesis rejected: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
     except RenitentError as exc:

@@ -28,15 +28,7 @@ from dataclasses import dataclass
 from itertools import accumulate, repeat
 from typing import NamedTuple
 
-from .errors import (
-    BadLeadingCoefficient,
-    FieldMismatch,
-    HypothesisNotMet,
-    InputError,
-    NoSharpDirection,
-    TooManyDirections,
-    VerticalDirectionPresent,
-)
+from .errors import HypothesisRejected, InputError
 from .plane import (
     ProjPoint,
     format_point,
@@ -73,13 +65,12 @@ def gcd_profile(f, g):
     times q is at most its term count, and evaluates its terms otherwise.
     """
     if f.field != g.field:
-        raise FieldMismatch("mixed contexts")
+        raise InputError("mixed contexts")
     K = f.field
     du = f.deg_u
     lead = {j for (i, j) in f.terms if i == du}
     if du < 0 or lead != {0}:
-        raise BadLeadingCoefficient(
-            "the X-leading coefficient of f must be a nonzero constant")
+        raise InputError("the X-leading coefficient of f must be a nonzero constant")
     k = {y: uni_gcd(f_y, g_y).degree
          for y, f_y, g_y in zip(K.elements(), f.rows(), g.rows())}
     return GcdProfile(K, k, f.total_degree, g.total_degree)
@@ -126,17 +117,16 @@ def _check_detector_reports(T, reports, allow_vertical=False):
     if not reports:
         raise InputError("need at least one direction report")
     if len(reports) > T.field.q:
-        raise TooManyDirections(
-            f"at most q = {T.field.q} directions, got {len(reports)}")
+        raise HypothesisRejected(f"at most q = {T.field.q} directions, got {len(reports)}")
     seen = set()
     for r in reports:
         if r.direction.field != T.field:
-            raise FieldMismatch("report uses a different context")
+            raise InputError("report uses a different context")
         if r.direction in seen:
             raise InputError(f"duplicate direction {format_point(r.direction)}")
         seen.add(r.direction)
         if not allow_vertical and slope_of(r.direction) is None:
-            raise VerticalDirectionPresent(
+            raise HypothesisRejected(
                 "slope directions only; re-coordinatize the vertical away")
 
 
@@ -340,7 +330,7 @@ def renitent_lower_bound_check(T, reports):
         raise InputError(f"reports were classified at different bounds: {sorted(bounds)}")
     lam = bounds.pop()
     if not any(r.lambda_d == lam for r in reports):
-        raise NoSharpDirection("the bound needs a direction with lambda_d = lam")
+        raise HypothesisRejected("the bound needs a direction with lambda_d = lam")
     count = sum(r.lambda_d for r in reports)
     det = build_slope_detector(T, reports)
     profile = gcd_profile(det.f, det.g)
@@ -410,10 +400,10 @@ def dichotomy_check(T, lam):
     index, ordered nearest the middle first (there must be none)."""
     K = T.field
     if K.q <= 2:
-        raise HypothesisNotMet("the dichotomy needs q > 2")
+        raise HypothesisRejected("the dichotomy needs q > 2")
     reports = uniform_directions(T, lam)
     if len(reports) <= lam * lam + lam:
-        raise HypothesisNotMet(
+        raise HypothesisRejected(
             f"need more than lam^2 + lam = {lam * lam + lam} uniform "
             f"directions, found {len(reports)}")
     lines = [entry.line for r in reports for entry in r.renitent]

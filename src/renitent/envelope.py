@@ -25,21 +25,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import (
-    CZero,
-    DegenerateCurve,
-    FieldMismatch,
+    HypothesisRejected,
     HypothesisViolation,
-    InconsistentLambda,
     InputError,
-    InsufficientPowerSums,
-    KMaxTooLarge,
-    LambdaCapExceeded,
-    LambdaOutOfRange,
-    LambdaTooLarge,
-    NoSharpDirection,
-    TooManyDirections,
-    TotalSizeDivisibleByP,
-    VerticalDirectionPresent,
     ZeroDifference,
 )
 from .plane import ProjPoint, format_line, format_point, slope_of
@@ -83,7 +71,7 @@ def power_sum_polys(T, k_max):
     if not isinstance(k_max, int) or k_max < 0:
         raise InputError(f"k_max must be a non-negative integer, got {k_max!r}")
     if k_max > K.q - 2:
-        raise KMaxTooLarge(f"k_max must stay below q-1 = {K.q - 1}")
+        raise InputError(f"k_max must stay below q-1 = {K.q - 1}")
     sums = [UniPoly.zero(K) for _ in range(k_max + 1)]
     for (a, b), m in T.items():
         weight = K.from_int(m)
@@ -103,16 +91,15 @@ def newton_sigma(power_sums, lam, c):
     intercept multiset, from power sums scaled by 1/c, via Newton's
     recursion j*sigma_j = sum_{i<=j} (-1)^(i-1) sigma_{j-i} p_i."""
     if not power_sums:
-        raise InsufficientPowerSums("need the power sums up to index lam")
+        raise InputError("need the power sums up to index lam")
     K = power_sums[0].field
     if not isinstance(lam, int) or not 0 < lam <= min(K.q - 2, K.p - 1):
-        raise LambdaTooLarge(
+        raise InputError(
             f"need 0 < lam <= min(q-2, p-1) = {min(K.q - 2, K.p - 1)}, got {lam!r}")
     if len(power_sums) < lam + 1:
-        raise InsufficientPowerSums(
-            f"need power sums up to index {lam}, got {len(power_sums) - 1}")
+        raise InputError(f"need power sums up to index {lam}, got {len(power_sums) - 1}")
     if not isinstance(c, int) or not 0 < c < K.p:
-        raise CZero(f"count offset must be a nonzero residue mod p, got {c!r}")
+        raise InputError(f"count offset must be a nonzero residue mod p, got {c!r}")
     c_inv = K.uinv(c)
     scaled = [ps.scale(c_inv) for ps in power_sums[: lam + 1]]
     sigma = [UniPoly.one(K)]
@@ -142,7 +129,7 @@ def _check_reports(T, reports):
     seen = set()
     for r in reports:
         if r.direction.field != T.field:
-            raise FieldMismatch("report uses a different context")
+            raise InputError("report uses a different context")
         if r.direction in seen:
             raise InputError(f"duplicate direction {format_point(r.direction)}")
         seen.add(r.direction)
@@ -160,13 +147,11 @@ def envelope_regular(T, reports):
     _check_reports(T, reports)
     for r in reports:
         if slope_of(r.direction) is None:
-            raise VerticalDirectionPresent(
-                "the regular construction works on slope directions only")
+            raise HypothesisRejected("the regular construction works on slope directions only")
     K = T.field
     lams = {r.lambda_d for r in reports}
     if len(lams) != 1:
-        raise InconsistentLambda(
-            f"renitent counts differ across directions: {sorted(lams)}")
+        raise HypothesisRejected(f"renitent counts differ across directions: {sorted(lams)}")
     lam = lams.pop()
     if not 0 < lam <= min(K.q - 2, K.p - 1):
         raise HypothesisViolation(
@@ -199,7 +184,7 @@ def lambda_weights(report, c):
     unique w in 1..p-1 with c*w = t - m_d (mod p), per line."""
     K = report.direction.field
     if not isinstance(c, int) or not 0 < c < K.p:
-        raise CZero(f"count offset must be a nonzero residue mod p, got {c!r}")
+        raise InputError(f"count offset must be a nonzero residue mod p, got {c!r}")
     c_inv = pow(c, K.p - 2, K.p)
     weights = []
     for entry in report.renitent:
@@ -226,24 +211,22 @@ def envelope_weighted(T, reports, c):
     _check_reports(T, reports)
     K = T.field
     if T.size % K.p == 0:
-        raise TotalSizeDivisibleByP(
-            f"|T| = {T.size} vanishes mod p; weights are undetermined")
+        raise HypothesisRejected(f"|T| = {T.size} vanishes mod p; weights are undetermined")
     full_scan = len(reports) == K.q + 1
     if not full_scan:
         for r in reports:
             if slope_of(r.direction) is None:
-                raise VerticalDirectionPresent(
+                raise HypothesisRejected(
                     "vertical direction allowed only when all q+1 are covered")
     cap = min(K.q - 2, K.p - 1)
     entries = [lambda_weights(r, c) for r in reports]
     totals = {e.total for e in entries}
     for e in entries:
         if e.total > cap:
-            raise LambdaCapExceeded(
+            raise HypothesisRejected(
                 f"direction {format_point(e.direction)} needs class {e.total} > {cap}")
     if len(totals) != 1:
-        raise InconsistentLambda(
-            f"weight totals differ across directions: {sorted(totals)}")
+        raise HypothesisRejected(f"weight totals differ across directions: {sorted(totals)}")
     total = totals.pop()
     if total == 0:
         raise InputError("no renitent lines to envelope")
@@ -318,7 +301,7 @@ def hankel_matrix(power_sums, lam):
     if not isinstance(lam, int) or lam < 1:
         raise InputError(f"lam must be a positive integer, got {lam!r}")
     if len(power_sums) < 2 * lam - 1:
-        raise InsufficientPowerSums(
+        raise InputError(
             f"need power sums up to index {2 * lam - 2}, got {len(power_sums) - 1}")
     K = power_sums[0].field
     rows = [[power_sums[lam - 1 + r - c] for c in range(lam)] for r in range(lam)]
@@ -356,14 +339,12 @@ def envelope_general(T, reports, lam):
     _check_reports(T, reports)
     K = T.field
     if not isinstance(lam, int) or not 0 < lam <= (K.q - 1) // 2:
-        raise LambdaOutOfRange(
-            f"need 0 < lam <= (q-1)/2 = {(K.q - 1) // 2}, got {lam!r}")
+        raise InputError(f"need 0 < lam <= (q-1)/2 = {(K.q - 1) // 2}, got {lam!r}")
     if len(reports) > K.q:
-        raise TooManyDirections(f"at most q = {K.q} directions, got {len(reports)}")
+        raise HypothesisRejected(f"at most q = {K.q} directions, got {len(reports)}")
     for r in reports:
         if slope_of(r.direction) is None:
-            raise VerticalDirectionPresent(
-                "the general construction works on slope directions only")
+            raise HypothesisRejected("the general construction works on slope directions only")
         if r.lambda_d > lam:
             raise InputError(
                 f"direction {format_point(r.direction)} shows {r.lambda_d} "
@@ -379,7 +360,7 @@ def envelope_general(T, reports, lam):
                           for j, coeff in enumerate(minor.coeffs) if coeff})
         f = f - part
     if f.is_zero():
-        raise DegenerateCurve(
+        raise HypothesisRejected(
             "every coefficient determinant vanishes; no envelope of this class")
     return EnvelopeCurve(homogenize(f, lam * lam), lam * lam, "general", lead=lead)
 
@@ -411,7 +392,7 @@ def deficiency_bound_check(reports, lam):
     if not reports:
         raise InputError("need at least one direction report")
     if not any(r.lambda_d == lam for r in reports):
-        raise NoSharpDirection("the bound needs a direction with lambda_d = lam")
+        raise HypothesisRejected("the bound needs a direction with lambda_d = lam")
     per = tuple((r.direction, r.lambda_d) for r in reports)
     total = sum(lam - r.lambda_d for r in reports)
     bound = lam * lam - lam
@@ -497,7 +478,7 @@ def verify_envelope(curve, reports, mults=None):
     for r in reports:
         K = r.direction.field
         if K != curve.poly.field:
-            raise FieldMismatch("report uses a different context")
+            raise InputError("report uses a different context")
         s = slope_of(r.direction)
         section = curve.poly.at_vw(s, 1) if s is not None else curve.poly.at_vw(1, 0)
         pencil = section.is_zero()

@@ -1,9 +1,11 @@
-"""Named error conditions shared across the package.
+"""The package's error classes, one per outcome a caller tells apart.
 
-Two bases matter to callers: InputError covers malformed or out-of-range
-inputs (the CLI maps these to exit code 2), HypothesisRejected covers
-inputs that are well formed but violate a construction's hypotheses
-(exit code 3).  Everything derives from RenitentError.
+InputError covers malformed or out-of-range inputs (the CLI maps it to
+exit code 2), HypothesisRejected covers inputs that are well formed but
+violate a construction's hypotheses (exit code 3).  Everything derives
+from RenitentError.  The other three refine a base: DivisionByZero is
+also a ZeroDivisionError, HypothesisViolation names the failed part, and
+ZeroDifference is caught by envelope.scan_weight_classes.
 """
 
 
@@ -19,89 +21,7 @@ class HypothesisRejected(RenitentError):
     pass
 
 
-# -- field construction and arithmetic ----------------------------------
-
-class NotPrime(InputError):
-    pass
-
-
-class ReducibleModulus(InputError):
-    pass
-
-
-class DegreeMismatch(InputError):
-    pass
-
-
 class DivisionByZero(RenitentError, ZeroDivisionError):
-    pass
-
-
-class FieldMismatch(InputError):
-    pass
-
-
-class FieldTooLarge(InputError):
-    pass
-
-
-# -- polynomials ---------------------------------------------------------
-
-class BothZero(InputError):
-    pass
-
-
-class ZeroPolynomial(InputError):
-    pass
-
-
-class DegreeTooSmall(InputError):
-    pass
-
-
-# -- plane ---------------------------------------------------------------
-
-class EqualPoints(InputError):
-    pass
-
-
-class NotADirection(InputError):
-    pass
-
-
-class SingularMatrix(InputError):
-    pass
-
-
-class LineAtInfinity(InputError):
-    pass
-
-
-class CollineationFailure(HypothesisRejected):
-    pass
-
-
-# -- uniformity ----------------------------------------------------------
-
-class LambdaOutOfRange(InputError):
-    pass
-
-
-class FewerThanTwoLines(InputError):
-    pass
-
-
-# -- envelope constructions ----------------------------------------------
-
-class KMaxTooLarge(InputError):
-    pass
-
-
-class LambdaTooLarge(InputError):
-    pass
-
-
-class CZero(InputError):
     pass
 
 
@@ -117,65 +37,5 @@ class HypothesisViolation(HypothesisRejected):
         self.part = part
 
 
-class VerticalDirectionPresent(HypothesisRejected):
-    pass
-
-
 class ZeroDifference(InputError):
-    pass
-
-
-class LambdaCapExceeded(HypothesisRejected):
-    pass
-
-
-class TotalSizeDivisibleByP(HypothesisRejected):
-    pass
-
-
-class InconsistentLambda(HypothesisRejected):
-    pass
-
-
-class InsufficientPowerSums(InputError):
-    pass
-
-
-class TooManyDirections(HypothesisRejected):
-    pass
-
-
-class DegenerateCurve(RenitentError):
-    pass
-
-
-class NoSharpDirection(HypothesisRejected):
-    pass
-
-
-class HypothesisNotMet(HypothesisRejected):
-    pass
-
-
-class BadLeadingCoefficient(InputError):
-    pass
-
-
-# -- generators ----------------------------------------------------------
-
-class LambdaGEp(InputError):
-    pass
-
-
-class DuplicatePoints(InputError):
-    pass
-
-
-class NotEvenCharacteristic(InputError):
-    pass
-
-
-# -- cli -----------------------------------------------------------------
-
-class ParseError(InputError):
     pass

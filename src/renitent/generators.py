@@ -11,12 +11,7 @@ across runs and platforms.
 
 from dataclasses import dataclass
 
-from .errors import (
-    DuplicatePoints,
-    InputError,
-    LambdaGEp,
-    NotEvenCharacteristic,
-)
+from .errors import InputError
 from .plane import ProjPoint, all_directions, format_point, slope_direction, vertical_direction
 from .poly import TriHomPoly
 from .uniformity import PointMultiset
@@ -83,10 +78,10 @@ def gen_planted(field, points, weights, c=1):
     if lam == 0:
         raise InputError("need at least one point")
     if lam >= K.p:
-        raise LambdaGEp(f"need fewer points than p = {K.p}, got {lam}")
+        raise InputError(f"need fewer points than p = {K.p}, got {lam}")
     pts = [(K.check(a), K.check(b)) for a, b in points]
     if len(set(pts)) != lam:
-        raise DuplicatePoints("planted points must be distinct")
+        raise InputError("planted points must be distinct")
     if len(weights) != lam:
         raise InputError(f"need one weight per point, got {len(weights)}")
     for w in weights:
@@ -139,7 +134,7 @@ def gen_norm_conic(field):
     """
     K = field
     if K.p != 2 or K.e < 2:
-        raise NotEvenCharacteristic("needs q = 2^e with e >= 2")
+        raise InputError("needs q = 2^e with e >= 2")
     delta = next(g for g in K.elements() if K.trace(g) == 1)
     add, mul = K.uadd, K.umul
     pts = []

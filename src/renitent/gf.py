@@ -55,16 +55,7 @@ import functools
 import operator
 import re
 
-from .errors import (
-    DegreeMismatch,
-    DivisionByZero,
-    FieldMismatch,
-    FieldTooLarge,
-    InputError,
-    NotPrime,
-    ParseError,
-    ReducibleModulus,
-)
+from .errors import DivisionByZero, InputError
 
 MAX_ORDER = 2 ** 15  # largest field order q accepted; its table build takes under a second
 
@@ -273,15 +264,15 @@ class GF:
 
     def __init__(self, p, e=1, modulus=None):
         if not isinstance(p, int) or p < 2:
-            raise NotPrime(f"{p!r} is not prime")
+            raise InputError(f"{p!r} is not prime")
         if not isinstance(e, int) or e < 1:
             raise InputError(f"extension degree must be a positive integer, got {e!r}")
         if _order_exceeds(p, e, MAX_ORDER):
             name = f"GF({p})" if e == 1 else f"GF({p}^{e})"
-            raise FieldTooLarge(
+            raise InputError(
                 f"{name} is too large: field orders above {MAX_ORDER} are not supported")
         if not _is_prime(p):
-            raise NotPrime(f"{p!r} is not prime")
+            raise InputError(f"{p!r} is not prime")
         self.p = p
         self.e = e
         self.q = p ** e
@@ -290,14 +281,13 @@ class GF:
         else:
             modulus = tuple(int(c) for c in modulus)
             if len(modulus) != e + 1:
-                raise DegreeMismatch(
-                    f"modulus has degree {len(modulus) - 1}, expected {e}")
+                raise InputError(f"modulus has degree {len(modulus) - 1}, expected {e}")
             if any(not 0 <= c < p for c in modulus):
                 raise InputError("modulus coefficients must lie in 0..p-1")
             if modulus[-1] != 1:
                 raise InputError("modulus must be monic")
             if e > 1 and not _irreducible(list(modulus), p):
-                raise ReducibleModulus(f"modulus {list(modulus)} is reducible over GF({p})")
+                raise InputError(f"modulus {list(modulus)} is reducible over GF({p})")
             self.modulus = modulus
         self._exp = self._log = self._zech = None
         if e == 1:
@@ -346,7 +336,7 @@ class GF:
 
     def check(self, a):
         if not isinstance(a, int) or not 0 <= a < self.q:
-            raise FieldMismatch(f"{a!r} is not an element index of {self!r}")
+            raise InputError(f"{a!r} is not an element index of {self!r}")
         return a
 
     def coeffs(self, a):
@@ -362,7 +352,7 @@ class GF:
         v = list(v)
         if len(v) > self.e:
             if any(v[self.e:]):
-                raise DegreeMismatch(f"coefficient vector longer than e={self.e}")
+                raise InputError(f"coefficient vector longer than e={self.e}")
             v = v[: self.e]
         idx = 0
         for c in reversed(v):
@@ -482,7 +472,7 @@ def parse_field_spec(spec):
     """Parse "p", "p^e" or "p^e:m=c0,c1,...,ce" into a field context."""
     m = _SPEC_RE.match(spec.strip())
     if not m:
-        raise ParseError(f"bad field spec {spec!r} (want p, p^e or p^e:m=c0,c1,...)")
+        raise InputError(f"bad field spec {spec!r} (want p, p^e or p^e:m=c0,c1,...)")
     p = int(m.group(1))
     e = int(m.group(2)) if m.group(2) else 1
     modulus = tuple(int(c) for c in m.group(3).split(",")) if m.group(3) else None

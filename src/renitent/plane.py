@@ -9,15 +9,7 @@ slope s through intercept t are [s : -1 : t]; vertical lines x = t are
 inverse transpose.
 """
 
-from .errors import (
-    CollineationFailure,
-    EqualPoints,
-    FieldMismatch,
-    InputError,
-    NotADirection,
-    ParseError,
-    SingularMatrix,
-)
+from .errors import HypothesisRejected, InputError
 
 
 def _canonical(field, coords):
@@ -87,7 +79,7 @@ class ProjLine:
 def incident(point, line):
     """True when the point lies on the line (dot product vanishes)."""
     if point.field != line.field:
-        raise FieldMismatch("point and line use different contexts")
+        raise InputError("point and line use different contexts")
     K = point.field
     add, mul = K.uadd, K.umul
     (x, y, z), (a, b, c) = point.coords, line.coords
@@ -106,9 +98,9 @@ def _cross(K, u, v):
 def line_through(p, q):
     """The unique line joining two distinct points."""
     if p.field != q.field:
-        raise FieldMismatch("points use different contexts")
+        raise InputError("points use different contexts")
     if p == q:
-        raise EqualPoints(f"no unique line through {p!r} twice")
+        raise InputError(f"no unique line through {p!r} twice")
     a, b, c = _cross(p.field, p.coords, q.coords)
     return ProjLine(p.field, a, b, c)
 
@@ -116,7 +108,7 @@ def line_through(p, q):
 def line_meet(l1, l2):
     """The unique point common to two distinct lines."""
     if l1.field != l2.field:
-        raise FieldMismatch("lines use different contexts")
+        raise InputError("lines use different contexts")
     if l1 == l2:
         raise InputError(f"lines {l1!r} and {l2!r} are equal")
     x, y, z = _cross(l1.field, l1.coords, l2.coords)
@@ -141,7 +133,7 @@ def line_at_infinity(field):
 def slope_of(direction):
     """Slope element of a direction, or None for the vertical direction."""
     if not direction.is_at_infinity():
-        raise NotADirection(f"{direction!r} is not at infinity")
+        raise InputError(f"{direction!r} is not at infinity")
     x, y, _ = direction.coords
     if x == 0:
         return None
@@ -215,14 +207,14 @@ class Collineation:
         if len(matrix) != 3 or any(len(r) != 3 for r in matrix):
             raise InputError("collineation matrix must be 3x3")
         if _mat_det(field, matrix) == 0:
-            raise SingularMatrix("collineation matrix is singular")
+            raise InputError("collineation matrix is singular")
         self.field = field
         self.matrix = matrix
         self._adj = _mat_adjugate(field, matrix)
 
     def apply_point(self, point):
         if point.field != self.field:
-            raise FieldMismatch("point uses a different context")
+            raise InputError("point uses a different context")
         x, y, z = _mat_vec(self.field, self.matrix, point.coords)
         return ProjPoint(self.field, x, y, z)
 
@@ -230,7 +222,7 @@ class Collineation:
         """Lines map by the inverse transpose (adjugate transpose works
         projectively since it differs by the determinant scalar)."""
         if line.field != self.field:
-            raise FieldMismatch("line uses a different context")
+            raise InputError("line uses a different context")
         adj_t = tuple(tuple(self._adj[j][i] for j in range(3)) for i in range(3))
         a, b, c = _mat_vec(self.field, adj_t, line.coords)
         return ProjLine(self.field, a, b, c)
@@ -269,11 +261,11 @@ def frame_collineation(field, avoid, target):
     avoid = set(avoid)
     for d in avoid:
         if not d.is_at_infinity():
-            raise NotADirection(f"{d!r} is not a direction")
+            raise InputError(f"{d!r} is not a direction")
     if target.field != field:
-        raise FieldMismatch("target point uses a different context")
+        raise InputError("target point uses a different context")
     if target.is_at_infinity():
-        raise CollineationFailure(
+        raise HypothesisRejected(
             "no frame maps a point at infinity onto the new line at infinity")
     spare = None
     for d in all_directions(field):
@@ -281,7 +273,7 @@ def frame_collineation(field, avoid, target):
             spare = d
             break
     if spare is None:
-        raise CollineationFailure("every direction must stay off (0:1:0)")
+        raise HypothesisRejected("every direction must stay off (0:1:0)")
     row1 = (0, 0, 1)
     row3 = line_through(spare, target).coords
     q = field.q
@@ -297,7 +289,7 @@ def frame_collineation(field, avoid, target):
         if any(coll.apply_point(d) == bad for d in avoid):  # pragma: no cover
             continue
         return coll
-    raise CollineationFailure("exhausted the search space")  # pragma: no cover
+    raise HypothesisRejected("exhausted the search space")  # pragma: no cover
 
 
 # -- text formats --------------------------------------------------------
@@ -320,19 +312,19 @@ def parse_point(field, text):
         try:
             d = int(text[4:])
         except ValueError:
-            raise ParseError(f"bad direction {text!r}") from None
+            raise InputError(f"bad direction {text!r}") from None
         if not 0 <= d < field.q:
-            raise ParseError(f"slope {d} out of range for {field!r}")
+            raise InputError(f"slope {d} out of range for {field!r}")
         return slope_direction(field, d)
     parts = text.split(",")
     if len(parts) != 2:
-        raise ParseError(f"bad point {text!r} (want 'a,b' or 'inf:d')")
+        raise InputError(f"bad point {text!r} (want 'a,b' or 'inf:d')")
     try:
         a, b = int(parts[0]), int(parts[1])
     except ValueError:
-        raise ParseError(f"bad point {text!r}") from None
+        raise InputError(f"bad point {text!r}") from None
     if not (0 <= a < field.q and 0 <= b < field.q):
-        raise ParseError(f"point {text!r} out of range for {field!r}")
+        raise InputError(f"point {text!r} out of range for {field!r}")
     return ProjPoint.affine(field, a, b)
 
 

@@ -14,19 +14,12 @@ field's unchecked kernels (see gf).
 
 from itertools import repeat
 
-from .errors import (
-    BothZero,
-    DegreeMismatch,
-    DegreeTooSmall,
-    FieldMismatch,
-    InputError,
-    ZeroPolynomial,
-)
+from .errors import InputError
 
 
 def _same_field(a, b):
     if a.field != b.field:
-        raise FieldMismatch(f"mixed contexts {a.field!r} and {b.field!r}")
+        raise InputError(f"mixed contexts {a.field!r} and {b.field!r}")
 
 
 def power_list(K, a, n):
@@ -79,7 +72,7 @@ class UniPoly:
 
     def leading(self):
         if not self.coeffs:
-            raise ZeroPolynomial("zero polynomial has no leading coefficient")
+            raise InputError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def __add__(self, other):
@@ -144,7 +137,7 @@ class UniPoly:
             return NotImplemented
         _same_field(self, other)
         if other.is_zero():
-            raise ZeroPolynomial("division by the zero polynomial")
+            raise InputError("division by the zero polynomial")
         K = self.field
         sub, mul = K.usub, K.umul
         rem = list(self.coeffs)
@@ -169,7 +162,7 @@ class UniPoly:
 
     def monic(self):
         if self.is_zero():
-            raise ZeroPolynomial("cannot normalize the zero polynomial")
+            raise InputError("cannot normalize the zero polynomial")
         lead = self.leading()
         return self if lead == 1 else self.scale(self.field.uinv(lead))
 
@@ -223,7 +216,7 @@ def uni_gcd(f, g):
         raise InputError("uni_gcd expects two UniPoly operands")
     _same_field(f, g)
     if f.is_zero() and g.is_zero():
-        raise BothZero("gcd of two zero polynomials is undefined")
+        raise InputError("gcd of two zero polynomials is undefined")
     K = f.field
     a, b = list(f.coeffs), list(g.coeffs)
     while b:
@@ -259,7 +252,7 @@ def roots_with_multiplicity(f):
     if not isinstance(f, UniPoly):
         raise InputError("roots_with_multiplicity expects a UniPoly")
     if f.is_zero():
-        raise ZeroPolynomial("every element is a root of the zero polynomial")
+        raise InputError("every element is a root of the zero polynomial")
     K = f.field
     out = []
     for gamma in K.elements():
@@ -476,7 +469,7 @@ class TriHomPoly:
             return NotImplemented
         _same_field(self, other)
         if self.degree != other.degree:
-            raise DegreeMismatch("cannot add homogeneous parts of different degrees")
+            raise InputError("cannot add homogeneous parts of different degrees")
         K = self.field
         add = K.uadd
         out = dict(self.terms)
@@ -604,8 +597,7 @@ def homogenize(f, n):
     if not isinstance(f, BiPoly):
         raise InputError("homogenize expects a BiPoly")
     if f.total_degree > n:
-        raise DegreeTooSmall(
-            f"cannot homogenize degree {f.total_degree} into degree {n}")
+        raise InputError(f"cannot homogenize degree {f.total_degree} into degree {n}")
     return TriHomPoly(f.field, n,
                       {(i, j, n - i - j): c for (i, j), c in f.terms.items()})
 
@@ -625,7 +617,7 @@ class PolyMatrix:
                 if not isinstance(entry, UniPoly):
                     raise InputError("entries must be UniPoly")
                 if entry.field != field:
-                    raise FieldMismatch("matrix entries use a different context")
+                    raise InputError("matrix entries use a different context")
         self.field = field
         self.rows = rows
 

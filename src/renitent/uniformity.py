@@ -15,14 +15,7 @@ class alpha is the x-coordinate of [1:0:-alpha].
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import (
-    FewerThanTwoLines,
-    FieldMismatch,
-    InputError,
-    LambdaOutOfRange,
-    LineAtInfinity,
-    ParseError,
-)
+from .errors import InputError
 from .plane import (
     ProjLine,
     ProjPoint,
@@ -84,17 +77,17 @@ def parse_points(field, text):
             continue
         parts = line.split()
         if len(parts) not in (2, 3):
-            raise ParseError(f"line {lineno}: expected 'a b' or 'a b m', got {raw!r}")
+            raise InputError(f"line {lineno}: expected 'a b' or 'a b m', got {raw!r}")
         try:
             nums = [int(x) for x in parts]
         except ValueError:
-            raise ParseError(f"line {lineno}: non-integer field in {raw!r}") from None
+            raise InputError(f"line {lineno}: non-integer field in {raw!r}") from None
         a, b = nums[0], nums[1]
         m = nums[2] if len(nums) == 3 else 1
         if not (0 <= a < field.q and 0 <= b < field.q):
-            raise ParseError(f"line {lineno}: coordinates out of range for {field!r}")
+            raise InputError(f"line {lineno}: coordinates out of range for {field!r}")
         if m < 1:
-            raise ParseError(f"line {lineno}: multiplicity must be positive")
+            raise InputError(f"line {lineno}: multiplicity must be positive")
         entries.append(((a, b), m))
     return PointMultiset(field, entries)
 
@@ -144,9 +137,9 @@ class DirectionReport:
 def line_count(T, line):
     """Number of multiset points on an affine line, with multiplicity."""
     if T.field != line.field:
-        raise FieldMismatch("multiset and line use different contexts")
+        raise InputError("multiset and line use different contexts")
     if line.is_line_at_infinity():
-        raise LineAtInfinity("the multiset is affine; [0:0:1] carries no points")
+        raise InputError("the multiset is affine; [0:0:1] carries no points")
     K = T.field
     add, mul = K.uadd, K.umul
     a, b, c = line.coords
@@ -179,9 +172,8 @@ def classify_direction(T, direction, lam):
     """DirectionReport when the direction is (q-lam)-uniform, else None."""
     K = T.field
     if not isinstance(lam, int) or not 0 < lam <= (K.q - 1) // 2:
-        raise LambdaOutOfRange(
-            f"need 0 < lam <= (q-1)/2 = {(K.q - 1) // 2}, got {lam!r}")
-    s = slope_of(direction)  # raises NotADirection off the line at infinity
+        raise InputError(f"need 0 < lam <= (q-1)/2 = {(K.q - 1) // 2}, got {lam!r}")
+    s = slope_of(direction)  # raises InputError off the line at infinity
     profile = intercept_profile(T, direction)
     p = K.p
     # Residue frequencies over all q lines: the q - |profile| lines the
@@ -221,7 +213,7 @@ def concurrency_point(lines):
         if line not in distinct:
             distinct.append(line)
     if len(distinct) < 2:
-        raise FewerThanTwoLines("need at least two distinct lines")
+        raise InputError("need at least two distinct lines")
     candidate = line_meet(distinct[0], distinct[1])
     for line in distinct[2:]:
         if not incident(candidate, line):

@@ -139,6 +139,16 @@ def test_analyze_input_errors(tmp_path, capsys):
     assert rc == EXIT_INPUT  # lambda above (q-1)/2
 
 
+def test_analyze_rejects_input_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "pts.txt"
+    path.write_bytes(b"\xff\xfe 1 2\n")
+    rc = main(["analyze", "--field", "7", "--in", str(path), "--lambda", "1"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+
+
 def test_analyze_rejects_oversized_field_at_once(tmp_path):
     # the ceiling is checked before any table is built; the timeout only
     # guards against a build that never finishes
@@ -303,6 +313,23 @@ def test_out_file_is_exact_and_optionally_echoed(tmp_path, capsys):
     leftovers = [p for p in tmp_path.iterdir()
                  if p.name.startswith(".renitent-")]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--field", "5", "--lambda", "1"],
+    ["gen", "--field", "7", "--kind", "random", "--seed", "1"],
+], ids=["analyze", "gen"])
+def test_out_into_a_missing_directory_is_an_input_error(tmp_path, capsys, argv):
+    if argv[0] == "analyze":
+        argv = argv + ["--in", write_points(tmp_path, "2 3 1\n")]
+    before = set(tmp_path.iterdir())
+    out = tmp_path / "nodir" / "report"
+    rc = main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+    assert set(tmp_path.iterdir()) == before
 
 
 # -- one parser per process -------------------------------------------------------

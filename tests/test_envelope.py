@@ -38,19 +38,9 @@ from renitent import (
 from renitent.envelope import _root_multiplicity
 from renitent.uniformity import DirectionReport, RenitentLine
 from renitent.errors import (
-    CZero,
+    HypothesisRejected,
     HypothesisViolation,
-    InconsistentLambda,
     InputError,
-    InsufficientPowerSums,
-    KMaxTooLarge,
-    LambdaCapExceeded,
-    LambdaOutOfRange,
-    LambdaTooLarge,
-    NoSharpDirection,
-    TooManyDirections,
-    TotalSizeDivisibleByP,
-    VerticalDirectionPresent,
     ZeroDifference,
 )
 
@@ -103,7 +93,7 @@ def test_power_sums_of_single_point_are_powers_of_its_intercept():
 
 def test_power_sum_index_capped():
     T = PointMultiset(K7, [((0, 0), 1)])
-    with pytest.raises(KMaxTooLarge):
+    with pytest.raises(InputError, match=r"^k_max must stay below q-1 = 6$"):
         power_sum_polys(T, K7.q - 1)
 
 
@@ -177,13 +167,15 @@ def test_newton_recursion_matches_partition_formulas(inst):
 def test_newton_sigma_input_checks():
     T = PointMultiset(K7, [((0, 0), 1)])
     ps = power_sum_polys(T, 3)
-    with pytest.raises(LambdaTooLarge):
+    with pytest.raises(InputError, match=r"^need 0 < lam <= min\(q-2, p-1\) = 5, got 7$"):
         newton_sigma(power_sum_polys(T, 5), 7, 1)  # above min(q-2, p-1)
-    with pytest.raises(InsufficientPowerSums):
+    with pytest.raises(InputError, match=r"^need power sums up to index 4, got 3$"):
         newton_sigma(ps, 4, 1)
-    with pytest.raises(CZero):
+    with pytest.raises(InputError,
+                       match=r"^count offset must be a nonzero residue mod p, got 0$"):
         newton_sigma(ps, 2, 0)
-    with pytest.raises(CZero):
+    with pytest.raises(InputError,
+                       match=r"^count offset must be a nonzero residue mod p, got 7$"):
         newton_sigma(ps, 2, 7)
 
 
@@ -268,7 +260,8 @@ def test_class_out_of_range_rejected():
 
 def test_vertical_direction_rejected():
     T = PointMultiset(K7, [((0, 0), 1)])
-    with pytest.raises(VerticalDirectionPresent):
+    with pytest.raises(HypothesisRejected,
+                       match=r"^the regular construction works on slope directions only$"):
         envelope_regular(T, [synth_report(K7, None, 0, (1,))])
 
 
@@ -276,7 +269,8 @@ def test_mixed_renitent_counts_rejected():
     T = PointMultiset(K7, [((0, 0), 1)])
     r1 = synth_report(K7, 0, 0, (1,))
     r2 = synth_report(K7, 1, 0, (1, 1))
-    with pytest.raises(InconsistentLambda):
+    with pytest.raises(HypothesisRejected,
+                       match=r"^renitent counts differ across directions: \[1, 2\]$"):
         envelope_regular(T, [r1, r2])
 
 
@@ -313,7 +307,8 @@ def test_weight_input_checks():
     r = synth_report(K7, 0, 1, (1,))
     with pytest.raises(ZeroDifference):
         lambda_weights(r, 1)  # renitent count equals the typical count
-    with pytest.raises(CZero):
+    with pytest.raises(InputError,
+                       match=r"^count offset must be a nonzero residue mod p, got 0$"):
         lambda_weights(synth_report(K7, 0, 0, (1,)), 0)
 
 
@@ -366,7 +361,8 @@ def test_full_scan_covers_the_vertical_direction():
 def test_vertical_rejected_below_full_scan():
     T = PointMultiset(K7, [((2, 3), 1)])
     reports = uniform_directions(T, 1)
-    with pytest.raises(VerticalDirectionPresent):
+    with pytest.raises(HypothesisRejected,
+                       match=r"^vertical direction allowed only when all q\+1 are covered$"):
         envelope_weighted(T, reports[1:], 1)  # keeps the vertical, drops slope 0
 
 
@@ -374,7 +370,8 @@ def test_size_divisible_by_p_rejected():
     T = PointMultiset(K7, [((0, 0), 3), ((1, 1), 4)])
     reports = slope_reports(T, 2)
     assert reports
-    with pytest.raises(TotalSizeDivisibleByP):
+    with pytest.raises(HypothesisRejected,
+                       match=r"^\|T\| = 7 vanishes mod p; weights are undetermined$"):
         envelope_weighted(T, reports, 1)
 
 
@@ -382,7 +379,8 @@ def test_inconsistent_totals_rejected():
     T = PointMultiset(K7, [((0, 0), 1)])
     r1 = synth_report(K7, 0, 0, (1,))
     r2 = synth_report(K7, 1, 0, (2,))
-    with pytest.raises(InconsistentLambda):
+    with pytest.raises(HypothesisRejected,
+                       match=r"^weight totals differ across directions: \[1, 2\]$"):
         envelope_weighted(T, [r1, r2], 1)
 
 
@@ -390,7 +388,7 @@ def test_weight_cap_enforced():
     K5 = field_create(5)
     T = PointMultiset(K5, [((0, 0), 4)])
     r = synth_report(K5, 0, 0, (4,))
-    with pytest.raises(LambdaCapExceeded):
+    with pytest.raises(HypothesisRejected, match=r"^direction inf:0 needs class 4 > 3$"):
         envelope_weighted(T, [r], 1)  # weight 4 > min(q-2, p-1) = 3
 
 
@@ -444,7 +442,7 @@ def test_hankel_layout():
 
 def test_hankel_needs_enough_power_sums():
     T = PointMultiset(K7, [((1, 2), 1)])
-    with pytest.raises(InsufficientPowerSums):
+    with pytest.raises(InputError, match=r"^need power sums up to index 4, got 2$"):
         hankel_matrix(power_sum_polys(T, 2), 3)
 
 
@@ -548,17 +546,28 @@ def test_merged_direction_contains_its_pencil():
 
 def test_general_input_checks():
     K, T, reports = merged_instance(11)
-    with pytest.raises(LambdaOutOfRange):
+    with pytest.raises(InputError, match=r"^need 0 < lam <= \(q-1\)/2 = 5, got 6$"):
         envelope_general(T, reports, 6)  # above (q-1)/2
     with pytest.raises(InputError):
         envelope_general(T, reports, 2)  # a report shows 3 renitent lines
-    with pytest.raises(VerticalDirectionPresent):
+    with pytest.raises(HypothesisRejected,
+                       match=r"^the general construction works on slope directions only$"):
         envelope_general(T, [synth_report(K, None, 0, (1,))], 1)
     everything = uniform_directions(T, 3)
     assert len(everything) == K.q + 1
-    with pytest.raises(TooManyDirections):
+    with pytest.raises(HypothesisRejected, match=r"^at most q = 11 directions, got 12$"):
         envelope_general(T, everything, 3)
 
+
+
+def test_general_degenerate_curve_is_a_rejected_hypothesis():
+    # the point's weight 7 vanishes mod 7, so no line is renitent and every
+    # power sum is zero: each coefficient determinant of the curve is zero
+    T = PointMultiset(K7, [((1, 2), 7)])
+    reports = [r for r in uniform_directions(T, 1) if slope_of(r.direction) is not None]
+    assert len(reports) == 7
+    with pytest.raises(HypothesisRejected, match=r"^every coefficient determinant vanishes"):
+        envelope_general(T, reports, 1)
 
 # -- deficiency bound -----------------------------------------------------------
 
@@ -586,7 +595,8 @@ def test_deficiency_all_sharp_is_zero():
 def test_deficiency_needs_a_sharp_direction():
     K, _, reports = merged_instance(11)
     merged_only = [r for r in reports if r.direction == slope_direction(K, 1)]
-    with pytest.raises(NoSharpDirection):
+    with pytest.raises(HypothesisRejected,
+                       match=r"^the bound needs a direction with lambda_d = lam$"):
         deficiency_bound_check(merged_only, 3)
 
 

@@ -24,13 +24,7 @@ from renitent import (
     uniform_directions,
     vertical_direction,
 )
-from renitent.errors import (
-    FewerThanTwoLines,
-    InputError,
-    LambdaOutOfRange,
-    LineAtInfinity,
-    ParseError,
-)
+from renitent.errors import InputError
 from renitent.generators import gen_random
 from renitent.plane import slope_of
 from renitent.uniformity import DirectionReport, RenitentLine, _class_line
@@ -65,8 +59,12 @@ def test_parse_points_format():
 
 
 def test_parse_points_rejects_bad_lines():
-    for bad in ("0", "0 0 0", "0 9", "x y", "0 0 1 1"):
-        with pytest.raises(ParseError):
+    for bad, message in [("0", r"^line 1: expected 'a b' or 'a b m', got '0'$"),
+                         ("0 0 0", r"^line 1: multiplicity must be positive$"),
+                         ("0 9", r"^line 1: coordinates out of range for GF\(5\)$"),
+                         ("x y", r"^line 1: non-integer field in 'x y'$"),
+                         ("0 0 1 1", r"^line 1: expected 'a b' or 'a b m', got '0 0 1 1'$")]:
+        with pytest.raises(InputError, match=message):
             parse_points(K5, bad)
 
 
@@ -93,7 +91,8 @@ def test_empty_multiset_counts_zero():
 
 def test_line_at_infinity_rejected():
     T = PointMultiset(K5, [((0, 0), 1)])
-    with pytest.raises(LineAtInfinity):
+    with pytest.raises(InputError,
+                       match=r"^the multiset is affine; \[0:0:1\] carries no points$"):
         line_count(T, line_at_infinity(K5))
 
 
@@ -191,7 +190,8 @@ def test_lambda_range_enforced():
     T = PointMultiset(K5, [((0, 0), 1)])
     d = slope_direction(K5, 1)
     for bad in (0, 3, -1, "2"):
-        with pytest.raises(LambdaOutOfRange):
+        with pytest.raises(InputError,
+                           match=rf"^need 0 < lam <= \(q-1\)/2 = 2, got {bad!r}$"):
             classify_direction(T, d, bad)
 
 
@@ -339,7 +339,7 @@ def test_triangle_sides_do_not_concur():
 
 def test_concurrency_needs_two_distinct_lines():
     line = ProjLine(K5, 1, 0, 0)
-    with pytest.raises(FewerThanTwoLines):
+    with pytest.raises(InputError, match=r"^need at least two distinct lines$"):
         concurrency_point([line])
-    with pytest.raises(FewerThanTwoLines):
+    with pytest.raises(InputError, match=r"^need at least two distinct lines$"):
         concurrency_point([line, line])

@@ -12,7 +12,7 @@ import pytest
 
 from renitent import field_create
 from renitent.envelope import hankel_det_closed_form, weighted_power_recursion_check
-from renitent.errors import FieldMismatch, ParseError
+from renitent.errors import InputError
 from renitent.generators import gen_planted
 from renitent.plane import Collineation, ProjLine, ProjPoint, parse_point, slope_direction
 from renitent.poly import BiPoly, TriHomPoly, UniPoly
@@ -68,14 +68,17 @@ ENTRIES = {
         lambda x: weighted_power_recursion_check(K, [1, 1], [2, x], 1),
 }
 
-PARSERS = {"parse_points", "parse_point"}
+PARSER_MESSAGES = {
+    "parse_points": r"^line 2: coordinates out of range for GF\(7\)$",
+    "parse_point": r"^point '1,-?\d+' out of range for GF\(7\)$",
+}
 
 
 @pytest.mark.parametrize("bad", [9, 7, -1], ids=["9", "q", "-1"])
 @pytest.mark.parametrize("name", sorted(ENTRIES))
 def test_out_of_range_element_is_refused(name, bad):
-    expected = ParseError if name in PARSERS else FieldMismatch
-    with pytest.raises(expected):
+    message = PARSER_MESSAGES.get(name, rf"^{bad} is not an element index of GF\(7\)$")
+    with pytest.raises(InputError, match=message):
         ENTRIES[name](bad)
 
 
