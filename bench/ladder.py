@@ -1,0 +1,166 @@
+"""Time direction classification up the q ladder and keep the figures.
+
+    python3 bench/ladder.py [--q 31,49,...] [--src DIR] [--column NAME]
+        [--out FILE] [--compare FILE]
+
+For each q it times, on one gen_random set (seed 7, density 0.3):
+
+* ``uniform_directions``: all q + 1 directions classified at lambda = 2;
+* ``intercept_profile``: the q + 1 intercept profiles alone;
+* ``intercepts``: the field's list-level intercept kernel, prepared once
+  and then called for all q slopes (absent from a checkout without it).
+
+Every sample starts from a freshly built multiset, so work a multiset
+caches is paid inside the sample.  The process pins itself to one CPU,
+and every sample is scaled to reference speed as perfbench does: times
+``REF_S`` over the timing of perfbench's ``reference()`` loop run just
+before it.  The result is one column of medians and IQRs per (op, q),
+written into ``--out`` beside any columns already there, so one file can
+hold the figures of two checkouts (``--src`` times another checkout's
+package).  Each column also keeps its Python version and a SHA-256
+digest per q of the reports and the profiles, so two columns can be seen
+to compute alike.  ``--compare`` prints, per (op, q), this run's median
+over the median in each column of another file.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import statistics
+import sys
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from worker import REF_S, reference  # noqa: E402
+
+SCHEMA = 1
+LADDER = (31, 49, 64, 81, 121, 125, 128, 243, 256, 289)
+SEED, DENSITY, LAMBDA = 7, 0.3, 2
+REPEATS = 5
+NOTE = ("Times are scaled to reference speed (REF_S over the reference loop "
+        "timed just before each sample, on the same pinned CPU); medians of "
+        "5 samples, IQR from the same samples.  The host's speed can "
+        "swing 2-4x over minutes and scaling removes most but not all of it: "
+        "read a ratio below 1.2x between columns as noise unless it repeats.")
+
+
+def field_spec(q):
+    """The "p" or "p^e" spec of a prime power q."""
+    p = next(f for f in range(2, q + 1) if q % f == 0)
+    e, r = 0, q
+    while r > 1:
+        if r % p:
+            raise SystemExit(f"{q} is not a prime power")
+        r, e = r // p, e + 1
+    return str(p) if e == 1 else f"{p}^{e}"
+
+
+def scaled_sample(prepare, run):
+    """One sample of run(prepare()) at reference speed, in seconds."""
+    arg = prepare()
+    t = time.perf_counter()
+    reference()
+    ref = time.perf_counter() - t
+    t = time.perf_counter()
+    run(arg)
+    return (time.perf_counter() - t) * REF_S / ref
+
+
+def summary(samples):
+    quartiles = statistics.quantiles(samples, n=4)
+    return {"median_s": statistics.median(samples), "iqr_s": quartiles[2] - quartiles[0],
+            "n": len(samples)}
+
+
+def measure(renitent, q):
+    K = renitent.parse_field_spec(field_spec(q))
+    entries = list(renitent.gen_random(K, SEED, DENSITY)._mults.items())
+    directions = renitent.all_directions(K)
+
+    def fresh():
+        return renitent.PointMultiset(K, entries)
+
+    def profiles(T):
+        for d in directions:
+            renitent.intercept_profile(T, d)
+
+    def kernel(T):
+        _, keys = K.uintercepts(T._mults)
+        for s in K.elements():
+            keys(s)
+
+    ops = {"uniform_directions": lambda T: renitent.uniform_directions(T, LAMBDA),
+           "intercept_profile": profiles}
+    if hasattr(K, "uintercepts"):
+        ops["intercepts"] = kernel
+    rows = {op: summary([scaled_sample(fresh, run) for _ in range(REPEATS)])
+            for op, run in ops.items()}
+    T = fresh()
+    outcome = {"reports": [r.to_json() for r in renitent.uniform_directions(T, LAMBDA)],
+               "profiles": [sorted(renitent.intercept_profile(T, d).items())
+                            for d in directions]}
+    digest = hashlib.sha256(json.dumps(outcome, sort_keys=True).encode()).hexdigest()
+    return rows, digest
+
+
+def compare(column, path):
+    with open(path, encoding="utf-8") as fh:
+        columns = json.load(fh)["columns"]
+    for name, old in sorted(columns.items()):
+        print(f"ratio to {path} [{name}] (below 1 is faster now)")
+        for op, by_q in column["ops"].items():
+            for q, row in by_q.items():
+                base = old["ops"].get(op, {}).get(q)
+                ratio = "-" if base is None else f"{row['median_s'] / base['median_s']:.2f}"
+                same = old["digest"].get(q)
+                flag = "" if same in (None, column["digest"][q]) else "  REPORTS DIFFER"
+                print(f"  {op:20} q={q:>4}  {ratio}{flag}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--q", default=",".join(map(str, LADDER)),
+                        help="comma-separated field orders (default: the whole ladder)")
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="directory holding the renitent package to time")
+    parser.add_argument("--column", default="change")
+    parser.add_argument("--out", help="JSON file to add this run's column to")
+    parser.add_argument("--compare", help="earlier JSON file to print ratios against")
+    args = parser.parse_args()
+
+    sys.path.insert(0, os.path.abspath(args.src))
+    import renitent
+
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    column = {"ops": {}, "digest": {}, "python": sys.version.split()[0]}
+    for q in (int(x) for x in args.q.split(",")):
+        rows, digest = measure(renitent, q)
+        column["digest"][str(q)] = digest
+        for op, row in rows.items():
+            column["ops"].setdefault(op, {})[str(q)] = row
+            print(f"{op:20} q={q:>4}  {row['median_s'] * 1e3:9.2f} ms"
+                  f"  iqr {row['iqr_s'] * 1e3:.2f} ms", flush=True)
+
+    if args.out:
+        doc = {"columns": {}}
+        if os.path.exists(args.out):
+            with open(args.out, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        doc.update(schema=SCHEMA, note=NOTE,
+                   input={"generator": "gen_random", "seed": SEED, "density": DENSITY,
+                          "lambda": LAMBDA})
+        doc["columns"][args.column] = column
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    if args.compare:
+        compare(column, args.compare)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

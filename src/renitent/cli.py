@@ -5,7 +5,8 @@ Exit codes are part of the contract: 0 success, 2 malformed input,
 mathematical verification that the theory says cannot fail actually
 failed (which means an implementation bug, so CI should treat 4 as a
 defect, not as bad data).  All reports are JSON with "schema": 1 and
-sorted keys, written atomically when --out is given.
+sorted keys, written atomically when --out is given (gen's points file
+and its .json sidecar both or neither).
 """
 
 import argparse
@@ -53,18 +54,48 @@ def _read_text(path):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _atomic_write(path, text):
-    directory = os.path.dirname(os.path.abspath(path))
+def _atomic_write(*files):
+    """Write each (path, text) pair, all of them or none.
+
+    Each text goes first to a temp file beside its path, with the mode
+    open() would give (0o666 less the umask), and then replaces the path.
+    If any step fails, every path already replaced gets back what it held:
+    nothing, or its old file through a hard link kept for the purpose.
+    """
+    umask = os.umask(0)
+    os.umask(umask)
+    staged, replaced, path = [], [], None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".renitent-")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
+            for path, text in files:
+                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                           prefix=".renitent-")
+                staged.append(tmp)
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                os.chmod(tmp, 0o666 & ~umask)
+            for (path, _), tmp in zip(files, staged):
+                old = os.path.lexists(path)
+                backup = tmp + ".old"
+                try:
+                    os.link(path, backup, follow_symlinks=False)
+                except OSError:
+                    backup = None
+                replaced.append((path, old, backup))
+                os.replace(tmp, path)
         except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            for done, old, backup in reversed(replaced):
+                if backup is not None:
+                    os.replace(backup, done)
+                elif not old and os.path.lexists(done):
+                    os.unlink(done)
+            for tmp in staged:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
             raise
+        for _, _, backup in replaced:
+            if backup is not None:
+                os.unlink(backup)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 
@@ -152,7 +183,7 @@ def _emit(args, payload):
     payload["schema"] = 1
     text = canonical_json(payload) + "\n"
     if args.out:
-        _atomic_write(args.out, text)
+        _atomic_write((args.out, text))
         if args.json:
             sys.stdout.write(text)
     else:
@@ -215,8 +246,7 @@ def cmd_gen(args):
     point_text = dump_points(T)
     truth_text = canonical_json(truth) + "\n"
     if args.out:
-        _atomic_write(args.out, point_text)
-        _atomic_write(args.out + ".json", truth_text)
+        _atomic_write((args.out, point_text), (args.out + ".json", truth_text))
         if args.json:
             sys.stdout.write(truth_text)
     else:

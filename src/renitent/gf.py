@@ -41,6 +41,18 @@ divisor.  The methods add, sub, neg, mul, inv, div and pow are the
 checked entry points: each runs `check` on every operand (and refuses a
 zero divisor or a bad exponent), then calls its kernel.
 
+One bulk kernel is bound from the same three sets: uintercepts(points)
+takes affine points (a, b) once and returns (order, keys), where keys(s)
+is the list of intercepts b - a*s of all the points, in the order of
+the list `order` (the same points, regrouped).  It is what classifying
+a point set needs for every slope of a parallel class.  The prime kernel
+is one (b - a*s) % p comprehension.  The log kernels take each point's
+logarithms once and split off the points with a zero coordinate, so
+that the loop run for each slope has no branch and no call: b ^ g^(log a
++ log s) for p = 2, and one Zech lookup per point for odd p (points with
+b = 0 give -a*s directly, and those with a = 0 give b at every slope).
+Like the scalar kernels it does not check its operands.
+
 Validation therefore happens where elements enter: these checked methods,
 the constructors of the polynomial, plane and multiset types, the parsers
 and the generators, and a `check` on each raw scalar a public function
@@ -174,8 +186,17 @@ def _irreducible(mod, p):
 # -- the kernels: one function per operation, no operand checks
 
 
+def _by_zero_coordinate(points):
+    """The points (a, b) in three runs: a, b != 0; then b = 0; then a = 0."""
+    runs = ([], [], [])
+    for a, b in points:
+        runs[2 if not a else 0 if b else 1].append((a, b))
+    return runs
+
+
 def _prime_kernels(p):
-    """add, sub, neg, mul, inv, div, pow of GF(p), on the integers mod p."""
+    """add, sub, neg, mul, inv, div, pow and intercepts of GF(p), on the
+    integers mod p."""
 
     def add(a, b):
         return (a + b) % p
@@ -198,11 +219,19 @@ def _prime_kernels(p):
     def power(a, k):
         return pow(a, k, p)
 
-    return add, sub, neg, mul, inv, div, power
+    def intercepts(points):
+        points = list(points)
+
+        def keys(s):
+            return [(b - a * s) % p for a, b in points]
+
+        return points, keys
+
+    return add, sub, neg, mul, inv, div, power, intercepts
 
 
 def _log_kernels(exp, log, zech):
-    """The same seven for an extension field, from its exp/log/zech tables.
+    """The same eight for an extension field, from its exp/log/zech tables.
 
     zech is None in characteristic 2, where addition is XOR and every
     element is its own negative.
@@ -227,7 +256,23 @@ def _log_kernels(exp, log, zech):
         def neg(a):
             return a
 
-        return operator.xor, operator.xor, neg, mul, inv, div, power
+        def intercepts(points):
+            # b - a*s = b ^ g^(log a + log s); a = 0 gives b at every slope
+            both, b_zero, a_zero = _by_zero_coordinate(points)
+            order = both + b_zero + a_zero
+            level = [b for _, b in order]
+            moving = [(log[a], b) for a, b in both + b_zero]
+            still = [b for _, b in a_zero]
+
+            def keys(s):
+                if not s:
+                    return level[:]
+                exp_s = exp[log[s]:log[s] + n]   # exp_s[i] = g^(i + log s)
+                return [b ^ exp_s[la] for la, b in moving] + still
+
+            return order, keys
+
+        return operator.xor, operator.xor, neg, mul, inv, div, power, intercepts
 
     half = n // 2   # g^half = -1
 
@@ -253,14 +298,41 @@ def _log_kernels(exp, log, zech):
     def neg(a):
         return exp[log[a] + half] if a else 0
 
-    return add, sub, neg, mul, inv, div, power
+    # For the intercept kernel: the one None of zech (1 + g^half = 0)
+    # becomes 2(q - 1), and exp0 is exp with q - 1 zeros appended, so
+    # exp0[log b + zech0[...]] is 0 there and the kernel needs no branch.
+    exp0 = exp + [0] * n
+    zech0 = [2 * n if z is None else z for z in zech]
+
+    def intercepts(points):
+        # b - a*s = g^(log b) (1 + g^(log a + log s + half - log b)), with
+        # the slope-free part of that exponent reduced once per point; a
+        # zero coordinate leaves -a*s = g^(log a + half + log s), or b
+        both, b_zero, a_zero = _by_zero_coordinate(points)
+        order = both + b_zero + a_zero
+        level = [b for _, b in order]
+        general = [(log[b], (log[a] + half - log[b]) % n) for a, b in both]
+        edge = [(log[a] + half) % n for a, _ in b_zero]
+        still = [b for _, b in a_zero]
+
+        def keys(s):
+            if not s:
+                return level[:]
+            ls = log[s]
+            zech_s, exp_s = zech0[ls:ls + n], exp[ls:ls + n]
+            return ([exp0[lb + zech_s[d]] for lb, d in general]
+                    + [exp_s[c] for c in edge] + still)
+
+        return order, keys
+
+    return add, sub, neg, mul, inv, div, power, intercepts
 
 
 class GF:
     """Context for GF(p^e); all element operations live here."""
 
     __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_zech",
-                 "uadd", "usub", "uneg", "umul", "uinv", "udiv", "upow")
+                 "uadd", "usub", "uneg", "umul", "uinv", "udiv", "upow", "uintercepts")
 
     def __init__(self, p, e=1, modulus=None):
         if not isinstance(p, int) or p < 2:
@@ -296,7 +368,7 @@ class GF:
             self._build_log_tables()
             kernels = _log_kernels(self._exp, self._log, self._zech)
         (self.uadd, self.usub, self.uneg, self.umul,
-         self.uinv, self.udiv, self.upow) = kernels
+         self.uinv, self.udiv, self.upow, self.uintercepts) = kernels
 
     def _default_modulus(self):
         if self.e == 1:

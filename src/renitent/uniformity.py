@@ -12,8 +12,10 @@ line [d:-1:alpha] meets the Y-axis at (0:alpha:1); for the vertical
 class alpha is the x-coordinate of [1:0:-alpha].
 """
 
-from collections import Counter
+from collections import _count_elements
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mod
 
 from .errors import InputError
 from .plane import (
@@ -29,9 +31,13 @@ from .plane import (
 
 
 class PointMultiset:
-    """Affine points with positive integer multiplicities."""
+    """Affine points with positive integer multiplicities.
 
-    __slots__ = ("field", "_mults")
+    Immutable once built, so the form `intercept_profile` prepares from
+    the support is kept in a private slot and reused for every direction.
+    """
+
+    __slots__ = ("field", "_mults", "_intercepts")
 
     def __init__(self, field, entries=()):
         mults = {}
@@ -44,6 +50,7 @@ class PointMultiset:
             mults[(a, b)] = mults.get((a, b), 0) + m
         self.field = field
         self._mults = mults
+        self._intercepts = None
 
     @property
     def size(self):
@@ -66,6 +73,10 @@ class PointMultiset:
 
     def __repr__(self):
         return f"PointMultiset({self.field!r}, size={self.size})"
+
+    def __reduce__(self):
+        # the prepared intercept form holds closures, which pickle cannot carry
+        return PointMultiset, (self.field, self._mults)
 
 
 def parse_points(field, text):
@@ -150,15 +161,30 @@ def line_count(T, line):
     return total
 
 
+def _intercept_form(T):
+    """(x-coordinates, slope -> intercepts, weights) of T's support, in the
+    order the field's intercept kernel lists the points; weights is None
+    when every multiplicity is 1."""
+    if T._intercepts is None:
+        points, keys = T.field.uintercepts(T._mults)
+        mults = T._mults
+        weights = (None if all(m == 1 for m in mults.values())
+                   else [mults[pt] for pt in points])
+        T._intercepts = ([a for a, _ in points], keys, weights)
+    return T._intercepts
+
+
 def intercept_profile(T, direction):
     """Nonzero line counts of a parallel class, keyed by intercept."""
-    K = T.field
-    sub, mul = K.usub, K.umul
     s = slope_of(direction)
+    xs, keys, weights = _intercept_form(T)
+    line_keys = xs if s is None else keys(s)
     profile = {}
-    for (a, b), m in T._mults.items():
-        key = a if s is None else sub(b, mul(a, s))
-        profile[key] = profile.get(key, 0) + m
+    if weights is None:
+        _count_elements(profile, line_keys)
+    else:
+        for key, m in zip(line_keys, weights):
+            profile[key] = profile.get(key, 0) + m
     return profile
 
 
@@ -178,8 +204,9 @@ def classify_direction(T, direction, lam):
     p = K.p
     # Residue frequencies over all q lines: the q - |profile| lines the
     # profile leaves out are empty, so they add to residue 0.
-    freq = Counter(c % p for c in profile.values())
-    freq[0] += K.q - len(profile)
+    freq = {}
+    _count_elements(freq, map(mod, profile.values(), repeat(p)))
+    freq[0] = freq.get(0, 0) + K.q - len(profile)
     typical = [r for r, n in freq.items() if n >= K.q - lam]
     if not typical:
         return None

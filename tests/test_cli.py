@@ -332,6 +332,39 @@ def test_out_into_a_missing_directory_is_an_input_error(tmp_path, capsys, argv):
     assert set(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=lambda u: f"umask{u:03o}")
+def test_out_files_get_the_mode_open_would_give(tmp_path, capsys, umask):
+    old = os.umask(umask)
+    try:
+        rc = main(["gen", "--field", "7", "--kind", "random", "--seed", "1",
+                   "--out", str(tmp_path / "g")])
+    finally:
+        os.umask(old)
+    assert rc == EXIT_OK
+    for name in ("g", "g.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_gen_leaves_no_points_file_when_the_sidecar_cannot_be_written(tmp_path, capsys):
+    (tmp_path / "g.json").mkdir()
+    rc = main(["gen", "--field", "7", "--kind", "random", "--seed", "1",
+               "--out", str(tmp_path / "g")])
+    captured = capsys.readouterr()
+    assert rc == EXIT_INPUT
+    assert captured.err == f"error: cannot write {tmp_path / 'g.json'}: Is a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
+
+
+def test_gen_restores_an_old_points_file_when_the_sidecar_cannot_be_written(tmp_path, capsys):
+    (tmp_path / "g").write_text("0 0 1\n")
+    (tmp_path / "g.json").mkdir()
+    rc = main(["gen", "--field", "7", "--kind", "random", "--seed", "1",
+               "--out", str(tmp_path / "g")])
+    assert rc == EXIT_INPUT
+    assert (tmp_path / "g").read_text() == "0 0 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g", "g.json"]
+
+
 # -- one parser per process -------------------------------------------------------
 
 
