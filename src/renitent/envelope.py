@@ -24,14 +24,9 @@ coefficient) or contains the direction's whole pencil.
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import (
-    HypothesisRejected,
-    HypothesisViolation,
-    InputError,
-    ZeroDifference,
-)
+from .errors import HypothesisRejected, HypothesisViolation, InputError
 from .plane import ProjPoint, format_line, format_point, slope_of
-from .poly import BiPoly, PolyMatrix, TriHomPoly, UniPoly, homogenize
+from .poly import BiPoly, PolyMatrix, TriHomPoly, UniPoly, homogenize, maximal_minors
 
 
 def dual_coords(line):
@@ -190,8 +185,7 @@ def lambda_weights(report, c):
     for entry in report.renitent:
         diff = (entry.t - report.m_d) % K.p
         if diff == 0:
-            raise ZeroDifference(
-                f"line {format_line(entry.line)} has the typical count")
+            raise InputError(f"line {format_line(entry.line)} has the typical count")
         weights.append(diff * c_inv % K.p)
     return WeightEntry(report.direction, tuple(weights), sum(weights))
 
@@ -246,16 +240,16 @@ def scan_weight_classes(reports, p, cap):
     A c is feasible when all directions agree on one total <= cap; the
     winner is the feasible c with the smallest total, ties to smaller c.
     """
+    # t - m_d does not depend on c; a zero difference rules out every c
+    diffs = [[(e.t - r.m_d) % r.direction.field.p for e in r.renitent]
+             for r in reports]
+    if any(0 in ds for ds in diffs):
+        return dict.fromkeys(range(1, p)), None
     outcomes = {}
     best = None
     for c in range(1, p):
-        totals = set()
-        try:
-            for r in reports:
-                totals.add(lambda_weights(r, c).total)
-        except ZeroDifference:
-            outcomes[c] = None
-            continue
+        c_inv = pow(c, p - 2, p)
+        totals = {sum(d * c_inv % p for d in ds) for ds in diffs}
         if len(totals) == 1 and (total := totals.pop()) <= cap:
             outcomes[c] = total
             if best is None or total < outcomes[best]:
@@ -329,12 +323,15 @@ def hankel_det_closed_form(field, c_list, x_list):
 def envelope_general(T, reports, lam):
     """Class lam^2 envelope with no shared-offset hypothesis.
 
-    The U^lam coefficient is M(V) = det of the Hankel matrix of power
-    sums; the lower coefficients are -M_i(V) with the i-th column
-    replaced by the next lam power sums.  At a sharp direction d the
-    section g(U, d, 1) equals M(d) * prod_i (U - alpha_i(d)) with
-    M(d) != 0; at a covered non-sharp direction it vanishes identically
-    (the curve contains the whole dual pencil line).
+    The U^lam coefficient is M(V) = det H, H the Hankel matrix of power
+    sums; the U^(lam-i) coefficient is -M_i(V), det H with its i-th
+    column replaced by v, the next lam power sums.  By Cramer's rule
+    these are the maximal minors of the lam x (lam + 1) matrix [v | H]:
+    the U^(lam-j) coefficient is (-1)^j times the minor without column
+    j, and all of them come from one maximal_minors pass.  At a sharp
+    direction d the section g(U, d, 1) equals M(d) * prod_i (U -
+    alpha_i(d)) with M(d) != 0; at a covered non-sharp direction it
+    vanishes identically (the curve contains the whole dual pencil line).
     """
     _check_reports(T, reports)
     K = T.field
@@ -350,19 +347,22 @@ def envelope_general(T, reports, lam):
                 f"direction {format_point(r.direction)} shows {r.lambda_d} "
                 f"renitent lines, more than lam = {lam}")
     sums = power_sum_polys(T, 2 * lam - 1)
-    H = hankel_matrix(sums, lam)
-    lead = H.det()
-    column = [sums[lam + r] for r in range(lam)]
-    f = BiPoly(K, {(lam, i): coeff for i, coeff in enumerate(lead.coeffs) if coeff})
-    for i in range(1, lam + 1):
-        minor = H.replace_col(i - 1, column).det()
-        part = BiPoly(K, {(lam - i, j): coeff
-                          for j, coeff in enumerate(minor.coeffs) if coeff})
-        f = f - part
+    rows = [(sums[lam + r],) + row
+            for r, row in enumerate(hankel_matrix(sums, lam).rows)]
+    minors = maximal_minors(K, rows)
+    full = (1 << (lam + 1)) - 1
+    terms = {}
+    for j in range(lam + 1):
+        minor = minors[full ^ (1 << j)]
+        if j % 2:
+            minor = -minor
+        terms.update(((lam - j, i), c) for i, c in enumerate(minor.coeffs))
+    f = BiPoly(K, terms)
     if f.is_zero():
         raise HypothesisRejected(
             "every coefficient determinant vanishes; no envelope of this class")
-    return EnvelopeCurve(homogenize(f, lam * lam), lam * lam, "general", lead=lead)
+    return EnvelopeCurve(homogenize(f, lam * lam), lam * lam, "general",
+                         lead=minors[full ^ 1])
 
 
 @dataclass

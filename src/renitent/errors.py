@@ -3,9 +3,8 @@
 InputError covers malformed or out-of-range inputs (the CLI maps it to
 exit code 2), HypothesisRejected covers inputs that are well formed but
 violate a construction's hypotheses (exit code 3).  Everything derives
-from RenitentError.  The other three refine a base: DivisionByZero is
-also a ZeroDivisionError, HypothesisViolation names the failed part, and
-ZeroDifference is caught by envelope.scan_weight_classes.
+from RenitentError.  The other two refine a base: DivisionByZero is
+also a ZeroDivisionError, and HypothesisViolation names the failed part.
 """
 
 
@@ -35,7 +34,3 @@ class HypothesisViolation(HypothesisRejected):
     def __init__(self, part, message):
         super().__init__(f"hypothesis ({part}): {message}")
         self.part = part
-
-
-class ZeroDifference(InputError):
-    pass

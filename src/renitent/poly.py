@@ -625,26 +625,12 @@ class PolyMatrix:
     def size(self):
         return len(self.rows)
 
-    def replace_col(self, col, column):
-        column = tuple(column)
-        if len(column) != self.size:
-            raise InputError("replacement column has the wrong length")
-        rows = [list(r) for r in self.rows]
-        for i in range(self.size):
-            rows[i][col] = column[i]
-        return PolyMatrix(self.field, rows)
-
     def eval_at(self, d):
         return [[entry(d) for entry in row] for row in self.rows]
 
     def det(self):
-        """Determinant: cofactor expansion up to 4x4, Bareiss above."""
-        n = self.size
-        if n == 0:
-            return UniPoly.one(self.field)
-        if n <= 4:
-            return _det_cofactor(self.field, [list(r) for r in self.rows])
-        return _det_bareiss(self.field, [list(r) for r in self.rows])
+        """Determinant: the one maximal minor, from maximal_minors."""
+        return maximal_minors(self.field, self.rows)[(1 << self.size) - 1]
 
     def __repr__(self):
         body = "; ".join("[" + ", ".join(e.render() for e in row) + "]"
@@ -652,44 +638,34 @@ class PolyMatrix:
         return f"PolyMatrix({body})"
 
 
-def _det_cofactor(field, rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = UniPoly.zero(field)
-    for j in range(n):
-        if rows[0][j].is_zero():
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * _det_cofactor(field, minor)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+def maximal_minors(field, rows):
+    """Every maximal minor of n rows of m >= n UniPoly entries.
 
-
-def _det_bareiss(field, m):
-    n = len(m)
-    sign = 1
-    prev = UniPoly.one(field)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return UniPoly.zero(field)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                quo, rem = divmod(num, prev)
-                if not rem.is_zero():  # pragma: no cover - Bareiss divides exactly
-                    raise RuntimeError("inexact division in fraction-free elimination")
-                m[i][j] = quo
-            m[i][k] = UniPoly.zero(field)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    Returns {mask: minor}, where bit j of mask marks column j, for every
+    mask of n columns.  Laplace expansion along the rows, top down:
+    after row k the table holds every (k+1)-row minor of rows 0..k, each
+    the signed sum of row k's entries times the k-row minors on the
+    remaining columns, which the table already holds.  A square matrix
+    costs n * 2^(n-1) products and no division.  No rows leave the
+    empty minor, 1.
+    """
+    if not rows:
+        return {0: UniPoly.one(field)}
+    minors = {1 << j: entry for j, entry in enumerate(rows[0])}
+    for k, row in enumerate(rows[1:], start=1):
+        nxt = {}
+        for cols, minor in minors.items():
+            for j, entry in enumerate(row):
+                bit = 1 << j
+                if cols & bit:
+                    continue
+                term = entry * minor
+                if (k + (cols & (bit - 1)).bit_count()) % 2:
+                    term = -term
+                key = cols | bit
+                nxt[key] = nxt[key] + term if key in nxt else term
+        minors = nxt
+    return minors
 
 
 def poly_det(matrix):

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from renitent import (
+    BiPoly,
     EnvelopeCurve,
     PointMultiset,
     ProjLine,
     ProjPoint,
+    SplitMix64,
     TriHomPoly,
     UniPoly,
     classify_direction,
@@ -22,6 +24,7 @@ from renitent import (
     gen_planted,
     hankel_det_closed_form,
     hankel_matrix,
+    homogenize,
     intercept_profile,
     lambda_weights,
     newton_sigma,
@@ -37,12 +40,9 @@ from renitent import (
 )
 from renitent.envelope import _root_multiplicity
 from renitent.uniformity import DirectionReport, RenitentLine
-from renitent.errors import (
-    HypothesisRejected,
-    HypothesisViolation,
-    InputError,
-    ZeroDifference,
-)
+from renitent.errors import HypothesisRejected, HypothesisViolation, InputError
+
+from conftest import cofactor_det
 
 K7 = field_create(7)
 
@@ -305,7 +305,7 @@ def test_offset_three_reconciles_two_directions():
 
 def test_weight_input_checks():
     r = synth_report(K7, 0, 1, (1,))
-    with pytest.raises(ZeroDifference):
+    with pytest.raises(InputError, match=r"^line .* has the typical count$"):
         lambda_weights(r, 1)  # renitent count equals the typical count
     with pytest.raises(InputError,
                        match=r"^count offset must be a nonzero residue mod p, got 0$"):
@@ -542,6 +542,36 @@ def test_merged_direction_contains_its_pencil():
         for entry in r.renitent:
             expected = expected * UniPoly.x_minus(K, entry.alpha)
         assert section == expected
+
+
+def replace_column_envelope(T, lam):
+    """envelope_general's curve and lead read straight off its
+    definition: M = det H, then each M_i = det H with column i replaced
+    by v, all lam + 1 by separate cofactor expansions."""
+    K = T.field
+    sums = power_sum_polys(T, 2 * lam - 1)
+    H = [list(row) for row in hankel_matrix(sums, lam).rows]
+    lead = cofactor_det(K, H)
+    terms = {(lam, j): c for j, c in enumerate(lead.coeffs)}
+    for i in range(1, lam + 1):
+        replaced = [row[:i - 1] + [sums[lam + r]] + row[i:] for r, row in enumerate(H)]
+        minor = -cofactor_det(K, replaced)
+        terms.update(((lam - i, j), c) for j, c in enumerate(minor.coeffs))
+    return homogenize(BiPoly(K, terms), lam * lam), lead
+
+
+@pytest.mark.parametrize("lam", range(1, 7))
+@pytest.mark.parametrize("spec", [(13,), (31,), (37,), (7, 2)], ids=lambda s: f"q{s[0] ** len(s)}")
+def test_general_matches_replace_column_construction(spec, lam):
+    K = field_create(*spec)
+    rng = SplitMix64(1000 * K.q + lam)
+    points = set()
+    while len(points) < lam:
+        points.add((rng.next_u64() % K.q, rng.next_u64() % K.q))
+    weights = [1 + rng.next_u64() % (K.p - 1) for _ in range(lam)]
+    T = gen_planted(K, sorted(points), weights).multiset
+    curve = envelope_general(T, slope_reports(T, lam), lam)
+    assert (curve.poly, curve.lead) == replace_column_envelope(T, lam)
 
 
 def test_general_input_checks():

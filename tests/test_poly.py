@@ -1,6 +1,8 @@
 """Polynomial algebra: dense univariate, sparse bivariate, homogeneous
 trivariate, and determinants of polynomial matrices."""
 
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -17,6 +19,9 @@ from renitent import (
     uni_gcd,
 )
 from renitent.errors import InputError
+from renitent.poly import maximal_minors
+
+from conftest import cofactor_det
 
 K5 = field_create(5)
 K7 = field_create(7)
@@ -330,19 +335,6 @@ def test_render_formats():
 # -- determinants ----------------------------------------------------------
 
 
-def _det_cofactor(field, rows):
-    # slow reference: first-row expansion
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = UniPoly.zero(field)
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _det_cofactor(field, minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
 def test_det_identity():
     one, zero = UniPoly.one(K5), UniPoly.zero(K5)
     assert poly_det(PolyMatrix(K5, [[one, zero], [zero, one]])) == one
@@ -360,21 +352,54 @@ def test_det_upper_triangular():
 @settings(max_examples=40)
 def test_det_3x3_matches_cofactor(grid):
     rows = [[UniPoly(K5, cs) for cs in row] for row in grid]
-    assert poly_det(PolyMatrix(K5, rows)) == _det_cofactor(K5, rows)
+    assert poly_det(PolyMatrix(K5, rows)) == cofactor_det(K5, rows)
 
 
+def _random_rows(field, n, m, rng):
+    return [[UniPoly(field, [rng.next_u64() % field.p for _ in range(2)])
+             for _ in range(m)] for _ in range(n)]
+
+
+DET_SHAPES = ["random", "dependent row", "zero pivot", "zero first column", "zero row"]
+
+
+@pytest.mark.parametrize("shape", DET_SHAPES)
+@pytest.mark.parametrize("n", range(1, 7))
 @given(st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=15, deadline=None)
-def test_det_5x5_matches_cofactor(seed):
-    # above 4x4 the implementation switches elimination strategy
+@settings(max_examples=8, deadline=None)
+def test_det_matches_cofactor(n, shape, seed):
     rng = SplitMix64(seed)
-    rows = [[UniPoly(K7, [rng.next_u64() % 7 for _ in range(2)])
-             for _ in range(5)] for _ in range(5)]
-    assert poly_det(PolyMatrix(K7, rows)) == _det_cofactor(K7, rows)
+    rows = _random_rows(K7, n, n, rng)
+    zero = UniPoly.zero(K7)
+    if shape == "dependent row":  # a polynomial multiple of row 0
+        f = UniPoly(K7, [rng.next_u64() % 7 for _ in range(2)])
+        rows[-1] = [f * e for e in rows[0]]
+    elif shape == "zero pivot":
+        rows[0][0] = zero
+    elif shape == "zero first column":
+        for r in rows:
+            r[0] = zero
+    elif shape == "zero row":
+        rows[rng.next_u64() % n] = [zero] * n
+    det = poly_det(PolyMatrix(K7, rows))
+    assert det == cofactor_det(K7, rows)
+    if shape in ("zero first column", "zero row") or (shape == "dependent row" and n > 1):
+        assert det.is_zero()
 
 
-def test_replace_col():
-    V, one, zero = UniPoly.x(K5), UniPoly.one(K5), UniPoly.zero(K5)
-    M = PolyMatrix(K5, [[V, one], [zero, V]])
-    N = M.replace_col(0, [one, one])
-    assert poly_det(N) == P(K5, 4, 1)  # det [[1,1],[1,V]] = V - 1
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(0, 2))
+@settings(max_examples=30, deadline=None)
+def test_maximal_minors_match_cofactor(seed, n, extra):
+    m = n + extra
+    rows = _random_rows(K7, n, m, SplitMix64(seed))
+    minors = maximal_minors(K7, rows)
+    chosen = list(itertools.combinations(range(m), n))
+    assert len(minors) == len(chosen)
+    for cols in chosen:
+        oracle = cofactor_det(K7, [[r[j] for j in cols] for r in rows])
+        assert minors[sum(1 << j for j in cols)] == oracle
+
+
+def test_maximal_minors_of_no_rows():
+    assert maximal_minors(K5, []) == {0: UniPoly.one(K5)}
+    assert poly_det(PolyMatrix(K5, [])) == UniPoly.one(K5)

@@ -21,7 +21,6 @@ ERROR_CLASSES = {name for name, obj in vars(errors).items()
                  if isinstance(obj, type) and obj.__module__ == errors.__name__}
 ALLOWED = {
     "gf.py": {"RuntimeError": 2},   # no irreducible modulus / no generator
-    "poly.py": {"RuntimeError": 1},  # inexact Bareiss division
     "cli.py": {"_NotPlain": 3, "<re-raise>": 1},
 }
 
@@ -45,9 +44,9 @@ def _stray_raises(path):
     return sorted(out)
 
 
-def test_errors_defines_the_six_classes():
+def test_errors_defines_the_five_classes():
     assert ERROR_CLASSES == {"RenitentError", "InputError", "HypothesisRejected",
-                             "DivisionByZero", "HypothesisViolation", "ZeroDifference"}
+                             "DivisionByZero", "HypothesisViolation"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
