@@ -59,8 +59,6 @@ from .plane import (
     ProjLine,
     ProjPoint,
     all_directions,
-    apply_collineation,
-    direction_index,
     format_line,
     format_point,
     frame_collineation,
@@ -80,7 +78,6 @@ from .poly import (
     TriHomPoly,
     UniPoly,
     homogenize,
-    poly_det,
     roots_with_multiplicity,
     uni_gcd,
 )

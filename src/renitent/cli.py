@@ -407,6 +407,8 @@ def cmd_check(args):
     field, T = _load_multiset(args)
     if args.bound == "deficiency":
         reports = uniform_directions(T, args.lam)
+        if not reports:   # well-formed input: the hypothesis fails (exit 3)
+            raise HypothesisRejected("no uniform direction")
         rep = deficiency_bound_check(reports, args.lam)
         payload = {
             "theorem": "deficiency-bound",

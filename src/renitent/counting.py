@@ -39,7 +39,7 @@ from .plane import (
     vertical_direction,
 )
 from .poly import BiPoly, UniPoly, power_list, uni_gcd
-from .uniformity import uniform_directions
+from .uniformity import check_reports, uniform_directions
 
 
 @dataclass
@@ -114,20 +114,12 @@ class SlopeDetector(NamedTuple):
 
 
 def _check_detector_reports(T, reports, allow_vertical=False):
-    if not reports:
-        raise InputError("need at least one direction report")
     if len(reports) > T.field.q:
         raise HypothesisRejected(f"at most q = {T.field.q} directions, got {len(reports)}")
-    seen = set()
-    for r in reports:
-        if r.direction.field != T.field:
-            raise InputError("report uses a different context")
-        if r.direction in seen:
-            raise InputError(f"duplicate direction {format_point(r.direction)}")
-        seen.add(r.direction)
-        if not allow_vertical and slope_of(r.direction) is None:
-            raise HypothesisRejected(
-                "slope directions only; re-coordinatize the vertical away")
+    check_reports(T.field, reports)
+    if not allow_vertical and any(slope_of(r.direction) is None for r in reports):
+        raise HypothesisRejected(
+            "slope directions only; re-coordinatize the vertical away")
 
 
 def _linear_power_table(K):

@@ -22,11 +22,19 @@ coefficient) or contains the direction's whole pencil.
 """
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .errors import HypothesisRejected, HypothesisViolation, InputError
 from .plane import ProjPoint, format_line, format_point, slope_of
-from .poly import BiPoly, PolyMatrix, TriHomPoly, UniPoly, homogenize, maximal_minors
+from .poly import (
+    BiPoly,
+    PolyMatrix,
+    TriHomPoly,
+    UniPoly,
+    _root_multiplicity,
+    homogenize,
+    maximal_minors,
+)
+from .uniformity import check_reports
 
 
 def dual_coords(line):
@@ -118,18 +126,6 @@ def _monic_from_sigmas(K, sigmas, lam):
     return f
 
 
-def _check_reports(T, reports):
-    if not reports:
-        raise InputError("need at least one direction report")
-    seen = set()
-    for r in reports:
-        if r.direction.field != T.field:
-            raise InputError("report uses a different context")
-        if r.direction in seen:
-            raise InputError(f"duplicate direction {format_point(r.direction)}")
-        seen.add(r.direction)
-
-
 def envelope_regular(T, reports):
     """Class-lam envelope for directions with equal renitent counts.
 
@@ -139,7 +135,7 @@ def envelope_regular(T, reports):
     The returned curve is monic of degree lam in U and satisfies
     g(U, d, 1) = prod_i (U - alpha_i(d)) at each covered slope d.
     """
-    _check_reports(T, reports)
+    check_reports(T.field, reports)
     for r in reports:
         if slope_of(r.direction) is None:
             raise HypothesisRejected("the regular construction works on slope directions only")
@@ -202,7 +198,7 @@ def envelope_weighted(T, reports, c):
 
     Returns (curve, weight map keyed by renitent line).
     """
-    _check_reports(T, reports)
+    check_reports(T.field, reports)
     K = T.field
     if T.size % K.p == 0:
         raise HypothesisRejected(f"|T| = {T.size} vanishes mod p; weights are undetermined")
@@ -333,7 +329,7 @@ def envelope_general(T, reports, lam):
     alpha_i(d)) with M(d) != 0; at a covered non-sharp direction it
     vanishes identically (the curve contains the whole dual pencil line).
     """
-    _check_reports(T, reports)
+    check_reports(T.field, reports)
     K = T.field
     if not isinstance(lam, int) or not 0 < lam <= (K.q - 1) // 2:
         raise InputError(f"need 0 < lam <= (q-1)/2 = {(K.q - 1) // 2}, got {lam!r}")
@@ -445,23 +441,6 @@ class VerificationReport:
     def to_json(self):
         return {"directions": [d.to_json() for d in self.directions],
                 "pass": self.ok}
-
-
-def _root_multiplicity(poly, root):
-    """How often X - root divides poly (0 for constants), by Horner passes."""
-    K = poly.field
-    add, mul = K.uadd, K.umul
-    coeffs = poly.coeffs
-    m = 0
-    while len(coeffs) > 1:
-        # one synthetic division: the running values are the quotient's
-        # coefficients, highest first, and the last one is the remainder
-        quo = list(accumulate(reversed(coeffs), lambda acc, c: add(mul(acc, root), c)))
-        if quo.pop():
-            break
-        coeffs = quo[::-1]
-        m += 1
-    return m
 
 
 def verify_envelope(curve, reports, mults=None):

@@ -140,12 +140,6 @@ def slope_of(direction):
     return direction.field.udiv(y, x)
 
 
-def direction_index(direction):
-    """Slope index for (1:d:0), q for the vertical direction."""
-    s = slope_of(direction)
-    return direction.field.q if s is None else s
-
-
 def all_directions(field):
     """The q+1 directions, slopes 0..q-1 first, vertical last."""
     out = [slope_direction(field, d) for d in field.elements()]
@@ -169,14 +163,6 @@ def parallel_class(field, direction):
 # -- collineations -------------------------------------------------------
 
 
-def _mat_det(K, m):
-    add, sub, mul = K.uadd, K.usub, K.umul
-    t0 = mul(m[0][0], sub(mul(m[1][1], m[2][2]), mul(m[1][2], m[2][1])))
-    t1 = mul(m[0][1], sub(mul(m[1][0], m[2][2]), mul(m[1][2], m[2][0])))
-    t2 = mul(m[0][2], sub(mul(m[1][0], m[2][1]), mul(m[1][1], m[2][0])))
-    return add(sub(t0, t1), t2)
-
-
 def _mat_adjugate(K, m):
     sub, mul = K.usub, K.umul
 
@@ -198,7 +184,12 @@ def _mat_vec(K, m, v):
 
 
 class Collineation:
-    """Projectivity of PG(2,q) given by an invertible 3x3 matrix."""
+    """Projectivity of PG(2,q) given by an invertible 3x3 matrix.
+
+    The adjugate is built once: it maps lines (transposed) and gives the
+    inverse, and since M adj(M) = det(M) I, row 0 of M times column 0 of
+    adj(M) is the determinant that rules out a singular matrix.
+    """
 
     __slots__ = ("field", "matrix", "_adj")
 
@@ -206,11 +197,13 @@ class Collineation:
         matrix = tuple(tuple(field.check(c) for c in row) for row in matrix)
         if len(matrix) != 3 or any(len(r) != 3 for r in matrix):
             raise InputError("collineation matrix must be 3x3")
-        if _mat_det(field, matrix) == 0:
+        adj = _mat_adjugate(field, matrix)
+        (det,) = _mat_vec(field, matrix[:1], [row[0] for row in adj])
+        if det == 0:
             raise InputError("collineation matrix is singular")
         self.field = field
         self.matrix = matrix
-        self._adj = _mat_adjugate(field, matrix)
+        self._adj = adj
 
     def apply_point(self, point):
         if point.field != self.field:
@@ -234,25 +227,22 @@ class Collineation:
         return f"Collineation({self.matrix})"
 
 
-def apply_collineation(obj, coll):
-    """Transform a ProjPoint or ProjLine."""
-    if isinstance(obj, ProjPoint):
-        return coll.apply_point(obj)
-    if isinstance(obj, ProjLine):
-        return coll.apply_line(obj)
-    raise InputError(f"cannot transform {type(obj).__name__}")
-
-
 def frame_collineation(field, avoid, target):
     """Frame change used by the point-index argument.
 
     Returns a collineation that maps the line at infinity onto the
     Y-axis [1:0:0], maps the affine point `target` to some (1:y0:0) on
     the new line at infinity, and keeps (0:1:0) out of the image of the
-    `avoid` directions.  Deterministic: the spare direction is the first
-    one (by direction index) outside `avoid`, and the middle matrix row
-    is the first vector (by index) that makes the matrix invertible
-    without sending the spare direction off (0:1:0).
+    `avoid` directions.  The spare direction (x:y:0) is the first one
+    (slopes, then vertical) outside `avoid`.  The matrix has rows
+    (0, 0, 1), r = (r0, r1, r2) and the line (a, b, c) through the spare
+    and the target.  It sends the spare to (0 : r0 x + r1 y : 0), and as
+    a x + b y = 0 with (a, b) != 0, its determinant r0 b - r1 a is a
+    nonzero multiple of r0 x + r1 y.  So r is a frame exactly when
+    r0 x + r1 y != 0, whatever r2, and the first such r by index (r0
+    varying fastest, then r1, then r2) is (1, 0, 0) for a slope spare
+    (1:d:0) and (0, 1, 0) for the vertical one.  Being invertible, the
+    matrix sends no other direction to (0:1:0).
 
     The frame exists only for affine `target` (a point at infinity would
     have to land on both the new Y-axis and the new line at infinity,
@@ -267,29 +257,11 @@ def frame_collineation(field, avoid, target):
     if target.is_at_infinity():
         raise HypothesisRejected(
             "no frame maps a point at infinity onto the new line at infinity")
-    spare = None
-    for d in all_directions(field):
-        if d not in avoid:
-            spare = d
-            break
+    spare = next((d for d in all_directions(field) if d not in avoid), None)
     if spare is None:
         raise HypothesisRejected("every direction must stay off (0:1:0)")
-    row1 = (0, 0, 1)
-    row3 = line_through(spare, target).coords
-    q = field.q
-    for idx in range(q ** 3):
-        row2 = (idx % q, idx // q % q, idx // (q * q))
-        matrix = (row1, row2, row3)
-        if _mat_det(field, matrix) == 0:
-            continue
-        coll = Collineation(field, matrix)
-        if coll.apply_point(spare) != vertical_direction(field):
-            continue
-        bad = vertical_direction(field)
-        if any(coll.apply_point(d) == bad for d in avoid):  # pragma: no cover
-            continue
-        return coll
-    raise HypothesisRejected("exhausted the search space")  # pragma: no cover
+    row2 = (1, 0, 0) if spare.coords[0] else (0, 1, 0)
+    return Collineation(field, ((0, 0, 1), row2, line_through(spare, target).coords))
 
 
 # -- text formats --------------------------------------------------------

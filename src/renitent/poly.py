@@ -12,7 +12,7 @@ raw field element checks it on entry; past that, the loops run on the
 field's unchecked kernels (see gf).
 """
 
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .errors import InputError
 
@@ -247,24 +247,31 @@ def _rem_monic(K, a, b):
             a.pop()
 
 
+def _root_multiplicity(poly, root):
+    """How often X - root divides poly (0 for constants), by Horner passes."""
+    K = poly.field
+    add, mul = K.uadd, K.umul
+    coeffs = poly.coeffs
+    m = 0
+    while len(coeffs) > 1:
+        # one synthetic division: the running values are the quotient's
+        # coefficients, highest first, and the last one is the remainder
+        quo = list(accumulate(reversed(coeffs), lambda acc, c: add(mul(acc, root), c)))
+        if quo.pop():
+            break
+        coeffs = quo[::-1]
+        m += 1
+    return m
+
+
 def roots_with_multiplicity(f):
     """All (root, multiplicity) pairs in ascending element order."""
     if not isinstance(f, UniPoly):
         raise InputError("roots_with_multiplicity expects a UniPoly")
     if f.is_zero():
         raise InputError("every element is a root of the zero polynomial")
-    K = f.field
-    out = []
-    for gamma in K.elements():
-        m = 0
-        while f.degree >= 1 and f(gamma) == 0:
-            f = f // UniPoly.x_minus(K, gamma)
-            m += 1
-        if m:
-            out.append((gamma, m))
-        if f.degree < 1:
-            break
-    return out
+    return [(gamma, m) for gamma in f.field.elements()
+            if (m := _root_multiplicity(f, gamma))]
 
 
 class BiPoly:
@@ -666,10 +673,3 @@ def maximal_minors(field, rows):
                 nxt[key] = nxt[key] + term if key in nxt else term
         minors = nxt
     return minors
-
-
-def poly_det(matrix):
-    """Determinant of a PolyMatrix (module-level convenience)."""
-    if not isinstance(matrix, PolyMatrix):
-        raise InputError("poly_det expects a PolyMatrix")
-    return matrix.det()

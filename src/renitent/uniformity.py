@@ -145,6 +145,20 @@ class DirectionReport:
         }
 
 
+def check_reports(field, reports):
+    """The checks every construction runs on its reports: there is at
+    least one, each is over `field`, and no direction comes twice."""
+    if not reports:
+        raise InputError("need at least one direction report")
+    seen = set()
+    for r in reports:
+        if r.direction.field != field:
+            raise InputError("report uses a different context")
+        if r.direction in seen:
+            raise InputError(f"duplicate direction {format_point(r.direction)}")
+        seen.add(r.direction)
+
+
 def line_count(T, line):
     """Number of multiset points on an affine line, with multiplicity."""
     if T.field != line.field:

@@ -278,7 +278,7 @@ def test_check_rejects_empty_multiset(tmp_path, capsys):
     assert rc == EXIT_HYPOTHESIS  # no sharp direction exists
 
 
-@pytest.mark.parametrize("bound", ["count", "gcd"])
+@pytest.mark.parametrize("bound", ["deficiency", "count", "gcd"])
 def test_check_without_uniform_slope_direction(tmp_path, capsys, bound):
     # well-formed input with no 6-uniform direction: the hypothesis fails
     path = write_points(tmp_path, "0 0 1\n1 1 1\n2 5 1\n3 3 1\n4 1 1\n")

@@ -28,7 +28,6 @@ from renitent import (
     intercept_profile,
     lambda_weights,
     newton_sigma,
-    poly_det,
     power_sum_polys,
     scan_weight_classes,
     slope_direction,
@@ -38,7 +37,7 @@ from renitent import (
     vertical_direction,
     weighted_power_recursion_check,
 )
-from renitent.envelope import _root_multiplicity
+from renitent.poly import _root_multiplicity
 from renitent.uniformity import DirectionReport, RenitentLine
 from renitent.errors import HypothesisRejected, HypothesisViolation, InputError
 
@@ -436,8 +435,8 @@ def test_recursion_input_checks():
 def test_hankel_layout():
     T = PointMultiset(K7, [((1, 2), 1), ((3, 4), 1)])
     ps = power_sum_polys(T, 2)
-    assert poly_det(hankel_matrix(ps, 1)) == ps[0]
-    assert poly_det(hankel_matrix(ps, 2)) == ps[1] * ps[1] - ps[0] * ps[2]
+    assert hankel_matrix(ps, 1).det() == ps[0]
+    assert hankel_matrix(ps, 2).det() == ps[1] * ps[1] - ps[0] * ps[2]
 
 
 def test_hankel_needs_enough_power_sums():
@@ -494,7 +493,7 @@ def test_closed_form_matches_moment_determinant(inst):
         return acc
 
     ps = [UniPoly.constant(K, psum(k)) for k in range(2 * lam - 1)]
-    det = poly_det(hankel_matrix(ps, lam))
+    det = hankel_matrix(ps, lam).det()
     assert det == UniPoly.constant(K, hankel_det_closed_form(K, cs, xs))
 
 

@@ -1,6 +1,8 @@
 """Projective plane geometry: canonical coordinates, incidence, parallel
 classes, collineations, text formats."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,8 +11,6 @@ from renitent import (
     ProjLine,
     ProjPoint,
     all_directions,
-    apply_collineation,
-    direction_index,
     field_create,
     format_line,
     format_point,
@@ -25,7 +25,7 @@ from renitent import (
     slope_of,
     vertical_direction,
 )
-from renitent.errors import HypothesisRejected, InputError
+from renitent.errors import HypothesisRejected, InputError, RenitentError
 
 K3 = field_create(3)
 K5 = field_create(5)
@@ -82,7 +82,7 @@ def test_slope_of_rejects_affine_points():
 def test_direction_order():
     dirs = all_directions(K5)
     assert len(dirs) == K5.q + 1
-    assert [direction_index(d) for d in dirs] == list(range(K5.q + 1))
+    assert [slope_of(d) for d in dirs] == list(K5.elements()) + [None]
 
 
 # -- incidence ---------------------------------------------------------------
@@ -247,12 +247,6 @@ def test_inverse_round_trip():
         assert U.apply_point(T.apply_point(P)) == P
 
 
-def test_apply_collineation_dispatch():
-    T = Collineation(K3, ((0, 0, 1), (0, 1, 0), (1, 0, 0)))
-    assert apply_collineation(ProjPoint(K3, 0, 0, 1), T) == ProjPoint(K3, 1, 0, 0)
-    assert apply_collineation(line_at_infinity(K3), T) == ProjLine(K3, 1, 0, 0)
-
-
 # -- frame for the point-index argument ---------------------------------------
 
 
@@ -291,6 +285,85 @@ def test_frame_needs_a_spare_direction():
     with pytest.raises(HypothesisRejected,
                        match=r"^every direction must stay off \(0:1:0\)$"):
         frame_collineation(K3, all_directions(K3), ProjPoint.affine(K3, 0, 0))
+
+
+def _det3(K, m):
+    add, sub, mul = K.uadd, K.usub, K.umul
+    t0 = mul(m[0][0], sub(mul(m[1][1], m[2][2]), mul(m[1][2], m[2][1])))
+    t1 = mul(m[0][1], sub(mul(m[1][0], m[2][2]), mul(m[1][2], m[2][0])))
+    t2 = mul(m[0][2], sub(mul(m[1][0], m[2][1]), mul(m[1][1], m[2][0])))
+    return add(sub(t0, t1), t2)
+
+
+def frame_by_search(K, avoid, target):
+    """The frame found by search: the first middle row (r0 fastest, then
+    r1, then r2) that makes the matrix invertible, sends the spare
+    direction to (0:1:0) and sends no avoided direction there."""
+    avoid = set(avoid)
+    for d in avoid:
+        if not d.is_at_infinity():
+            raise InputError(f"{d!r} is not a direction")
+    if target.field != K:
+        raise InputError("target point uses a different context")
+    if target.is_at_infinity():
+        raise HypothesisRejected(
+            "no frame maps a point at infinity onto the new line at infinity")
+    spare = next((d for d in all_directions(K) if d not in avoid), None)
+    if spare is None:
+        raise HypothesisRejected("every direction must stay off (0:1:0)")
+    row3 = line_through(spare, target).coords
+    bad = vertical_direction(K)
+    q = K.q
+    for idx in range(q ** 3):
+        matrix = ((0, 0, 1), (idx % q, idx // q % q, idx // (q * q)), row3)
+        if _det3(K, matrix) == 0:
+            continue
+        coll = Collineation(K, matrix)
+        if coll.apply_point(spare) == bad and all(coll.apply_point(d) != bad
+                                                  for d in avoid):
+            return coll
+    raise HypothesisRejected("exhausted the search space")
+
+
+def frame_outcome(frame, K, avoid, target):
+    try:
+        return frame(K, avoid, target).matrix
+    except RenitentError as exc:
+        return type(exc), str(exc)
+
+
+def frame_cases(K, rng):
+    """(avoid, target) pairs: avoid sets of size 0, 1, q/2, q (all slopes,
+    leaving the vertical spare, and a random q) and q + 1; targets at the
+    origin, on both axes, anywhere and at infinity; a point among the
+    directions to avoid and a target over another field."""
+    q = K.q
+    dirs = all_directions(K)
+    avoids = [[], [dirs[0]], rng.sample(dirs, 1), rng.sample(dirs, q // 2),
+              dirs[:q], rng.sample(dirs, q), dirs]
+    a, b = rng.randrange(1, q), rng.randrange(1, q)
+    targets = [ProjPoint.affine(K, 0, 0), ProjPoint.affine(K, a, 0),
+               ProjPoint.affine(K, 0, b),
+               ProjPoint.affine(K, rng.randrange(q), rng.randrange(q)),
+               slope_direction(K, rng.randrange(q))]
+    cases = [(avoid, target) for avoid in avoids for target in targets]
+    other = field_create(3 if K.p == 2 else 2)
+    cases.append(([dirs[1], ProjPoint.affine(K, a, b)], targets[0]))
+    cases.append(([dirs[0]], ProjPoint.affine(other, 1, 1)))
+    return cases
+
+
+@pytest.mark.parametrize("p, e", [(2, 1), (3, 1), (2, 2), (7, 1), (2, 3), (3, 2),
+                                  (2, 4), (5, 2), (3, 3), (31, 1), (7, 2)])
+def test_frame_matches_the_search(p, e):
+    K = field_create(p, e)
+    rng = random.Random(p ** e)
+    vertical_spares = 0
+    for avoid, target in frame_cases(K, rng):
+        expected = frame_outcome(frame_by_search, K, avoid, target)
+        assert frame_outcome(frame_collineation, K, avoid, target) == expected
+        vertical_spares += expected[1] == (0, 1, 0)
+    assert vertical_spares >= 4
 
 
 # -- text formats --------------------------------------------------------------
