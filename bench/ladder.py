@@ -10,6 +10,12 @@ For each q it times, on one gen_random set (seed 7, density 0.3):
 * ``intercepts``: the field's list-level intercept kernel, prepared once
   and then called for all q slopes (absent from a checkout without it).
 
+It also times one row that does not depend on q, ``import_cli`` (listed
+under q = ``any``): the median of 21 fresh ``python -c "import
+renitent.cli"`` processes less the median of 21 bare ``python -c pass``
+ones, run in turn after the package's bytecode cache is filled; its IQR
+is that of the import processes.
+
 Every sample starts from a freshly built multiset, so work a multiset
 caches is paid inside the sample.  The process pins itself to one CPU,
 and every sample is scaled to reference speed as perfbench does: times
@@ -24,10 +30,12 @@ over the median in each column of another file.
 """
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
 import statistics
+import subprocess
 import sys
 import time
 
@@ -41,11 +49,14 @@ SCHEMA = 1
 LADDER = (31, 49, 64, 81, 121, 125, 128, 243, 256, 289)
 SEED, DENSITY, LAMBDA = 7, 0.3, 2
 REPEATS = 5
+IMPORT_REPEATS = 21
 NOTE = ("Times are scaled to reference speed (REF_S over the reference loop "
         "timed just before each sample, on the same pinned CPU); medians of "
         "5 samples, IQR from the same samples.  The host's speed can "
         "swing 2-4x over minutes and scaling removes most but not all of it: "
-        "read a ratio below 1.2x between columns as noise unless it repeats.")
+        "read a ratio below 1.2x between columns as noise unless it repeats.  "
+        "The import_cli row is the median of 21 fresh `import renitent.cli` "
+        "processes less that of 21 bare interpreter starts.")
 
 
 def field_spec(q):
@@ -107,6 +118,31 @@ def measure(renitent, q):
     return rows, digest
 
 
+def import_row(src):
+    """The scaled cost of `import renitent.cli` over a bare interpreter start."""
+    compileall.compile_dir(src, quiet=1)
+    env = dict(os.environ, PYTHONPATH=src)
+    bare = [sys.executable, "-c", "pass"]
+    cli = [sys.executable, "-c", "import renitent.cli"]
+    subprocess.run(cli, env=env, check=True)   # fails early on a broken package
+
+    def start(cmd):
+        subprocess.run(cmd, env=env, check=True)
+
+    samples = {"bare": [], "cli": []}
+    for _ in range(IMPORT_REPEATS):
+        for kind, cmd in (("bare", bare), ("cli", cli)):
+            samples[kind].append(scaled_sample(lambda: cmd, start))
+    row = summary(samples["cli"])
+    row["median_s"] -= statistics.median(samples["bare"])
+    return row
+
+
+def show(op, q, row):
+    print(f"{op:20} q={q:>4}  {row['median_s'] * 1e3:9.2f} ms"
+          f"  iqr {row['iqr_s'] * 1e3:.2f} ms", flush=True)
+
+
 def compare(column, path):
     with open(path, encoding="utf-8") as fh:
         columns = json.load(fh)["columns"]
@@ -117,7 +153,7 @@ def compare(column, path):
                 base = old["ops"].get(op, {}).get(q)
                 ratio = "-" if base is None else f"{row['median_s'] / base['median_s']:.2f}"
                 same = old["digest"].get(q)
-                flag = "" if same in (None, column["digest"][q]) else "  REPORTS DIFFER"
+                flag = "" if same in (None, column["digest"].get(q)) else "  REPORTS DIFFER"
                 print(f"  {op:20} q={q:>4}  {ratio}{flag}")
 
 
@@ -142,8 +178,10 @@ def main():
         column["digest"][str(q)] = digest
         for op, row in rows.items():
             column["ops"].setdefault(op, {})[str(q)] = row
-            print(f"{op:20} q={q:>4}  {row['median_s'] * 1e3:9.2f} ms"
-                  f"  iqr {row['iqr_s'] * 1e3:.2f} ms", flush=True)
+            show(op, q, row)
+    row = import_row(os.path.abspath(args.src))
+    column["ops"]["import_cli"] = {"any": row}
+    show("import_cli", "any", row)
 
     if args.out:
         doc = {"columns": {}}

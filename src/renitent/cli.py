@@ -7,6 +7,11 @@ failed (which means an implementation bug, so CI should treat 4 as a
 defect, not as bad data).  All reports are JSON with "schema": 1 and
 sorted keys, written atomically when --out is given (gen's points file
 and its .json sidecar both or neither).
+
+Each command imports the modules it runs when it runs: analyze loads no
+more than classification needs, and only envelope and check load
+`envelope` or `counting`.  They call those modules' functions through
+the module, so a wrapper installed on a module attribute sees the call.
 """
 
 import argparse
@@ -15,25 +20,8 @@ import json
 import math
 import os
 import sys
-import tempfile
 
-from .counting import (
-    build_slope_detector,
-    dichotomy_check,
-    gcd_degree_bound,
-    gcd_profile,
-    renitent_lower_bound_check,
-)
-from .envelope import (
-    envelope_general,
-    envelope_regular,
-    envelope_weighted,
-    deficiency_bound_check,
-    scan_weight_classes,
-    verify_envelope,
-)
 from .errors import HypothesisRejected, InputError, RenitentError
-from .generators import gen_norm_conic, gen_planted, gen_random
 from .gf import parse_field_spec
 from .plane import all_directions, format_line, format_point, slope_of
 from .uniformity import classify_direction, dump_points, parse_points, uniform_directions
@@ -62,6 +50,8 @@ def _atomic_write(*files):
     If any step fails, every path already replaced gets back what it held:
     nothing, or its old file through a hard link kept for the purpose.
     """
+    import tempfile
+
     umask = os.umask(0)
     os.umask(umask)
     staged, replaced, path = [], [], None
@@ -226,19 +216,21 @@ def _parse_int_list(text):
 
 
 def cmd_gen(args):
+    from . import generators
+
     field = parse_field_spec(args.field)
     if args.kind == "planted":
         if not args.points:
             raise InputError("planted instances need --points 'a,b;c,d;...'")
         points = _parse_point_list(args.points)
         weights = _parse_int_list(args.weights) if args.weights else [1] * len(points)
-        inst = gen_planted(field, points, weights, args.c)
+        inst = generators.gen_planted(field, points, weights, args.c)
         T, truth = inst.multiset, inst.to_json()
     elif args.kind == "norm_conic":
-        inst = gen_norm_conic(field)
+        inst = generators.gen_norm_conic(field)
         T, truth = inst.multiset, inst.to_json()
     else:
-        T = gen_random(field, args.seed, args.density)
+        T = generators.gen_random(field, args.seed, args.density)
         truth = {"kind": "random", "seed": args.seed, "density": args.density,
                  "size": T.size, "support": T.support_size}
     truth["field"] = args.field
@@ -329,6 +321,8 @@ def _pick_regular(field, candidates):
 
 
 def cmd_envelope(args):
+    from . import envelope
+
     field, T = _load_multiset(args)
     candidates = _candidate_reports(field, T, args.lam)
     mults = None
@@ -336,7 +330,7 @@ def cmd_envelope(args):
     if args.theorem == "regular":
         used, excluded, offset = _pick_regular(field, candidates)
         extra["c"] = offset
-        curve = envelope_regular(T, used)
+        curve = envelope.envelope_regular(T, used)
     elif args.theorem == "weighted":
         used, excluded = candidates, []
         if len(used) < field.q + 1:
@@ -351,7 +345,7 @@ def cmd_envelope(args):
             raise HypothesisRejected("no usable direction")
         if args.c == "scan":
             cap = min(field.q - 2, field.p - 1)
-            outcomes, best = scan_weight_classes(used, field.p, cap)
+            outcomes, best = envelope.scan_weight_classes(used, field.p, cap)
             extra["scan"] = {str(c): total for c, total in outcomes.items()}
             if best is None:
                 raise HypothesisRejected("no count offset gives a constant class")
@@ -362,7 +356,7 @@ def cmd_envelope(args):
             except ValueError as exc:
                 raise InputError(f"--c must be an integer or 'scan', got {args.c!r}") from exc
         extra["c"] = c
-        curve, mults = envelope_weighted(T, used, c)
+        curve, mults = envelope.envelope_weighted(T, used, c)
         extra["weights"] = [{"line": format_line(line), "weight": w}
                             for line, w in sorted(mults.items(),
                                                   key=lambda kv: format_line(kv[0]))]
@@ -372,9 +366,9 @@ def cmd_envelope(args):
                     for r in candidates if slope_of(r.direction) is None]
         if not used:
             raise HypothesisRejected("no usable slope direction")
-        curve = envelope_general(T, used, args.lam)
+        curve = envelope.envelope_general(T, used, args.lam)
         extra["lead_coeffs"] = list(curve.lead.coeffs)
-    verification = verify_envelope(curve, used, mults)
+    verification = envelope.verify_envelope(curve, used, mults)
     _emit(args, {
         "command": "envelope",
         "theorem": args.theorem,
@@ -409,7 +403,9 @@ def cmd_check(args):
         reports = uniform_directions(T, args.lam)
         if not reports:   # well-formed input: the hypothesis fails (exit 3)
             raise HypothesisRejected("no uniform direction")
-        rep = deficiency_bound_check(reports, args.lam)
+        from . import envelope
+
+        rep = envelope.deficiency_bound_check(reports, args.lam)
         payload = {
             "theorem": "deficiency-bound",
             "hypotheses": {"lambda": args.lam, "uniform_directions": len(reports)},
@@ -420,7 +416,9 @@ def cmd_check(args):
         }
         ok = rep.ok
     elif args.bound == "count":
-        rep = renitent_lower_bound_check(T, _uniform_slope_reports(T, args.lam))
+        from . import counting
+
+        rep = counting.renitent_lower_bound_check(T, _uniform_slope_reports(T, args.lam))
         payload = {
             "theorem": "renitent-count-lower-bound",
             "hypotheses": {"lambda": rep.lam, "directions": rep.n_directions},
@@ -432,10 +430,12 @@ def cmd_check(args):
         }
         ok = rep.ok
     elif args.bound == "gcd":
+        from . import counting
+
         reports = _uniform_slope_reports(T, args.lam)
-        det = build_slope_detector(T, reports)
-        profile = gcd_profile(det.f, det.g)
-        checks = [gcd_degree_bound(profile, y) for y in field.elements()]
+        det = counting.build_slope_detector(T, reports)
+        profile = counting.gcd_profile(det.f, det.g)
+        checks = [counting.gcd_degree_bound(profile, y) for y in field.elements()]
         worst = min(checks, key=lambda c: c.slack)
         ok = all(c.ok for c in checks)
         payload = {
@@ -448,7 +448,9 @@ def cmd_check(args):
             "witnesses": [c.to_json() for c in checks],
         }
     else:
-        rep = dichotomy_check(T, args.lam)
+        from . import counting
+
+        rep = counting.dichotomy_check(T, args.lam)
         payload = {
             "theorem": "index-dichotomy",
             "hypotheses": {"lambda": rep.lam, "uniform_directions": rep.n_uniform,

@@ -24,13 +24,12 @@ a second count beside the geometry.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, repeat
-from typing import NamedTuple
 
 from .errors import HypothesisRejected, InputError
 from .plane import (
     ProjPoint,
+    format_line,
     format_point,
     frame_collineation,
     incident,
@@ -39,15 +38,18 @@ from .plane import (
     vertical_direction,
 )
 from .poly import BiPoly, UniPoly, power_list, uni_gcd
+from .records import FrozenRecord, Record
 from .uniformity import check_reports, uniform_directions
 
 
-@dataclass
-class GcdProfile:
-    field: object
-    k: dict        # y -> deg gcd(f(X,y), g(X,y))
-    deg_f: int     # total degree of f
-    deg_g: int     # total degree of g
+class GcdProfile(Record):
+    __slots__ = ("field", "k", "deg_f", "deg_g")
+
+    def __init__(self, field, k, deg_f, deg_g):
+        self.field = field
+        self.k = k          # y -> deg gcd(f(X,y), g(X,y))
+        self.deg_f = deg_f  # total degree of f
+        self.deg_g = deg_g  # total degree of g
 
     def to_json(self):
         return {"deg_f": self.deg_f, "deg_g": self.deg_g,
@@ -76,12 +78,14 @@ def gcd_profile(f, g):
     return GcdProfile(K, k, f.total_degree, g.total_degree)
 
 
-@dataclass
-class GcdBoundCheck:
-    y0: int
-    k_y0: int
-    lhs: int
-    rhs: int
+class GcdBoundCheck(Record):
+    __slots__ = ("y0", "k_y0", "lhs", "rhs")
+
+    def __init__(self, y0, k_y0, lhs, rhs):
+        self.y0 = y0
+        self.k_y0 = k_y0
+        self.lhs = lhs
+        self.rhs = rhs
 
     @property
     def ok(self):
@@ -106,11 +110,17 @@ def gcd_degree_bound(profile, y0):
     return GcdBoundCheck(y0, k0, lhs, rhs)
 
 
-class SlopeDetector(NamedTuple):
-    f: BiPoly  # X^q - X
-    g: BiPoly  # vanishes at (x, d) exactly when the slope-d line of
-               # intercept x is typical, for every covered slope d
-    h: UniPoly  # in Y: the typical count m_d at covered slopes, else 0
+class SlopeDetector(FrozenRecord):
+    __slots__ = ("f", "g", "h")
+
+    def __init__(self, f, g, h):
+        self.f = f  # X^q - X
+        self.g = g  # vanishes at (x, d) exactly when the slope-d line of
+                    # intercept x is typical, for every covered slope d
+        self.h = h  # in Y: the typical count m_d at covered slopes, else 0
+
+    def __iter__(self):   # f, g, h = detector
+        return iter((self.f, self.g, self.h))
 
 
 def _check_detector_reports(T, reports, allow_vertical=False):
@@ -288,13 +298,15 @@ def build_slope_detector(T, reports):
     return SlopeDetector(f, g, h)
 
 
-@dataclass
-class LowerBoundReport:
-    lam: int
-    n_directions: int
-    count: int       # renitent lines summed from the reports
-    gcd_count: int   # the same total re-derived from the gcd profile
-    bound: int       # lam * (n_directions + 1 - lam)
+class LowerBoundReport(Record):
+    __slots__ = ("lam", "n_directions", "count", "gcd_count", "bound")
+
+    def __init__(self, lam, n_directions, count, gcd_count, bound):
+        self.lam = lam
+        self.n_directions = n_directions
+        self.count = count          # renitent lines summed from the reports
+        self.gcd_count = gcd_count  # the same total re-derived from the gcd profile
+        self.bound = bound          # lam * (n_directions + 1 - lam)
 
     @property
     def counts_agree(self):
@@ -332,14 +344,15 @@ def renitent_lower_bound_check(T, reports):
     return LowerBoundReport(lam, len(reports), count, gcd_count, bound)
 
 
-@dataclass
-class IndexReport:
-    point: ProjPoint
-    count: int
-    lines: tuple  # the renitent lines through the point
+class IndexReport(Record):
+    __slots__ = ("point", "count", "lines")
+
+    def __init__(self, point, count, lines):
+        self.point = point
+        self.count = count
+        self.lines = lines  # the renitent lines through the point
 
     def to_json(self):
-        from .plane import format_line
         return {"point": format_point(self.point), "index": self.count,
                 "lines": [format_line(l) for l in self.lines]}
 
@@ -355,15 +368,18 @@ def index_of_point(reports, point):
     return IndexReport(point, len(hits), hits)
 
 
-@dataclass
-class DichotomyReport:
-    lam: int
-    n_uniform: int
-    n_lines: int
-    low: int    # indices <= low are allowed
-    high: int   # indices >= high are allowed
-    high_points: tuple  # (point, index) for every point at or above high
-    offenders: tuple    # (point, index) strictly between, must be empty
+class DichotomyReport(Record):
+    __slots__ = ("lam", "n_uniform", "n_lines", "low", "high", "high_points",
+                 "offenders")
+
+    def __init__(self, lam, n_uniform, n_lines, low, high, high_points, offenders):
+        self.lam = lam
+        self.n_uniform = n_uniform
+        self.n_lines = n_lines
+        self.low = low      # indices <= low are allowed
+        self.high = high    # indices >= high are allowed
+        self.high_points = high_points  # (point, index) for every point at or above high
+        self.offenders = offenders      # (point, index) strictly between, must be empty
 
     @property
     def ok(self):
@@ -458,11 +474,17 @@ def _key_point(K, key):
     return vertical_direction(K)
 
 
-class PointDetector(NamedTuple):
-    f: BiPoly           # product of (X - c_k) over the moved directions
-    g: BiPoly           # vanishes at (c_k, y) exactly when the line from
-                        # the moved direction c_k to (1:y:0) is typical
-    collineation: object
+class PointDetector(FrozenRecord):
+    __slots__ = ("f", "g", "collineation")
+
+    def __init__(self, f, g, collineation):
+        self.f = f  # product of (X - c_k) over the moved directions
+        self.g = g  # vanishes at (c_k, y) exactly when the line from
+                    # the moved direction c_k to (1:y:0) is typical
+        self.collineation = collineation
+
+    def __iter__(self):   # f, g, collineation = detector
+        return iter((self.f, self.g, self.collineation))
 
 
 def build_point_detector(T, reports, R):

@@ -21,19 +21,17 @@ renitent dual points of a direction (sharp case, nonzero leading
 coefficient) or contains the direction's whole pencil.
 """
 
-from dataclasses import dataclass
-
 from .errors import HypothesisRejected, HypothesisViolation, InputError
-from .plane import ProjPoint, format_line, format_point, slope_of
+from .plane import format_line, format_point, slope_of
 from .poly import (
     BiPoly,
     PolyMatrix,
-    TriHomPoly,
     UniPoly,
     _root_multiplicity,
     homogenize,
     maximal_minors,
 )
+from .records import FrozenRecord, Record
 from .uniformity import check_reports
 
 
@@ -43,12 +41,14 @@ def dual_coords(line):
     return (c, a, line.field.uneg(b))
 
 
-@dataclass
-class EnvelopeCurve:
-    poly: TriHomPoly
-    nominal_class: int
-    provenance: str      # "regular" | "weighted" | "general"
-    lead: UniPoly = None  # general construction: U^lam coefficient in V
+class EnvelopeCurve(Record):
+    __slots__ = ("poly", "nominal_class", "provenance", "lead")
+
+    def __init__(self, poly, nominal_class, provenance, lead=None):
+        self.poly = poly
+        self.nominal_class = nominal_class
+        self.provenance = provenance  # "regular" | "weighted" | "general"
+        self.lead = lead  # general construction: U^lam coefficient in V
 
     @property
     def affine_degree(self):
@@ -163,11 +163,13 @@ def envelope_regular(T, reports):
     return EnvelopeCurve(homogenize(f, lam), lam, "regular")
 
 
-@dataclass(frozen=True)
-class WeightEntry:
-    direction: ProjPoint
-    weights: tuple  # one weight in 1..p-1 per renitent line, report order
-    total: int      # natural-number sum of the weights
+class WeightEntry(FrozenRecord):
+    __slots__ = ("direction", "weights", "total")
+
+    def __init__(self, direction, weights, total):
+        self.direction = direction
+        self.weights = weights  # one weight in 1..p-1 per renitent line, report order
+        self.total = total      # natural-number sum of the weights
 
 
 def lambda_weights(report, c):
@@ -361,13 +363,15 @@ def envelope_general(T, reports, lam):
                          lead=minors[full ^ 1])
 
 
-@dataclass
-class DeficiencyReport:
-    lam: int
-    per_direction: tuple  # (direction, lambda_d) pairs
-    total_deficit: int
-    bound: int
-    ok: bool
+class DeficiencyReport(Record):
+    __slots__ = ("lam", "per_direction", "total_deficit", "bound", "ok")
+
+    def __init__(self, lam, per_direction, total_deficit, bound, ok):
+        self.lam = lam
+        self.per_direction = per_direction  # (direction, lambda_d) pairs
+        self.total_deficit = total_deficit
+        self.bound = bound
+        self.ok = ok
 
     def to_json(self):
         return {
@@ -398,14 +402,16 @@ def deficiency_bound_check(reports, lam):
 # -- verification --------------------------------------------------------
 
 
-@dataclass
-class RootCheck:
-    line: object
-    alpha: int
-    expected: int
-    actual: int   # None under pencil containment
-    exact: bool   # whether expected multiplicity was enforced exactly
-    ok: bool
+class RootCheck(Record):
+    __slots__ = ("line", "alpha", "expected", "actual", "exact", "ok")
+
+    def __init__(self, line, alpha, expected, actual, exact, ok):
+        self.line = line
+        self.alpha = alpha
+        self.expected = expected
+        self.actual = actual  # None under pencil containment
+        self.exact = exact    # whether expected multiplicity was enforced exactly
+        self.ok = ok
 
     def to_json(self):
         return {"line": format_line(self.line), "alpha": self.alpha,
@@ -413,11 +419,13 @@ class RootCheck:
                 "exact": self.exact, "ok": self.ok}
 
 
-@dataclass
-class DirectionCheck:
-    direction: ProjPoint
-    pencil_contained: bool
-    roots: tuple
+class DirectionCheck(Record):
+    __slots__ = ("direction", "pencil_contained", "roots")
+
+    def __init__(self, direction, pencil_contained, roots):
+        self.direction = direction
+        self.pencil_contained = pencil_contained
+        self.roots = roots
 
     @property
     def ok(self):
@@ -430,9 +438,11 @@ class DirectionCheck:
                 "ok": self.ok}
 
 
-@dataclass
-class VerificationReport:
-    directions: tuple
+class VerificationReport(Record):
+    __slots__ = ("directions",)
+
+    def __init__(self, directions):
+        self.directions = directions
 
     @property
     def ok(self):

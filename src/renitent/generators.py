@@ -9,14 +9,18 @@ point with a fixed, documented generator so instances are bit-stable
 across runs and platforms.
 """
 
-from dataclasses import dataclass
-
 from .errors import InputError
 from .plane import ProjPoint, all_directions, format_point, slope_direction, vertical_direction
 from .poly import TriHomPoly
+from .records import Record
 from .uniformity import PointMultiset
 
 _MASK = (1 << 64) - 1
+
+# gen_random draws one coin per affine point, about 0.6 us each: 2^20
+# points (q <= 1024) take under a second at low density and about 3 s at
+# density 1, while q = 2^15 would take about 12 minutes.
+RANDOM_MAX_POINTS = 1 << 20
 
 
 class SplitMix64:
@@ -40,15 +44,20 @@ class SplitMix64:
         return z ^ (z >> 31)
 
 
-@dataclass
-class PlantedInstance:
-    multiset: PointMultiset
-    oracle: TriHomPoly       # product of dual lines, weight as exponent
-    generic_directions: tuple  # directions seeing all planted points separately
-    expected_class: int      # sum of the weights
-    points: tuple
-    weights: tuple
-    c: int
+class PlantedInstance(Record):
+    __slots__ = ("multiset", "oracle", "generic_directions", "expected_class",
+                 "points", "weights", "c")
+
+    def __init__(self, multiset, oracle, generic_directions, expected_class,
+                 points, weights, c):
+        self.multiset = multiset
+        self.oracle = oracle  # product of dual lines, weight as exponent
+        # the directions that see all planted points on separate lines
+        self.generic_directions = generic_directions
+        self.expected_class = expected_class  # sum of the weights
+        self.points = points
+        self.weights = weights
+        self.c = c
 
     def to_json(self):
         return {
@@ -111,11 +120,13 @@ def gen_planted(field, points, weights, c=1):
                            tuple(pts), tuple(weights), c)
 
 
-@dataclass
-class ConicInstance:
-    multiset: PointMultiset
-    nucleus: ProjPoint
-    delta: int  # the trace-one element defining the norm form
+class ConicInstance(Record):
+    __slots__ = ("multiset", "nucleus", "delta")
+
+    def __init__(self, multiset, nucleus, delta):
+        self.multiset = multiset
+        self.nucleus = nucleus
+        self.delta = delta  # the trace-one element defining the norm form
 
     def to_json(self):
         return {"kind": "norm_conic",
@@ -154,11 +165,16 @@ def gen_random(field, seed, density):
 
     Points are visited in (a, b) index order, a outermost; the point is
     kept when the next 64-bit draw falls below density * 2^64.  Equal
-    seeds give equal multisets, bit for bit.
+    seeds give equal multisets, bit for bit.  Fields with more than
+    RANDOM_MAX_POINTS affine points are refused before any draw.
     """
     K = field
     if not 0 < density <= 1:
         raise InputError(f"density must lie in (0, 1], got {density!r}")
+    if K.q * K.q > RANDOM_MAX_POINTS:
+        raise InputError(
+            f"a random instance draws one coin per point: q^2 = {K.q * K.q} is "
+            f"over the budget of {RANDOM_MAX_POINTS} points")
     threshold = int(density * (1 << 64))
     rng = SplitMix64(seed)
     entries = []

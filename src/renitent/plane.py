@@ -9,6 +9,8 @@ slope s through intercept t are [s : -1 : t]; vertical lines x = t are
 inverse transpose.
 """
 
+import functools
+
 from .errors import HypothesisRejected, InputError
 
 
@@ -140,11 +142,12 @@ def slope_of(direction):
     return direction.field.udiv(y, x)
 
 
+@functools.cache
 def all_directions(field):
-    """The q+1 directions, slopes 0..q-1 first, vertical last."""
-    out = [slope_direction(field, d) for d in field.elements()]
-    out.append(vertical_direction(field))
-    return out
+    """The q+1 directions, slopes 0..q-1 first, vertical last: one tuple
+    per field, built on the first call and shared by every later one."""
+    return (*(slope_direction(field, d) for d in field.elements()),
+            vertical_direction(field))
 
 
 def parallel_class(field, direction):

@@ -13,14 +13,12 @@ class alpha is the x-coordinate of [1:0:-alpha].
 """
 
 from collections import _count_elements
-from dataclasses import dataclass
 from itertools import repeat
 from operator import mod
 
 from .errors import InputError
 from .plane import (
     ProjLine,
-    ProjPoint,
     all_directions,
     format_line,
     format_point,
@@ -28,6 +26,7 @@ from .plane import (
     line_meet,
     slope_of,
 )
+from .records import FrozenRecord, Record
 
 
 class PointMultiset:
@@ -108,23 +107,27 @@ def dump_points(T):
     return "".join(f"{a} {b} {m}\n" for (a, b), m in T.items())
 
 
-@dataclass(frozen=True)
-class RenitentLine:
-    line: ProjLine
-    alpha: int  # intercept: Y-axis intercept for slopes, x-coordinate for vertical
-    t: int      # line count mod p
+class RenitentLine(FrozenRecord):
+    __slots__ = ("line", "alpha", "t")
+
+    def __init__(self, line, alpha, t):
+        self.line = line
+        self.alpha = alpha  # intercept: Y-axis intercept for slopes, x-coordinate for vertical
+        self.t = t          # line count mod p
 
     def to_json(self):
         return {"line": format_line(self.line), "alpha": self.alpha, "t": self.t}
 
 
-@dataclass
-class DirectionReport:
-    direction: ProjPoint
-    bound: int                  # the lam used to classify
-    m_d: int                    # typical count mod p
-    counts: dict                # intercept -> exact line count, all q lines
-    renitent: tuple             # RenitentLine entries, ascending intercept
+class DirectionReport(Record):
+    __slots__ = ("direction", "bound", "m_d", "counts", "renitent")
+
+    def __init__(self, direction, bound, m_d, counts, renitent):
+        self.direction = direction
+        self.bound = bound          # the lam used to classify
+        self.m_d = m_d              # typical count mod p
+        self.counts = counts        # intercept -> exact line count, all q lines
+        self.renitent = renitent    # RenitentLine entries, ascending intercept
 
     @property
     def lambda_d(self):

@@ -162,6 +162,19 @@ def test_analyze_rejects_oversized_field_at_once(tmp_path):
     assert "too large" in proc.stderr
 
 
+def test_gen_random_refuses_a_huge_field_at_once():
+    # q^2 coins at q = 2^15 would take about 12 minutes; the budget is
+    # checked before the first one, so the timeout only catches a regression
+    proc = subprocess.run(
+        [sys.executable, "-m", "renitent.cli", "gen", "--field", "2^15",
+         "--kind", "random", "--density", "0.000001"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: a random instance draws one coin per point: "
+                           "q^2 = 1073741824 is over the budget of 1048576 points\n")
+
+
 # -- envelope ---------------------------------------------------------------------
 
 

@@ -197,7 +197,7 @@ def split_by_scan(K, index, low, high):
     affine (a, b) ascending, then slopes 0..q-1, then the vertical."""
     points = [ProjPoint.affine(K, a, b) for a in K.elements() for b in K.elements()]
     high_points, offenders = [], []
-    for P in points + all_directions(K):
+    for P in points + list(all_directions(K)):
         ind = index(P)
         if ind >= high:
             high_points.append((P, ind))

@@ -13,6 +13,7 @@ from renitent import (
     slope_direction,
     vertical_direction,
 )
+from renitent import generators
 from renitent.errors import InputError
 
 K7 = field_create(7)
@@ -67,6 +68,19 @@ def test_random_density_validation():
         gen_random(K7, 0, 0)
     with pytest.raises(InputError):
         gen_random(K7, 0, 1.5)
+
+
+def test_random_refuses_fields_over_its_budget_before_any_draw(monkeypatch):
+    # the ladder's largest field, 2^9, stays inside the budget
+    assert generators.RANDOM_MAX_POINTS >= 512 * 512
+
+    def no_draws(seed):
+        raise AssertionError("drew a coin")
+
+    monkeypatch.setattr(generators, "SplitMix64", no_draws)
+    with pytest.raises(InputError, match=r"^a random instance draws one coin per point: "
+                                         r"q\^2 = 1062961 is over the budget of 1048576 points$"):
+        gen_random(field_create(1031), 0, 0.5)
 
 
 def test_random_seeds_differ():

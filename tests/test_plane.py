@@ -33,7 +33,7 @@ K5 = field_create(5)
 
 def all_points(K):
     pts = [ProjPoint.affine(K, a, b) for a in K.elements() for b in K.elements()]
-    return pts + all_directions(K)
+    return pts + list(all_directions(K))
 
 
 def all_lines(K):
@@ -83,6 +83,20 @@ def test_direction_order():
     dirs = all_directions(K5)
     assert len(dirs) == K5.q + 1
     assert [slope_of(d) for d in dirs] == list(K5.elements()) + [None]
+
+
+@pytest.mark.parametrize("p, e", [
+    (2, 1), (3, 1), (2, 2), (3, 2), (2, 3),
+    # the classification ladder: 31, 49, 64, 81, 121, 125, 128, 243, 256, 289
+    (31, 1), (7, 2), (2, 6), (3, 4), (11, 2), (5, 3), (2, 7), (3, 5), (2, 8), (17, 2)])
+def test_all_directions_is_one_cached_tuple(p, e):
+    K = field_create(p, e)
+    dirs = all_directions(K)
+    assert type(dirs) is tuple
+    assert all_directions(K) is dirs
+    fresh = [ProjPoint(K, 1, d, 0) for d in K.elements()] + [ProjPoint(K, 0, 1, 0)]
+    assert list(dirs) == fresh
+    assert [slope_of(d) for d in dirs] == list(K.elements()) + [None]
 
 
 # -- incidence ---------------------------------------------------------------
