@@ -1,14 +1,25 @@
-"""Time direction classification up the q ladder and keep the figures.
+"""Time classification and the gcd detectors up the q ladder and keep the figures.
 
     python3 bench/ladder.py [--q 31,49,...] [--src DIR] [--column NAME]
         [--out FILE] [--compare FILE]
 
-For each q it times, on one gen_random set (seed 7, density 0.3):
+For each q up to 289 it times, on one gen_random set (seed 7, density
+0.3):
 
 * ``uniform_directions``: all q + 1 directions classified at lambda = 2;
 * ``intercept_profile``: the q + 1 intercept profiles alone;
 * ``intercepts``: the field's list-level intercept kernel, prepared once
   and then called for all q slopes (absent from a checkout without it).
+
+For every q, up to 512, it times the theorem layer on a planted set of
+lambda = min(2, p - 1) points with both coordinates nonzero, drawn from
+random.Random(q), classified at that lambda:
+
+* ``build_slope_detector``: the slope detector of the uniform slope
+  directions;
+* ``gcd_profile_slope``: gcd_profile of that detector;
+* ``gcd_profile_point``: gcd_profile of the point detector of the first
+  q // 2 uniform slope directions, with R = (0, 0).
 
 It also times one row that does not depend on q, ``import_cli`` (listed
 under q = ``any``): the median of 21 fresh ``python -c "import
@@ -16,7 +27,8 @@ renitent.cli"`` processes less the median of 21 bare ``python -c pass``
 ones, run in turn after the package's bytecode cache is filled; its IQR
 is that of the import processes.
 
-Every sample starts from a freshly built multiset, so work a multiset
+Every sample starts from a freshly built multiset (and, for a gcd_profile
+row, a freshly built detector, outside the timing), so work a multiset
 caches is paid inside the sample.  The process pins itself to one CPU,
 and every sample is scaled to reference speed as perfbench does: times
 ``REF_S`` over the timing of perfbench's ``reference()`` loop run just
@@ -24,8 +36,9 @@ before it.  The result is one column of medians and IQRs per (op, q),
 written into ``--out`` beside any columns already there, so one file can
 hold the figures of two checkouts (``--src`` times another checkout's
 package).  Each column also keeps its Python version and a SHA-256
-digest per q of the reports and the profiles, so two columns can be seen
-to compute alike.  ``--compare`` prints, per (op, q), this run's median
+digest per q of the reports and the profiles, and a theorem digest per q
+of the slope detector's terms and both gcd profiles, so two columns can
+be seen to compute alike.  ``--compare`` prints, per (op, q), this run's median
 over the median in each column of another file.
 """
 
@@ -34,6 +47,7 @@ import compileall
 import hashlib
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -46,7 +60,8 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from worker import REF_S, reference  # noqa: E402
 
 SCHEMA = 1
-LADDER = (31, 49, 64, 81, 121, 125, 128, 243, 256, 289)
+LADDER = (31, 49, 64, 81, 121, 125, 128, 243, 256, 289, 343, 512)
+CLASSIFY_MAX_Q = 289   # the classification rows take seconds a sample above it
 SEED, DENSITY, LAMBDA = 7, 0.3, 2
 REPEATS = 5
 IMPORT_REPEATS = 21
@@ -118,6 +133,44 @@ def measure(renitent, q):
     return rows, digest
 
 
+def measure_theorems(renitent, q):
+    K = renitent.parse_field_spec(field_spec(q))
+    lam = min(2, K.p - 1)
+    rng = random.Random(q)
+    points = []
+    while len(points) < lam:
+        pt = (rng.randrange(1, q), rng.randrange(1, q))
+        if pt not in points:
+            points.append(pt)
+    entries = list(renitent.gen_planted(K, points, [1] * lam).multiset._mults.items())
+    reports = [r for r in renitent.uniform_directions(renitent.PointMultiset(K, entries), lam)
+               if renitent.slope_of(r.direction) is not None]
+    origin = renitent.ProjPoint.affine(K, 0, 0)
+
+    def fresh():
+        return renitent.PointMultiset(K, entries)
+
+    def slope_detector():
+        return renitent.build_slope_detector(fresh(), reports)
+
+    def point_detector():
+        return renitent.build_point_detector(fresh(), reports[:q // 2], origin)
+
+    def profile(det):
+        return renitent.gcd_profile(det.f, det.g)
+
+    ops = {"build_slope_detector": (fresh, lambda T: renitent.build_slope_detector(T, reports)),
+           "gcd_profile_slope": (slope_detector, profile),
+           "gcd_profile_point": (point_detector, profile)}
+    rows = {op: summary([scaled_sample(prepare, run) for _ in range(REPEATS)])
+            for op, (prepare, run) in ops.items()}
+    det = slope_detector()
+    outcome = {"terms": sorted(det.g.terms.items()), "slope": profile(det).to_json(),
+               "point": profile(point_detector()).to_json()}
+    digest = hashlib.sha256(json.dumps(outcome, sort_keys=True).encode()).hexdigest()
+    return rows, digest
+
+
 def import_row(src):
     """The scaled cost of `import renitent.cli` over a bare interpreter start."""
     compileall.compile_dir(src, quiet=1)
@@ -152,8 +205,11 @@ def compare(column, path):
             for q, row in by_q.items():
                 base = old["ops"].get(op, {}).get(q)
                 ratio = "-" if base is None else f"{row['median_s'] / base['median_s']:.2f}"
-                same = old["digest"].get(q)
-                flag = "" if same in (None, column["digest"].get(q)) else "  REPORTS DIFFER"
+                flag = ""
+                for key in ("digest", "theorem_digest"):
+                    same = old.get(key, {}).get(q)
+                    if same not in (None, column.get(key, {}).get(q)):
+                        flag = "  REPORTS DIFFER"
                 print(f"  {op:20} q={q:>4}  {ratio}{flag}")
 
 
@@ -172,13 +228,17 @@ def main():
     import renitent
 
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    column = {"ops": {}, "digest": {}, "python": sys.version.split()[0]}
+    column = {"ops": {}, "digest": {}, "theorem_digest": {}, "python": sys.version.split()[0]}
     for q in (int(x) for x in args.q.split(",")):
-        rows, digest = measure(renitent, q)
-        column["digest"][str(q)] = digest
-        for op, row in rows.items():
-            column["ops"].setdefault(op, {})[str(q)] = row
-            show(op, q, row)
+        parts = [("theorem_digest", measure_theorems)]
+        if q <= CLASSIFY_MAX_Q:
+            parts.insert(0, ("digest", measure))
+        for key, run in parts:
+            rows, digest = run(renitent, q)
+            column[key][str(q)] = digest
+            for op, row in rows.items():
+                column["ops"].setdefault(op, {})[str(q)] = row
+                show(op, q, row)
     row = import_row(os.path.abspath(args.src))
     column["ops"]["import_cli"] = {"any": row}
     show("import_cli", "any", row)
@@ -190,7 +250,12 @@ def main():
                 doc = json.load(fh)
         doc.update(schema=SCHEMA, note=NOTE,
                    input={"generator": "gen_random", "seed": SEED, "density": DENSITY,
-                          "lambda": LAMBDA})
+                          "lambda": LAMBDA,
+                          "theorems": {"generator": "gen_planted",
+                                       "points": "min(2, p - 1), coordinates from "
+                                                 "random.Random(q), both nonzero",
+                                       "point_detector": "first q // 2 uniform slope "
+                                                         "directions, R = (0, 0)"}})
         doc["columns"][args.column] = column
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)

@@ -16,7 +16,6 @@ the module, so a wrapper installed on a module attribute sees the call.
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -94,7 +93,10 @@ class _NotPlain(Exception):
     """A value the fast writer leaves to json.dumps."""
 
 
-_encode_str = json.encoder.encode_basestring_ascii
+try:   # the C encoder alone: importing json would load its decoder too
+    from _json import encode_basestring_ascii as _encode_str
+except ImportError:   # an interpreter built without _json
+    from json.encoder import encode_basestring_ascii as _encode_str
 
 
 def _write_json(obj, out, nl):
@@ -164,6 +166,8 @@ def canonical_json(doc):
     try:
         _write_json(doc, out, "\n")
     except _NotPlain:
+        import json
+
         return json.dumps(doc, indent=2, sort_keys=True)
     return "".join(out)
 
@@ -418,6 +422,7 @@ def cmd_check(args):
     elif args.bound == "count":
         from . import counting
 
+        counting.check_detector_budget(T)   # before the classification
         rep = counting.renitent_lower_bound_check(T, _uniform_slope_reports(T, args.lam))
         payload = {
             "theorem": "renitent-count-lower-bound",
@@ -432,6 +437,7 @@ def cmd_check(args):
     elif args.bound == "gcd":
         from . import counting
 
+        counting.check_detector_budget(T)
         reports = _uniform_slope_reports(T, args.lam)
         det = counting.build_slope_detector(T, reports)
         profile = counting.gcd_profile(det.f, det.g)

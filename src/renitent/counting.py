@@ -24,7 +24,6 @@ a second count beside the geometry.
 """
 
 from collections import Counter
-from itertools import accumulate, repeat
 
 from .errors import HypothesisRejected, InputError
 from .plane import (
@@ -123,7 +122,35 @@ class SlopeDetector(FrozenRecord):
         return iter((self.f, self.g, self.h))
 
 
+# The most work a detector may take, in the units of detector_work.  On the
+# ladder of BENCH_13.json (build_slope_detector plus gcd_profile_slope, at
+# reference speed) a unit costs 0.23-0.69 microseconds, so an admitted
+# detector takes at most a few seconds: two points at q = 1021 pass, and
+# two points at q = 4093 or anywhere near q = 2^15 do not.
+DETECTOR_MAX_WORK = 1 << 23
+
+
+def detector_work(K, support):
+    """Estimated work of building a detector over `support` points of
+    GF(q) and running its gcd profile: each point writes the
+    (p(p+1)/2)^e nonzero terms of its power (Lucas's theorem), and each
+    of the q rows takes about q operations per support point for its
+    closed form and q more for the Euclid."""
+    q = K.q
+    return support * (K.p * (K.p + 1) // 2) ** K.e + q * q * (support + 1)
+
+
+def check_detector_budget(T):
+    """Refuse a detector over DETECTOR_MAX_WORK before any of it is built."""
+    work = detector_work(T.field, T.support_size)
+    if work > DETECTOR_MAX_WORK:
+        raise InputError(
+            f"a gcd detector over {T.support_size} support points in {T.field!r} is "
+            f"estimated at {work} operations, over the budget of {DETECTOR_MAX_WORK}")
+
+
 def _check_detector_reports(T, reports, allow_vertical=False):
+    check_detector_budget(T)
     if len(reports) > T.field.q:
         raise HypothesisRejected(f"at most q = {T.field.q} directions, got {len(reports)}")
     check_reports(T.field, reports)
@@ -187,40 +214,39 @@ def _bump_sum(K, bumps):
     Over GF(q), binom(q-1, k) = (-1)^k, so (X - c)^(q-1) is the sum of
     c^k X^(q-1-k): a bump is 1 at X = c and 0 elsewhere.
     """
-    n = K.q - 1
-    add, sub, mul = K.uadd, K.usub, K.umul
-    coeffs = [0] * (n + 1)
-    for m, c in bumps:
-        if not m:
-            continue
-        coeffs[0] = add(coeffs[0], m)
-        for k, ck in enumerate(power_list(K, c, n)):
-            coeffs[n - k] = sub(coeffs[n - k], mul(m, ck))
-    return UniPoly(K, coeffs)
+    neg = K.uneg
+    coeffs = K.upowsums([(neg(m), c) for m, c in bumps], K.q - 1)[::-1]
+    for m, _ in bumps:
+        coeffs[0] = K.uadd(coeffs[0], m)
+    return UniPoly._trusted(K, coeffs)
 
 
 class DetectorPoly(BiPoly):
     """A detector's g = -|T| + h + sum of w (alpha X + beta Y + gamma)^(q-1),
-    which keeps the parts it was built from: the constant -|T|, h with
-    its variable, and one (w, alpha, beta, gamma) per support point.
+    which keeps the parts it was built from: the constant -|T|, the
+    bumps (m, c) of h = sum of m (1 - (var - c)^(q-1)) with its variable,
+    and one (w, alpha, beta, gamma) per support point.
 
     It is equal, term for term, to the BiPoly of the same terms; only
     rows() differs, writing each row g(X, y) from the parts.  A power
     with alpha != 0 is (X - u)^(q-1) with u = -(beta y + gamma)/alpha,
     and since binom(q-1, k) = (-1)^k mod p that is the sum of
     u^k X^(q-1-k); a power with alpha = 0 is the constant 1 when
-    beta y + gamma != 0 and 0 otherwise.  Per row that costs (distinct
-    u) * q operations against eval_v's walk over every term, so the
-    closed form runs while support size * q is at most the term count,
-    and eval_v runs on denser input, where Lucas's theorem keeps the
-    term count far below support size * q.
+    beta y + gamma != 0 and 0 otherwise.  h in X is a sum of such powers
+    too (u = c, weight -m) plus the constant sum of m; h in Y is m at
+    y = c and 0 elsewhere.  Per row that costs (distinct u) * q
+    operations, in one power-sum kernel call, against eval_v's walk over
+    every term, so the closed form runs while support size * q is at
+    most the term count, and eval_v runs on denser input, where Lucas's
+    theorem keeps the term count far below support size * q.
     """
 
-    __slots__ = ("_const", "_h", "_var", "_points")
+    __slots__ = ("_const", "_bumps", "_var", "_points")
 
-    def __init__(self, field, terms, const, h, var, points):
-        super().__init__(field, terms)
-        self._const, self._h, self._var, self._points = const, h, var, points
+    def __init__(self, field, terms, const, bumps, var, points):
+        # the terms come from valid parts with the zeros left out: not re-checked
+        self.field, self.terms = field, terms
+        self._const, self._bumps, self._var, self._points = const, bumps, var, points
 
     def rows(self):
         if len(self._points) * self.field.q > len(self.terms):
@@ -238,46 +264,48 @@ class DetectorPoly(BiPoly):
                 moving.append((w, neg(div(beta, alpha)), neg(div(gamma, alpha))))
             else:
                 flat.append((w, beta, gamma))
-        base = [0] * (n + 1)   # the row's part that does not depend on y
-        base[0] = self._const
-        if self._var == 0:
-            for i, c in enumerate(self._h.coeffs):
-                base[i] = add(base[i], c)
+        const, fixed, at_y = self._const, {}, {}
+        for m, c in self._bumps:
+            if self._var == 0:   # the part of each row that does not depend on y
+                const = add(const, m)
+                fixed[c] = add(fixed.get(c, 0), neg(m))
+            else:
+                at_y[c] = add(at_y.get(c, 0), m)
         for y in K.elements():
-            const = self._h.eval(y) if self._var == 1 else 0
+            row_const = add(const, at_y.get(y, 0))
             for w, beta, gamma in flat:
                 if add(mul(beta, y), gamma):
-                    const = add(const, w)
-            weight = {}
+                    row_const = add(row_const, w)
+            weight = dict(fixed)
             for w, s, t in moving:
                 u = add(mul(s, y), t)
                 weight[u] = add(weight.get(u, 0), w)
-            sums = [0] * (n + 1)   # sums[k] = sum of weight(u) u^k
-            for u, w in weight.items():
-                if w:
-                    sums = list(map(add, sums, accumulate(repeat(u, n), mul, initial=w)))
-            row = list(map(add, base, reversed(sums)))
-            row[0] = add(row[0], const)
-            yield UniPoly(K, row)
+            row = K.upowsums([(w, u) for u, w in weight.items()], n)[::-1]
+            row[0] = add(row[0], row_const)
+            yield UniPoly._trusted(K, row)
 
 
-def _detector_g(K, T, h, var, lin_coeffs):
+def _detector_g(K, T, bumps, h, var, lin_coeffs):
     """g = -|T| + h(var) + sum of w (alpha X + beta Y + gamma)^(q-1),
-    one power per support point with nonzero weight w = mult mod p.
-    lin_coeffs(a, b) gives (alpha, beta, gamma) for the point (a, b)."""
+    one power per support point with nonzero weight w = mult mod p;
+    h is the bump sum of bumps.  lin_coeffs(a, b) gives (alpha, beta,
+    gamma) for the point (a, b)."""
     const = K.uneg(K.from_int(T.size))
-    out = {(0, 0): const}
-    for n, c in enumerate(h.coeffs):
-        key = (n, 0) if var == 0 else (0, n)
-        out[key] = K.uadd(out.get(key, 0), c)
-    table = _linear_power_table(K)
     points = []
     for (a, b), mult in T.items():
         w = K.from_int(mult)
         if w:
             points.append((w, *lin_coeffs(a, b)))
-            _add_linear_power(K, table, out, *points[-1])
-    return DetectorPoly(K, out, const, h, var, points)
+    out = {}
+    table = _linear_power_table(K)
+    for point in points:
+        _add_linear_power(K, table, out, *point)
+    parts = [((0, 0), const)]
+    parts += [((n, 0) if var == 0 else (0, n), c) for n, c in enumerate(h.coeffs)]
+    for key, c in parts:
+        out[key] = K.uadd(out.get(key, 0), c)
+    terms = {key: c for key, c in out.items() if c}   # sums may cancel
+    return DetectorPoly(K, terms, const, bumps, var, points)
 
 
 def build_slope_detector(T, reports):
@@ -293,8 +321,9 @@ def build_slope_detector(T, reports):
     K = T.field
     q = K.q
     f = BiPoly(K, {(q, 0): 1, (1, 0): K.uneg(1)})
-    h = _bump_sum(K, [(K.from_int(r.m_d), slope_of(r.direction)) for r in reports])
-    g = _detector_g(K, T, h, 1, lambda a, b: (1, a, K.uneg(b)))
+    bumps = [(K.from_int(r.m_d), slope_of(r.direction)) for r in reports]
+    h = _bump_sum(K, bumps)
+    g = _detector_g(K, T, bumps, h, 1, lambda a, b: (1, a, K.uneg(b)))
     return SlopeDetector(f, g, h)
 
 
@@ -520,7 +549,8 @@ def build_point_detector(T, reports, R):
     for c in c_vals:
         f_uni = f_uni * UniPoly.x_minus(K, c)
     f = BiPoly.from_uni(f_uni, var=0)
-    h = _bump_sum(K, [(K.from_int(r.m_d), c) for r, c in zip(reports, c_vals)])
+    bumps = [(K.from_int(r.m_d), c) for r, c in zip(reports, c_vals)]
+    h = _bump_sum(K, bumps)
 
     def lin_coeffs(a, b):
         x, y, z = coll.apply_point(ProjPoint.affine(K, a, b)).coords
@@ -528,5 +558,5 @@ def build_point_detector(T, reports, R):
             return 1, K.udiv(x, z), K.uneg(K.udiv(y, z))
         return 0, 1, K.uneg(K.udiv(y, x))
 
-    g = _detector_g(K, T, h, 0, lin_coeffs)
+    g = _detector_g(K, T, bumps, h, 0, lin_coeffs)
     return PointDetector(f, g, coll)

@@ -53,6 +53,29 @@ that the loop run for each slope has no branch and no call: b ^ g^(log a
 b = 0 give -a*s directly, and those with a = 0 give b at every slope).
 Like the scalar kernels it does not check its operands.
 
+Four list kernels, bound the same way, run the coefficient loops of the
+polynomial layer on lists of elements (constant term first):
+
+* urem(a, b): a mod b, trimmed, for b with a nonzero last entry (the
+  Euclid's remainder step);
+* uconv(a, b): the product of a and b (untrimmed, length
+  len(a) + len(b) - 1, or empty);
+* uhorner(a, x): the running values of Horner's rule at x, highest
+  first: the last is a(x), the others the quotient of a by X - x;
+* upowsums(pairs, k): [sum of w u^j over the (w, u) pairs, j = 0..k]
+  (0^0 is 1).
+
+The prime kernels add plain integers and reduce each output entry mod p
+once; urem packs its lists into one integer of 64-bit slots, so a step
+of the division is one integer multiply-add.  The p = 2 urem packs one
+coefficient a slot too, where a sum is one XOR and c times the divisor
+is the XOR of the divisor's packed multiples by t^i over the bits i of
+c.  The other log kernels run on padded tables with no branch per
+entry: a zero element has the logarithm LZ = 4(q - 1), past the nonzero
+ones, exp is zero from there on, and a Zech table extended over the
+zero cases gives x + t for every element x and exponent of t in one
+lookup.  They return new lists and leave their operands as they were.
+
 Validation therefore happens where elements enter: these checked methods,
 the constructors of the polynomial, plane and multiset types, the parsers
 and the generators, and a `check` on each raw scalar a public function
@@ -64,8 +87,10 @@ at once instead of building tables of that size.
 """
 
 import functools
-import operator
 import re
+import struct
+from itertools import repeat
+from operator import add as _add, mod as _mod, mul as _mul, xor as _xor
 
 from .errors import DivisionByZero, InputError
 
@@ -186,6 +211,21 @@ def _irreducible(mod, p):
 # -- the kernels: one function per operation, no operand checks
 
 
+def _packer(code):
+    """(bits, pack, unpack): lists of small integers to and from one integer
+    that holds them in slots of bits bits (those of the struct format
+    code), the first in the lowest bits."""
+    size = struct.calcsize("<" + code)
+
+    def pack(v):
+        return int.from_bytes(struct.pack(f"<{len(v)}{code}", *v), "little")
+
+    def unpack(x, n):
+        return list(struct.unpack(f"<{n}{code}", x.to_bytes(n * size, "little")))
+
+    return 8 * size, pack, unpack
+
+
 def _by_zero_coordinate(points):
     """The points (a, b) in three runs: a, b != 0; then b = 0; then a = 0."""
     runs = ([], [], [])
@@ -195,8 +235,8 @@ def _by_zero_coordinate(points):
 
 
 def _prime_kernels(p):
-    """add, sub, neg, mul, inv, div, pow and intercepts of GF(p), on the
-    integers mod p."""
+    """add, sub, neg, mul, inv, div, pow, intercepts and the list kernels
+    rem, conv, horner and powsums of GF(p), on the integers mod p."""
 
     def add(a, b):
         return (a + b) % p
@@ -227,11 +267,64 @@ def _prime_kernels(p):
 
         return points, keys
 
-    return add, sub, neg, mul, inv, div, power, intercepts
+    # The list kernels add plain integers and reduce each output entry mod
+    # p once (horner's running value is an output entry at every step).
+    # rem packs its lists into one integer of 64-bit slots: each step adds
+    # c times the packed -b/lead at the right shift, and the slots, which
+    # take at most len(a) products below p^2, never carry (p < 2^15).
+    bits, pack, unpack = _packer("Q")
+    slot = (1 << bits) - 1
+
+    def rem(a, b):
+        db = len(b) - 1
+        if len(a) <= db:
+            return _trim(list(a))
+        inv = pow(b[-1], p - 2, p)
+        low = pack([-y * inv % p for y in b[:-1]])
+        x = pack(a)
+        for k in range(len(a) - 1, db - 1, -1):
+            c = ((x >> bits * k) & slot) % p   # slot k: the leading term
+            if c:
+                x += c * low << bits * (k - db)
+        return _trim([r % p for r in unpack(x & ((1 << bits * db) - 1), db)])
+
+    def conv(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return []
+        la = len(a)
+        out = [0] * (la + len(b) - 1)
+        for i, y in enumerate(b):
+            if y:
+                out[i:i + la] = map(_add, out[i:i + la], map(_mul, repeat(y), a))
+        return [x % p for x in out]
+
+    def horner(a, x):
+        acc, out = 0, []
+        for c in reversed(a):
+            acc = (acc * x + c) % p
+            out.append(acc)
+        return out
+
+    def powsums(pairs, k):
+        sums, terms = [0] * (k + 1), 0
+        for w, u in pairs:
+            if w:
+                col = [w]
+                for _ in range(k):
+                    w = w * u % p
+                    col.append(w)
+                sums = list(map(_add, sums, col)) if terms else col
+                terms += 1
+        return [s % p for s in sums] if terms > 1 else sums
+
+    return (add, sub, neg, mul, inv, div, power, intercepts,
+            rem, conv, horner, powsums)
 
 
-def _log_kernels(exp, log, zech):
-    """The same eight for an extension field, from its exp/log/zech tables.
+def _log_kernels(modulus, exp, log, zech):
+    """The same twelve for an extension field, from its exp/log/zech tables.
 
     zech is None in characteristic 2, where addition is XOR and every
     element is its own negative.
@@ -251,6 +344,23 @@ def _log_kernels(exp, log, zech):
         if not a:
             return 0 if k else 1
         return exp[log[a] * k % n]
+
+    # The list kernels run without a branch per entry on tables padded
+    # for zero.  lg is log with lg[0] = LZ = 4(q - 1), and ex is exp with
+    # zeros from index 2(q - 1) on, so ex[lg[a] + lg[b]] is a*b for every
+    # a, b, zero or not.  The kernels' exponents lt of a product t stay
+    # in [0, 2(q - 1)) for t != 0 and in [LZ, LZ + q - 1) for t = 0.
+    zero = 4 * n
+    lg = log[:]
+    lg[0] = zero
+    ex = exp + [0] * (7 * n)
+
+    def powers_of(w, u, k):
+        """The exponents of w u^0, ..., w u^k, for w, u != 0."""
+        lw, lu = log[w], log[u]
+        if not lu:
+            return repeat(lw, k + 1)
+        return map(_mod, range(lw, lw + lu * k + 1, lu), repeat(n))
 
     if zech is None:
         def neg(a):
@@ -272,7 +382,75 @@ def _log_kernels(exp, log, zech):
 
             return order, keys
 
-        return operator.xor, operator.xor, neg, mul, inv, div, power, intercepts
+        # rem packs its lists into one integer of slots wider than e bits,
+        # where a sum is one XOR.  Multiplication by c is GF(2)-linear in
+        # the bits of c, so c * b is the XOR of the packed t^i * b over
+        # the bits i of c, and t * (a packed list) is a shift with the
+        # modulus XORed into the slots that overflowed.
+        e = len(modulus) - 1
+        width, pack, unpack = _packer("B" if e < 8 else "H")
+        slot = (1 << width) - 1
+        reduce_by = sum(c << i for i, c in enumerate(modulus[:-1]))
+
+        def rem(a, b):
+            db = len(b) - 1
+            if len(a) <= db:
+                return _trim(list(a))
+            li = n - log[b[-1]]   # b / lead is monic
+            low = pack([ex[lg[y] + li] for y in b[:-1]])
+            ones = ((1 << width * db) - 1) // slot   # 1 in every slot
+            basis = [low]
+            for _ in range(e - 1):
+                low <<= 1
+                over = low >> e & ones
+                low ^= (over << e) ^ over * reduce_by
+                basis.append(low)
+            x = pack(a)
+            for k in range(len(a) - 1, db - 1, -1):
+                c = (x >> width * k) & slot   # slot k: the leading term
+                if c:
+                    term = 0
+                    for part in basis:
+                        if c & 1:
+                            term ^= part
+                        c >>= 1
+                    x ^= term << width * (k - db)
+            return _trim(unpack(x & ((1 << width * db) - 1), db))
+
+        def conv(a, b):
+            if len(a) < len(b):
+                a, b = b, a
+            if not b:
+                return []
+            la = len(a)
+            logs = [lg[x] for x in a]
+            out = [0] * (la + len(b) - 1)
+            for i, y in enumerate(b):
+                if y:
+                    ly = log[y]
+                    out[i:i + la] = [o ^ ex[ly + lx] for o, lx in zip(out[i:i + la], logs)]
+            return out
+
+        def horner(a, x):
+            if not x:
+                return list(reversed(a))
+            lx, acc, out = log[x], 0, []
+            for c in reversed(a):
+                acc = c ^ ex[lg[acc] + lx]
+                out.append(acc)
+            return out
+
+        def powsums(pairs, k):
+            sums = [0] * (k + 1)
+            for w, u in pairs:
+                if w and u:
+                    sums = list(map(_xor, sums, map(ex.__getitem__, powers_of(w, u, k))))
+                else:   # w u^0 = w, and 0^j = 0 for j > 0
+                    sums[0] ^= w
+            return sums
+
+        return (_xor, _xor, neg, mul, inv, div, power, intercepts,
+                rem, conv, horner, powsums)
 
     half = n // 2   # g^half = -1
 
@@ -298,11 +476,16 @@ def _log_kernels(exp, log, zech):
     def neg(a):
         return exp[log[a] + half] if a else 0
 
-    # For the intercept kernel: the one None of zech (1 + g^half = 0)
-    # becomes 2(q - 1), and exp0 is exp with q - 1 zeros appended, so
-    # exp0[log b + zech0[...]] is 0 there and the kernel needs no branch.
-    exp0 = exp + [0] * n
-    zech0 = [2 * n if z is None else z for z in zech]
+    # x + t = ex[lg[x] + zz[lt - lg[x]]] for an element x and a term t of
+    # exponent lt as above.  zz is zech stored twice, its None (where
+    # 1 + g^d = 0) at LZ so that the sum lands on a zero of ex; and for
+    # a zero operand: zz[d] = 0 for d in (3(q - 1), 5(q - 1)), where
+    # t = 0 leaves x, and zz[d] = d for d in [-LZ, -2(q - 1)), where
+    # x = 0 gives t.  The last q - 1 entries repeat zech for the
+    # negative d of two nonzero operands.
+    zz = [zero if z is None else z for z in zech] + [0] * (7 * n)
+    zz[5 * n:7 * n] = range(-4 * n, -2 * n)
+    zz[8 * n:] = zz[:n]
 
     def intercepts(points):
         # b - a*s = g^(log b) (1 + g^(log a + log s + half - log b)), with
@@ -319,20 +502,76 @@ def _log_kernels(exp, log, zech):
             if not s:
                 return level[:]
             ls = log[s]
-            zech_s, exp_s = zech0[ls:ls + n], exp[ls:ls + n]
-            return ([exp0[lb + zech_s[d]] for lb, d in general]
+            zech_s, exp_s = zz[ls:ls + n], exp[ls:ls + n]
+            return ([ex[lb + zech_s[d]] for lb, d in general]
                     + [exp_s[c] for c in edge] + still)
 
         return order, keys
 
-    return add, sub, neg, mul, inv, div, power, intercepts
+    def rem(a, b):
+        db = len(b) - 1
+        a = list(a)
+        if len(a) > db:
+            li = n - log[b[-1]] + half   # -b[i] / lead = g^(log b[i] + li)
+            low = [(log[y] + li) % n if y else zero for y in b[:-1]]
+            while len(a) > db:
+                c = a.pop()   # the leading term cancels exactly
+                if c:
+                    lc, s = log[c], len(a) - db
+                    a[s:] = [ex[(lx := lg[x]) + zz[lc + ly - lx]]
+                             for x, ly in zip(a[s:], low)]
+        return _trim(a)
+
+    def conv(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return []
+        la = len(a)
+        logs = [lg[x] for x in a]
+        out = [0] * (la + len(b) - 1)
+        for i, y in enumerate(b):
+            if y:
+                ly = log[y]
+                out[i:i + la] = [ex[(lo := lg[o]) + zz[ly + lx - lo]]
+                                 for o, lx in zip(out[i:i + la], logs)]
+        return out
+
+    def horner(a, x):
+        if not x:
+            return list(reversed(a))
+        lx, acc, out = log[x], 0, []
+        for c in reversed(a):
+            lc = lg[c]
+            acc = ex[lc + zz[lg[acc] + lx - lc]]
+            out.append(acc)
+        return out
+
+    def powsums(pairs, k):
+        sums, fresh = [0] * (k + 1), True
+        for w, u in pairs:
+            if w and u:
+                exps = powers_of(w, u, k)
+                if fresh:
+                    sums = list(map(ex.__getitem__, exps))
+                else:
+                    sums = [ex[(ls := lg[s]) + zz[lt - ls]] for s, lt in zip(sums, exps)]
+                fresh = False
+            elif w:   # w u^0 = w, and 0^j = 0 for j > 0
+                sums[0] = add(sums[0], w)
+                fresh = False
+        return sums
+
+    return (add, sub, neg, mul, inv, div, power, intercepts,
+            rem, conv, horner, powsums)
 
 
 class GF:
     """Context for GF(p^e); all element operations live here."""
 
     __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_zech",
-                 "uadd", "usub", "uneg", "umul", "uinv", "udiv", "upow", "uintercepts")
+                 "uadd", "usub", "uneg", "umul", "uinv", "udiv", "upow", "uintercepts",
+                 "urem", "uconv", "uhorner", "upowsums")
 
     def __init__(self, p, e=1, modulus=None):
         if not isinstance(p, int) or p < 2:
@@ -366,9 +605,9 @@ class GF:
             kernels = _prime_kernels(p)
         else:
             self._build_log_tables()
-            kernels = _log_kernels(self._exp, self._log, self._zech)
-        (self.uadd, self.usub, self.uneg, self.umul,
-         self.uinv, self.udiv, self.upow, self.uintercepts) = kernels
+            kernels = _log_kernels(self.modulus, self._exp, self._log, self._zech)
+        (self.uadd, self.usub, self.uneg, self.umul, self.uinv, self.udiv, self.upow,
+         self.uintercepts, self.urem, self.uconv, self.uhorner, self.upowsums) = kernels
 
     def _default_modulus(self):
         if self.e == 1:

@@ -63,6 +63,14 @@ class ProjLine:
         self.field = field
         self.coords = _canonical(field, (a, b, c))
 
+    @classmethod
+    def _trusted(cls, field, coords):
+        """The line of coordinates already valid and canonical: not checked."""
+        self = cls.__new__(cls)
+        self.field = field
+        self.coords = coords
+        return self
+
     def is_line_at_infinity(self):
         return self.coords[0] == 0 and self.coords[1] == 0
 

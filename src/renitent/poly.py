@@ -7,12 +7,19 @@ store sparse {exponents: coefficient} maps with no zero entries, which
 keeps representations canonical.  All binary operations require both
 operands to share one field context.
 
-The constructors check every coefficient, and each method that takes a
-raw field element checks it on entry; past that, the loops run on the
-field's unchecked kernels (see gf).
+The public constructors check every coefficient, and each method that
+takes a raw field element checks it on entry.  A polynomial the library
+computes from parts that are already valid (a sum, a product, a
+remainder, a row, a section) is built by the private UniPoly._trusted,
+which trims its coefficients but checks none.  The univariate loops run
+on the field's list kernels (see gf): K.uconv for products and scaling,
+K.urem for the Euclid's remainders, K.uhorner for evaluation, synthetic
+division and the sections of TriHomPoly.at_vw, and K.upowsums for power
+lists.  The sparse maps still add and multiply term by term through the
+scalar kernels.
 """
 
-from itertools import accumulate, repeat
+from itertools import repeat
 
 from .errors import InputError
 
@@ -24,11 +31,7 @@ def _same_field(a, b):
 
 def power_list(K, a, n):
     """[a^0, a^1, ..., a^n] (0^0 is 1) for an already checked element a."""
-    mul = K.umul
-    out = [1]
-    for _ in range(n):
-        out.append(mul(out[-1], a))
-    return out
+    return K.upowsums(((1, a),), n)
 
 
 class UniPoly:
@@ -42,6 +45,17 @@ class UniPoly:
             coeffs.pop()
         self.field = field
         self.coeffs = tuple(coeffs)
+
+    @classmethod
+    def _trusted(cls, field, coeffs):
+        """The polynomial of already valid coefficients: trimmed, not checked."""
+        coeffs = list(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        self = cls.__new__(cls)
+        self.field = field
+        self.coeffs = tuple(coeffs)
+        return self
 
     @classmethod
     def zero(cls, field):
@@ -85,13 +99,12 @@ class UniPoly:
             a, b = b, a
         out = list(a)
         add = K.uadd
-        for i, c in enumerate(b):
-            out[i] = add(out[i], c)
-        return UniPoly(K, out)
+        out[:len(b)] = map(add, a, b)
+        return UniPoly._trusted(K, out)
 
     def __neg__(self):
         K = self.field
-        return UniPoly(K, list(map(K.uneg, self.coeffs)))
+        return UniPoly._trusted(K, map(K.uneg, self.coeffs))
 
     def __sub__(self, other):
         if not isinstance(other, UniPoly):
@@ -103,22 +116,12 @@ class UniPoly:
             return NotImplemented
         _same_field(self, other)
         K = self.field
-        if not self.coeffs or not other.coeffs:
-            return UniPoly.zero(K)
-        add, mul = K.uadd, K.umul
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = add(out[i + j], mul(a, b))
-        return UniPoly(K, out)
+        return UniPoly._trusted(K, K.uconv(self.coeffs, other.coeffs))
 
     def scale(self, c):
         K = self.field
         K.check(c)
-        mul = K.umul
-        return UniPoly(K, [mul(c, x) for x in self.coeffs])
+        return UniPoly._trusted(K, K.uconv(self.coeffs, (c,)))
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -152,7 +155,7 @@ class UniPoly:
                 rem[da - db + j] = sub(rem[da - db + j], mul(c, bc))
             while rem and rem[-1] == 0:
                 rem.pop()
-        return UniPoly(K, quo), UniPoly(K, rem)
+        return UniPoly._trusted(K, quo), UniPoly._trusted(K, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -170,11 +173,7 @@ class UniPoly:
         """Horner evaluation at the element x."""
         K = self.field
         K.check(x)
-        add, mul = K.uadd, K.umul
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = add(mul(acc, x), c)
-        return acc
+        return K.uhorner(self.coeffs, x)[-1] if self.coeffs else 0
 
     __call__ = eval
 
@@ -207,10 +206,10 @@ class UniPoly:
 def uni_gcd(f, g):
     """Monic gcd by the Euclidean algorithm; gcd(f, 0) is monic f.
 
-    Runs on coefficient lists: each divisor is made monic and only the
-    remainders are kept, so no quotient and no intermediate UniPoly is
-    built.  Scaling a divisor changes no gcd, so the result is the same
-    monic polynomial the plain f % g loop ends with.
+    Runs on coefficient lists through the field's remainder kernel: only
+    the remainders are kept, so no quotient and no intermediate UniPoly
+    is built.  The last nonzero remainder is made monic, which gives the
+    same polynomial the plain f % g loop ends with.
     """
     if not isinstance(f, UniPoly) or not isinstance(g, UniPoly):
         raise InputError("uni_gcd expects two UniPoly operands")
@@ -218,45 +217,22 @@ def uni_gcd(f, g):
     if f.is_zero() and g.is_zero():
         raise InputError("gcd of two zero polynomials is undefined")
     K = f.field
-    a, b = list(f.coeffs), list(g.coeffs)
+    a, b = f.coeffs, g.coeffs
+    rem = K.urem
     while b:
-        b = _monic_list(K, b)
-        _rem_monic(K, a, b)
-        a, b = b, a
-    return UniPoly(K, _monic_list(K, a))
-
-
-def _monic_list(K, a):
-    """The nonzero coefficient list a scaled to leading coefficient 1."""
-    if a[-1] == 1:
-        return a
-    inv = K.uinv(a[-1])
-    return list(map(K.umul, repeat(inv), a))
-
-
-def _rem_monic(K, a, b):
-    """a mod b in place on a's list, for a monic b: only the remainder."""
-    sub, mul = K.usub, K.umul
-    db = len(b) - 1
-    low = b[:-1]
-    while len(a) > db:
-        c = a.pop()   # b is monic, so the leading term cancels exactly
-        s = len(a) - db
-        a[s:] = map(sub, a[s:], map(mul, repeat(c), low))
-        while a and not a[-1]:
-            a.pop()
+        a, b = b, rem(a, b)
+    return UniPoly._trusted(K, a).monic()
 
 
 def _root_multiplicity(poly, root):
     """How often X - root divides poly (0 for constants), by Horner passes."""
-    K = poly.field
-    add, mul = K.uadd, K.umul
+    horner = poly.field.uhorner
     coeffs = poly.coeffs
     m = 0
     while len(coeffs) > 1:
         # one synthetic division: the running values are the quotient's
         # coefficients, highest first, and the last one is the remainder
-        quo = list(accumulate(reversed(coeffs), lambda acc, c: add(mul(acc, root), c)))
+        quo = horner(coeffs, root)
         if quo.pop():
             break
         coeffs = quo[::-1]
@@ -391,7 +367,7 @@ class BiPoly:
         out = [0] * (max(us) + 1)
         for (i, j), c in self.terms.items():
             out[i] = add(out[i], mul(c, powers[j]))
-        return UniPoly(K, out)
+        return UniPoly._trusted(K, out)
 
     def rows(self):
         """The rows eval_v(y) for every field element y, in element order.
@@ -406,7 +382,7 @@ class BiPoly:
         out = [0] * (self.deg_u + 1)
         for (i, _), c in self.terms.items():
             out[i] = c
-        return repeat(UniPoly(K, out), K.q)
+        return repeat(UniPoly._trusted(K, out), K.q)
 
     def eval(self, u, v):
         K = self.field
@@ -434,7 +410,7 @@ class BiPoly:
 class TriHomPoly:
     """Homogeneous trivariate polynomial of a fixed degree, U^i V^j W^k."""
 
-    __slots__ = ("field", "degree", "terms")
+    __slots__ = ("field", "degree", "terms", "_slices")
 
     def __init__(self, field, degree, terms=()):
         if degree < 0:
@@ -450,6 +426,7 @@ class TriHomPoly:
         self.field = field
         self.degree = degree
         self.terms = clean
+        self._slices = None
 
     @classmethod
     def linear(cls, field, cu, cv, cw):
@@ -534,15 +511,34 @@ class TriHomPoly:
         return acc
 
     def at_vw(self, v, w):
-        """Substitute the last two variables, leaving a UniPoly in the first."""
+        """Substitute the last two variables, leaving a UniPoly in the first.
+
+        The U^i coefficient is a form of degree d = degree - i in V and W;
+        for w != 0 it is w^d times its value at V = v/w, W = 1, one Horner
+        pass, and for w = 0 only its V^d term is left.
+        """
         K = self.field
         K.check(v), K.check(w)
-        add, mul = K.uadd, K.umul
-        pv, pw = power_list(K, v, self.degree), power_list(K, w, self.degree)
-        out = [0] * (max((i for i, _, _ in self.terms), default=-1) + 1)
-        for (i, j, k), c in self.terms.items():
-            out[i] = add(out[i], mul(c, mul(pv[j], pw[k])))
-        return UniPoly(K, out)
+        if self._slices is None:
+            self._slices = self._by_u_power()
+        d = self.degree
+        mul = K.umul
+        if w:
+            horner, r, pw = K.uhorner, K.udiv(v, w), power_list(K, w, d)
+            out = [mul(pw[d - i], horner(vs, r)[-1]) for i, vs in self._slices]
+        else:
+            pv = power_list(K, v, d)
+            out = [mul(pv[d - i], vs[d - i]) for i, vs in self._slices]
+        return UniPoly._trusted(K, out)
+
+    def _by_u_power(self):
+        """[(i, [c_i0, ..., c_id])] for every i up to the top U power, d =
+        degree - i, with c_ij the coefficient of U^i V^j W^(d - j)."""
+        top = max((i for i, _, _ in self.terms), default=-1)
+        slices = [(i, [0] * (self.degree - i + 1)) for i in range(top + 1)]
+        for (i, j, _), c in self.terms.items():
+            slices[i][1][j] = c
+        return slices
 
     def proportional_to(self, other):
         """True when the two curves agree up to a nonzero scalar."""

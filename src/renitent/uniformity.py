@@ -205,10 +205,18 @@ def intercept_profile(T, direction):
     return profile
 
 
-def _class_line(field, slope, alpha):
+def _class_line(K, slope, alpha):
+    """The renitent line [slope : -1 : alpha], or [1 : 0 : -alpha] for the
+    vertical class, written in canonical coordinates directly: scaled by
+    1/alpha when alpha != 0, else by -1 ([s : -1 : 0]) or not at all."""
     if slope is None:
-        return ProjLine(field, 1, 0, field.uneg(alpha))
-    return ProjLine(field, slope, field.uneg(1), alpha)
+        coords = (K.uneg(K.uinv(alpha)), 0, 1) if alpha else (1, 0, 0)
+    elif alpha:
+        inv = K.uinv(alpha)
+        coords = (K.umul(slope, inv), K.uneg(inv), 1)
+    else:
+        coords = (K.uneg(slope), 1, 0)
+    return ProjLine._trusted(K, coords)
 
 
 def classify_direction(T, direction, lam):

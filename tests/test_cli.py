@@ -9,12 +9,15 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import renitent
+from renitent import parse_field_spec
 from renitent.cli import EXIT_HYPOTHESIS, EXIT_INPUT, EXIT_OK, build_parser, main
+from renitent.counting import DETECTOR_MAX_WORK, detector_work
 
 GF13_LINE_PLUS_HEAVY = "".join(
     [f"{x} 0 {2 if x == 0 else 1}\n" for x in range(13)] + ["1 1 7\n"])
@@ -173,6 +176,39 @@ def test_gen_random_refuses_a_huge_field_at_once():
     assert proc.stdout == ""
     assert proc.stderr == ("error: a random instance draws one coin per point: "
                            "q^2 = 1073741824 is over the budget of 1048576 points\n")
+
+
+@pytest.mark.parametrize("spec", ["2^15", "4093"])
+@pytest.mark.parametrize("bound", ["gcd", "count"])
+def test_detector_bounds_refuse_an_over_budget_field(spec, bound, tmp_path):
+    # at either field the detector would take minutes; the budget is
+    # checked before the classification, and the timeout only catches a
+    # regression
+    path = write_points(tmp_path, "1 2 1\n3 5 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "renitent.cli", "check", "--field", spec, "--in", path,
+         "--lambda", "2", "--bound", bound],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_INPUT
+    assert proc.stdout == ""
+    assert "over the budget of" in proc.stderr
+    K = parse_field_spec(spec)   # built once: the timing below is the command's own
+    t0 = time.perf_counter()
+    assert main(["check", "--field", spec, "--in", path, "--lambda", "2",
+                 "--bound", bound]) == EXIT_INPUT
+    assert time.perf_counter() - t0 < 1.0, K
+
+
+def test_detector_budget_admits_the_gate_and_benchmark_inputs():
+    # the theorems benchmark: planted sets of up to 5 points at q <= 31;
+    # the acceptance gate: at most q^2 points at q <= 9; the ladder: two
+    # points up to q = 512, and the gcd bound at q = 1021
+    cases = [(parse_field_spec(str(q)), 5) for q in (13, 17, 23, 31)]
+    cases += [(parse_field_spec(spec), 81) for spec in ("3^2", "2^3", "7")]
+    cases += [(parse_field_spec(spec), 2) for spec in ("2^9", "7^3", "17^2", "1021")]
+    for K, support in cases:
+        assert detector_work(K, support) <= DETECTOR_MAX_WORK, K
+    assert detector_work(parse_field_spec("4093"), 2) > DETECTOR_MAX_WORK
 
 
 # -- envelope ---------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 ``renitent`` loads its names on first use (PEP 562), and each CLI
 command imports the modules it runs when it runs, so ``gen`` and
-``analyze`` never pay for ``counting``, ``envelope`` or ``dataclasses``.
+``analyze`` never pay for ``counting``, ``envelope`` or ``dataclasses``;
+and the JSON writer takes its string encoder from ``_json``, so no
+command loads the ``json`` decoder.
 These checks are structural: they list modules, and time nothing.
 """
 
@@ -28,7 +30,7 @@ print(" ".join(sorted(set(sys.modules) - before)), file=sys.stderr)
 sys.exit(rc)
 """
 
-HEAVY = {"dataclasses", "inspect", "renitent.counting", "renitent.envelope"}
+HEAVY = {"dataclasses", "inspect", "json.decoder", "renitent.counting", "renitent.envelope"}
 
 
 def loaded_by(argv):
@@ -57,6 +59,18 @@ def test_import_alone_loads_no_submodule():
     assert not {m for m in loaded if m.startswith("renitent.")}
 
 
+def test_cli_import_leaves_the_json_decoder_out():
+    # the writer needs only the string encoder, from _json
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; import renitent.cli; "
+         "print(' '.join(m for m in ('json', 'json.decoder', 'json.scanner') "
+         "if m in sys.modules))"],
+        capture_output=True, text=True, env=ENV, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--field", "7", "--kind", "random", "--seed", "1"],
     ["gen", "--field", "7", "--kind", "planted", "--points", "0,0;1,2"],
@@ -82,7 +96,7 @@ def test_check_loads_the_module_of_its_bound(bound, needs, skips, points):
                         "--bound", bound])
     assert needs in loaded
     assert skips not in loaded
-    assert "dataclasses" not in loaded
+    assert not loaded & {"dataclasses", "json.decoder"}
 
 
 # -- the lazy namespace ------------------------------------------------------

@@ -321,6 +321,28 @@ def test_sparse_classification_with_an_empty_renitent_line():
     assert _assert_matches_dense(T, (K.q - 1) // 2) > 0
 
 
+# -- renitent lines in closed form -------------------------------------------------
+
+
+@pytest.mark.parametrize("pe", [(7, 1), (2, 3), (2, 4), (3, 2), (5, 2)],
+                         ids=lambda pe: f"q{pe[0] ** pe[1]}")
+def test_class_lines_match_the_checked_constructor(pe):
+    """_class_line writes the canonical coordinates of [s : -1 : t] and
+    [1 : 0 : -t] directly; ProjLine scales them through _canonical."""
+    K = field_create(*pe)
+    minus_one = K.neg(1)
+    for t in K.elements():
+        line = _class_line(K, None, t)
+        assert line == ProjLine(K, 1, 0, K.neg(t))
+        assert line.coords == ProjLine(K, 1, 0, K.neg(t)).coords
+        assert hash(line) == hash(ProjLine(K, 1, 0, K.neg(t)))
+        for s in K.elements():
+            line = _class_line(K, s, t)
+            assert line.coords == ProjLine(K, s, minus_one, t).coords, (s, t)
+            assert line == ProjLine(K, s, minus_one, t)
+            assert type(line) is ProjLine and line.field is K
+
+
 # -- concurrency ------------------------------------------------------------------
 
 
