@@ -39,7 +39,9 @@ package).  Each column also keeps its Python version and a SHA-256
 digest per q of the reports and the profiles, and a theorem digest per q
 of the slope detector's terms and both gcd profiles, so two columns can
 be seen to compute alike.  ``--compare`` prints, per (op, q), this run's median
-over the median in each column of another file.
+over the median in each column of another file, and exits 1 when a digest
+or theorem digest of some q differs from that column's (the ratios never
+fail a run).
 """
 
 import argparse
@@ -197,8 +199,14 @@ def show(op, q, row):
 
 
 def compare(column, path):
+    """Print this column's medians over those of every column in path.
+
+    Returns the sorted (column name, digest key, q) of every digest that
+    differs from this column's; the ratios are for reading only.
+    """
     with open(path, encoding="utf-8") as fh:
         columns = json.load(fh)["columns"]
+    differ = set()
     for name, old in sorted(columns.items()):
         print(f"ratio to {path} [{name}] (below 1 is faster now)")
         for op, by_q in column["ops"].items():
@@ -210,7 +218,9 @@ def compare(column, path):
                     same = old.get(key, {}).get(q)
                     if same not in (None, column.get(key, {}).get(q)):
                         flag = "  REPORTS DIFFER"
+                        differ.add((name, key, q))
                 print(f"  {op:20} q={q:>4}  {ratio}{flag}")
+    return sorted(differ)
 
 
 def main():
@@ -261,7 +271,11 @@ def main():
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if args.compare:
-        compare(column, args.compare)
+        differ = compare(column, args.compare)
+        for name, key, q in differ:
+            print(f"{key} differs from [{name}] of {args.compare} at q={q}", file=sys.stderr)
+        if differ:
+            return 1
     return 0
 
 

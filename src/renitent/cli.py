@@ -284,12 +284,8 @@ def cmd_analyze(args):
 # -- envelope ---------------------------------------------------------------
 
 
-def _candidate_reports(field, T, lam):
-    out = []
-    for d in all_directions(field):
-        report = classify_direction(T, d, lam)
-        if report is not None and report.lambda_d > 0:
-            out.append(report)
+def _candidate_reports(T, lam):
+    out = [r for r in uniform_directions(T, lam) if r.lambda_d > 0]
     if not out:
         raise HypothesisRejected("no uniform direction carries a renitent line")
     return out
@@ -328,7 +324,7 @@ def cmd_envelope(args):
     from . import envelope
 
     field, T = _load_multiset(args)
-    candidates = _candidate_reports(field, T, args.lam)
+    candidates = _candidate_reports(T, args.lam)
     mults = None
     extra = {}
     if args.theorem == "regular":
@@ -441,7 +437,7 @@ def cmd_check(args):
         reports = _uniform_slope_reports(T, args.lam)
         det = counting.build_slope_detector(T, reports)
         profile = counting.gcd_profile(det.f, det.g)
-        checks = [counting.gcd_degree_bound(profile, y) for y in field.elements()]
+        checks = counting.gcd_degree_bounds(profile, field.elements())
         worst = min(checks, key=lambda c: c.slack)
         ok = all(c.ok for c in checks)
         payload = {

@@ -103,10 +103,25 @@ def gcd_degree_bound(profile, y0):
     """Both sides of the degree inequality at the anchor row y0."""
     if y0 not in profile.k:
         raise InputError(f"anchor {y0!r} is not a field element")
-    k0 = profile.k[y0]
-    lhs = sum(max(0, ky - k0) for ky in profile.k.values())
-    rhs = (profile.deg_f - k0) * (profile.deg_g - k0)
-    return GcdBoundCheck(y0, k0, lhs, rhs)
+    return gcd_degree_bounds(profile, (y0,))[0]
+
+
+def gcd_degree_bounds(profile, anchors):
+    """gcd_degree_bound at each anchor row.  Every left side, the sum of
+    max(0, k_y - k0) over all rows, comes from one pass down the
+    histogram of the k values: going from one value k to the next lower
+    k', each row above k' adds k - k'."""
+    hist = Counter(profile.k.values())
+    lhs, above, rows, prev = {}, 0, 0, 0
+    for k in sorted(hist, reverse=True):
+        above += rows * (prev - k)
+        lhs[k] = above
+        rows, prev = rows + hist[k], k
+    out = []
+    for y0 in anchors:
+        k0 = profile.k[y0]
+        out.append(GcdBoundCheck(y0, k0, lhs[k0], (profile.deg_f - k0) * (profile.deg_g - k0)))
+    return out
 
 
 class SlopeDetector(FrozenRecord):

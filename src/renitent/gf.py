@@ -16,18 +16,21 @@ Prime fields (e = 1) compute on the indices with native integer
 arithmetic.  Extension fields compute through a primitive element g:
 the smallest index whose powers run through all q - 1 nonzero elements
 (the root of the modulus need not be one; under the default t^2 + 1 of
-GF(9), t has order 4).  Three tables, built once with the digit-vector
-arithmetic below, make every operation one or two lookups at any q:
+GF(9), t has order 4).  Three tables are built once with the
+digit-vector arithmetic below: exp[i] = g^i (stored twice over), log[a]
+for a != 0, and Zech's logarithm zech[d] = log(1 + g^d), so that g^i +
+g^j = g^(i + zech[j - i]) (K. Huber, IEEE Trans. Inf. Theory 36, 1990);
+p = 2 adds by XOR and has no zech.  The kernels read none of them, only
+one padded set built from them, so no operation tests for a zero:
 
-* exp[i] = g^i, stored twice over (length 2(q - 1)) so that a product
-  exp[log a + log b] needs no reduction mod q - 1;
-* log[a], the discrete logarithm of a nonzero a (None at 0);
-* zech[d] = log(1 + g^d), Zech's logarithm, None where 1 + g^d = 0, so
-  that g^i + g^j = g^(i + zech[j - i]) (K. Huber, "Some comments on
-  Zech's logarithms", IEEE Trans. Inf. Theory 36, 1990); also stored
-  twice over, so that a - b = g^i + g^(j + (q - 1)/2) needs no reduction
-  either.  In characteristic 2 addition is XOR of the indices and there
-  is no zech.
+* lg is log with lg[0] = LZ = 4(q - 1), past every nonzero logarithm;
+* ex is exp followed by zeros, so ex[lg[a] + lg[b]] is a*b for every a
+  and b, and a quotient or a negative lands on a zero of ex when its
+  operand is zero;
+* zz (odd p) is zech stored twice over, extended over the zero cases:
+  ex[lg[x] + zz[lt - lg[x]]] is x + t for every element x and every
+  exponent lt of a term t (lg[t], or lg[b] + (q - 1)/2 for t = -b), so
+  add, sub and the list kernels' sums are one lookup each.
 
 The tables take O(q) memory.  Element indices do not depend on them:
 they stay the base-p encoding above.
@@ -70,11 +73,9 @@ once; urem packs its lists into one integer of 64-bit slots, so a step
 of the division is one integer multiply-add.  The p = 2 urem packs one
 coefficient a slot too, where a sum is one XOR and c times the divisor
 is the XOR of the divisor's packed multiples by t^i over the bits i of
-c.  The other log kernels run on padded tables with no branch per
-entry: a zero element has the logarithm LZ = 4(q - 1), past the nonzero
-ones, exp is zero from there on, and a Zech table extended over the
-zero cases gives x + t for every element x and exponent of t in one
-lookup.  They return new lists and leave their operands as they were.
+c.  The other log kernels are comprehensions over lg, ex and zz with no
+branch per entry.  They return new lists and leave their operands as
+they were.
 
 Validation therefore happens where elements enter: these checked methods,
 the constructors of the polynomial, plane and multiset types, the parsers
@@ -327,37 +328,35 @@ def _log_kernels(modulus, exp, log, zech):
     """The same twelve for an extension field, from its exp/log/zech tables.
 
     zech is None in characteristic 2, where addition is XOR and every
-    element is its own negative.
+    element is its own negative.  The kernels read only the padded
+    tables lg, ex and zz built here from those three.
     """
     n = len(exp) // 2   # q - 1
-
-    def mul(a, b):
-        return exp[log[a] + log[b]] if a and b else 0
-
-    def inv(a):
-        return exp[n - log[a]]
-
-    def div(a, b):
-        return exp[log[a] - log[b] + n] if a else 0
-
-    def power(a, k):
-        if not a:
-            return 0 if k else 1
-        return exp[log[a] * k % n]
-
-    # The list kernels run without a branch per entry on tables padded
-    # for zero.  lg is log with lg[0] = LZ = 4(q - 1), and ex is exp with
-    # zeros from index 2(q - 1) on, so ex[lg[a] + lg[b]] is a*b for every
-    # a, b, zero or not.  The kernels' exponents lt of a product t stay
-    # in [0, 2(q - 1)) for t != 0 and in [LZ, LZ + q - 1) for t = 0.
+    # lg[0] = LZ and ex is zero from 2(q - 1) on (see the module doc).
+    # The exponents lt of a product t stay in [0, 2(q - 1)) for t != 0
+    # and in [LZ, LZ + q - 1) for t = 0.
     zero = 4 * n
     lg = log[:]
     lg[0] = zero
     ex = exp + [0] * (7 * n)
 
+    def mul(a, b):
+        return ex[lg[a] + lg[b]]
+
+    def inv(a):
+        return ex[n - lg[a]]
+
+    def div(a, b):
+        return ex[lg[a] - lg[b] + n]
+
+    def power(a, k):
+        if not a:
+            return 0 if k else 1
+        return ex[lg[a] * k % n]
+
     def powers_of(w, u, k):
         """The exponents of w u^0, ..., w u^k, for w, u != 0."""
-        lw, lu = log[w], log[u]
+        lw, lu = lg[w], lg[u]
         if not lu:
             return repeat(lw, k + 1)
         return map(_mod, range(lw, lw + lu * k + 1, lu), repeat(n))
@@ -371,13 +370,13 @@ def _log_kernels(modulus, exp, log, zech):
             both, b_zero, a_zero = _by_zero_coordinate(points)
             order = both + b_zero + a_zero
             level = [b for _, b in order]
-            moving = [(log[a], b) for a, b in both + b_zero]
+            moving = [(lg[a], b) for a, b in both + b_zero]
             still = [b for _, b in a_zero]
 
             def keys(s):
                 if not s:
                     return level[:]
-                exp_s = exp[log[s]:log[s] + n]   # exp_s[i] = g^(i + log s)
+                exp_s = ex[lg[s]:lg[s] + n]   # exp_s[i] = g^(i + log s)
                 return [b ^ exp_s[la] for la, b in moving] + still
 
             return order, keys
@@ -396,7 +395,7 @@ def _log_kernels(modulus, exp, log, zech):
             db = len(b) - 1
             if len(a) <= db:
                 return _trim(list(a))
-            li = n - log[b[-1]]   # b / lead is monic
+            li = n - lg[b[-1]]   # b / lead is monic
             low = pack([ex[lg[y] + li] for y in b[:-1]])
             ones = ((1 << width * db) - 1) // slot   # 1 in every slot
             basis = [low]
@@ -427,14 +426,12 @@ def _log_kernels(modulus, exp, log, zech):
             out = [0] * (la + len(b) - 1)
             for i, y in enumerate(b):
                 if y:
-                    ly = log[y]
+                    ly = lg[y]
                     out[i:i + la] = [o ^ ex[ly + lx] for o, lx in zip(out[i:i + la], logs)]
             return out
 
         def horner(a, x):
-            if not x:
-                return list(reversed(a))
-            lx, acc, out = log[x], 0, []
+            lx, acc, out = lg[x], 0, []
             for c in reversed(a):
                 acc = c ^ ex[lg[acc] + lx]
                 out.append(acc)
@@ -454,28 +451,6 @@ def _log_kernels(modulus, exp, log, zech):
 
     half = n // 2   # g^half = -1
 
-    def add(a, b):
-        if not a or not b:
-            return a or b
-        i = log[a]
-        # g^i + g^j = g^i (1 + g^(j - i)); zech is stored twice over, so
-        # j - i indexes it without a reduction mod q - 1 (negative j - i
-        # counts from the end, which is the same thing)
-        z = zech[log[b] - i]
-        return 0 if z is None else exp[i + z]
-
-    def sub(a, b):
-        if not b:
-            return a
-        if not a:
-            return exp[log[b] + half]
-        i = log[a]
-        z = zech[log[b] + half - i]   # -g^j = g^(j + half)
-        return 0 if z is None else exp[i + z]
-
-    def neg(a):
-        return exp[log[a] + half] if a else 0
-
     # x + t = ex[lg[x] + zz[lt - lg[x]]] for an element x and a term t of
     # exponent lt as above.  zz is zech stored twice, its None (where
     # 1 + g^d = 0) at LZ so that the sum lands on a zero of ex; and for
@@ -487,6 +462,19 @@ def _log_kernels(modulus, exp, log, zech):
     zz[5 * n:7 * n] = range(-4 * n, -2 * n)
     zz[8 * n:] = zz[:n]
 
+    def add(a, b):
+        # g^i + g^j = g^i (1 + g^(j - i)); zz reads j - i without a
+        # reduction mod q - 1, and its zero cases give a or b
+        la = lg[a]
+        return ex[la + zz[lg[b] - la]]
+
+    def sub(a, b):
+        la = lg[a]
+        return ex[la + zz[lg[b] + half - la]]   # -g^j = g^(j + half)
+
+    def neg(a):
+        return ex[lg[a] + half]
+
     def intercepts(points):
         # b - a*s = g^(log b) (1 + g^(log a + log s + half - log b)), with
         # the slope-free part of that exponent reduced once per point; a
@@ -494,15 +482,15 @@ def _log_kernels(modulus, exp, log, zech):
         both, b_zero, a_zero = _by_zero_coordinate(points)
         order = both + b_zero + a_zero
         level = [b for _, b in order]
-        general = [(log[b], (log[a] + half - log[b]) % n) for a, b in both]
-        edge = [(log[a] + half) % n for a, _ in b_zero]
+        general = [(lg[b], (lg[a] + half - lg[b]) % n) for a, b in both]
+        edge = [(lg[a] + half) % n for a, _ in b_zero]
         still = [b for _, b in a_zero]
 
         def keys(s):
             if not s:
                 return level[:]
-            ls = log[s]
-            zech_s, exp_s = zz[ls:ls + n], exp[ls:ls + n]
+            ls = lg[s]
+            zech_s, exp_s = zz[ls:ls + n], ex[ls:ls + n]
             return ([ex[lb + zech_s[d]] for lb, d in general]
                     + [exp_s[c] for c in edge] + still)
 
@@ -512,12 +500,12 @@ def _log_kernels(modulus, exp, log, zech):
         db = len(b) - 1
         a = list(a)
         if len(a) > db:
-            li = n - log[b[-1]] + half   # -b[i] / lead = g^(log b[i] + li)
-            low = [(log[y] + li) % n if y else zero for y in b[:-1]]
+            li = n - lg[b[-1]] + half   # -b[i] / lead = g^(log b[i] + li)
+            low = [(lg[y] + li) % n if y else zero for y in b[:-1]]
             while len(a) > db:
                 c = a.pop()   # the leading term cancels exactly
                 if c:
-                    lc, s = log[c], len(a) - db
+                    lc, s = lg[c], len(a) - db
                     a[s:] = [ex[(lx := lg[x]) + zz[lc + ly - lx]]
                              for x, ly in zip(a[s:], low)]
         return _trim(a)
@@ -532,15 +520,15 @@ def _log_kernels(modulus, exp, log, zech):
         out = [0] * (la + len(b) - 1)
         for i, y in enumerate(b):
             if y:
-                ly = log[y]
+                ly = lg[y]
                 out[i:i + la] = [ex[(lo := lg[o]) + zz[ly + lx - lo]]
                                  for o, lx in zip(out[i:i + la], logs)]
         return out
 
     def horner(a, x):
-        if not x:
+        if not x:   # acc * 0 would have the exponent 2 LZ, outside zz's zero cases
             return list(reversed(a))
-        lx, acc, out = log[x], 0, []
+        lx, acc, out = lg[x], 0, []
         for c in reversed(a):
             lc = lg[c]
             acc = ex[lc + zz[lg[acc] + lx - lc]]

@@ -158,6 +158,21 @@ def all_directions(field):
             vertical_direction(field))
 
 
+def _class_line(K, slope, alpha):
+    """The line of intercept alpha in a parallel class: [slope : -1 : alpha],
+    or [1 : 0 : -alpha] for the vertical class (slope None), written in
+    canonical coordinates directly: scaled by 1/alpha when alpha != 0,
+    else by -1 ([s : -1 : 0]) or not at all."""
+    if slope is None:
+        coords = (K.uneg(K.uinv(alpha)), 0, 1) if alpha else (1, 0, 0)
+    elif alpha:
+        inv = K.uinv(alpha)
+        coords = (K.umul(slope, inv), K.uneg(inv), 1)
+    else:
+        coords = (K.uneg(slope), 1, 0)
+    return ProjLine._trusted(K, coords)
+
+
 def parallel_class(field, direction):
     """The q affine lines through a direction, in intercept order.
 
@@ -165,10 +180,7 @@ def parallel_class(field, direction):
     class gives [1:0:-t] (x = t).
     """
     s = slope_of(direction)
-    if s is None:
-        return [ProjLine(field, 1, 0, field.uneg(t)) for t in field.elements()]
-    m = field.uneg(1)
-    return [ProjLine(field, s, m, t) for t in field.elements()]
+    return [_class_line(field, s, t) for t in field.elements()]
 
 
 # -- collineations -------------------------------------------------------

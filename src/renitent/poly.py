@@ -10,18 +10,21 @@ operands to share one field context.
 The public constructors check every coefficient, and each method that
 takes a raw field element checks it on entry.  A polynomial the library
 computes from parts that are already valid (a sum, a product, a
-remainder, a row, a section) is built by the private UniPoly._trusted,
-which trims its coefficients but checks none.  The univariate loops run
-on the field's list kernels (see gf): K.uconv for products and scaling,
-K.urem for the Euclid's remainders, K.uhorner for evaluation, synthetic
-division and the sections of TriHomPoly.at_vw, and K.upowsums for power
-lists.  The sparse maps still add and multiply term by term through the
-scalar kernels.
+remainder, a row, a section) is built by a private _trusted constructor,
+which checks nothing.  The univariate loops run on the field's list
+kernels (see gf): K.uconv for products and scaling, K.urem for the
+Euclid's remainders, K.uhorner for evaluation, synthetic division and
+the sections of TriHomPoly.at_vw, and K.upowsums for power lists.
+BiPoly and TriHomPoly share one sparse sum, product, scale and
+evaluation on their term maps (_sparse_*, through the scalar kernels; a
+form multiplies as its (U, V) part), all three classes share one
+square-and-multiply power, and every render goes through _render_sparse.
 """
 
 from itertools import repeat
 
 from .errors import InputError
+from .gf import _trim
 
 
 def _same_field(a, b):
@@ -34,27 +37,82 @@ def power_list(K, a, n):
     return K.upowsums(((1, a),), n)
 
 
+def _power(base, k, one):
+    """base ** k by square-and-multiply, from one, the identity of its class."""
+    if not isinstance(k, int) or k < 0:
+        raise InputError(f"exponent must be a non-negative integer, got {k!r}")
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
+
+
+# -- sparse term maps {exponent tuple: nonzero coefficient}, for BiPoly and TriHomPoly
+
+
+def _sparse_sum(K, a, b):
+    """a + b, without the terms that cancel."""
+    add = K.uadd
+    out = dict(a)
+    for key, c in b.items():
+        s = add(out.get(key, 0), c)
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    return out
+
+
+def _sparse_product(K, a, b):
+    """a * b for maps keyed by exponent pairs, without the terms that cancel."""
+    add, mul = K.uadd, K.umul
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            s = add(out.get(key, 0), mul(c1, c2))
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
+
+
+def _sparse_scale(K, terms, c):
+    """c * terms, for a checked element c."""
+    mul = K.umul
+    return {key: mul(c, x) for key, x in terms.items()} if c else {}
+
+
+def _sparse_eval(K, terms, point):
+    """The value at a point, one checked element per variable."""
+    add, mul, pow_ = K.uadd, K.umul, K.upow
+    acc = 0
+    for key, c in terms.items():
+        for x, e in zip(point, key):
+            c = mul(c, pow_(x, e))
+        acc = add(acc, c)
+    return acc
+
+
 class UniPoly:
     """Univariate polynomial; coeffs[i] is the coefficient of x^i."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs=()):
-        coeffs = [field.check(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.coeffs = tuple(_trim([field.check(c) for c in coeffs]))
 
     @classmethod
     def _trusted(cls, field, coeffs):
         """The polynomial of already valid coefficients: trimmed, not checked."""
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
         self = cls.__new__(cls)
         self.field = field
-        self.coeffs = tuple(coeffs)
+        self.coeffs = tuple(_trim(list(coeffs)))
         return self
 
     @classmethod
@@ -124,16 +182,7 @@ class UniPoly:
         return UniPoly._trusted(K, K.uconv(self.coeffs, (c,)))
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise InputError(f"exponent must be a non-negative integer, got {k!r}")
-        result = UniPoly.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, UniPoly.one(self.field))
 
     def __divmod__(self, other):
         if not isinstance(other, UniPoly):
@@ -185,19 +234,7 @@ class UniPoly:
         return hash((self.field, self.coeffs))
 
     def render(self, var="x"):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                x = var if i == 1 else f"{var}^{i}"
-                parts.append(x if c == 1 else f"{c}*{x}")
-        return " + ".join(parts)
+        return _render_sparse({(i,): c for i, c in enumerate(self.coeffs) if c}, (var,))
 
     def __repr__(self):
         return f"UniPoly({self.render()})"
@@ -267,6 +304,14 @@ class BiPoly:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, field, terms):
+        """The polynomial of a valid term map with no zero entry: not checked."""
+        self = cls.__new__(cls)
+        self.field = field
+        self.terms = terms
+        return self
+
+    @classmethod
     def zero(cls, field):
         return cls(field, {})
 
@@ -298,21 +343,10 @@ class BiPoly:
         if not isinstance(other, BiPoly):
             return NotImplemented
         _same_field(self, other)
-        K = self.field
-        add = K.uadd
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = add(out.get(key, 0), c)
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return BiPoly(K, out)
+        return BiPoly._trusted(self.field, _sparse_sum(self.field, self.terms, other.terms))
 
     def __neg__(self):
-        K = self.field
-        neg = K.uneg
-        return BiPoly(K, {k: neg(c) for k, c in self.terms.items()})
+        return self.scale(self.field.uneg(1))
 
     def __sub__(self, other):
         if not isinstance(other, BiPoly):
@@ -323,37 +357,15 @@ class BiPoly:
         if not isinstance(other, BiPoly):
             return NotImplemented
         _same_field(self, other)
-        K = self.field
-        add, mul = K.uadd, K.umul
-        out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                s = add(out.get(key, 0), mul(c1, c2))
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return BiPoly(K, out)
+        return BiPoly._trusted(self.field, _sparse_product(self.field, self.terms, other.terms))
 
     def scale(self, c):
         K = self.field
-        K.check(c)
-        mul = K.umul
-        return BiPoly(K, {k: mul(c, x) for k, x in self.terms.items()})
+        return BiPoly._trusted(K, _sparse_scale(K, self.terms, K.check(c)))
 
     def __pow__(self, k):
         """Repeated squaring; k must be a non-negative integer."""
-        if not isinstance(k, int) or k < 0:
-            raise InputError(f"exponent must be a non-negative integer, got {k!r}")
-        result = BiPoly.constant(self.field, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, BiPoly.constant(self.field, 1))
 
     def eval_v(self, d):
         """Substitute the second variable, leaving a UniPoly in the first."""
@@ -386,12 +398,7 @@ class BiPoly:
 
     def eval(self, u, v):
         K = self.field
-        K.check(u), K.check(v)
-        add, mul, pow_ = K.uadd, K.umul, K.upow
-        acc = 0
-        for (i, j), c in self.terms.items():
-            acc = add(acc, mul(c, mul(pow_(u, i), pow_(v, j))))
-        return acc
+        return _sparse_eval(K, self.terms, (K.check(u), K.check(v)))
 
     def __eq__(self, other):
         return (isinstance(other, BiPoly)
@@ -429,6 +436,16 @@ class TriHomPoly:
         self._slices = None
 
     @classmethod
+    def _trusted(cls, field, degree, terms):
+        """The form of a valid term map of one degree, no zero entry: not checked."""
+        self = cls.__new__(cls)
+        self.field = field
+        self.degree = degree
+        self.terms = terms
+        self._slices = None
+        return self
+
+    @classmethod
     def linear(cls, field, cu, cv, cw):
         return cls(field, 1, {(1, 0, 0): cu, (0, 1, 0): cv, (0, 0, 1): cw})
 
@@ -441,12 +458,7 @@ class TriHomPoly:
         return max((i + j for i, j, _ in self.terms), default=-1)
 
     def dehomogenize(self):
-        K = self.field
-        add = K.uadd
-        out = {}
-        for (i, j, _), c in self.terms.items():
-            out[(i, j)] = add(out.get((i, j), 0), c)
-        return BiPoly(K, out)
+        return BiPoly._trusted(self.field, {(i, j): c for (i, j, _), c in self.terms.items()})
 
     def __add__(self, other):
         if not isinstance(other, TriHomPoly):
@@ -455,60 +467,28 @@ class TriHomPoly:
         if self.degree != other.degree:
             raise InputError("cannot add homogeneous parts of different degrees")
         K = self.field
-        add = K.uadd
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = add(out.get(key, 0), c)
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return TriHomPoly(K, self.degree, out)
+        return TriHomPoly._trusted(K, self.degree, _sparse_sum(K, self.terms, other.terms))
 
     def __mul__(self, other):
         if not isinstance(other, TriHomPoly):
             return NotImplemented
         _same_field(self, other)
-        K = self.field
-        add, mul = K.uadd, K.umul
-        out = {}
-        for (i1, j1, k1), c1 in self.terms.items():
-            for (i2, j2, k2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2, k1 + k2)
-                s = add(out.get(key, 0), mul(c1, c2))
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return TriHomPoly(K, self.degree + other.degree, out)
+        # the degree fixes the W power, so forms multiply as their (U, V) parts
+        d = self.degree + other.degree
+        uv = _sparse_product(self.field, self.dehomogenize().terms, other.dehomogenize().terms)
+        return TriHomPoly._trusted(self.field, d,
+                                   {(i, j, d - i - j): c for (i, j), c in uv.items()})
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise InputError(f"exponent must be a non-negative integer, got {k!r}")
-        result = TriHomPoly(self.field, 0, {(0, 0, 0): 1})
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, TriHomPoly(self.field, 0, {(0, 0, 0): 1}))
 
     def scale(self, c):
         K = self.field
-        K.check(c)
-        mul = K.umul
-        return TriHomPoly(K, self.degree, {k: mul(c, x) for k, x in self.terms.items()})
+        return TriHomPoly._trusted(K, self.degree, _sparse_scale(K, self.terms, K.check(c)))
 
     def eval(self, u, v, w):
         K = self.field
-        K.check(u), K.check(v), K.check(w)
-        add, mul, pow_ = K.uadd, K.umul, K.upow
-        acc = 0
-        for (i, j, k), c in self.terms.items():
-            t = mul(mul(pow_(u, i), pow_(v, j)), pow_(w, k))
-            acc = add(acc, mul(c, t))
-        return acc
+        return _sparse_eval(K, self.terms, (K.check(u), K.check(v), K.check(w)))
 
     def at_vw(self, v, w):
         """Substitute the last two variables, leaving a UniPoly in the first.
@@ -601,8 +581,8 @@ def homogenize(f, n):
         raise InputError("homogenize expects a BiPoly")
     if f.total_degree > n:
         raise InputError(f"cannot homogenize degree {f.total_degree} into degree {n}")
-    return TriHomPoly(f.field, n,
-                      {(i, j, n - i - j): c for (i, j), c in f.terms.items()})
+    return TriHomPoly._trusted(f.field, n,
+                               {(i, j, n - i - j): c for (i, j), c in f.terms.items()})
 
 
 class PolyMatrix:

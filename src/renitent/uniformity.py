@@ -18,7 +18,7 @@ from operator import mod
 
 from .errors import InputError
 from .plane import (
-    ProjLine,
+    _class_line,
     all_directions,
     format_line,
     format_point,
@@ -203,20 +203,6 @@ def intercept_profile(T, direction):
         for key, m in zip(line_keys, weights):
             profile[key] = profile.get(key, 0) + m
     return profile
-
-
-def _class_line(K, slope, alpha):
-    """The renitent line [slope : -1 : alpha], or [1 : 0 : -alpha] for the
-    vertical class, written in canonical coordinates directly: scaled by
-    1/alpha when alpha != 0, else by -1 ([s : -1 : 0]) or not at all."""
-    if slope is None:
-        coords = (K.uneg(K.uinv(alpha)), 0, 1) if alpha else (1, 0, 0)
-    elif alpha:
-        inv = K.uinv(alpha)
-        coords = (K.umul(slope, inv), K.uneg(inv), 1)
-    else:
-        coords = (K.uneg(slope), 1, 0)
-    return ProjLine._trusted(K, coords)
 
 
 def classify_direction(T, direction, lam):

@@ -1,10 +1,13 @@
 """Gcd-degree counting: profiles, the degree inequality, both detector
 pairs, the renitent-line lower bound, and the index dichotomy."""
 
+import random
+
 import pytest
 
 from renitent import (
     BiPoly,
+    GcdProfile,
     PointMultiset,
     ProjPoint,
     build_point_detector,
@@ -24,6 +27,7 @@ from renitent import (
     uniform_directions,
     vertical_direction,
 )
+from renitent.counting import gcd_degree_bounds
 from renitent.errors import HypothesisRejected, InputError
 from renitent.gf import GF
 
@@ -87,6 +91,41 @@ def test_degree_bound_on_a_skewed_profile():
     assert anchored.ok
     js = anchored.to_json()
     assert js["pass"] is True and js["slack"] == 0
+
+
+def _per_anchor_sum(profile, y0):
+    """Both sides at y0, the left one summed over every row."""
+    k0 = profile.k[y0]
+    return (y0, k0, sum(max(0, ky - k0) for ky in profile.k.values()),
+            (profile.deg_f - k0) * (profile.deg_g - k0))
+
+
+def _sides(check):
+    return (check.y0, check.k_y0, check.lhs, check.rhs)
+
+
+@pytest.mark.parametrize("pe", [(7, 1), (2, 4), (3, 3), (31, 1)],
+                         ids=lambda pe: f"q{pe[0] ** pe[1]}")
+def test_one_pass_bounds_equal_the_per_anchor_sums(pe):
+    """gcd_degree_bounds reads every left side off one histogram pass;
+    each must equal the sum over all rows at its anchor, on slope-detector
+    profiles and on a made-up profile with gaps between its k values."""
+    K = field_create(*pe)
+    rng = random.Random(K.q)
+    profiles = [GcdProfile(K, {y: rng.choice((0, 1, 4, 9)) for y in K.elements()}, 12, 10)]
+    for npts in (2, 3, 5, 8):
+        T = PointMultiset(K, {(rng.randrange(K.q), rng.randrange(K.q)): rng.randrange(1, 4)
+                              for _ in range(npts)})
+        reports = [r for r in uniform_directions(T, (K.q - 1) // 2)
+                   if slope_of(r.direction) is not None]
+        if reports:
+            det = build_slope_detector(T, reports)
+            profiles.append(gcd_profile(det.f, det.g))
+    assert len(profiles) >= 4
+    for profile in profiles:
+        want = [_per_anchor_sum(profile, y) for y in K.elements()]
+        assert [_sides(c) for c in gcd_degree_bounds(profile, K.elements())] == want
+        assert [_sides(gcd_degree_bound(profile, y)) for y in K.elements()] == want
 
 
 def test_degree_bound_rejects_bad_anchor():

@@ -1,0 +1,110 @@
+"""The classification under collineations of AG(2, q).
+
+An affine map, and the Frobenius map x -> x^p applied to each
+coordinate, send lines to lines and parallel classes to parallel
+classes, and keep how many points of a multiset T each line holds.  So
+classifying the image T' of T must give the image of the classification
+of T: the uniform directions mapped, with the same lambda_d and m_d, and
+the renitent lines mapped (by apply_line for an affine map, coordinate by
+coordinate for Frobenius) with the same counts t.
+
+T' is built here with the field's digit-vector arithmetic (_add_raw,
+_mul_raw, _pow_raw), not with its kernels, so the relation checks the
+kernels, the intercepts and the renitent lines of uniform_directions
+without repeating any of their code.
+"""
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from renitent import (
+    Collineation,
+    PointMultiset,
+    ProjLine,
+    ProjPoint,
+    field_create,
+    gen_planted,
+    gen_random,
+    uniform_directions,
+)
+
+FIELDS = [(7, 1), (3, 2), (13, 1), (2, 4), (5, 2), (3, 3), (31, 1), (7, 2), (2, 6)]
+
+
+def _field_id(pe):
+    return f"q{pe[0] ** pe[1]}"
+
+
+@st.composite
+def instances(draw, K):
+    """(T, lam): a planted or a gen_random set, and lam = 1 or (q - 1) // 2."""
+    lam = draw(st.sampled_from(sorted({1, (K.q - 1) // 2})))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, min(3, K.p - 1)))
+        element = st.integers(0, K.q - 1)
+        points = draw(st.lists(st.tuples(element, element), min_size=k, max_size=k,
+                               unique=True))
+        weights = draw(st.lists(st.integers(1, K.p - 1), min_size=k, max_size=k))
+        return gen_planted(K, points, weights).multiset, lam
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return gen_random(K, seed, draw(st.sampled_from([0.05, 0.3]))), lam
+
+
+@st.composite
+def affine_maps(draw, K):
+    """A Collineation with last row (0, 0, 1) and an invertible linear part."""
+    a, b, c, d, e, f = draw(st.lists(st.integers(0, K.q - 1), min_size=6, max_size=6))
+    assume(K._mul_raw(a, e) != K._mul_raw(b, d))
+    return Collineation(K, ((a, b, c), (d, e, f), (0, 0, 1)))
+
+
+def image(T, point_map):
+    """The multiset of the images of T's points, with their multiplicities."""
+    return PointMultiset(T.field, [(point_map(a, b), m) for (a, b), m in T.items()])
+
+
+def classification(reports, direction_map, line_map):
+    """{mapped direction: (lambda_d, m_d, {(mapped renitent line, t)})}."""
+    return {direction_map(r.direction):
+            (r.lambda_d, r.m_d, frozenset((line_map(e.line), e.t) for e in r.renitent))
+            for r in reports}
+
+
+def unchanged(x):
+    return x
+
+
+@pytest.mark.parametrize("pe", FIELDS, ids=_field_id)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_affine_image_of_the_classification(pe, data):
+    K = field_create(*pe)
+    T, lam = data.draw(instances(K))
+    g = data.draw(affine_maps(K))
+    (a, b, c), (d, e, f), _ = g.matrix
+    add, mul = K._add_raw, K._mul_raw
+
+    def move(x, y):
+        return (add(add(mul(a, x), mul(b, y)), c), add(add(mul(d, x), mul(e, y)), f))
+
+    mapped = image(T, move)
+    assert mapped.size == T.size and mapped.support_size == T.support_size
+    want = classification(uniform_directions(T, lam), g.apply_point, g.apply_line)
+    assert classification(uniform_directions(mapped, lam), unchanged, unchanged) == want
+
+
+@pytest.mark.parametrize("pe", FIELDS, ids=_field_id)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_frobenius_image_of_the_classification(pe, data):
+    K = field_create(*pe)
+    T, lam = data.draw(instances(K))
+
+    def frob(x):
+        return K._pow_raw(x, K.p)
+
+    mapped = image(T, lambda x, y: (frob(x), frob(y)))
+    want = classification(uniform_directions(T, lam),
+                          lambda pt: ProjPoint(K, *map(frob, pt.coords)),
+                          lambda line: ProjLine(K, *map(frob, line.coords)))
+    assert classification(uniform_directions(mapped, lam), unchanged, unchanged) == want

@@ -171,6 +171,24 @@ def test_vertical_class():
     assert lines == [ProjLine(K3, 1, 0, K3.neg(t)) for t in K3.elements()]
 
 
+@pytest.mark.parametrize("pe", [(2, 1), (7, 1), (2, 3), (3, 2), (5, 2)],
+                         ids=lambda pe: f"q{pe[0] ** pe[1]}")
+def test_parallel_class_matches_the_checked_constructor(pe):
+    """parallel_class writes canonical coordinates directly; the checked
+    ProjLine of [s : -1 : t] or [1 : 0 : -t] scales them itself."""
+    K = field_create(*pe)
+    for d in all_directions(K):
+        s = slope_of(d)
+        if s is None:
+            want = [ProjLine(K, 1, 0, K.neg(t)) for t in K.elements()]
+        else:
+            want = [ProjLine(K, s, K.neg(1), t) for t in K.elements()]
+        got = parallel_class(K, d)
+        assert got == want, d
+        assert [line.coords for line in got] == [line.coords for line in want]
+        assert all(type(line) is ProjLine and line.field is K for line in got)
+
+
 def test_class_lines_meet_only_at_their_direction(small_field):
     K = small_field
     for d in all_directions(K):

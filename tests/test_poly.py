@@ -2,6 +2,7 @@
 trivariate, and determinants of polynomial matrices."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -329,6 +330,96 @@ def test_render_formats():
     g = TriHomPoly(K5, 2, {(2, 0, 0): 1, (1, 0, 1): 3, (0, 0, 2): 2})
     assert g.render() == "U^2 + 3*U*W + 2*W^2"
     assert UniPoly.zero(K5).render() == "0"
+
+
+# -- the shared sparse routines against pointwise evaluation -----------------
+
+SPARSE_FIELDS = [(5, 1), (2, 3), (3, 2)]
+
+
+def _random_terms(rng, K, keys):
+    return {key: rng.randrange(K.q) for key in keys if rng.random() < 0.6}
+
+
+def _canonical(poly):
+    """No zero coefficient is stored, so equal polynomials have equal maps."""
+    return all(poly.terms.values())
+
+
+@pytest.mark.parametrize("pe", SPARSE_FIELDS, ids=lambda pe: f"q{pe[0] ** pe[1]}")
+def test_bipoly_operations_agree_pointwise(pe):
+    """Sums, differences, products, powers and scales of BiPoly, read at
+    every point of the plane through eval_v and Horner (code the sparse
+    routines do not share), and through eval."""
+    K = field_create(*pe)
+    rng = random.Random(K.q)
+    keys = [(i, j) for i in range(4) for j in range(4)]
+    minus_one = K.neg(1)
+    for _ in range(4):
+        f = BiPoly(K, _random_terms(rng, K, keys))
+        g = BiPoly(K, _random_terms(rng, K, keys))
+        c, k = rng.randrange(K.q), rng.randrange(4)
+        ops = {"sum": (f + g, K.add), "diff": (f - g, K.sub), "product": (f * g, K.mul),
+               "power": (f ** k, lambda a, _: K.pow(a, k)),
+               "scale": (f.scale(c), lambda a, _: K.mul(c, a)),
+               "cancel": (f + g.scale(minus_one) - f + g, lambda a, b: 0)}
+        assert all(_canonical(r) for r, _ in ops.values())
+        assert ops["cancel"][0].is_zero() and (f - f).is_zero()
+        for v in K.elements():
+            rows = {name: r.eval_v(v) for name, (r, _) in ops.items()}
+            fv, gv = f.eval_v(v), g.eval_v(v)
+            for u in K.elements():
+                a, b = fv.eval(u), gv.eval(u)
+                assert f.eval(u, v) == a
+                for name, (r, op) in ops.items():
+                    assert rows[name].eval(u) == op(a, b), (name, u, v)
+                    assert r.eval(u, v) == op(a, b), (name, u, v)
+
+
+@pytest.mark.parametrize("pe", SPARSE_FIELDS, ids=lambda pe: f"q{pe[0] ** pe[1]}")
+def test_trihompoly_operations_agree_pointwise(pe):
+    """The same for forms, read at every (u, v, w) through at_vw."""
+    K = field_create(*pe)
+    rng = random.Random(2 * K.q)
+
+    def form(d):
+        keys = [(i, j, d - i - j) for i in range(d + 1) for j in range(d - i + 1)]
+        return TriHomPoly(K, d, _random_terms(rng, K, keys))
+
+    for _ in range(3):
+        d, e = rng.randrange(4), rng.randrange(3)
+        f, f2, g = form(d), form(d), form(e)
+        c, k = rng.randrange(K.q), rng.randrange(3)
+        ops = {"sum": (f + f2, lambda a, a2, _: K.add(a, a2)),
+               "product": (f * g, lambda a, _, b: K.mul(a, b)),
+               "power": (g ** k, lambda a, a2, b: K.pow(b, k)),
+               "scale": (f.scale(c), lambda a, a2, b: K.mul(c, a))}
+        assert all(_canonical(r) for r, _ in ops.values())
+        assert (f + f.scale(K.neg(1))).is_zero()
+        assert (f * g).degree == d + e and (g ** k).degree == e * k
+        for v, w in itertools.product(K.elements(), repeat=2):
+            rows = {name: r.at_vw(v, w) for name, (r, _) in ops.items()}
+            fs, f2s, gs = f.at_vw(v, w), f2.at_vw(v, w), g.at_vw(v, w)
+            for u in K.elements():
+                a, a2, b = fs.eval(u), f2s.eval(u), gs.eval(u)
+                assert f.eval(u, v, w) == a
+                for name, (r, op) in ops.items():
+                    assert rows[name].eval(u) == op(a, a2, b), (name, u, v, w)
+                    assert r.eval(u, v, w) == op(a, a2, b), (name, u, v, w)
+
+
+@pytest.mark.parametrize("pe", SPARSE_FIELDS + [(2, 1)], ids=lambda pe: f"q{pe[0] ** pe[1]}")
+def test_products_drop_the_terms_that_cancel(pe):
+    """(U + V)(U - V) = U^2 - V^2: the two UV terms cancel in every
+    characteristic, and no zero coefficient is left behind."""
+    K = field_create(*pe)
+    m = K.neg(1)
+    f = BiPoly(K, {(1, 0): 1, (0, 1): 1}) * BiPoly(K, {(1, 0): 1, (0, 1): m})
+    assert f.terms == {(2, 0): 1, (0, 2): m}
+    H = TriHomPoly(K, 1, {(1, 0, 0): 1, (0, 1, 0): 1}) * TriHomPoly(K, 1, {(1, 0, 0): 1,
+                                                                           (0, 1, 0): m})
+    assert H.terms == {(2, 0, 0): 1, (0, 2, 0): m}
+    assert (f + BiPoly(K, {(0, 2): 1})).terms == {(2, 0): 1}
 
 
 # -- determinants ----------------------------------------------------------
