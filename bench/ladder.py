@@ -15,6 +15,9 @@ For every q, up to 512, it times the theorem layer on a planted set of
 lambda = min(2, p - 1) points with both coordinates nonzero, drawn from
 random.Random(q), classified at that lambda:
 
+* ``uniform_directions_planted``: all q + 1 directions of the planted set
+  classified at that lambda (in no digest: ``uniform_directions`` and
+  the theorem rows already cover what it computes);
 * ``build_slope_detector``: the slope detector of the uniform slope
   directions;
 * ``gcd_profile_slope``: gcd_profile of that detector;
@@ -161,7 +164,8 @@ def measure_theorems(renitent, q):
     def profile(det):
         return renitent.gcd_profile(det.f, det.g)
 
-    ops = {"build_slope_detector": (fresh, lambda T: renitent.build_slope_detector(T, reports)),
+    ops = {"uniform_directions_planted": (fresh, lambda T: renitent.uniform_directions(T, lam)),
+           "build_slope_detector": (fresh, lambda T: renitent.build_slope_detector(T, reports)),
            "gcd_profile_slope": (slope_detector, profile),
            "gcd_profile_point": (point_detector, profile)}
     rows = {op: summary([scaled_sample(prepare, run) for _ in range(REPEATS)])

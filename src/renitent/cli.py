@@ -284,6 +284,12 @@ def cmd_analyze(args):
 # -- envelope ---------------------------------------------------------------
 
 
+def _split_vertical(reports, reason="vertical direction"):
+    """(slope reports, [(vertical report, reason)]), in input order."""
+    return ([r for r in reports if slope_of(r.direction) is not None],
+            [(r, reason) for r in reports if slope_of(r.direction) is None])
+
+
 def _candidate_reports(T, lam):
     out = [r for r in uniform_directions(T, lam) if r.lambda_d > 0]
     if not out:
@@ -298,18 +304,17 @@ def _pick_regular(field, candidates):
     directions; directions outside the winning group are excluded and
     reported rather than silently breaking the hypotheses.
     """
+    slopes, vertical = _split_vertical(candidates)
     excluded = []
     groups = {}
-    for r in candidates:
-        if slope_of(r.direction) is None:
-            excluded.append((r, "vertical direction"))
-            continue
+    for r in slopes:
         ts = {entry.t for entry in r.renitent}
         if len(ts) != 1:
             excluded.append((r, "renitent counts differ within the class"))
             continue
         offset = (ts.pop() - r.m_d) % field.p
         groups.setdefault((r.lambda_d, offset), []).append(r)
+    excluded += vertical   # the vertical direction is the last candidate
     if not groups:
         raise HypothesisRejected("no slope direction has one repeated renitent count")
     key = sorted(groups, key=lambda k: (-len(groups[k]), k))[0]
@@ -334,13 +339,7 @@ def cmd_envelope(args):
     elif args.theorem == "weighted":
         used, excluded = candidates, []
         if len(used) < field.q + 1:
-            kept = []
-            for r in used:
-                if slope_of(r.direction) is None:
-                    excluded.append((r, "vertical direction needs all q+1 covered"))
-                else:
-                    kept.append(r)
-            used = kept
+            used, excluded = _split_vertical(used, "vertical direction needs all q+1 covered")
         if not used:
             raise HypothesisRejected("no usable direction")
         if args.c == "scan":
@@ -361,9 +360,7 @@ def cmd_envelope(args):
                             for line, w in sorted(mults.items(),
                                                   key=lambda kv: format_line(kv[0]))]
     else:
-        used = [r for r in candidates if slope_of(r.direction) is not None]
-        excluded = [(r, "vertical direction")
-                    for r in candidates if slope_of(r.direction) is None]
+        used, excluded = _split_vertical(candidates)
         if not used:
             raise HypothesisRejected("no usable slope direction")
         curve = envelope.envelope_general(T, used, args.lam)
@@ -390,8 +387,7 @@ def cmd_envelope(args):
 def _uniform_slope_reports(T, lam):
     """The uniform slope directions the count and gcd bounds run on; with
     none, the hypothesis fails (exit 3), the input is fine."""
-    reports = [r for r in uniform_directions(T, lam)
-               if slope_of(r.direction) is not None]
+    reports = _split_vertical(uniform_directions(T, lam))[0]
     if not reports:
         raise HypothesisRejected("no uniform slope direction")
     return reports
@@ -406,30 +402,19 @@ def cmd_check(args):
         from . import envelope
 
         rep = envelope.deficiency_bound_check(reports, args.lam)
-        payload = {
-            "theorem": "deficiency-bound",
-            "hypotheses": {"lambda": args.lam, "uniform_directions": len(reports)},
-            "lhs": rep.total_deficit,
-            "rhs": rep.bound,
-            "pass": rep.ok,
-            "witnesses": rep.to_json()["per_direction"],
-        }
-        ok = rep.ok
+        theorem = "deficiency-bound"
+        hypotheses = {"lambda": args.lam, "uniform_directions": len(reports)}
+        lhs, rhs, ok = rep.total_deficit, rep.bound, rep.ok
+        witnesses = rep.to_json()["per_direction"]
     elif args.bound == "count":
         from . import counting
 
         counting.check_detector_budget(T)   # before the classification
         rep = counting.renitent_lower_bound_check(T, _uniform_slope_reports(T, args.lam))
-        payload = {
-            "theorem": "renitent-count-lower-bound",
-            "hypotheses": {"lambda": rep.lam, "directions": rep.n_directions},
-            "lhs": rep.count,
-            "rhs": rep.bound,
-            "pass": rep.ok,
-            "witnesses": {"gcd_count": rep.gcd_count,
-                          "counts_agree": rep.counts_agree},
-        }
-        ok = rep.ok
+        theorem = "renitent-count-lower-bound"
+        hypotheses = {"lambda": rep.lam, "directions": rep.n_directions}
+        lhs, rhs, ok = rep.count, rep.bound, rep.ok
+        witnesses = {"gcd_count": rep.gcd_count, "counts_agree": rep.counts_agree}
     elif args.bound == "gcd":
         from . import counting
 
@@ -439,38 +424,29 @@ def cmd_check(args):
         profile = counting.gcd_profile(det.f, det.g)
         checks = counting.gcd_degree_bounds(profile, field.elements())
         worst = min(checks, key=lambda c: c.slack)
-        ok = all(c.ok for c in checks)
-        payload = {
-            "theorem": "gcd-degree-bound",
-            "hypotheses": {"lambda": args.lam, "directions": len(reports),
-                           "deg_f": profile.deg_f, "deg_g": profile.deg_g},
-            "lhs": worst.lhs,
-            "rhs": worst.rhs,
-            "pass": ok,
-            "witnesses": [c.to_json() for c in checks],
-        }
+        theorem = "gcd-degree-bound"
+        hypotheses = {"lambda": args.lam, "directions": len(reports),
+                      "deg_f": profile.deg_f, "deg_g": profile.deg_g}
+        lhs, rhs, ok = worst.lhs, worst.rhs, all(c.ok for c in checks)
+        witnesses = [c.to_json() for c in checks]
     else:
         from . import counting
 
         rep = counting.dichotomy_check(T, args.lam)
-        payload = {
-            "theorem": "index-dichotomy",
-            "hypotheses": {"lambda": rep.lam, "uniform_directions": rep.n_uniform,
-                           "renitent_lines": rep.n_lines},
-            "lhs": len(rep.offenders),
-            "rhs": 0,
-            "pass": rep.ok,
-            "witnesses": rep.to_json(),
-        }
-        ok = rep.ok
-    _emit(args, payload)
+        theorem = "index-dichotomy"
+        hypotheses = {"lambda": rep.lam, "uniform_directions": rep.n_uniform,
+                      "renitent_lines": rep.n_lines}
+        lhs, rhs, ok = len(rep.offenders), 0, rep.ok
+        witnesses = rep.to_json()
+    _emit(args, {"theorem": theorem, "hypotheses": hypotheses, "lhs": lhs, "rhs": rhs,
+                 "pass": ok, "witnesses": witnesses})
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 # -- wiring -----------------------------------------------------------------
 
 
-def _add_common(sub, need_lambda=True):
+def _add_common(sub):
     sub.add_argument("--field", required=True,
                      help="field spec: p, p^e, or p^e:m=c0,c1,... (constant first)")
     sub.add_argument("--in", dest="infile", required=True,
@@ -478,9 +454,8 @@ def _add_common(sub, need_lambda=True):
     sub.add_argument("--out", help="write the JSON report here (atomically)")
     sub.add_argument("--json", action="store_true",
                      help="also print JSON to stdout when --out is given")
-    if need_lambda:
-        sub.add_argument("--lambda", dest="lam", type=int, required=True,
-                         help="uniformity bound (0 < lambda <= (q-1)/2)")
+    sub.add_argument("--lambda", dest="lam", type=int, required=True,
+                     help="uniformity bound (0 < lambda <= (q-1)/2)")
 
 
 @functools.cache

@@ -10,6 +10,11 @@ q lines), so the classification is well defined.
 Each renitent line is recorded with its intercept alpha: for slope d the
 line [d:-1:alpha] meets the Y-axis at (0:alpha:1); for the vertical
 class alpha is the x-coordinate of [1:0:-alpha].
+
+A uniform direction's DirectionReport holds the direction, the lam it
+was classified at, m_d and the renitent lines with their counts t mod p,
+read from the intercept profile; it keeps no count for the typical
+lines, so classification costs O(support size) per direction.
 """
 
 from collections import _count_elements
@@ -120,13 +125,12 @@ class RenitentLine(FrozenRecord):
 
 
 class DirectionReport(Record):
-    __slots__ = ("direction", "bound", "m_d", "counts", "renitent")
+    __slots__ = ("direction", "bound", "m_d", "renitent")
 
-    def __init__(self, direction, bound, m_d, counts, renitent):
+    def __init__(self, direction, bound, m_d, renitent):
         self.direction = direction
         self.bound = bound          # the lam used to classify
         self.m_d = m_d              # typical count mod p
-        self.counts = counts        # intercept -> exact line count, all q lines
         self.renitent = renitent    # RenitentLine entries, ascending intercept
 
     @property
@@ -222,16 +226,16 @@ def classify_direction(T, direction, lam):
     if not typical:
         return None
     m_d = typical[0]  # unique: two residues on q-lam lines each would exceed q
-    counts = dict.fromkeys(K.elements(), 0)
-    counts.update(profile)
     # With m_d = 0 every renitent line is in the profile (an empty line has
-    # residue 0); otherwise empty lines are renitent too, so scan them all.
+    # residue 0).  Otherwise every empty line is renitent, so the profile
+    # holds all q - lam or more typical lines, and a scan of all q
+    # intercepts is at most lam steps longer than the profile.
     candidates = sorted(profile) if m_d == 0 else K.elements()
+    count = profile.get
     renitent = tuple(
-        RenitentLine(_class_line(K, s, t), t, counts[t] % p)
-        for t in candidates if counts[t] % p != m_d)
-    return DirectionReport(direction=direction, bound=lam, m_d=m_d,
-                           counts=counts, renitent=renitent)
+        RenitentLine(_class_line(K, s, t), t, count(t, 0) % p)
+        for t in candidates if count(t, 0) % p != m_d)
+    return DirectionReport(direction=direction, bound=lam, m_d=m_d, renitent=renitent)
 
 
 def uniform_directions(T, lam):

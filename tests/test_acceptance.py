@@ -62,7 +62,7 @@ def synth_report(K, slope, m_d, ts):
     renitent = tuple(RenitentLine(line, alpha, t)
                      for alpha, (line, t) in enumerate(zip(lines, ts)))
     return DirectionReport(direction=slope_direction(K, slope), bound=len(ts),
-                           m_d=m_d, counts={}, renitent=renitent)
+                           m_d=m_d, renitent=renitent)
 
 
 def classify_all(T, directions, lam):

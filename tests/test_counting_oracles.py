@@ -317,7 +317,7 @@ def row_detectors(T, lam, R=None):
     K = T.field
     reports = [r for r in uniform_directions(T, lam) if slope_of(r.direction) is not None]
     if not reports:
-        reports = [DirectionReport(slope_direction(K, s), lam, s % K.p, {}, ())
+        reports = [DirectionReport(slope_direction(K, s), lam, s % K.p, ())
                    for s in range(K.q // 2)]
     R = R or ProjPoint.affine(K, *T.items()[0][0])
     return [("slope", build_slope_detector(T, reports)),

@@ -63,8 +63,7 @@ def synth_report(K, slope, m_d, ts):
         lines = [ProjLine(K, slope, K.neg(1), alpha) for alpha in range(len(ts))]
     renitent = tuple(RenitentLine(line, alpha, t)
                      for alpha, (line, t) in enumerate(zip(lines, ts)))
-    return DirectionReport(direction=d, bound=len(ts), m_d=m_d,
-                           counts={}, renitent=renitent)
+    return DirectionReport(direction=d, bound=len(ts), m_d=m_d, renitent=renitent)
 
 
 def slope_reports(T, lam):

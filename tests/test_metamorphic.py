@@ -1,4 +1,5 @@
-"""The classification under collineations of AG(2, q).
+"""The classification, and the bounds built on it, under collineations
+of AG(2, q).
 
 An affine map, and the Frobenius map x -> x^p applied to each
 coordinate, send lines to lines and parallel classes to parallel
@@ -11,7 +12,10 @@ coordinate for Frobenius) with the same counts t.
 T' is built here with the field's digit-vector arithmetic (_add_raw,
 _mul_raw, _pow_raw), not with its kernels, so the relation checks the
 kernels, the intercepts and the renitent lines of uniform_directions
-without repeating any of their code.
+without repeating any of their code.  The deficiency bound and the index
+dichotomy read only the classification and the incidences of its
+renitent lines, so they must come out the same on T' with every
+direction and point mapped, and reject T' exactly when they reject T.
 """
 
 import pytest
@@ -19,9 +23,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from renitent import (
     Collineation,
+    HypothesisRejected,
     PointMultiset,
     ProjLine,
     ProjPoint,
+    deficiency_bound_check,
+    dichotomy_check,
     field_create,
     gen_planted,
     gen_random,
@@ -36,9 +43,10 @@ def _field_id(pe):
 
 
 @st.composite
-def instances(draw, K):
-    """(T, lam): a planted or a gen_random set, and lam = 1 or (q - 1) // 2."""
-    lam = draw(st.sampled_from(sorted({1, (K.q - 1) // 2})))
+def instances(draw, K, lams=None):
+    """(T, lam): a planted or a gen_random set, and lam in lams, by default
+    1 or (q - 1) // 2."""
+    lam = draw(st.sampled_from(sorted(lams or {1, (K.q - 1) // 2})))
     if draw(st.booleans()):
         k = draw(st.integers(1, min(3, K.p - 1)))
         element = st.integers(0, K.q - 1)
@@ -58,6 +66,17 @@ def affine_maps(draw, K):
     return Collineation(K, ((a, b, c), (d, e, f), (0, 0, 1)))
 
 
+def raw_affine(K, g):
+    """The affine map g on affine points, in digit-vector arithmetic."""
+    (a, b, c), (d, e, f), _ = g.matrix
+    add, mul = K._add_raw, K._mul_raw
+
+    def move(x, y):
+        return (add(add(mul(a, x), mul(b, y)), c), add(add(mul(d, x), mul(e, y)), f))
+
+    return move
+
+
 def image(T, point_map):
     """The multiset of the images of T's points, with their multiplicities."""
     return PointMultiset(T.field, [(point_map(a, b), m) for (a, b), m in T.items()])
@@ -74,6 +93,37 @@ def unchanged(x):
     return x
 
 
+# The dichotomy needs more than lam^2 + lam uniform directions, so it
+# rejects every set of these fields at lam = (q - 1) // 2.
+BOUND_LAMS = (1, 2)
+
+
+def _rejected_or(check, *args):
+    try:
+        return check(*args)
+    except HypothesisRejected:
+        return None
+
+
+def bound_reports(T, lam, point_map):
+    """The deficiency and dichotomy checks of T with every direction and
+    point sent through point_map, each None when it rejects T:
+    (total, bound, pass, {direction: lambda_d}) and (uniform directions,
+    renitent lines, low, high, {high point: index}, {offender: index})."""
+    reports = uniform_directions(T, lam)
+    # with no uniform direction, check --bound deficiency rejects as well
+    rep = _rejected_or(deficiency_bound_check, reports, lam) if reports else None
+    deficiency = None if rep is None else (
+        rep.total_deficit, rep.bound, rep.ok,
+        {point_map(d): ld for d, ld in rep.per_direction})
+    rep = _rejected_or(dichotomy_check, T, lam)
+    dichotomy = None if rep is None else (
+        rep.n_uniform, rep.n_lines, rep.low, rep.high,
+        {point_map(P): i for P, i in rep.high_points},
+        {point_map(P): i for P, i in rep.offenders})
+    return deficiency, dichotomy
+
+
 @pytest.mark.parametrize("pe", FIELDS, ids=_field_id)
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
@@ -81,13 +131,7 @@ def test_affine_image_of_the_classification(pe, data):
     K = field_create(*pe)
     T, lam = data.draw(instances(K))
     g = data.draw(affine_maps(K))
-    (a, b, c), (d, e, f), _ = g.matrix
-    add, mul = K._add_raw, K._mul_raw
-
-    def move(x, y):
-        return (add(add(mul(a, x), mul(b, y)), c), add(add(mul(d, x), mul(e, y)), f))
-
-    mapped = image(T, move)
+    mapped = image(T, raw_affine(K, g))
     assert mapped.size == T.size and mapped.support_size == T.support_size
     want = classification(uniform_directions(T, lam), g.apply_point, g.apply_line)
     assert classification(uniform_directions(mapped, lam), unchanged, unchanged) == want
@@ -108,3 +152,29 @@ def test_frobenius_image_of_the_classification(pe, data):
                           lambda pt: ProjPoint(K, *map(frob, pt.coords)),
                           lambda line: ProjLine(K, *map(frob, line.coords)))
     assert classification(uniform_directions(mapped, lam), unchanged, unchanged) == want
+
+
+@pytest.mark.parametrize("pe", FIELDS, ids=_field_id)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_affine_image_of_the_bounds(pe, data):
+    K = field_create(*pe)
+    T, lam = data.draw(instances(K, BOUND_LAMS))
+    g = data.draw(affine_maps(K))
+    mapped = image(T, raw_affine(K, g))
+    assert bound_reports(mapped, lam, unchanged) == bound_reports(T, lam, g.apply_point)
+
+
+@pytest.mark.parametrize("pe", FIELDS, ids=_field_id)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_frobenius_image_of_the_bounds(pe, data):
+    K = field_create(*pe)
+    T, lam = data.draw(instances(K, BOUND_LAMS))
+
+    def frob(x):
+        return K._pow_raw(x, K.p)
+
+    mapped = image(T, lambda x, y: (frob(x), frob(y)))
+    want = bound_reports(T, lam, lambda pt: ProjPoint(K, *map(frob, pt.coords)))
+    assert bound_reports(mapped, lam, unchanged) == want

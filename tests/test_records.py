@@ -57,7 +57,7 @@ from renitent.envelope import DirectionCheck, RootCheck
 # class -> (its fields in order, whether the former class was frozen)
 FIELDS = {
     RenitentLine: (("line", "alpha", "t"), True),
-    DirectionReport: (("direction", "bound", "m_d", "counts", "renitent"), False),
+    DirectionReport: (("direction", "bound", "m_d", "renitent"), False),
     GcdProfile: (("field", "k", "deg_f", "deg_g"), False),
     GcdBoundCheck: (("y0", "k_y0", "lhs", "rhs"), False),
     LowerBoundReport: (("lam", "n_directions", "count", "gcd_count", "bound"), False),
