@@ -22,7 +22,10 @@ random.Random(q), classified at that lambda:
   directions;
 * ``gcd_profile_slope``: gcd_profile of that detector;
 * ``gcd_profile_point``: gcd_profile of the point detector of the first
-  q // 2 uniform slope directions, with R = (0, 0).
+  q // 2 uniform slope directions, with R = (0, 0);
+* ``dichotomy_check``: the index dichotomy of the planted set at that
+  lambda, its classification included (in no digest, so a file written
+  before the row existed still compares like for like).
 
 It also times one row that does not depend on q, ``import_cli`` (listed
 under q = ``any``): the median of 21 fresh ``python -c "import
@@ -167,7 +170,8 @@ def measure_theorems(renitent, q):
     ops = {"uniform_directions_planted": (fresh, lambda T: renitent.uniform_directions(T, lam)),
            "build_slope_detector": (fresh, lambda T: renitent.build_slope_detector(T, reports)),
            "gcd_profile_slope": (slope_detector, profile),
-           "gcd_profile_point": (point_detector, profile)}
+           "gcd_profile_point": (point_detector, profile),
+           "dichotomy_check": (fresh, lambda T: renitent.dichotomy_check(T, lam))}
     rows = {op: summary([scaled_sample(prepare, run) for _ in range(REPEATS)])
             for op, (prepare, run) in ops.items()}
     det = slope_detector()

@@ -16,11 +16,12 @@ them).
 
 Both detectors' g is -|T| + h + a sum of w (alpha X + beta Y + gamma)^(q-1)
 over the support points, and a DetectorPoly keeps those parts.  The gcd
-profile needs the q rows g(X, y): while support size * q is at most the
-term count of g, each row is written in closed form from the parts;
-otherwise (dense input) each row evaluates g's terms.  The gcd degrees
-themselves always come from the Euclidean algorithm, so the algebra stays
-a second count beside the geometry.
+profile needs the q rows g(X, y), and each is written in closed form
+from those parts.  The gcd degrees themselves always come from the
+Euclidean algorithm, so the algebra stays a second count beside the
+geometry.  The geometry reads the reports by parallel class: a uniform
+direction lies on its own lambda_d renitent lines, and the dichotomy
+counts the affine points one column x = x0 at a time.
 """
 
 from collections import Counter
@@ -32,9 +33,7 @@ from .plane import (
     format_point,
     frame_collineation,
     incident,
-    slope_direction,
     slope_of,
-    vertical_direction,
 )
 from .poly import BiPoly, UniPoly, power_list, uni_gcd
 from .records import FrozenRecord, Record
@@ -62,8 +61,7 @@ def gcd_profile(f, g):
 
     The rows f(X, y) and g(X, y) come from BiPoly.rows: an f with no Y
     term is evaluated once, and a detector's g (a DetectorPoly) writes
-    each row in closed form from its support points while support size
-    times q is at most its term count, and evaluates its terms otherwise.
+    each row in closed form from its support points.
     """
     if f.field != g.field:
         raise InputError("mixed contexts")
@@ -150,7 +148,8 @@ def detector_work(K, support):
     GF(q) and running its gcd profile: each point writes the
     (p(p+1)/2)^e nonzero terms of its power (Lucas's theorem), and each
     of the q rows takes about q operations per support point for its
-    closed form and q more for the Euclid."""
+    closed form (DetectorPoly.rows, dense input or not) and q more for
+    the Euclid."""
     q = K.q
     return support * (K.p * (K.p + 1) // 2) ** K.e + q * q * (support + 1)
 
@@ -250,10 +249,8 @@ class DetectorPoly(BiPoly):
     beta y + gamma != 0 and 0 otherwise.  h in X is a sum of such powers
     too (u = c, weight -m) plus the constant sum of m; h in Y is m at
     y = c and 0 elsewhere.  Per row that costs (distinct u) * q
-    operations, in one power-sum kernel call, against eval_v's walk over
-    every term, so the closed form runs while support size * q is at
-    most the term count, and eval_v runs on denser input, where Lucas's
-    theorem keeps the term count far below support size * q.
+    operations, in one power-sum kernel call: the q * q * support part
+    of detector_work, dense input or not.
     """
 
     __slots__ = ("_const", "_bumps", "_var", "_points")
@@ -264,11 +261,6 @@ class DetectorPoly(BiPoly):
         self._const, self._bumps, self._var, self._points = const, bumps, var, points
 
     def rows(self):
-        if len(self._points) * self.field.q > len(self.terms):
-            return super().rows()
-        return self._closed_form_rows()
-
-    def _closed_form_rows(self):
         K = self.field
         n = K.q - 1
         add, mul, div, neg = K.uadd, K.umul, K.udiv, K.uneg
@@ -447,75 +439,68 @@ class DichotomyReport(Record):
 def dichotomy_check(T, lam):
     """Every point of the plane meets at most lam renitent lines or at
     least |F| + 1 - lam of them, where F is the set of all uniform
-    directions.  Needs q > 2 and |F| > lam^2 + lam; walks the q + 1
-    points of each renitent line, O(q) per line, and reports any middle
+    directions.  Needs |F| > lam^2 + lam; counts indices by parallel
+    class in O(q) memory (see _split_indices) and reports any middle
     index, ordered nearest the middle first (there must be none)."""
-    K = T.field
-    if K.q <= 2:
-        raise HypothesisRejected("the dichotomy needs q > 2")
     reports = uniform_directions(T, lam)
     if len(reports) <= lam * lam + lam:
         raise HypothesisRejected(
             f"need more than lam^2 + lam = {lam * lam + lam} uniform "
             f"directions, found {len(reports)}")
-    lines = [entry.line for r in reports for entry in r.renitent]
     low = lam
     high = len(reports) + 1 - lam
-    high_points, offenders = _split_indices(K, lines, low, high)
-    return DichotomyReport(lam, len(reports), len(lines), low, high,
-                           high_points, offenders)
+    high_points, offenders = _split_indices(T.field, reports, low, high)
+    return DichotomyReport(lam, len(reports), sum(r.lambda_d for r in reports),
+                           low, high, high_points, offenders)
 
 
-def _split_indices(K, lines, low, high):
+def _split_indices(K, reports, low, high):
     """(high_points, offenders): the (point, index) pairs with index >= high,
     and those with low < index < high ordered nearest the middle first.
 
-    Indices are counted by walking each line's q + 1 points.  Points are
-    keyed a*q + b for affine (a, b), q^2 + d for slope d and q^2 + q for
-    the vertical direction, so ascending keys list affine points, then
-    slopes 0..q-1, then the vertical direction.  Points on none of the
-    lines (index 0 <= low < high) are in neither list, so only the keys
-    walked need sorting.
+    Indices are counted by parallel class.  A direction lies on the
+    lambda_d renitent lines of its own class and on no others.  The
+    affine points are swept column by column, in one count list of
+    length q: on the column x = x0 the slope-s line of intercept t meets
+    y = s x0 + t, and a vertical renitent line x = x0 fills the column.
+    That is O(q) memory and q (lines + q) operations.  Points come out
+    in (x, y) order, then the slopes ascending, then the vertical
+    direction.  Points on no renitent line (index 0 <= low) are in
+    neither list.
     """
-    index = Counter(key for line in lines for key in _line_keys(K, line))
+    add, mul = K.uadd, K.umul
+    slopes, vertical, directions = [], set(), []
+    for r in reports:
+        s = slope_of(r.direction)
+        intercepts = [entry.alpha for entry in r.renitent]
+        if s is None:
+            vertical.update(intercepts)
+        elif intercepts:
+            slopes.append((s, intercepts))
+        directions.append((K.q if s is None else s, r.direction, r.lambda_d))
     high_points = []
     offenders = []
-    for key in sorted(index):
-        ind = index[key]
+
+    def split(point, ind):
         if ind >= high:
-            high_points.append((_key_point(K, key), ind))
+            high_points.append((point, ind))
         elif ind > low:
-            offenders.append((_key_point(K, key), ind))
+            offenders.append((point, ind))
+
+    for x in K.elements():
+        column = [int(x in vertical)] * K.q
+        for s, intercepts in slopes:
+            sx = mul(s, x)
+            for t in intercepts:
+                column[add(sx, t)] += 1
+        for y, ind in enumerate(column):
+            if ind > low:
+                split(ProjPoint.affine(K, x, y), ind)
+    for _, direction, ind in sorted(directions, key=lambda d: d[0]):
+        split(direction, ind)
     mid = (low + high) / 2
     offenders.sort(key=lambda pair: (abs(pair[1] - mid), pair[1]))
     return tuple(high_points), tuple(offenders)
-
-
-def _line_keys(K, line):
-    """Keys of the q + 1 points of the line [a:b:c] (see _split_indices)."""
-    q = K.q
-    add, mul = K.uadd, K.umul
-    a, b, c = line.coords
-    if b:    # y = s x + t through the slope-s direction
-        nb = K.uneg(K.uinv(b))
-        s, t = mul(a, nb), mul(c, nb)
-        yield from (x * q + add(mul(s, x), t) for x in K.elements())
-        yield q * q + s
-    elif a:  # x = x0 through the vertical direction
-        x0 = K.uneg(K.udiv(c, a))
-        yield from range(x0 * q, x0 * q + q)
-        yield q * q + q
-    else:    # the line at infinity: every direction
-        yield from range(q * q, q * q + q + 1)
-
-
-def _key_point(K, key):
-    q = K.q
-    if key < q * q:
-        return ProjPoint.affine(K, key // q, key % q)
-    if key < q * q + q:
-        return slope_direction(K, key - q * q)
-    return vertical_direction(K)
 
 
 class PointDetector(FrozenRecord):

@@ -344,6 +344,17 @@ def test_check_dichotomy_needs_room(tmp_path, capsys):
     assert rc == EXIT_HYPOTHESIS
 
 
+def test_no_lambda_is_legal_at_q2(tmp_path, capsys):
+    # 0 < lambda <= (q - 1)/2 has no solution at q = 2: every command
+    # reports bad input, none a failed hypothesis
+    path = write_points(tmp_path, "0 0 1\n")
+    commands = [["check", "--bound", bound]
+                for bound in ("deficiency", "count", "gcd", "dichotomy")]
+    for argv in commands + [["analyze"]]:
+        rc, out = run(capsys, argv + ["--field", "2", "--in", path, "--lambda", "1"])
+        assert (rc, out) == (EXIT_INPUT, ""), argv
+
+
 # -- output plumbing ---------------------------------------------------------------
 
 

@@ -284,7 +284,8 @@ def test_dichotomy_norm_conic_nucleus():
 
 def test_dichotomy_hypothesis_checks():
     K2 = field_create(2)
-    with pytest.raises(HypothesisRejected, match=r"^the dichotomy needs q > 2$"):
+    # no lam is legal at q = 2, so that is bad input, not a failed hypothesis
+    with pytest.raises(InputError, match=r"^need 0 < lam <= \(q-1\)/2 = 0, got 1$"):
         dichotomy_check(PointMultiset(K2, [((0, 0), 1)]), 1)
     # lam = 2 over GF(5) can never clear lam^2 + lam = 6 = q + 1 directions
     T = PointMultiset(K5, [((0, 0), 1), ((1, 1), 1)])

@@ -5,12 +5,14 @@ The detector builds write (alpha X + beta Y + gamma)^(q-1) and the bumps
 repeated squaring (`BiPoly.__pow__`, `UniPoly.__pow__`).  The detectors'
 rows g(X, y) are written in closed form too; here they are compared with
 `BiPoly.eval_v`, and the gcd profiles with the eval_v-and-`%` loop.  The
-dichotomy walks the points of each renitent line; here it is compared
-with the incidence scan of every point of the plane.
+dichotomy counts indices by parallel class, one column of the plane at a
+time; here it is compared with the incidence scan of every point of the
+plane.
 """
 
 import functools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 from renitent import (
     BiPoly,
     PointMultiset,
-    ProjLine,
     ProjPoint,
     UniPoly,
     all_directions,
@@ -31,15 +32,15 @@ from renitent import (
     gen_norm_conic,
     gen_planted,
     gen_random,
-    incident,
     index_of_point,
+    parallel_class,
     renitent_lower_bound_check,
     slope_direction,
     slope_of,
     uniform_directions,
 )
 from renitent import counting
-from renitent.uniformity import DirectionReport
+from renitent.uniformity import DirectionReport, RenitentLine
 from renitent.counting import (
     _add_linear_power,
     _bump_sum,
@@ -230,13 +231,19 @@ def test_dichotomy_matches_incidence_scan(name, T, lam):
     assert (rep.high_points, rep.offenders) == expected
 
 
-def random_lines(K, rng, n):
-    lines = [ProjLine(K, 0, 0, 1), ProjLine(K, 1, 0, K.neg(rng.randrange(K.q)))]
-    while len(lines) < n:
-        coords = [rng.randrange(K.q) for _ in range(3)]
-        if any(coords):
-            lines.append(ProjLine(K, *coords))
-    return lines
+def random_reports(K, rng):
+    """Made-up reports on every direction, in random order: none on the
+    slope-0 class, 1 to min(q, 6) renitent lines on every other, at
+    random distinct intercepts (classification plays no part here)."""
+    reports = []
+    for d in all_directions(K):
+        n = 0 if slope_of(d) == 0 else rng.randint(1, min(K.q, 6))
+        lines = parallel_class(K, d)
+        renitent = tuple(RenitentLine(lines[t], t, 1)
+                         for t in sorted(rng.sample(range(K.q), n)))
+        reports.append(DirectionReport(d, 1, 0, renitent))
+    rng.shuffle(reports)
+    return reports
 
 
 @pytest.mark.parametrize("pe", [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1)],
@@ -244,12 +251,26 @@ def random_lines(K, rng, n):
 def test_index_split_orders_offenders_like_the_scan(pe):
     K = field_create(*pe)
     rng = random.Random(K.q)
-    lines = random_lines(K, rng, 3 * K.q)   # repeats allowed: each counts once more
+    reports = random_reports(K, rng)
     for low, high in [(1, 3), (1, 4), (2, 6), (0, 2)]:
-        got = _split_indices(K, lines, low, high)
-        expected = split_by_scan(K, lambda P: sum(incident(P, l) for l in lines), low, high)
+        got = _split_indices(K, reports, low, high)
+        expected = split_by_scan(K, lambda P: index_of_point(reports, P).count, low, high)
         assert got == expected, (low, high)
         assert got[1], "offenders exist, so their order is compared"
+
+
+def test_dichotomy_memory_stays_linear_in_q():
+    # keying every walked point peaked at 5.6 MB here; the column sweep at 0.2 MB
+    K = field_create(2, 8)
+    T = PointMultiset(K, [((1, 2), 1), ((3, 5), 1)])
+    tracemalloc.start()
+    try:
+        rep = dichotomy_check(T, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert peak < 1 << 20, peak
 
 
 # -- no slow path left -------------------------------------------------------------
@@ -331,29 +352,25 @@ def field_detectors(pe):
             for kind, det in row_detectors(T, lam)]
 
 
-def takes_closed_form(g):
-    return len(g._points) * g.field.q <= len(g.terms)
-
-
 @pytest.mark.parametrize("pe", ROW_FIELDS, ids=lambda pe: f"q{pe[0] ** pe[1]}")
 def test_rows_match_eval_v(pe):
     for name, kind, _, g in field_detectors(pe):
         expected = rows_by_eval_v(g)
         assert list(g.rows()) == expected, (name, kind)
-        # the closed form is right on both sides of the rule, dense or not
-        assert list(g._closed_form_rows()) == expected, (name, kind)
 
 
 def test_row_corpus_covers_the_edge_cases():
-    """Both sides of the rule for both detectors, alpha = 0 points, and
-    multiplicities that vanish mod p."""
-    paths, alpha_zero, weight_zero = set(), False, False
+    """Dense input for both detectors (support size * q above the term
+    count of g, where walking g's terms is the cheaper way to a row),
+    alpha = 0 points, and multiplicities that vanish mod p."""
+    dense, alpha_zero, weight_zero = set(), False, False
     for pe in ROW_FIELDS:
         for _, kind, T, g in field_detectors(pe):
-            paths.add((kind, takes_closed_form(g)))
+            if len(g._points) * T.field.q > len(g.terms):
+                dense.add(kind)
             alpha_zero |= kind == "point" and any(alpha == 0 for _, alpha, _, _ in g._points)
             weight_zero |= any(m % T.field.p == 0 for _, m in T.items())
-    assert paths == {(k, path) for k in ("slope", "point") for path in (True, False)}
+    assert dense == {"slope", "point"}
     assert alpha_zero and weight_zero
 
 
@@ -365,7 +382,6 @@ def test_rows_match_eval_v_sampled_at_large_q(pe):
     T = gen_planted(K, [(3, 7), (10, 1)][:lam], [1] * lam).multiset
     for kind, det in row_detectors(T, lam, ProjPoint.affine(K, 0, 0)):
         g = det.g
-        assert takes_closed_form(g), kind
         rows = list(g.rows())
         assert len(rows) == K.q
         for y in [0, 1, K.q - 1] + rng.sample(range(2, K.q - 1), 5):
@@ -418,7 +434,13 @@ def _planted_lam2_q31():
 
 
 def test_sparse_detectors_never_evaluate_g(monkeypatch):
+    """Every row is written in closed form: on the planted set, and on a
+    GF(16) set dense enough that g has fewer terms than support size * q."""
     K, T, reports = _planted_lam2_q31()
+    K16 = field_create(2, 4)
+    dense = gen_random(K16, 3, 0.3)
+    dense_reports = [r for r in uniform_directions(dense, 7)
+                     if slope_of(r.direction) is not None]
 
     def forbidden(*args):
         raise AssertionError("BiPoly.eval_v ran")
@@ -427,21 +449,7 @@ def test_sparse_detectors_never_evaluate_g(monkeypatch):
     assert renitent_lower_bound_check(T, reports).ok
     det = build_point_detector(T, reports, ProjPoint.affine(K, 1, 2))
     assert len(gcd_profile(det.f, det.g).k) == K.q
-
-
-def test_dense_detector_evaluates_g_once_per_row(monkeypatch):
-    K = field_create(2, 4)
-    T = gen_random(K, 3, 0.3)
-    reports = [r for r in uniform_directions(T, 7) if slope_of(r.direction) is not None]
-    det = build_slope_detector(T, reports)
-    assert not takes_closed_form(det.g)
-    calls = [0]
-    eval_v = BiPoly.eval_v
-
-    def counted(self, y):
-        calls[0] += 1
-        return eval_v(self, y)
-
-    monkeypatch.setattr(BiPoly, "eval_v", counted)
-    gcd_profile(det.f, det.g)
-    assert calls[0] == K.q
+    for det in (build_slope_detector(dense, dense_reports),
+                build_point_detector(dense, dense_reports, ProjPoint.affine(K16, 0, 0))):
+        assert len(det.g._points) * K16.q > len(det.g.terms)
+        assert len(gcd_profile(det.f, det.g).k) == K16.q

@@ -73,7 +73,7 @@ def horner_by_scalar_kernels(K, a, x):
 
 
 def powsums_by_scalar_kernels(K, pairs, k):
-    """The power sums of DetectorPoly._closed_form_rows."""
+    """The power sums of DetectorPoly.rows."""
     add, mul = K.uadd, K.umul
     sums = [0] * (k + 1)
     for w, u in pairs:
