@@ -42,6 +42,7 @@ from renitent import (
 from renitent import counting
 from renitent.uniformity import DirectionReport, RenitentLine
 from renitent.counting import (
+    DetectorPoly,
     _add_linear_power,
     _bump_sum,
     _linear_power_table,
@@ -434,13 +435,7 @@ def _planted_lam2_q31():
 
 
 def test_sparse_detectors_never_evaluate_g(monkeypatch):
-    """Every row is written in closed form: on the planted set, and on a
-    GF(16) set dense enough that g has fewer terms than support size * q."""
     K, T, reports = _planted_lam2_q31()
-    K16 = field_create(2, 4)
-    dense = gen_random(K16, 3, 0.3)
-    dense_reports = [r for r in uniform_directions(dense, 7)
-                     if slope_of(r.direction) is not None]
 
     def forbidden(*args):
         raise AssertionError("BiPoly.eval_v ran")
@@ -449,7 +444,34 @@ def test_sparse_detectors_never_evaluate_g(monkeypatch):
     assert renitent_lower_bound_check(T, reports).ok
     det = build_point_detector(T, reports, ProjPoint.affine(K, 1, 2))
     assert len(gcd_profile(det.f, det.g).k) == K.q
-    for det in (build_slope_detector(dense, dense_reports),
-                build_point_detector(dense, dense_reports, ProjPoint.affine(K16, 0, 0))):
-        assert len(det.g._points) * K16.q > len(det.g.terms)
-        assert len(gcd_profile(det.f, det.g).k) == K16.q
+
+
+def test_dense_detector_evaluates_g_once_per_row(monkeypatch):
+    """On a GF(16) set dense enough that g has fewer terms than support
+    size * q, gcd_profile still takes each row of g once, in closed form:
+    one rows() pass of q rows per detector, and no eval_v call."""
+    K = field_create(2, 4)
+    T = gen_random(K, 3, 0.3)
+    reports = [r for r in uniform_directions(T, 7) if slope_of(r.direction) is not None]
+    dets = (build_slope_detector(T, reports),
+            build_point_detector(T, reports, ProjPoint.affine(K, 0, 0)))
+    expected = [rows_by_eval_v(det.g) for det in dets]
+    rows, passes, rows_seen = DetectorPoly.rows, [0], [0]
+
+    def counted(self):
+        passes[0] += 1
+        for row in rows(self):
+            rows_seen[0] += 1
+            yield row
+
+    def forbidden(*args):
+        raise AssertionError("BiPoly.eval_v ran")
+
+    monkeypatch.setattr(DetectorPoly, "rows", counted)
+    monkeypatch.setattr(BiPoly, "eval_v", forbidden)
+    for det, exp in zip(dets, expected):
+        assert len(det.g._points) * K.q > len(det.g.terms)
+        passes[0] = rows_seen[0] = 0
+        assert len(gcd_profile(det.f, det.g).k) == K.q
+        assert (passes[0], rows_seen[0]) == (1, K.q)
+        assert list(rows(det.g)) == exp
