@@ -22,7 +22,7 @@ import sys
 
 from .errors import HypothesisRejected, InputError, RenitentError
 from .gf import parse_field_spec
-from .plane import all_directions, format_line, format_point, slope_of
+from .plane import all_directions, format_line, format_point, parse_point, slope_of
 from .uniformity import classify_direction, dump_points, parse_points, uniform_directions
 
 EXIT_OK = 0
@@ -191,22 +191,14 @@ def _load_multiset(args):
     return field, parse_points(field, _read_text(args.infile))
 
 
-def _parse_point_list(text):
-    points = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise InputError(f"expected 'a,b' pairs separated by ';', got {chunk!r}")
-        try:
-            points.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise InputError(f"bad coordinate in {chunk!r}") from exc
+def _parse_point_list(field, text):
+    """The affine points of "a,b;c,d;..."; a direction ("inf:d") is refused."""
+    points = [parse_point(field, chunk) for chunk in text.split(";") if chunk.strip()]
     if not points:
         raise InputError("empty point list")
-    return points
+    if any(P.is_at_infinity() for P in points):
+        raise InputError("planted points must be affine 'a,b' pairs, not directions")
+    return [P.affine_coords() for P in points]
 
 
 def _parse_int_list(text):
@@ -226,7 +218,7 @@ def cmd_gen(args):
     if args.kind == "planted":
         if not args.points:
             raise InputError("planted instances need --points 'a,b;c,d;...'")
-        points = _parse_point_list(args.points)
+        points = _parse_point_list(field, args.points)
         weights = _parse_int_list(args.weights) if args.weights else [1] * len(points)
         inst = generators.gen_planted(field, points, weights, args.c)
         T, truth = inst.multiset, inst.to_json()

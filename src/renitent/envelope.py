@@ -387,10 +387,20 @@ class DeficiencyReport(Record):
 def deficiency_bound_check(reports, lam):
     """Sum of (lam - lambda_d) over covered directions against lam^2 - lam.
 
-    Requires at least one sharp direction, as the bound does.
+    Requires reports that pass `check_reports`, a legal lam, lambda_d <= lam
+    at every direction and one sharp direction, as the bound does.
     """
     if not reports:
         raise InputError("need at least one direction report")
+    K = reports[0].direction.field
+    check_reports(K, reports)
+    if not isinstance(lam, int) or not 0 < lam <= (K.q - 1) // 2:
+        raise InputError(f"need 0 < lam <= (q-1)/2 = {(K.q - 1) // 2}, got {lam!r}")
+    for r in reports:
+        if r.lambda_d > lam:
+            raise InputError(
+                f"direction {format_point(r.direction)} shows {r.lambda_d} "
+                f"renitent lines, more than lam = {lam}")
     if not any(r.lambda_d == lam for r in reports):
         raise HypothesisRejected("the bound needs a direction with lambda_d = lam")
     per = tuple((r.direction, r.lambda_d) for r in reports)

@@ -9,8 +9,11 @@ point with a fixed, documented generator so instances are bit-stable
 across runs and platforms.
 """
 
+from itertools import combinations
+
 from .errors import InputError
-from .plane import ProjPoint, all_directions, format_point, slope_direction, vertical_direction
+from .plane import (ProjPoint, all_directions, format_point, line_at_infinity, line_meet,
+                    line_through)
 from .poly import TriHomPoly
 from .records import Record
 from .uniformity import PointMultiset
@@ -99,6 +102,8 @@ def gen_planted(field, points, weights, c=1):
         if w % K.p == 0:
             raise InputError(
                 f"weight {w} vanishes mod p = {K.p}; its lines would be typical")
+        if w >= K.p:
+            raise InputError(f"weights must lie in 1..p-1 = {K.p - 1}, got {w}")
     if not isinstance(c, int) or not 0 < c < K.p:
         raise InputError(f"multiplier must lie in 1..p-1, got {c!r}")
     T = PointMultiset(K, [((a, b), c * w) for (a, b), w in zip(pts, weights)])
@@ -106,15 +111,9 @@ def gen_planted(field, points, weights, c=1):
     for (a, b), w in zip(pts, weights):
         factor = TriHomPoly.linear(K, 1, a, K.uneg(b)) ** w
         oracle = factor if oracle is None else oracle * factor
-    spanned = set()
-    for i in range(lam):
-        for j in range(i + 1, lam):
-            (a1, b1), (a2, b2) = pts[i], pts[j]
-            if a1 == a2:
-                spanned.add(vertical_direction(K))
-            else:
-                s = K.udiv(K.usub(b2, b1), K.usub(a2, a1))
-                spanned.add(slope_direction(K, s))
+    at_infinity = line_at_infinity(K)
+    spanned = {line_meet(line_through(P, Q), at_infinity)
+               for P, Q in combinations([ProjPoint.affine(K, a, b) for a, b in pts], 2)}
     generic = tuple(d for d in all_directions(K) if d not in spanned)
     return PlantedInstance(T, oracle, generic, sum(weights),
                            tuple(pts), tuple(weights), c)
@@ -136,7 +135,8 @@ class ConicInstance(Record):
 
 
 def gen_norm_conic(field):
-    """The q+1 affine points of x^2 + xy + delta y^2 = 1, q even.
+    """The q+1 affine points of x^2 + xy + delta y^2 = 1, q even, in
+    (x, y) order, found with O(q) field operations.
 
     delta is the smallest-index element of absolute trace 1, which
     makes the form irreducible: no points at infinity, so the curve is
@@ -148,13 +148,16 @@ def gen_norm_conic(field):
         raise InputError("needs q = 2^e with e >= 2")
     delta = next(g for g in K.elements() if K.trace(g) == 1)
     add, mul = K.uadd, K.umul
-    pts = []
-    for x in K.elements():
-        xx = mul(x, x)
-        for y in K.elements():
-            val = add(xx, add(mul(x, y), mul(delta, mul(y, y))))
-            if val == 1:
-                pts.append((x, y))
+    # y = 0 gives x^2 = 1.  Otherwise x = y z turns the form into
+    # z^2 + z = delta + 1/y^2, whose roots z and z + 1 (or none) are read
+    # from one table of z^2 + z.
+    roots = {add(mul(z, z), z): z for z in K.elements()}
+    pts = [(1, 0)]
+    for y in range(1, K.q):
+        z = roots.get(add(delta, K.uinv(mul(y, y))))
+        if z is not None:
+            pts += [(mul(y, z), y), (mul(y, add(z, 1)), y)]
+    pts.sort()
     assert len(pts) == K.q + 1, "the unit-norm set must be an oval"
     T = PointMultiset(K, [((a, b), 1) for a, b in pts])
     return ConicInstance(T, ProjPoint.affine(K, 0, 0), delta)

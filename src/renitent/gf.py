@@ -10,7 +10,11 @@ their operands share one context.
 The modulus is a monic irreducible polynomial of degree e over GF(p),
 stored constant-first.  When none is given, the default is the first
 irreducible monic polynomial of degree e in ascending index order
-(same base-p encoding as elements), e.g. x^3 + x + 1 for GF(8).
+(same base-p encoding as elements), e.g. x^3 + x + 1 for GF(8).  One
+enumerator, _monic, lists the monic polynomials of a degree in that
+order, for this search and for the trial divisors of the irreducibility
+test; one trial division, _prime_factors, tests p for primality and
+factors q - 1 for the primitive element below.
 
 Prime fields (e = 1) compute on the indices with native integer
 arithmetic.  Extension fields compute through a primitive element g:
@@ -90,7 +94,7 @@ at once instead of building tables of that size.
 import functools
 import re
 import struct
-from itertools import repeat
+from itertools import product, repeat
 from operator import add as _add, mod as _mod, mul as _mul, xor as _xor
 
 from .errors import DivisionByZero, InputError
@@ -119,19 +123,6 @@ def _prime_factors(n):
     if n > 1:
         out.append(n)
     return out
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 # -- digit-vector helpers over GF(p), constant-first, trailing zeros trimmed
@@ -193,20 +184,17 @@ def _pinvmod(a, mod, p):
     return _trim([x * c % p for x in t0])
 
 
+def _monic(p, d):
+    """The monic polynomials of degree d over GF(p), constant-first, in
+    ascending index order (the constant term varies fastest)."""
+    return ([*reversed(low), 1] for low in product(range(p), repeat=d))
+
+
 def _irreducible(mod, p):
     """Trial division by every monic polynomial of degree 1..e//2."""
     e = len(mod) - 1
-    if mod[-1] != 1:
-        return False
-    for d in range(1, e // 2 + 1):
-        for idx in range(p ** d):
-            div, k = [0] * d + [1], idx
-            for i in range(d):
-                div[i] = k % p
-                k //= p
-            if not _pmod(mod, div, p):
-                return False
-    return True
+    return mod[-1] == 1 and all(
+        _pmod(mod, div, p) for d in range(1, e // 2 + 1) for div in _monic(p, d))
 
 
 # -- the kernels: one function per operation, no operand checks
@@ -228,11 +216,15 @@ def _packer(code):
 
 
 def _by_zero_coordinate(points):
-    """The points (a, b) in three runs: a, b != 0; then b = 0; then a = 0."""
+    """(runs, order, level, still) of the points (a, b): the runs a, b != 0,
+    b = 0 and a = 0; order, the three runs in a row; level, the b of each
+    point in order (its intercept at slope 0); and still, the b of the
+    a = 0 run (its intercept at every slope)."""
     runs = ([], [], [])
     for a, b in points:
         runs[2 if not a else 0 if b else 1].append((a, b))
-    return runs
+    order = [pt for run in runs for pt in run]
+    return runs, order, [b for _, b in order], [b for _, b in runs[2]]
 
 
 def _prime_kernels(p):
@@ -367,11 +359,8 @@ def _log_kernels(modulus, exp, log, zech):
 
         def intercepts(points):
             # b - a*s = b ^ g^(log a + log s); a = 0 gives b at every slope
-            both, b_zero, a_zero = _by_zero_coordinate(points)
-            order = both + b_zero + a_zero
-            level = [b for _, b in order]
+            (both, b_zero, _), order, level, still = _by_zero_coordinate(points)
             moving = [(lg[a], b) for a, b in both + b_zero]
-            still = [b for _, b in a_zero]
 
             def keys(s):
                 if not s:
@@ -479,12 +468,9 @@ def _log_kernels(modulus, exp, log, zech):
         # b - a*s = g^(log b) (1 + g^(log a + log s + half - log b)), with
         # the slope-free part of that exponent reduced once per point; a
         # zero coordinate leaves -a*s = g^(log a + half + log s), or b
-        both, b_zero, a_zero = _by_zero_coordinate(points)
-        order = both + b_zero + a_zero
-        level = [b for _, b in order]
+        (both, b_zero, _), order, level, still = _by_zero_coordinate(points)
         general = [(lg[b], (lg[a] + half - lg[b]) % n) for a, b in both]
         edge = [(lg[a] + half) % n for a, _ in b_zero]
-        still = [b for _, b in a_zero]
 
         def keys(s):
             if not s:
@@ -570,7 +556,7 @@ class GF:
             name = f"GF({p})" if e == 1 else f"GF({p}^{e})"
             raise InputError(
                 f"{name} is too large: field orders above {MAX_ORDER} are not supported")
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise InputError(f"{p!r} is not prime")
         self.p = p
         self.e = e
@@ -600,11 +586,7 @@ class GF:
     def _default_modulus(self):
         if self.e == 1:
             return (0, 1)
-        for idx in range(self.q):
-            mod, k = [0] * self.e + [1], idx
-            for i in range(self.e):
-                mod[i] = k % self.p
-                k //= self.p
+        for mod in _monic(self.p, self.e):
             if _irreducible(mod, self.p):
                 return tuple(mod)
         raise RuntimeError("unreachable: irreducible polynomials exist for every degree")

@@ -6,7 +6,7 @@ Homogeneous triples are stored canonically with the last nonzero
 coordinate scaled to 1, so equality is plain tuple equality.  Lines of
 slope s through intercept t are [s : -1 : t]; vertical lines x = t are
 [1 : 0 : -t]; collineations act on points by M.v and on lines by the
-inverse transpose.
+cofactor matrix of M, which is the inverse transpose up to a scalar.
 """
 
 import functools
@@ -186,19 +186,6 @@ def parallel_class(field, direction):
 # -- collineations -------------------------------------------------------
 
 
-def _mat_adjugate(K, m):
-    sub, mul = K.usub, K.umul
-
-    def cof(i, j):
-        r = [x for x in (0, 1, 2) if x != i]
-        c = [x for x in (0, 1, 2) if x != j]
-        minor = sub(mul(m[r[0]][c[0]], m[r[1]][c[1]]),
-                    mul(m[r[0]][c[1]], m[r[1]][c[0]]))
-        return minor if (i + j) % 2 == 0 else K.uneg(minor)
-
-    return tuple(tuple(cof(j, i) for j in range(3)) for i in range(3))
-
-
 def _mat_vec(K, m, v):
     add, mul = K.uadd, K.umul
     return tuple(
@@ -209,24 +196,26 @@ def _mat_vec(K, m, v):
 class Collineation:
     """Projectivity of PG(2,q) given by an invertible 3x3 matrix.
 
-    The adjugate is built once: it maps lines (transposed) and gives the
-    inverse, and since M adj(M) = det(M) I, row 0 of M times column 0 of
-    adj(M) is the determinant that rules out a singular matrix.
+    The cofactor matrix C is built once: its row i is the cross product
+    of rows i + 1 and i + 2 of M (indices mod 3), so M C^T = det(M) I.
+    C maps lines (the inverse transpose, up to the scalar det), its
+    transpose (the adjugate) is the inverse, and row 0 of M dotted with
+    row 0 of C is the determinant that rules out a singular matrix.
     """
 
-    __slots__ = ("field", "matrix", "_adj")
+    __slots__ = ("field", "matrix", "_cof")
 
     def __init__(self, field, matrix):
         matrix = tuple(tuple(field.check(c) for c in row) for row in matrix)
         if len(matrix) != 3 or any(len(r) != 3 for r in matrix):
             raise InputError("collineation matrix must be 3x3")
-        adj = _mat_adjugate(field, matrix)
-        (det,) = _mat_vec(field, matrix[:1], [row[0] for row in adj])
+        cof = tuple(_cross(field, matrix[i - 2], matrix[i - 1]) for i in range(3))
+        (det,) = _mat_vec(field, matrix[:1], cof[0])
         if det == 0:
             raise InputError("collineation matrix is singular")
         self.field = field
         self.matrix = matrix
-        self._adj = adj
+        self._cof = cof
 
     def apply_point(self, point):
         if point.field != self.field:
@@ -235,16 +224,14 @@ class Collineation:
         return ProjPoint(self.field, x, y, z)
 
     def apply_line(self, line):
-        """Lines map by the inverse transpose (adjugate transpose works
-        projectively since it differs by the determinant scalar)."""
+        """Lines map by the cofactor matrix (see the class docstring)."""
         if line.field != self.field:
             raise InputError("line uses a different context")
-        adj_t = tuple(tuple(self._adj[j][i] for j in range(3)) for i in range(3))
-        a, b, c = _mat_vec(self.field, adj_t, line.coords)
+        a, b, c = _mat_vec(self.field, self._cof, line.coords)
         return ProjLine(self.field, a, b, c)
 
     def inverse(self):
-        return Collineation(self.field, self._adj)
+        return Collineation(self.field, zip(*self._cof))
 
     def __repr__(self):
         return f"Collineation({self.matrix})"

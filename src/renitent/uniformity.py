@@ -214,8 +214,7 @@ def classify_direction(T, direction, lam):
     K = T.field
     if not isinstance(lam, int) or not 0 < lam <= (K.q - 1) // 2:
         raise InputError(f"need 0 < lam <= (q-1)/2 = {(K.q - 1) // 2}, got {lam!r}")
-    s = slope_of(direction)  # raises InputError off the line at infinity
-    profile = intercept_profile(T, direction)
+    profile = intercept_profile(T, direction)   # refuses a non-direction
     p = K.p
     # Residue frequencies over all q lines: the q - |profile| lines the
     # profile leaves out are empty, so they add to residue 0.
@@ -226,6 +225,7 @@ def classify_direction(T, direction, lam):
     if not typical:
         return None
     m_d = typical[0]  # unique: two residues on q-lam lines each would exceed q
+    s = slope_of(direction)   # only a uniform direction needs its slope
     # With m_d = 0 every renitent line is in the profile (an empty line has
     # residue 0).  Otherwise every empty line is renitent, so the profile
     # holds all q - lam or more typical lines, and a scan of all q

@@ -85,6 +85,18 @@ def test_gen_input_errors(capsys):
     assert rc == EXIT_INPUT  # malformed pair
 
 
+@pytest.mark.parametrize("points, weights, message", [
+    ("1,2;3,4", "8,1", "weights must lie in 1..p-1 = 6, got 8"),
+    ("1,2;inf:3", "1,1", "planted points must be affine 'a,b' pairs, not directions"),
+    ("1,2;3,9", "1,1", "point '3,9' out of range"),
+], ids=["weight-over-p", "direction", "out-of-range"])
+def test_gen_planted_refuses_bad_points_and_weights(capsys, points, weights, message):
+    rc = main(["gen", "--field", "7", "--kind", "planted", "--points", points,
+               "--weights", weights])
+    assert rc == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
 # -- analyze --------------------------------------------------------------------
 
 

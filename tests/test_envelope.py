@@ -628,6 +628,25 @@ def test_deficiency_needs_a_sharp_direction():
         deficiency_bound_check(merged_only, 3)
 
 
+def test_deficiency_refuses_reports_that_are_not_one_classification():
+    # each would pass the check at q = 7 otherwise: three copies of the 8
+    # reports give a false violation, reports classified at lam = 3 a
+    # deficit of -5, and reports over two fields would be summed together
+    T = PointMultiset(K7, [((1, 2), 1), ((3, 5), 1)])
+    reports = uniform_directions(T, 2)
+    assert len(reports) == 8 and deficiency_bound_check(reports, 2).ok
+    with pytest.raises(InputError, match=r"^duplicate direction "):
+        deficiency_bound_check(reports * 3, 2)
+    three = PointMultiset(K7, [((1, 2), 1), ((3, 5), 1), ((4, 4), 1)])
+    with pytest.raises(InputError, match=r"shows 3 renitent lines, more than lam = 2$"):
+        deficiency_bound_check(uniform_directions(three, 3), 2)
+    T11 = PointMultiset(field_create(11), [((1, 2), 1), ((3, 5), 1)])
+    with pytest.raises(InputError, match=r"^report uses a different context$"):
+        deficiency_bound_check(reports + uniform_directions(T11, 2), 2)
+    with pytest.raises(InputError, match=r"^need 0 < lam <= \(q-1\)/2 = 3, got '2'$"):
+        deficiency_bound_check(reports, "2")
+
+
 # -- verification -----------------------------------------------------------------
 
 

@@ -130,6 +130,16 @@ def test_planted_validation():
         gen_planted(K7, [(0, 0)], [1], c=7)
 
 
+def test_planted_refuses_weights_of_p_or_more():
+    # classification sees only c * w mod p, so a weight of 8 at p = 7
+    # would record a class of 9 that the multiset shows as 2
+    with pytest.raises(InputError, match=r"^weights must lie in 1\.\.p-1 = 6, got 8$"):
+        gen_planted(K7, [(1, 2), (3, 4)], [8, 1])
+    with pytest.raises(InputError, match=r"^weight 14 vanishes mod p = 7"):
+        gen_planted(K7, [(1, 2)], [14])
+    assert gen_planted(K7, [(1, 2), (3, 4)], [6, 1]).expected_class == 7
+
+
 def test_planted_json_shape():
     js = gen_planted(K7, [(2, 3)], [2]).to_json()
     assert js["kind"] == "planted"
@@ -142,7 +152,33 @@ def test_planted_json_shape():
 # -- norm conic --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (2, 4)])
+def scan_conic(K, delta):
+    """Oracle: every affine point of x^2 + xy + delta y^2 = 1, by a q^2 scan."""
+    return [((x, y), 1) for x in K.elements() for y in K.elements()
+            if K.add(K.mul(x, x), K.add(K.mul(x, y), K.mul(delta, K.mul(y, y)))) == 1]
+
+
+@pytest.mark.parametrize("e", range(2, 9))
+def test_conic_equals_the_scan(e):
+    K = field_create(2, e)
+    inst = gen_norm_conic(K)
+    assert inst.multiset.items() == scan_conic(K, inst.delta)
+
+
+def test_conic_costs_o_q_multiplications(monkeypatch):
+    K = field_create(2, 8)
+    calls, mul = [], K.umul
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(K, "umul", counted)
+    assert gen_norm_conic(K).multiset.size == K.q + 1
+    assert len(calls) <= 4 * K.q   # the q^2 scan took 3 q^2
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (2, 4), (2, 12)])
 def test_conic_is_an_arc_through_no_infinite_point(p, e):
     K = field_create(p, e)
     inst = gen_norm_conic(K)

@@ -8,6 +8,7 @@ command loads the ``json`` decoder.
 These checks are structural: they list modules, and time nothing.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -109,6 +110,30 @@ def test_every_exported_name_is_the_defining_modules_object():
         module = sys.modules[obj.__module__]
         assert module.__name__.startswith("renitent."), name
         assert vars(module)[name] is obj, name
+
+
+# The public names that no module of src/ calls, each kept for the reason
+# the README gives; a new uncalled name, or a kept one that gains a
+# caller, must be reconciled with the README and this list.
+KEPT_WITHOUT_CALLER = {
+    "build_point_detector", "concurrency_point", "dual_coords", "gcd_degree_bound",
+    "hankel_det_closed_form", "index_of_point", "line_count", "parallel_class",
+    "roots_with_multiplicity", "weighted_power_recursion_check",
+}
+
+
+def test_public_names_without_a_caller_are_the_kept_ones():
+    # a use is a reference in code: a name's definition, an import, a
+    # docstring or a message is none, and __init__ only lists the names
+    used = set()
+    for path in Path(renitent.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    assert set(renitent.__all__) - used == KEPT_WITHOUT_CALLER
 
 
 def test_dir_lists_every_exported_name():
