@@ -25,7 +25,10 @@ random.Random(q), classified at that lambda:
   q // 2 uniform slope directions, with R = (0, 0);
 * ``dichotomy_check``: the index dichotomy of the planted set at that
   lambda, its classification included (in no digest, so a file written
-  before the row existed still compares like for like).
+  before the row existed still compares like for like);
+* ``renitent_lower_bound_check``: the lower bound on the uniform slope
+  directions, its slope detector and gcd profile included (in no digest,
+  for the same reason).
 
 It also times one row that does not depend on q, ``import_cli`` (listed
 under q = ``any``): the median of 21 fresh ``python -c "import
@@ -171,7 +174,9 @@ def measure_theorems(renitent, q):
            "build_slope_detector": (fresh, lambda T: renitent.build_slope_detector(T, reports)),
            "gcd_profile_slope": (slope_detector, profile),
            "gcd_profile_point": (point_detector, profile),
-           "dichotomy_check": (fresh, lambda T: renitent.dichotomy_check(T, lam))}
+           "dichotomy_check": (fresh, lambda T: renitent.dichotomy_check(T, lam)),
+           "renitent_lower_bound_check":
+               (fresh, lambda T: renitent.renitent_lower_bound_check(T, reports))}
     rows = {op: summary([scaled_sample(prepare, run) for _ in range(REPEATS)])
             for op, (prepare, run) in ops.items()}
     det = slope_detector()

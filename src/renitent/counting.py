@@ -15,9 +15,11 @@ of the plane sits on at most lam renitent lines or on almost all of
 them).
 
 Both detectors' g is -|T| + h + a sum of w (alpha X + beta Y + gamma)^(q-1)
-over the support points, and a DetectorPoly keeps those parts.  The gcd
-profile needs the q rows g(X, y), and each is written in closed form
-from those parts.  The gcd degrees themselves always come from the
+over the support points, and a DetectorPoly keeps those parts without
+expanding them.  The gcd profile needs the q rows g(X, y), each written
+in closed form from the parts, and deg g, read from the parts one
+homogeneous level at a time; g's term map is written down only when
+something reads it.  The gcd degrees themselves always come from the
 Euclidean algorithm, so the algebra stays a second count beside the
 geometry.  The geometry reads the reports by parallel class: a uniform
 direction lies on its own lambda_d renitent lines, and the dichotomy
@@ -145,11 +147,13 @@ DETECTOR_MAX_WORK = 1 << 23
 
 def detector_work(K, support):
     """Estimated work of building a detector over `support` points of
-    GF(q) and running its gcd profile: each point writes the
-    (p(p+1)/2)^e nonzero terms of its power (Lucas's theorem), and each
-    of the q rows takes about q operations per support point for its
-    closed form (DetectorPoly.rows, dense input or not) and q more for
-    the Euclid."""
+    GF(q) and running its gcd profile: each of the q rows takes about q
+    operations per support point for its closed form (DetectorPoly.rows,
+    dense input or not) and q more for the Euclid.  The term part, the
+    (p(p+1)/2)^e nonzero terms of each point's power (Lucas's theorem),
+    is an upper bound: the build writes no term, deg g costs O(support *
+    q) in the usual case and support * q^2 / 2 at most, and the terms
+    are paid only when g.terms is read."""
     q = K.q
     return support * (K.p * (K.p + 1) // 2) ** K.e + q * q * (support + 1)
 
@@ -173,6 +177,29 @@ def _check_detector_reports(T, reports, allow_vertical=False):
             "slope directions only; re-coordinatize the vertical away")
 
 
+def _inverse_digit_factorials(K):
+    """F[i] = the product of 1/i_t! mod p over the base-p digits i_t of i,
+    for 0 <= i < q."""
+    p = K.p
+    inv_fact = [1] * p
+    for d in range(1, p):
+        inv_fact[d] = inv_fact[d - 1] * pow(d, p - 2, p) % p
+    F = [1]
+    while len(F) < K.q:   # the next digit d, above the ones F covers
+        F = [inv_fact[d] * f % p for d in range(p) for f in F]
+    return F
+
+
+def _digits_fit(p, i, D):
+    """Whether every base-p digit of i is at most that of D, that is,
+    whether i and D - i add up to D with no carry."""
+    while i:
+        if i % p > D % p:
+            return False
+        i, D = i // p, D // p
+    return True
+
+
 def _linear_power_table(K):
     """(rows, F) for writing (aX + bY + c)^(q-1) down term by term.
 
@@ -181,21 +208,16 @@ def _linear_power_table(K):
     p - 1, so by Lucas's theorem the multinomial mod p is the product
     over digits t of (p-1)! / (i_t! j_t! k_t!) when every digit pair has
     i_t + j_t <= p - 1, and 0 otherwise.  Since (p-1)! = -1 (Wilson),
-    that is (-1)^e F[i] F[j] F[k] with F[i] the product of 1/i_t! mod p.
+    that is (-1)^e F[i] F[j] F[k] with F from _inverse_digit_factorials.
     rows[i] lists the j whose digits fit, those of the nonzero terms.
     """
     p, q = K.p, K.q
-    inv_fact = [1] * p
-    for d in range(1, p):
-        inv_fact[d] = inv_fact[d - 1] * pow(d, p - 2, p) % p
-    F, rows = [1], [[0]]
-    place = 1
+    rows, place = [[0]], 1
     while place < q:   # the digit of weight place: d for i, e <= p-1-d for j
-        F = [inv_fact[d] * f % p for d in range(p) for f in F]
         rows = [[e * place + j for e in range(p - d) for j in row]
                 for d in range(p) for row in rows]
         place *= p
-    return rows, F
+    return rows, _inverse_digit_factorials(K)
 
 
 def _add_linear_power(K, table, out, w, alpha, beta, gamma):
@@ -237,30 +259,97 @@ def _bump_sum(K, bumps):
 
 class DetectorPoly(BiPoly):
     """A detector's g = -|T| + h + sum of w (alpha X + beta Y + gamma)^(q-1),
-    which keeps the parts it was built from: the constant -|T|, the
-    bumps (m, c) of h = sum of m (1 - (var - c)^(q-1)) with its variable,
-    and one (w, alpha, beta, gamma) per support point.
+    kept as the parts it is built from: the constant -|T|, the bumps
+    (m, c) of h = sum of m (1 - (var - c)^(q-1)) with h itself and its
+    variable, and one (w, alpha, beta, gamma) per support point.
 
-    It is equal, term for term, to the BiPoly of the same terms; only
-    rows() differs, writing each row g(X, y) from the parts.  A power
-    with alpha != 0 is (X - u)^(q-1) with u = -(beta y + gamma)/alpha,
-    and since binom(q-1, k) = (-1)^k mod p that is the sum of
-    u^k X^(q-1-k); a power with alpha = 0 is the constant 1 when
-    beta y + gamma != 0 and 0 otherwise.  h in X is a sum of such powers
-    too (u = c, weight -m) plus the constant sum of m; h in Y is m at
-    y = c and 0 elsewhere.  Per row that costs (distinct u) * q
-    operations, in one power-sum kernel call: the q * q * support part
-    of detector_work, dense input or not.
+    Nothing is expanded when it is built.  rows() writes each row
+    g(X, y) from the parts and total_degree reads the degree from them,
+    so a gcd profile never needs the term map; `terms` writes the map
+    down the first time it is read, O(q^2) field operations per support
+    point, and keeps it.  It equals, term for term, the BiPoly of the
+    same polynomial.
     """
 
-    __slots__ = ("_const", "_bumps", "_var", "_points")
+    __slots__ = ("_terms", "_const", "_bumps", "_h", "_var", "_points")
 
-    def __init__(self, field, terms, const, bumps, var, points):
-        # the terms come from valid parts with the zeros left out: not re-checked
-        self.field, self.terms = field, terms
-        self._const, self._bumps, self._var, self._points = const, bumps, var, points
+    def __init__(self, field, const, bumps, h, var, points):
+        # the parts come from valid input, the points with w != 0: not re-checked
+        self.field, self._terms = field, None
+        self._const, self._bumps, self._h, self._var = const, bumps, h, var
+        self._points = points
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            K = self.field
+            out = {}
+            table = _linear_power_table(K)
+            for point in self._points:
+                _add_linear_power(K, table, out, *point)
+            parts = [((0, 0), self._const)]
+            parts += [((n, 0) if self._var == 0 else (0, n), c)
+                      for n, c in enumerate(self._h.coeffs)]
+            for key, c in parts:
+                out[key] = K.uadd(out.get(key, 0), c)
+            self._terms = {key: c for key, c in out.items() if c}   # sums may cancel
+        return self._terms
+
+    @property
+    def total_degree(self):
+        """The largest i + j of a nonzero term, -1 for g = 0, read from the
+        parts one homogeneous level D at a time, from D = q - 1 down.
+
+        At level D, with k = q - 1 - D, a power w (alpha X + beta Y +
+        gamma)^(q-1) puts (-1)^e F[i] F[D-i] F[k] w alpha^i beta^(D-i)
+        gamma^k on X^i Y^(D-i) when the digits of i and D - i fit (see
+        _linear_power_table).  For beta != 0 that is w beta^D gamma^k
+        (alpha/beta)^i, so the points' sums for every i come from one
+        power-sum call; a point with beta = 0 adds only at i = D.  h adds
+        its coefficient of degree D (at i = D in X, at i = 0 in Y), and
+        -|T| adds at D = 0; both are divided by the factor in front of
+        the sum there, so each coefficient is nonzero exactly when its
+        sum is.  At D = q - 1 every i fits, so the usual case is that one
+        level, O(support * q); all q levels take support * q^2 / 2.
+        """
+        K = self.field
+        p, n = K.p, K.q - 1
+        add, mul, div, power = K.uadd, K.umul, K.udiv, K.upow
+        F = _inverse_digit_factorials(K)
+        sign = K.from_int((-1) ** K.e)
+        h = self._h.coeffs
+        slanted = [(w, beta, gamma, div(alpha, beta))
+                   for w, alpha, beta, gamma in self._points if beta]
+        upright = [(w, alpha, gamma) for w, alpha, beta, gamma in self._points if not beta]
+        for D in range(n, -1, -1):
+            k = n - D
+            pairs = [(mul(mul(w, power(gamma, k)), power(beta, D)), ratio)
+                     for w, beta, gamma, ratio in slanted]
+            sums = K.upowsums(pairs, D)
+            for w, alpha, gamma in upright:
+                sums[D] = add(sums[D], mul(mul(w, power(gamma, k)), power(alpha, D)))
+            extra = h[D] if D < len(h) else 0
+            if D == 0:
+                extra = add(extra, self._const)
+            if extra:
+                i = D if self._var == 0 else 0
+                lead = mul(mul(sign, F[k]), mul(F[i], F[D - i]))
+                sums[i] = add(sums[i], div(extra, lead))
+            if any(s and _digits_fit(p, i, D) for i, s in enumerate(sums)):
+                return D
+        return -1
 
     def rows(self):
+        """Each row g(X, y) from the parts.  A power with alpha != 0 is
+        (X - u)^(q-1) with u = -(beta y + gamma)/alpha, and since
+        binom(q-1, k) = (-1)^k mod p that is the sum of u^k X^(q-1-k); a
+        power with alpha = 0 is the constant 1 when beta y + gamma != 0
+        and 0 otherwise.  h in X is a sum of such powers too (u = c,
+        weight -m) plus the constant sum of m; h in Y is m at y = c and 0
+        elsewhere.  Per row that costs (distinct u) * q operations, in
+        one power-sum kernel call: the q * q * support part of
+        detector_work, dense input or not.
+        """
         K = self.field
         n = K.q - 1
         add, mul, div, neg = K.uadd, K.umul, K.udiv, K.uneg
@@ -297,22 +386,12 @@ def _detector_g(K, T, bumps, h, var, lin_coeffs):
     one power per support point with nonzero weight w = mult mod p;
     h is the bump sum of bumps.  lin_coeffs(a, b) gives (alpha, beta,
     gamma) for the point (a, b)."""
-    const = K.uneg(K.from_int(T.size))
     points = []
     for (a, b), mult in T.items():
         w = K.from_int(mult)
         if w:
             points.append((w, *lin_coeffs(a, b)))
-    out = {}
-    table = _linear_power_table(K)
-    for point in points:
-        _add_linear_power(K, table, out, *point)
-    parts = [((0, 0), const)]
-    parts += [((n, 0) if var == 0 else (0, n), c) for n, c in enumerate(h.coeffs)]
-    for key, c in parts:
-        out[key] = K.uadd(out.get(key, 0), c)
-    terms = {key: c for key, c in out.items() if c}   # sums may cancel
-    return DetectorPoly(K, terms, const, bumps, var, points)
+    return DetectorPoly(K, K.uneg(K.from_int(T.size)), bumps, h, var, points)
 
 
 def build_slope_detector(T, reports):

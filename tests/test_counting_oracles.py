@@ -1,10 +1,12 @@
 """The fast paths of `counting` against the slow computations they replaced.
 
-The detector builds write (alpha X + beta Y + gamma)^(q-1) and the bumps
-1 - (X - c)^(q-1) down in closed form; here they are compared with
+The detectors' term maps write (alpha X + beta Y + gamma)^(q-1) and the
+bumps 1 - (X - c)^(q-1) down in closed form; here they are compared with
 repeated squaring (`BiPoly.__pow__`, `UniPoly.__pow__`).  The detectors'
 rows g(X, y) are written in closed form too; here they are compared with
 `BiPoly.eval_v`, and the gcd profiles with the eval_v-and-`%` loop.  The
+degree of g is read from its parts one homogeneous level at a time; here
+it is compared with the largest i + j of the term map.  The
 dichotomy counts indices by parallel class, one column of the plane at a
 time; here it is compared with the incidence scan of every point of the
 plane.
@@ -39,7 +41,7 @@ from renitent import (
     slope_of,
     uniform_directions,
 )
-from renitent import counting
+from renitent import cli, counting
 from renitent.uniformity import DirectionReport, RenitentLine
 from renitent.counting import (
     DetectorPoly,
@@ -387,6 +389,165 @@ def test_rows_match_eval_v_sampled_at_large_q(pe):
         assert len(rows) == K.q
         for y in [0, 1, K.q - 1] + rng.sample(range(2, K.q - 1), 5):
             assert rows[y] == g.eval_v(y), (kind, y)
+
+
+# -- deg g, read level by level from the parts ---------------------------------------
+
+
+def degree_by_terms(g):
+    return max((i + j for i, j in g.terms), default=-1)
+
+
+# prime, odd-p extension and p = 2 fields
+DEGREE_FIELDS = [(5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (3, 3), (2, 2), (2, 3), (2, 4), (2, 5)]
+
+
+def edge_detectors(K):
+    """Both detectors of three inputs, each with made-up reports on half
+    the slopes: every multiplicity divisible by p, so g = h - |T|, once
+    with every m_d = 0, so g = 0, and once with nonzero m_d; and |T| = 0
+    mod p with nonzero weights, so the X^(q-1) coefficient of the slope
+    detector's g, the sum of the weights, cancels."""
+    q, p = K.q, K.p
+    zero_mod_p = PointMultiset(K, [((1, 2), p), ((3 % q, 1), 2 * p)])
+    size_zero_mod_p = PointMultiset(K, [((1, 2), 1), ((3 % q, 1), p - 1)])
+    out = []
+    for name, T, m_d in [("g = 0", zero_mod_p, lambda s: 0),
+                         ("g = h", zero_mod_p, lambda s: 1 + s % (p - 1)),
+                         ("|T| = 0", size_zero_mod_p, lambda s: s % p)]:
+        reports = [DirectionReport(slope_direction(K, s), 1, m_d(s), ())
+                   for s in range(max(1, q // 2))]
+        R = ProjPoint.affine(K, 1, 2)
+        out += [(name, "slope", build_slope_detector(T, reports).g),
+                (name, "point", build_point_detector(T, reports, R).g)]
+    return out
+
+
+def random_parts(K, rng):
+    """A g from random parts, drawn to cancel: a power w (alpha X + beta Y +
+    gamma)^(q-1) may come with a partner -w (alpha X + beta Y + gamma')^(q-1)
+    that cancels it on the top level, and a bump m (1 - (var - c)^(q-1))
+    with the power m (var - c)^(q-1) that cancels all of it but m.  The
+    constant is sometimes minus the sum of the bumps, so g may be 0."""
+    q = K.q
+    var = rng.randrange(2)
+    bumps = [(K.from_int(rng.randrange(1, K.p)), rng.randrange(q))
+             for _ in range(rng.randrange(3))]
+    points = []
+    for _ in range(rng.randrange(4)):
+        w, alpha, beta, gamma = rng.randrange(1, q), *(rng.randrange(q) for _ in range(3))
+        points.append((w, alpha, beta, gamma))
+        if rng.random() < 0.5:
+            points.append((K.uneg(w), alpha, beta, rng.randrange(q)))
+    for m, c in bumps:
+        if rng.random() < 0.7:
+            points.append((m, 1 - var, var, K.uneg(c)))
+    minus_bumps = K.uneg(functools.reduce(K.uadd, (m for m, _ in bumps), 0))
+    const = rng.choice([0, rng.randrange(q), minus_bumps])
+    rng.shuffle(points)
+    return DetectorPoly(K, const, bumps, _bump_sum(K, bumps), var, points)
+
+
+def degree_corpus(pe):
+    """(name, g): both detectors of the row corpus (q <= 81) and of the edge
+    inputs, 150 g from random parts, and the GF(4) g below."""
+    K = field_create(*pe)
+    out = [(f"{name}/{kind}", g) for name, kind, _, g in field_detectors(pe)]
+    out += [(f"{name}/{kind}", g) for name, kind, g in edge_detectors(K)]
+    rng = random.Random(K.q)
+    out += [(f"parts{t}", random_parts(K, rng)) for t in range(150)]
+    if K.q == 4:
+        out.append(("carry only", DetectorPoly(K, 0, [], UniPoly.zero(K), 1,
+                                               CARRY_ONLY_POINTS_Q4)))
+    return out
+
+
+# A GF(4) g whose level 2 sums to nonzero only at the carrying term X Y,
+# which Lucas's theorem drops: six powers (alpha X + Y + gamma)^3, two at
+# each alpha in {1, a, a^2} (a = 2 and a^2 = 3 as element indices) with
+# opposite top levels.  g is the constant 1, so deg g = 0.
+CARRY_ONLY_POINTS_Q4 = [(1, 1, 1, 0), (1, 1, 1, 1), (1, 2, 1, 0), (1, 2, 1, 3),
+                        (1, 3, 1, 0), (1, 3, 1, 2)]
+
+
+@pytest.mark.parametrize("pe", DEGREE_FIELDS, ids=lambda pe: f"q{pe[0] ** pe[1]}")
+def test_total_degree_matches_the_term_map(pe):
+    K = field_create(*pe)
+    n = K.q - 1
+    levels = set()
+    for name, g in degree_corpus(pe):
+        expected = degree_by_terms(g)
+        assert g.total_degree == expected, name
+        levels.add(expected if expected < n else "top")
+    # below the top level: g = 0, the constants and at least one level between
+    assert {"top", -1, 0} <= levels and len(levels) > 3, levels
+
+
+def test_degree_corpus_covers_the_edge_cases():
+    for pe in DEGREE_FIELDS:
+        K = field_create(*pe)
+        n = K.q - 1
+        edges = {name + "/" + kind: g for name, kind, g in edge_detectors(K)}
+        for kind in ("slope", "point"):
+            assert not edges[f"g = 0/{kind}"].terms
+            g = edges[f"g = h/{kind}"]
+            assert not g._points and g._h.coeffs and g.terms
+        g = edges["|T| = 0/slope"]
+        assert g._points and (n, 0) not in g.terms
+    g = DetectorPoly(field_create(2, 2), 0, [], UniPoly.zero(field_create(2, 2)), 1,
+                     CARRY_ONLY_POINTS_Q4)
+    assert g.terms == {(0, 0): 1}
+
+
+def test_cli_check_reports_deg_g_of_the_zero_detector(tmp_path, capsys):
+    path = tmp_path / "pts.txt"
+    path.write_text("1 2 7\n3 5 7\n")
+    assert cli.main(["check", "--field", "7", "--in", str(path), "--lambda", "1",
+                     "--bound", "gcd"]) == 0
+    assert '"deg_g": -1' in capsys.readouterr().out
+
+
+# -- the term map is built only when it is read --------------------------------------
+
+
+def test_profiles_and_cli_bounds_never_build_the_term_map(monkeypatch, tmp_path, capsys):
+    def forbidden(*args):
+        raise AssertionError("the term map was built")
+
+    monkeypatch.setattr(counting, "_add_linear_power", forbidden)
+    path = tmp_path / "pts.txt"
+    path.write_text("1 2 1\n3 5 1\n")
+    for bound in ("count", "gcd"):
+        assert cli.main(["check", "--field", "13", "--in", str(path), "--lambda", "2",
+                         "--bound", bound]) == 0
+    capsys.readouterr()
+    K = field_create(13)
+    T = PointMultiset(K, [((1, 2), 1), ((3, 5), 1)])
+    reports = [r for r in uniform_directions(T, 2) if slope_of(r.direction) is not None]
+    R = ProjPoint.affine(K, 1, 2)
+    det, pdet = build_slope_detector(T, reports), build_point_detector(T, reports, R)
+    for d in (det, pdet):
+        profile = gcd_profile(d.f, d.g)
+        assert len(profile.k) == K.q and profile.deg_g == K.q - 1
+    monkeypatch.undo()
+    assert (det.f, det.g, det.h) == slope_detector_by_squaring(T, reports)
+    assert (pdet.f, pdet.g) == point_detector_by_squaring(T, reports, R)
+
+
+def test_slope_detector_profile_memory_stays_linear_in_q():
+    # the term map of two points at q = 257 peaked at 5.4 MB here; the parts at 0.1 MB
+    K = field_create(257)
+    T = PointMultiset(K, [((1, 2), 1), ((3, 5), 1)])
+    reports = [r for r in uniform_directions(T, 2) if slope_of(r.direction) is not None]
+    tracemalloc.start()
+    try:
+        det = build_slope_detector(T, reports)
+        profile = gcd_profile(det.f, det.g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profile.deg_g == K.q - 1
+    assert peak < 1 << 20, peak
 
 
 def gcd_profile_by_eval_v(f, g):

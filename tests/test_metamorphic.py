@@ -16,6 +16,10 @@ without repeating any of their code.  The deficiency bound and the index
 dichotomy read only the classification and the incidences of its
 renitent lines, so they must come out the same on T' with every
 direction and point mapped, and reject T' exactly when they reject T.
+The lower bound counts the renitent lines on a set E of uniform slope
+directions twice, from the reports and from the gcd profile of the slope
+detector, so both counts must come out the same on T' over the image of
+E, for every E the map keeps off the vertical direction.
 """
 
 import pytest
@@ -27,11 +31,14 @@ from renitent import (
     PointMultiset,
     ProjLine,
     ProjPoint,
+    all_directions,
     deficiency_bound_check,
     dichotomy_check,
     field_create,
     gen_planted,
     gen_random,
+    renitent_lower_bound_check,
+    slope_of,
     uniform_directions,
 )
 
@@ -178,3 +185,47 @@ def test_frobenius_image_of_the_bounds(pe, data):
     mapped = image(T, lambda x, y: (frob(x), frob(y)))
     want = bound_reports(T, lam, lambda pt: ProjPoint(K, *map(frob, pt.coords)))
     assert bound_reports(mapped, lam, unchanged) == want
+
+
+# The lower bound builds a gcd detector; these fields keep its examples fast.
+LOWER_BOUND_FIELDS = [pe for pe in FIELDS if pe[0] ** pe[1] <= 27]
+
+
+def lower_bound_report(T, lam, directions):
+    """(count, gcd_count, bound, pass) of the lower bound on the uniform
+    directions of T among `directions`, None when none is uniform or the
+    check rejects them."""
+    reports = [r for r in uniform_directions(T, lam) if r.direction in directions]
+    rep = _rejected_or(renitent_lower_bound_check, T, reports) if reports else None
+    return None if rep is None else (rep.count, rep.gcd_count, rep.bound, rep.ok)
+
+
+@pytest.mark.parametrize("pe", LOWER_BOUND_FIELDS, ids=_field_id)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_affine_image_of_the_lower_bound(pe, data):
+    K = field_create(*pe)
+    T, lam = data.draw(instances(K, BOUND_LAMS))
+    g = data.draw(affine_maps(K))
+    mapped = image(T, raw_affine(K, g))
+    # E: the slope directions whose images are slope directions too
+    E = {d for d in all_directions(K)
+         if slope_of(d) is not None and slope_of(g.apply_point(d)) is not None}
+    want = lower_bound_report(T, lam, E)
+    assert lower_bound_report(mapped, lam, {g.apply_point(d) for d in E}) == want
+
+
+@pytest.mark.parametrize("pe", LOWER_BOUND_FIELDS, ids=_field_id)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_frobenius_image_of_the_lower_bound(pe, data):
+    K = field_create(*pe)
+    T, lam = data.draw(instances(K, BOUND_LAMS))
+
+    def frob(x):
+        return K._pow_raw(x, K.p)
+
+    mapped = image(T, lambda x, y: (frob(x), frob(y)))
+    # Frobenius fixes the vertical direction, so E is every slope direction
+    E = {d for d in all_directions(K) if slope_of(d) is not None}
+    assert lower_bound_report(mapped, lam, E) == lower_bound_report(T, lam, E)
