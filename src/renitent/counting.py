@@ -15,10 +15,11 @@ of the plane sits on at most lam renitent lines or on almost all of
 them).
 
 Both detectors' g is -|T| + h + a sum of w (alpha X + beta Y + gamma)^(q-1)
-over the support points, and a DetectorPoly keeps those parts without
-expanding them.  The gcd profile needs the q rows g(X, y), each written
-in closed form from the parts, and deg g, read from the parts one
-homogeneous level at a time; g's term map is written down only when
+over the support points.  Each bump of h is a constant plus one more such
+power, so a DetectorPoly keeps g as one constant and one list of powers,
+unexpanded.  The gcd profile needs the q rows g(X, y), each written in
+closed form from the powers, and deg g, read one homogeneous level at a
+time from the level sums that also write g's term map, only when
 something reads it.  The gcd degrees themselves always come from the
 Euclidean algorithm, so the algebra stays a second count beside the
 geometry.  The geometry reads the reports by parallel class: a uniform
@@ -37,7 +38,7 @@ from .plane import (
     incident,
     slope_of,
 )
-from .poly import BiPoly, UniPoly, power_list, uni_gcd
+from .poly import BiPoly, UniPoly, uni_gcd
 from .records import FrozenRecord, Record
 from .uniformity import check_reports, uniform_directions
 
@@ -63,7 +64,7 @@ def gcd_profile(f, g):
 
     The rows f(X, y) and g(X, y) come from BiPoly.rows: an f with no Y
     term is evaluated once, and a detector's g (a DetectorPoly) writes
-    each row in closed form from its support points.
+    each row in closed form from its powers.
     """
     if f.field != g.field:
         raise InputError("mixed contexts")
@@ -151,9 +152,10 @@ def detector_work(K, support):
     operations per support point for its closed form (DetectorPoly.rows,
     dense input or not) and q more for the Euclid.  The term part, the
     (p(p+1)/2)^e nonzero terms of each point's power (Lucas's theorem),
-    is an upper bound: the build writes no term, deg g costs O(support *
-    q) in the usual case and support * q^2 / 2 at most, and the terms
-    are paid only when g.terms is read."""
+    is the cost of no loop: the build writes no term, deg g costs one
+    pass over the powers in the usual case, and g.terms writes the map
+    from level sums, not term by term.  It is kept so that the budget
+    admits and refuses the same inputs."""
     q = K.q
     return support * (K.p * (K.p + 1) // 2) ** K.e + q * q * (support + 1)
 
@@ -190,58 +192,15 @@ def _inverse_digit_factorials(K):
     return F
 
 
-def _digits_fit(p, i, D):
-    """Whether every base-p digit of i is at most that of D, that is,
-    whether i and D - i add up to D with no carry."""
-    while i:
-        if i % p > D % p:
-            return False
-        i, D = i // p, D // p
-    return True
-
-
-def _linear_power_table(K):
-    """(rows, F) for writing (aX + bY + c)^(q-1) down term by term.
-
-    The coefficient of X^i Y^j is the multinomial (q-1)! / (i! j! k!),
-    k = q-1-i-j, times a^i b^j c^k.  Every base-p digit of q - 1 is
-    p - 1, so by Lucas's theorem the multinomial mod p is the product
-    over digits t of (p-1)! / (i_t! j_t! k_t!) when every digit pair has
-    i_t + j_t <= p - 1, and 0 otherwise.  Since (p-1)! = -1 (Wilson),
-    that is (-1)^e F[i] F[j] F[k] with F from _inverse_digit_factorials.
-    rows[i] lists the j whose digits fit, those of the nonzero terms.
-    """
-    p, q = K.p, K.q
-    rows, place = [[0]], 1
-    while place < q:   # the digit of weight place: d for i, e <= p-1-d for j
-        rows = [[e * place + j for e in range(p - d) for j in row]
-                for d in range(p) for row in rows]
+def _fitting(p, D):
+    """The i in 0..D, ascending, whose base-p digits are each at most those
+    of D: the i for which i and D - i add up to D with no carry."""
+    fits, place = [0], 1
+    while D:
+        D, d = divmod(D, p)
+        fits = [a * place + i for a in range(d + 1) for i in fits]
         place *= p
-    return rows, _inverse_digit_factorials(K)
-
-
-def _add_linear_power(K, table, out, w, alpha, beta, gamma):
-    """out += w (alpha X + beta Y + gamma)^(q-1), on a {(i, j): coeff} map.
-
-    Term by term from _linear_power_table: O(q^2) field operations, no
-    polynomial products.
-    """
-    rows, F = table
-    n = K.q - 1
-    mul, add = K.umul, K.uadd
-    w = mul(w, K.from_int((-1) ** K.e))
-    A = [mul(mul(w, f), a) for f, a in zip(F, power_list(K, alpha, n))]
-    B = [mul(f, b) for f, b in zip(F, power_list(K, beta, n))]
-    C = [mul(f, c) for f, c in zip(F, power_list(K, gamma, n))]
-    for i, row in enumerate(rows):
-        a = A[i]
-        if not a:
-            continue
-        for j in row:
-            b, c = B[j], C[n - i - j]
-            if b and c:
-                key = (i, j)
-                out[key] = add(out.get(key, 0), mul(a, mul(b, c)))
+    return fits
 
 
 def _bump_sum(K, bumps):
@@ -258,140 +217,155 @@ def _bump_sum(K, bumps):
 
 
 class DetectorPoly(BiPoly):
-    """A detector's g = -|T| + h + sum of w (alpha X + beta Y + gamma)^(q-1),
-    kept as the parts it is built from: the constant -|T|, the bumps
-    (m, c) of h = sum of m (1 - (var - c)^(q-1)) with h itself and its
-    variable, and one (w, alpha, beta, gamma) per support point.
+    """A detector's g = const + sum of w (alpha X + beta Y + gamma)^(q-1),
+    kept as the constant and the list of (w, alpha, beta, gamma) powers it
+    is built from.
 
     Nothing is expanded when it is built.  rows() writes each row
-    g(X, y) from the parts and total_degree reads the degree from them,
-    so a gcd profile never needs the term map; `terms` writes the map
-    down the first time it is read, O(q^2) field operations per support
-    point, and keeps it.  It equals, term for term, the BiPoly of the
-    same polynomial.
+    g(X, y) from the powers, and total_degree and terms both read g one
+    homogeneous level at a time from the same level sums (_levels), so a
+    gcd profile never needs the term map; `terms` writes the map down the
+    first time it is read and keeps it.  It equals, term for term, the
+    BiPoly of the same polynomial.
     """
 
-    __slots__ = ("_terms", "_const", "_bumps", "_h", "_var", "_points")
+    __slots__ = ("_terms", "_const", "_powers")
 
-    def __init__(self, field, const, bumps, h, var, points):
-        # the parts come from valid input, the points with w != 0: not re-checked
+    def __init__(self, field, const, powers):
+        # the parts come from valid input: not re-checked
         self.field, self._terms = field, None
-        self._const, self._bumps, self._h, self._var = const, bumps, h, var
-        self._points = points
+        self._const, self._powers = const, powers
+
+    def _levels(self):
+        """(D, fits, sums) for each homogeneous level D of g, from q - 1 down.
+
+        By Lucas's theorem w (alpha X + beta Y + gamma)^(q-1) has the term
+        (-1)^e F[i] F[j] F[k] w alpha^i beta^j gamma^k at X^i Y^j, k =
+        q-1-i-j, when the base-p digits of i and j add up to those of i + j
+        with no carry, and none otherwise: the multinomial (q-1)! / (i! j!
+        k!) mod p is a product over the digits, each digit of q - 1 is
+        p - 1, and (p-1)! = -1.  fits lists those i of level D = i + j, and
+        sums[i] is g's X^i Y^(D-i) coefficient over the nonzero (-1)^e F[i]
+        F[D-i] F[k].
+
+        As beta^(q-1) = 1, a power with beta != 0 is w (r X + Y + s)^(q-1)
+        with r = alpha/beta, s = gamma/beta, and adds w s^k r^i: one
+        power-sum call over the ratios r gives a level's sums for every i.
+        With beta = 0 != alpha it is w (X + s)^(q-1), s = gamma/alpha,
+        adding w s^k at i = D; with alpha = beta = 0, the constant w when
+        gamma != 0.  Constants sit at D = 0, where (-1)^e F[q-1] = 1.  Powers
+        of one ratio share one power-sum call over their s for the weights
+        of every level, so level q - 1, the usual degree, costs O(powers),
+        and all q levels (powers + ratios * q / 2) * q in the kernel.
+        """
+        K = self.field
+        n = K.q - 1
+        add, mul = K.uadd, K.umul
+        const, groups = self._const, {}   # r -> the (w, s) of its powers; None: beta = 0
+        for w, alpha, beta, gamma in self._powers:
+            lead = beta or alpha
+            if lead:
+                inv = K.uinv(lead)
+                groups.setdefault(mul(alpha, inv) if beta else None, []).append(
+                    (w, mul(gamma, inv)))
+            elif gamma:
+                const = add(const, w)
+        # W[r][k] = the sum of w s^k over the powers of ratio r: level q - 1
+        # needs k = 0 alone, and a level below it every k
+        W = {r: K.upowsums(pairs, 0) for r, pairs in groups.items()}
+        for D in range(n, -1, -1):
+            k = n - D
+            if k == 1:
+                W = {r: K.upowsums(pairs, n) for r, pairs in groups.items()}
+            sums = K.upowsums([(Wr[k], r) for r, Wr in W.items() if r is not None], D)
+            if None in W:
+                sums[D] = add(sums[D], W[None][k])
+            if D == 0:
+                sums[0] = add(sums[0], const)
+            yield D, _fitting(K.p, D), sums
 
     @property
     def terms(self):
         if self._terms is None:
             K = self.field
+            n, mul = K.q - 1, K.umul
+            F = _inverse_digit_factorials(K)
+            sign = K.from_int((-1) ** K.e)
             out = {}
-            table = _linear_power_table(K)
-            for point in self._points:
-                _add_linear_power(K, table, out, *point)
-            parts = [((0, 0), self._const)]
-            parts += [((n, 0) if self._var == 0 else (0, n), c)
-                      for n, c in enumerate(self._h.coeffs)]
-            for key, c in parts:
-                out[key] = K.uadd(out.get(key, 0), c)
-            self._terms = {key: c for key, c in out.items() if c}   # sums may cancel
+            for D, fits, sums in self._levels():
+                front = mul(sign, F[n - D])
+                for i in fits:
+                    if sums[i]:
+                        out[(i, D - i)] = mul(mul(front, F[i]), mul(F[D - i], sums[i]))
+            self._terms = out
         return self._terms
 
     @property
     def total_degree(self):
-        """The largest i + j of a nonzero term, -1 for g = 0, read from the
-        parts one homogeneous level D at a time, from D = q - 1 down.
-
-        At level D, with k = q - 1 - D, a power w (alpha X + beta Y +
-        gamma)^(q-1) puts (-1)^e F[i] F[D-i] F[k] w alpha^i beta^(D-i)
-        gamma^k on X^i Y^(D-i) when the digits of i and D - i fit (see
-        _linear_power_table).  For beta != 0 that is w beta^D gamma^k
-        (alpha/beta)^i, so the points' sums for every i come from one
-        power-sum call; a point with beta = 0 adds only at i = D.  h adds
-        its coefficient of degree D (at i = D in X, at i = 0 in Y), and
-        -|T| adds at D = 0; both are divided by the factor in front of
-        the sum there, so each coefficient is nonzero exactly when its
-        sum is.  At D = q - 1 every i fits, so the usual case is that one
-        level, O(support * q); all q levels take support * q^2 / 2.
-        """
-        K = self.field
-        p, n = K.p, K.q - 1
-        add, mul, div, power = K.uadd, K.umul, K.udiv, K.upow
-        F = _inverse_digit_factorials(K)
-        sign = K.from_int((-1) ** K.e)
-        h = self._h.coeffs
-        slanted = [(w, beta, gamma, div(alpha, beta))
-                   for w, alpha, beta, gamma in self._points if beta]
-        upright = [(w, alpha, gamma) for w, alpha, beta, gamma in self._points if not beta]
-        for D in range(n, -1, -1):
-            k = n - D
-            pairs = [(mul(mul(w, power(gamma, k)), power(beta, D)), ratio)
-                     for w, beta, gamma, ratio in slanted]
-            sums = K.upowsums(pairs, D)
-            for w, alpha, gamma in upright:
-                sums[D] = add(sums[D], mul(mul(w, power(gamma, k)), power(alpha, D)))
-            extra = h[D] if D < len(h) else 0
-            if D == 0:
-                extra = add(extra, self._const)
-            if extra:
-                i = D if self._var == 0 else 0
-                lead = mul(mul(sign, F[k]), mul(F[i], F[D - i]))
-                sums[i] = add(sums[i], div(extra, lead))
-            if any(s and _digits_fit(p, i, D) for i, s in enumerate(sums)):
+        """The largest i + j of a nonzero term, -1 for g = 0: the first
+        level of _levels with a nonzero sum at a fitting i.  At D = q - 1
+        every i fits, so the usual case is that one level."""
+        for D, fits, sums in self._levels():
+            if any(sums[i] for i in fits):
                 return D
         return -1
 
     def rows(self):
-        """Each row g(X, y) from the parts.  A power with alpha != 0 is
+        """Each row g(X, y) from the powers.  A power with alpha != 0 is
         (X - u)^(q-1) with u = -(beta y + gamma)/alpha, and since
-        binom(q-1, k) = (-1)^k mod p that is the sum of u^k X^(q-1-k); a
-        power with alpha = 0 is the constant 1 when beta y + gamma != 0
-        and 0 otherwise.  h in X is a sum of such powers too (u = c,
-        weight -m) plus the constant sum of m; h in Y is m at y = c and 0
-        elsewhere.  Per row that costs (distinct u) * q operations, in
-        one power-sum kernel call: the q * q * support part of
-        detector_work, dense input or not.
+        binom(q-1, k) = (-1)^k mod p that is the sum of u^k X^(q-1-k); u
+        moves with y when beta != 0 and is fixed when beta = 0.  A power
+        with alpha = 0 is the constant 1 when beta y + gamma != 0 and 0
+        otherwise: with beta != 0, w on every row but y = -gamma/beta, so
+        one constant and one correction per power, both folded before the
+        rows.  Per row that costs (distinct u) * q operations, in one
+        power-sum kernel call: the q * q * support part of detector_work.
         """
         K = self.field
         n = K.q - 1
-        add, mul, div, neg = K.uadd, K.umul, K.udiv, K.uneg
-        # u = s y + t for alpha != 0; c = beta y + gamma for alpha = 0
-        moving, flat = [], []
-        for w, alpha, beta, gamma in self._points:
+        add, mul, neg = K.uadd, K.umul, K.uneg
+        const, fixed, at_y, moving = self._const, {}, {}, []   # moving: u = s y + t
+        for w, alpha, beta, gamma in self._powers:
             if alpha:
-                moving.append((w, neg(div(beta, alpha)), neg(div(gamma, alpha))))
-            else:
-                flat.append((w, beta, gamma))
-        const, fixed, at_y = self._const, {}, {}
-        for m, c in self._bumps:
-            if self._var == 0:   # the part of each row that does not depend on y
-                const = add(const, m)
-                fixed[c] = add(fixed.get(c, 0), neg(m))
-            else:
-                at_y[c] = add(at_y.get(c, 0), m)
+                inv = neg(K.uinv(alpha))
+                s, t = mul(beta, inv), mul(gamma, inv)
+                if s:
+                    moving.append((w, s, t))
+                else:
+                    fixed[t] = add(fixed.get(t, 0), w)
+            elif beta:
+                const = add(const, w)
+                y0 = mul(gamma, neg(K.uinv(beta)))
+                at_y[y0] = add(at_y.get(y0, 0), neg(w))
+            elif gamma:
+                const = add(const, w)
         for y in K.elements():
-            row_const = add(const, at_y.get(y, 0))
-            for w, beta, gamma in flat:
-                if add(mul(beta, y), gamma):
-                    row_const = add(row_const, w)
             weight = dict(fixed)
             for w, s, t in moving:
                 u = add(mul(s, y), t)
                 weight[u] = add(weight.get(u, 0), w)
             row = K.upowsums([(w, u) for u, w in weight.items()], n)[::-1]
-            row[0] = add(row[0], row_const)
+            row[0] = add(row[0], add(const, at_y.get(y, 0)))
             yield UniPoly._trusted(K, row)
 
 
-def _detector_g(K, T, bumps, h, var, lin_coeffs):
-    """g = -|T| + h(var) + sum of w (alpha X + beta Y + gamma)^(q-1),
-    one power per support point with nonzero weight w = mult mod p;
-    h is the bump sum of bumps.  lin_coeffs(a, b) gives (alpha, beta,
-    gamma) for the point (a, b)."""
-    points = []
+def _detector_g(K, T, bumps, var, lin_coeffs):
+    """g = -|T| + sum of m (1 - (var - c)^(q-1)) over the bumps (m, c) +
+    sum of w (alpha X + beta Y + gamma)^(q-1), one power per support
+    point with nonzero weight w = mult mod p.  A bump is the constant m
+    plus the power -m (var - c)^(q-1), one per bump with m != 0.
+    lin_coeffs(a, b) gives (alpha, beta, gamma) for the point (a, b)."""
+    neg = K.uneg
+    const, powers = neg(K.from_int(T.size)), []
+    for m, c in bumps:
+        if m:
+            const = K.uadd(const, m)
+            powers.append((neg(m), 1 - var, var, neg(c)))
     for (a, b), mult in T.items():
         w = K.from_int(mult)
         if w:
-            points.append((w, *lin_coeffs(a, b)))
-    return DetectorPoly(K, K.uneg(K.from_int(T.size)), bumps, h, var, points)
+            powers.append((w, *lin_coeffs(a, b)))
+    return DetectorPoly(K, const, powers)
 
 
 def build_slope_detector(T, reports):
@@ -408,9 +382,8 @@ def build_slope_detector(T, reports):
     q = K.q
     f = BiPoly(K, {(q, 0): 1, (1, 0): K.uneg(1)})
     bumps = [(K.from_int(r.m_d), slope_of(r.direction)) for r in reports]
-    h = _bump_sum(K, bumps)
-    g = _detector_g(K, T, bumps, h, 1, lambda a, b: (1, a, K.uneg(b)))
-    return SlopeDetector(f, g, h)
+    g = _detector_g(K, T, bumps, 1, lambda a, b: (1, a, K.uneg(b)))
+    return SlopeDetector(f, g, _bump_sum(K, bumps))
 
 
 class LowerBoundReport(Record):
@@ -629,7 +602,6 @@ def build_point_detector(T, reports, R):
         f_uni = f_uni * UniPoly.x_minus(K, c)
     f = BiPoly.from_uni(f_uni, var=0)
     bumps = [(K.from_int(r.m_d), c) for r, c in zip(reports, c_vals)]
-    h = _bump_sum(K, bumps)
 
     def lin_coeffs(a, b):
         x, y, z = coll.apply_point(ProjPoint.affine(K, a, b)).coords
@@ -637,5 +609,5 @@ def build_point_detector(T, reports, R):
             return 1, K.udiv(x, z), K.uneg(K.udiv(y, z))
         return 0, 1, K.uneg(K.udiv(y, x))
 
-    g = _detector_g(K, T, bumps, h, 0, lin_coeffs)
+    g = _detector_g(K, T, bumps, 0, lin_coeffs)
     return PointDetector(f, g, coll)

@@ -32,7 +32,7 @@ from .poly import (
     maximal_minors,
 )
 from .records import FrozenRecord, Record
-from .uniformity import check_reports
+from .uniformity import check_lam, check_reports
 
 
 def dual_coords(line):
@@ -333,8 +333,7 @@ def envelope_general(T, reports, lam):
     """
     check_reports(T.field, reports)
     K = T.field
-    if not isinstance(lam, int) or not 0 < lam <= (K.q - 1) // 2:
-        raise InputError(f"need 0 < lam <= (q-1)/2 = {(K.q - 1) // 2}, got {lam!r}")
+    check_lam(K, lam)
     if len(reports) > K.q:
         raise HypothesisRejected(f"at most q = {K.q} directions, got {len(reports)}")
     for r in reports:
@@ -394,8 +393,7 @@ def deficiency_bound_check(reports, lam):
         raise InputError("need at least one direction report")
     K = reports[0].direction.field
     check_reports(K, reports)
-    if not isinstance(lam, int) or not 0 < lam <= (K.q - 1) // 2:
-        raise InputError(f"need 0 < lam <= (q-1)/2 = {(K.q - 1) // 2}, got {lam!r}")
+    check_lam(K, lam)
     for r in reports:
         if r.lambda_d > lam:
             raise InputError(

@@ -152,6 +152,13 @@ class DirectionReport(Record):
         }
 
 
+def check_lam(K, lam):
+    """Refuse a lam outside 0 < lam <= (q-1)/2, the range of the
+    uniformity bound (a uniform direction has one typical residue)."""
+    if not isinstance(lam, int) or not 0 < lam <= (K.q - 1) // 2:
+        raise InputError(f"need 0 < lam <= (q-1)/2 = {(K.q - 1) // 2}, got {lam!r}")
+
+
 def check_reports(field, reports):
     """The checks every construction runs on its reports: there is at
     least one, each is over `field`, and no direction comes twice."""
@@ -212,8 +219,7 @@ def intercept_profile(T, direction):
 def classify_direction(T, direction, lam):
     """DirectionReport when the direction is (q-lam)-uniform, else None."""
     K = T.field
-    if not isinstance(lam, int) or not 0 < lam <= (K.q - 1) // 2:
-        raise InputError(f"need 0 < lam <= (q-1)/2 = {(K.q - 1) // 2}, got {lam!r}")
+    check_lam(K, lam)
     profile = intercept_profile(T, direction)   # refuses a non-direction
     p = K.p
     # Residue frequencies over all q lines: the q - |profile| lines the

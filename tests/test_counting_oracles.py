@@ -1,12 +1,14 @@
 """The fast paths of `counting` against the slow computations they replaced.
 
-The detectors' term maps write (alpha X + beta Y + gamma)^(q-1) and the
-bumps 1 - (X - c)^(q-1) down in closed form; here they are compared with
-repeated squaring (`BiPoly.__pow__`, `UniPoly.__pow__`).  The detectors'
-rows g(X, y) are written in closed form too; here they are compared with
-`BiPoly.eval_v`, and the gcd profiles with the eval_v-and-`%` loop.  The
-degree of g is read from its parts one homogeneous level at a time; here
-it is compared with the largest i + j of the term map.  The
+A detector's g is a constant plus powers w (alpha X + beta Y +
+gamma)^(q-1), and its term map writes each power down in closed form, as
+`_bump_sum` writes the bumps 1 - (X - c)^(q-1); here they are compared
+with repeated squaring (`BiPoly.__pow__`, `UniPoly.__pow__`).  The
+detectors' rows g(X, y) are written in closed form too; here they are
+compared with `BiPoly.eval_v`, and the gcd profiles with the
+eval_v-and-`%` loop.  The degree of g is read one homogeneous level at a
+time, from the level sums the term map is written from; here it is
+compared with the largest i + j of the term map.  The
 dichotomy counts indices by parallel class, one column of the plane at a
 time; here it is compared with the incidence scan of every point of the
 plane.
@@ -43,13 +45,7 @@ from renitent import (
 )
 from renitent import cli, counting
 from renitent.uniformity import DirectionReport, RenitentLine
-from renitent.counting import (
-    DetectorPoly,
-    _add_linear_power,
-    _bump_sum,
-    _linear_power_table,
-    _split_indices,
-)
+from renitent.counting import DetectorPoly, _bump_sum, _split_indices
 
 from conftest import SMALL_FIELDS
 
@@ -58,9 +54,7 @@ LADDER = [(2, 4), (5, 2), (3, 3), (31, 1), (7, 2), (2, 6), (3, 4), (5, 3), (2, 7
 
 
 def linear_power(K, alpha, beta, gamma, w=1):
-    out = {}
-    _add_linear_power(K, _linear_power_table(K), out, w, alpha, beta, gamma)
-    return BiPoly(K, out)
+    return BiPoly(K, DetectorPoly(K, 0, [(w, alpha, beta, gamma)]).terms)
 
 
 def linear_power_by_squaring(K, alpha, beta, gamma, w=1):
@@ -369,9 +363,9 @@ def test_row_corpus_covers_the_edge_cases():
     dense, alpha_zero, weight_zero = set(), False, False
     for pe in ROW_FIELDS:
         for _, kind, T, g in field_detectors(pe):
-            if len(g._points) * T.field.q > len(g.terms):
+            if len(g._powers) * T.field.q > len(g.terms):
                 dense.add(kind)
-            alpha_zero |= kind == "point" and any(alpha == 0 for _, alpha, _, _ in g._points)
+            alpha_zero |= kind == "point" and any(alpha == 0 for _, alpha, _, _ in g._powers)
             weight_zero |= any(m % T.field.p == 0 for _, m in T.items())
     assert dense == {"slope", "point"}
     assert alpha_zero and weight_zero
@@ -426,26 +420,28 @@ def edge_detectors(K):
 def random_parts(K, rng):
     """A g from random parts, drawn to cancel: a power w (alpha X + beta Y +
     gamma)^(q-1) may come with a partner -w (alpha X + beta Y + gamma')^(q-1)
-    that cancels it on the top level, and a bump m (1 - (var - c)^(q-1))
-    with the power m (var - c)^(q-1) that cancels all of it but m.  The
-    constant is sometimes minus the sum of the bumps, so g may be 0."""
+    that cancels it on the top level, and a bump m (1 - (var - c)^(q-1)),
+    the constant m and the power -m (var - c)^(q-1), with the power
+    m (var - c)^(q-1) that cancels all of it but m.  The constant is
+    sometimes minus the sum of the bumps, so g may be 0."""
     q = K.q
     var = rng.randrange(2)
     bumps = [(K.from_int(rng.randrange(1, K.p)), rng.randrange(q))
              for _ in range(rng.randrange(3))]
-    points = []
+    powers = []
     for _ in range(rng.randrange(4)):
         w, alpha, beta, gamma = rng.randrange(1, q), *(rng.randrange(q) for _ in range(3))
-        points.append((w, alpha, beta, gamma))
+        powers.append((w, alpha, beta, gamma))
         if rng.random() < 0.5:
-            points.append((K.uneg(w), alpha, beta, rng.randrange(q)))
+            powers.append((K.uneg(w), alpha, beta, rng.randrange(q)))
     for m, c in bumps:
+        powers.append((K.uneg(m), 1 - var, var, K.uneg(c)))
         if rng.random() < 0.7:
-            points.append((m, 1 - var, var, K.uneg(c)))
-    minus_bumps = K.uneg(functools.reduce(K.uadd, (m for m, _ in bumps), 0))
-    const = rng.choice([0, rng.randrange(q), minus_bumps])
-    rng.shuffle(points)
-    return DetectorPoly(K, const, bumps, _bump_sum(K, bumps), var, points)
+            powers.append((m, 1 - var, var, K.uneg(c)))
+    bump_sum = functools.reduce(K.uadd, (m for m, _ in bumps), 0)
+    const = rng.choice([0, rng.randrange(q), K.uneg(bump_sum)])
+    rng.shuffle(powers)
+    return DetectorPoly(K, K.uadd(const, bump_sum), powers)
 
 
 def degree_corpus(pe):
@@ -457,8 +453,7 @@ def degree_corpus(pe):
     rng = random.Random(K.q)
     out += [(f"parts{t}", random_parts(K, rng)) for t in range(150)]
     if K.q == 4:
-        out.append(("carry only", DetectorPoly(K, 0, [], UniPoly.zero(K), 1,
-                                               CARRY_ONLY_POINTS_Q4)))
+        out.append(("carry only", DetectorPoly(K, 0, CARRY_ONLY_POWERS_Q4)))
     return out
 
 
@@ -466,7 +461,7 @@ def degree_corpus(pe):
 # which Lucas's theorem drops: six powers (alpha X + Y + gamma)^3, two at
 # each alpha in {1, a, a^2} (a = 2 and a^2 = 3 as element indices) with
 # opposite top levels.  g is the constant 1, so deg g = 0.
-CARRY_ONLY_POINTS_Q4 = [(1, 1, 1, 0), (1, 1, 1, 1), (1, 2, 1, 0), (1, 2, 1, 3),
+CARRY_ONLY_POWERS_Q4 = [(1, 1, 1, 0), (1, 1, 1, 1), (1, 2, 1, 0), (1, 2, 1, 3),
                         (1, 3, 1, 0), (1, 3, 1, 2)]
 
 
@@ -490,12 +485,14 @@ def test_degree_corpus_covers_the_edge_cases():
         edges = {name + "/" + kind: g for name, kind, g in edge_detectors(K)}
         for kind in ("slope", "point"):
             assert not edges[f"g = 0/{kind}"].terms
-            g = edges[f"g = h/{kind}"]
-            assert not g._points and g._h.coeffs and g.terms
-        g = edges["|T| = 0/slope"]
-        assert g._points and (n, 0) not in g.terms
-    g = DetectorPoly(field_create(2, 2), 0, [], UniPoly.zero(field_create(2, 2)), 1,
-                     CARRY_ONLY_POINTS_Q4)
+        # g = h: every power is a bump's, in Y (alpha = 0) or in X (beta = 0)
+        g = edges["g = h/slope"]
+        assert g._powers and g.terms and all(alpha == 0 for _, alpha, _, _ in g._powers)
+        g = edges["g = h/point"]
+        assert g._powers and g.terms and all(beta == 0 for _, _, beta, _ in g._powers)
+        g = edges["|T| = 0/slope"]   # the support points' powers have alpha = 1
+        assert any(alpha for _, alpha, _, _ in g._powers) and (n, 0) not in g.terms
+    g = DetectorPoly(field_create(2, 2), 0, CARRY_ONLY_POWERS_Q4)
     assert g.terms == {(0, 0): 1}
 
 
@@ -514,7 +511,7 @@ def test_profiles_and_cli_bounds_never_build_the_term_map(monkeypatch, tmp_path,
     def forbidden(*args):
         raise AssertionError("the term map was built")
 
-    monkeypatch.setattr(counting, "_add_linear_power", forbidden)
+    monkeypatch.setattr(DetectorPoly, "terms", property(forbidden))
     path = tmp_path / "pts.txt"
     path.write_text("1 2 1\n3 5 1\n")
     for bound in ("count", "gcd"):
@@ -631,7 +628,7 @@ def test_dense_detector_evaluates_g_once_per_row(monkeypatch):
     monkeypatch.setattr(DetectorPoly, "rows", counted)
     monkeypatch.setattr(BiPoly, "eval_v", forbidden)
     for det, exp in zip(dets, expected):
-        assert len(det.g._points) * K.q > len(det.g.terms)
+        assert len(det.g._powers) * K.q > len(det.g.terms)
         passes[0] = rows_seen[0] = 0
         assert len(gcd_profile(det.f, det.g).k) == K.q
         assert (passes[0], rows_seen[0]) == (1, K.q)
