@@ -14,14 +14,16 @@ each point of one pencil, which yields the index dichotomy (every point
 of the plane sits on at most lam renitent lines or on almost all of
 them).
 
-Both detectors' g is -|T| + h + a sum of w (alpha X + beta Y + gamma)^(q-1)
-over the support points.  Each bump of h is a constant plus one more such
-power, so a DetectorPoly keeps g as one constant and one list of powers,
-unexpanded.  The gcd profile needs the q rows g(X, y), each written in
-closed form from the powers, and deg g, read one homogeneous level at a
-time from the level sums that also write g's term map, only when
-something reads it.  The gcd degrees themselves always come from the
-Euclidean algorithm, so the algebra stays a second count beside the
+Both detectors' g is -|T| plus a bump m_d (1 - L_d^(q-1)) per covered
+direction plus w L_v^(q-1) per support point, where L_P = z X + x Y - y
+for the image (x : y : z) of the point P in the detector's frame (the
+identity for the slope detector).  Each bump is a constant plus one
+more such power, so a DetectorPoly keeps g as one constant and one list
+of powers, unexpanded.  The gcd profile needs the q rows g(X, y), each
+written in closed form from the powers, and deg g, read one homogeneous
+level at a time from the level sums that also write g's term map, only
+when something reads it.  The gcd degrees themselves always come from
+the Euclidean algorithm, so the algebra stays a second count beside the
 geometry.  The geometry reads the reports by parallel class: a uniform
 direction lies on its own lambda_d renitent lines, and the dichotomy
 counts the affine points one column x = x0 at a time.
@@ -32,6 +34,7 @@ from collections import Counter
 from .errors import HypothesisRejected, InputError
 from .plane import (
     ProjPoint,
+    _mat_vec,
     format_line,
     format_point,
     frame_collineation,
@@ -126,16 +129,15 @@ def gcd_degree_bounds(profile, anchors):
 
 
 class SlopeDetector(FrozenRecord):
-    __slots__ = ("f", "g", "h")
+    __slots__ = ("f", "g")
 
-    def __init__(self, f, g, h):
+    def __init__(self, f, g):
         self.f = f  # X^q - X
         self.g = g  # vanishes at (x, d) exactly when the slope-d line of
                     # intercept x is typical, for every covered slope d
-        self.h = h  # in Y: the typical count m_d at covered slopes, else 0
 
-    def __iter__(self):   # f, g, h = detector
-        return iter((self.f, self.g, self.h))
+    def __iter__(self):   # f, g = detector
+        return iter((self.f, self.g))
 
 
 # The most work a detector may take, in the units of detector_work.  On the
@@ -201,19 +203,6 @@ def _fitting(p, D):
         fits = [a * place + i for a in range(d + 1) for i in fits]
         place *= p
     return fits
-
-
-def _bump_sum(K, bumps):
-    """Sum of m (1 - (X - c)^(q-1)) over the (m, c) pairs.
-
-    Over GF(q), binom(q-1, k) = (-1)^k, so (X - c)^(q-1) is the sum of
-    c^k X^(q-1-k): a bump is 1 at X = c and 0 elsewhere.
-    """
-    neg = K.uneg
-    coeffs = K.upowsums([(neg(m), c) for m, c in bumps], K.q - 1)[::-1]
-    for m, _ in bumps:
-        coeffs[0] = K.uadd(coeffs[0], m)
-    return UniPoly._trusted(K, coeffs)
 
 
 class DetectorPoly(BiPoly):
@@ -349,23 +338,39 @@ class DetectorPoly(BiPoly):
             yield UniPoly._trusted(K, row)
 
 
-def _detector_g(K, T, bumps, var, lin_coeffs):
-    """g = -|T| + sum of m (1 - (var - c)^(q-1)) over the bumps (m, c) +
-    sum of w (alpha X + beta Y + gamma)^(q-1), one power per support
-    point with nonzero weight w = mult mod p.  A bump is the constant m
-    plus the power -m (var - c)^(q-1), one per bump with m != 0.
-    lin_coeffs(a, b) gives (alpha, beta, gamma) for the point (a, b)."""
+def _detector_g(K, T, reports, matrix):
+    """g = -|T| + sum of m_d (1 - L_d^(q-1)) over the reports + sum of
+    w L_v^(q-1) over the support points v with weight w = mult mod p != 0.
+
+    Every power comes from one rule.  A point P, a covered direction d
+    or a support point v = (a : b : 1), has the image (x : y : z) =
+    matrix . P, and L_P = z X + x Y - y vanishes at (X, Y) exactly when
+    the image lies on the line [Y : -1 : X], of slope Y and intercept X.
+    As lambda^(q-1) = 1 for lambda != 0, every multiple of the image
+    gives the same power, so no point is scaled to canonical form.  A
+    report with m_d != 0 adds the constant m_d and the power
+    -m_d L_d^(q-1): 1 - L_d^(q-1) is 1 where L_d vanishes, 0 elsewhere.
+    """
     neg = K.uneg
     const, powers = neg(K.from_int(T.size)), []
-    for m, c in bumps:
+
+    def power(w, P):
+        x, y, z = _mat_vec(K, matrix, P)
+        powers.append((w, z, x, neg(y)))
+
+    for r in reports:
+        m = K.from_int(r.m_d)
         if m:
             const = K.uadd(const, m)
-            powers.append((neg(m), 1 - var, var, neg(c)))
+            power(neg(m), r.direction.coords)
     for (a, b), mult in T.items():
         w = K.from_int(mult)
         if w:
-            powers.append((w, *lin_coeffs(a, b)))
+            power(w, (a, b, 1))
     return DetectorPoly(K, const, powers)
+
+
+_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def build_slope_detector(T, reports):
@@ -374,16 +379,14 @@ def build_slope_detector(T, reports):
     g(x, y) = m_y - |line of slope y, intercept x meets T| mod p holds
     at every covered slope y, so the common roots of f(X,y) = X^q - X
     and g(X,y) are the typical intercepts: k_y = q - lambda_y there.
-    Each point (a, b) of T contributes (X + aY - b)^(q-1), written
-    down in closed form.
+    _detector_g with the identity writes (X + aY - b)^(q-1) for each
+    point (a, b) of T, and a multiple of Y - s, a bump in Y, for the
+    direction of slope s.
     """
     _check_detector_reports(T, reports)
     K = T.field
-    q = K.q
-    f = BiPoly(K, {(q, 0): 1, (1, 0): K.uneg(1)})
-    bumps = [(K.from_int(r.m_d), slope_of(r.direction)) for r in reports]
-    g = _detector_g(K, T, bumps, 1, lambda a, b: (1, a, K.uneg(b)))
-    return SlopeDetector(f, g, _bump_sum(K, bumps))
+    f = BiPoly(K, {(K.q, 0): 1, (1, 0): K.uneg(1)})
+    return SlopeDetector(f, _detector_g(K, T, reports, _IDENTITY))
 
 
 class LowerBoundReport(Record):
@@ -579,17 +582,19 @@ def build_point_detector(T, reports, R):
 
         k_y = |E| - (number of renitent lines through (1:y:0)),
 
-    which feeds the degree inequality anchored at y0.  The multiset may
-    cross the moved line at infinity: those members turn into (1:z_j:0)
-    and contribute (Y - z_j)^(q-1) terms.
+    which feeds the degree inequality anchored at y0.  _detector_g with
+    the frame's matrix writes a multiple of X - c_k, a bump in X, for
+    each moved direction and a multiple of X + (x/z) Y - y/z for each
+    point of T with image (x:y:z).  The multiset may cross the moved
+    line at infinity: those members turn into (1:z_j:0) and contribute
+    (Y - z_j)^(q-1) terms.
     """
     _check_detector_reports(T, reports, allow_vertical=True)
     K = T.field
     coll = frame_collineation(K, [r.direction for r in reports], R)
     c_vals = []
     for r in reports:
-        img = coll.apply_point(r.direction)
-        x, y, z = img.coords
+        x, y, z = _mat_vec(K, coll.matrix, r.direction.coords)
         if x != 0 or z == 0:
             raise InputError(
                 f"direction {format_point(r.direction)} did not land on the "
@@ -601,13 +606,5 @@ def build_point_detector(T, reports, R):
     for c in c_vals:
         f_uni = f_uni * UniPoly.x_minus(K, c)
     f = BiPoly.from_uni(f_uni, var=0)
-    bumps = [(K.from_int(r.m_d), c) for r, c in zip(reports, c_vals)]
-
-    def lin_coeffs(a, b):
-        x, y, z = coll.apply_point(ProjPoint.affine(K, a, b)).coords
-        if z != 0:
-            return 1, K.udiv(x, z), K.uneg(K.udiv(y, z))
-        return 0, 1, K.uneg(K.udiv(y, x))
-
-    g = _detector_g(K, T, bumps, 0, lin_coeffs)
+    g = _detector_g(K, T, reports, coll.matrix)
     return PointDetector(f, g, coll)

@@ -51,6 +51,11 @@ def test_gen_planted_writes_points_and_sidecar(tmp_path, capsys):
     assert truth["expected_class"] == 4
     assert truth["field"] == "7"
     assert set(tmp_path.iterdir()) == {out, tmp_path / "inst.pts.json"}
+    rc, stdout = run(capsys, [
+        "gen", "--field", "7", "--kind", "planted", "--points", "0,0;1,2",
+        "--weights", "1,3", "--c", "2", "--out", str(out), "--json"])
+    assert rc == EXIT_OK
+    assert stdout == (tmp_path / "inst.pts.json").read_text()  # --json echoes the sidecar
 
 
 def test_gen_random_stdout_is_reproducible(capsys):
@@ -89,7 +94,9 @@ def test_gen_input_errors(capsys):
     ("1,2;3,4", "8,1", "weights must lie in 1..p-1 = 6, got 8"),
     ("1,2;inf:3", "1,1", "planted points must be affine 'a,b' pairs, not directions"),
     ("1,2;3,9", "1,1", "point '3,9' out of range"),
-], ids=["weight-over-p", "direction", "out-of-range"])
+    (";", "1", "empty point list"),
+    ("1,2;3,4", "1,x", "bad integer list '1,x'"),
+], ids=["weight-over-p", "direction", "out-of-range", "empty-points", "bad-weight"])
 def test_gen_planted_refuses_bad_points_and_weights(capsys, points, weights, message):
     rc = main(["gen", "--field", "7", "--kind", "planted", "--points", points,
                "--weights", weights])
@@ -303,6 +310,52 @@ def test_envelope_without_renitent_lines(tmp_path, capsys):
     rc, _ = run(capsys, ["envelope", "--field", "3", "--in", path,
                          "--lambda", "1", "--theorem", "regular"])
     assert rc == EXIT_HYPOTHESIS
+
+
+def test_envelope_regular_excludes_classes_off_the_selected_count(tmp_path, capsys):
+    # slope 4 has renitent lines of two counts; slope 2 has another
+    # (lambda_d, count offset) than slope 3, which is selected
+    path = write_points(tmp_path, "0 0 3\n1 3 2\n3 2 1\n")
+    rc, out = run(capsys, ["envelope", "--field", "5", "--in", path,
+                           "--lambda", "2", "--theorem", "regular"])
+    assert rc == EXIT_OK
+    payload = json.loads(out)
+    assert payload["directions_used"] == ["inf:3"]
+    assert payload["directions_excluded"] == [
+        {"direction": "inf:4", "reason": "renitent counts differ within the class"},
+        {"direction": "inf:2", "reason": "count profile differs from the selected class"}]
+
+
+def test_envelope_weighted_below_a_full_scan_drops_the_vertical(tmp_path, capsys):
+    path = write_points(tmp_path, "3 4 1\n4 1 1\n4 4 1\n")
+    rc, out = run(capsys, ["envelope", "--field", "7", "--in", path,
+                           "--lambda", "2", "--theorem", "weighted", "--c", "scan"])
+    assert rc == EXIT_OK
+    payload = json.loads(out)
+    assert payload["directions_used"] == ["inf:0", "inf:4"]
+    assert payload["directions_excluded"] == [
+        {"direction": "inf:vert", "reason": "vertical direction needs all q+1 covered"}]
+
+
+@pytest.mark.parametrize("field, lam, text, theorem, message", [
+    # two points on x = 0, of weights 1 and 2: each slope class has a
+    # renitent line of count 1 and one of count 2
+    ("5", "2", "0 1 1\n0 4 2\n", "regular",
+     "no slope direction has one repeated renitent count"),
+    # two points on x = 0: the vertical direction is the only candidate
+    ("5", "1", "0 0 1\n0 4 1\n", "weighted", "no usable direction"),
+    ("5", "1", "0 0 1\n0 4 1\n", "general", "no usable slope direction"),
+    ("5", "2", "0 4 2\n2 0 3\n", "weighted", "no count offset gives a constant class"),
+], ids=["regular-no-repeated-count", "weighted-vertical-only", "general-vertical-only",
+        "weighted-no-offset"])
+def test_envelope_rejects_inputs_with_no_usable_class(tmp_path, capsys, field, lam, text,
+                                                      theorem, message):
+    path = write_points(tmp_path, text)
+    argv = ["envelope", "--field", field, "--in", path, "--lambda", lam,
+            "--theorem", theorem]
+    rc = main(argv + (["--c", "scan"] if theorem == "weighted" else []))
+    assert rc == EXIT_HYPOTHESIS
+    assert capsys.readouterr().err == f"hypothesis rejected: {message}\n"
 
 
 # -- check ------------------------------------------------------------------------

@@ -150,7 +150,6 @@ def test_slope_detector_semantics():
     det = build_slope_detector(T, reports)
     for r in reports:
         d = slope_of(r.direction)
-        assert det.h(d) == K7.from_int(r.m_d)
         profile = intercept_profile(T, r.direction)
         for x in K7.elements():
             count = K7.from_int(profile.get(x, 0))
@@ -161,8 +160,14 @@ def test_slope_detector_uncovered_slope():
     T = PointMultiset(K7, [((x, 0), 1) for x in K7.elements()] + [((1, 1), 2)])
     partial = [r for r in slope_reports(T, 1) if slope_of(r.direction) not in (1, 2)]
     det = build_slope_detector(T, partial)
-    assert det.h(1) == 0 and det.h(2) == 0
-    assert det.h(3) == 1  # still covered
+    m = {slope_of(r.direction): r.m_d for r in partial}
+    assert m[3] == 1  # still covered
+    for d in (1, 2, 3):
+        profile = intercept_profile(T, slope_direction(K7, d))
+        for x in K7.elements():
+            # an uncovered slope has no bump: g is minus the count there
+            expected = K7.from_int(m.get(d, 0) - profile.get(x, 0))
+            assert det.g.eval(x, d) == expected, (d, x)
 
 
 def test_slope_detector_profile_counts_renitent_lines():

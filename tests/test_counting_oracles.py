@@ -1,9 +1,9 @@
 """The fast paths of `counting` against the slow computations they replaced.
 
 A detector's g is a constant plus powers w (alpha X + beta Y +
-gamma)^(q-1), and its term map writes each power down in closed form, as
-`_bump_sum` writes the bumps 1 - (X - c)^(q-1); here they are compared
-with repeated squaring (`BiPoly.__pow__`, `UniPoly.__pow__`).  The
+gamma)^(q-1), and its term map writes each power down in closed form;
+here it is compared with repeated squaring (`BiPoly.__pow__`,
+`UniPoly.__pow__`), the bumps 1 - (X - c)^(q-1) included.  The
 detectors' rows g(X, y) are written in closed form too; here they are
 compared with `BiPoly.eval_v`, and the gcd profiles with the
 eval_v-and-`%` loop.  The degree of g is read one homogeneous level at a
@@ -45,7 +45,7 @@ from renitent import (
 )
 from renitent import cli, counting
 from renitent.uniformity import DirectionReport, RenitentLine
-from renitent.counting import DetectorPoly, _bump_sum, _split_indices
+from renitent.counting import DetectorPoly, _split_indices
 
 from conftest import SMALL_FIELDS
 
@@ -96,15 +96,23 @@ def test_linear_power_sampled_on_the_ladder(pe):
 
 @pytest.mark.parametrize("pe", SMALL_FIELDS + LADDER, ids=lambda pe: f"q{pe[0] ** pe[1]}")
 def test_bump_sum_matches_repeated_squaring(pe):
+    # the bumps m (1 - (var - c)^(q-1)) of _detector_g alone: one point of
+    # weight p adds nothing, and the swap (x:y:z) -> (z:y:x) moves each
+    # direction's power from Y (the identity) to X
     K = field_create(*pe)
     rng = random.Random(K.q)
-    bumps = [(rng.randrange(K.p), rng.randrange(K.q)) for _ in range(4)]
+    bumps = [(rng.randrange(3 * K.p), rng.randrange(K.q)) for _ in range(4)]
     bumps += [(1, 0), (0, rng.randrange(K.q))]
+    reports = [DirectionReport(slope_direction(K, c), 1, m, ()) for m, c in bumps]
     expected = UniPoly.zero(K)
     for m, c in bumps:
         bump = UniPoly.one(K) - UniPoly.x_minus(K, c) ** (K.q - 1)
-        expected = expected + bump.scale(m)
-    assert _bump_sum(K, bumps) == expected
+        expected = expected + bump.scale(K.from_int(m))
+    T = PointMultiset(K, [((0, 0), K.p)])
+    swap = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    for matrix, var in ((counting._IDENTITY, 1), (swap, 0)):
+        g, want = counting._detector_g(K, T, reports, matrix), BiPoly.from_uni(expected, var=var)
+        assert g == want and g.total_degree == want.total_degree
 
 
 # -- both detectors, built by repeated squaring -----------------------------------
@@ -121,7 +129,7 @@ def slope_detector_by_squaring(T, reports):
     g = BiPoly.constant(K, K.neg(K.from_int(T.size))) + BiPoly.from_uni(h, var=1)
     for (a, b), mult in T.items():
         g = g + linear_power_by_squaring(K, 1, a, K.neg(b), K.from_int(mult))
-    return f, g, h
+    return f, g
 
 
 def point_detector_by_squaring(T, reports, R):
@@ -181,7 +189,7 @@ def test_detectors_match_repeated_squaring(name, T, lam):
     reports = [r for r in uniform_directions(T, lam) if slope_of(r.direction) is not None]
     assert reports, "every corpus entry has a uniform slope direction"
     det = build_slope_detector(T, reports)
-    assert (det.f, det.g, det.h) == slope_detector_by_squaring(T, reports)
+    assert (det.f, det.g) == slope_detector_by_squaring(T, reports)
     R = ProjPoint.affine(K, *T.items()[0][0])
     pdet = build_point_detector(T, reports, R)
     assert (pdet.f, pdet.g) == point_detector_by_squaring(T, reports, R)
@@ -354,6 +362,10 @@ def test_rows_match_eval_v(pe):
     for name, kind, _, g in field_detectors(pe):
         expected = rows_by_eval_v(g)
         assert list(g.rows()) == expected, (name, kind)
+    # alpha = beta = 0: the constant w when gamma != 0, and nothing when gamma = 0
+    K = field_create(*pe)
+    g = DetectorPoly(K, 1, [(1, 0, 0, 1), (K.from_int(2), 0, 0, 0), (1, 1, 1, 0)])
+    assert list(g.rows()) == rows_by_eval_v(g)
 
 
 def test_row_corpus_covers_the_edge_cases():
@@ -398,8 +410,8 @@ DEGREE_FIELDS = [(5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (3, 3), (2, 2), (2, 3)
 
 def edge_detectors(K):
     """Both detectors of three inputs, each with made-up reports on half
-    the slopes: every multiplicity divisible by p, so g = h - |T|, once
-    with every m_d = 0, so g = 0, and once with nonzero m_d; and |T| = 0
+    the slopes: every multiplicity divisible by p, so g is the bumps alone,
+    once with every m_d = 0, so g = 0, and once with nonzero m_d; and |T| = 0
     mod p with nonzero weights, so the X^(q-1) coefficient of the slope
     detector's g, the sum of the weights, cancels."""
     q, p = K.q, K.p
@@ -407,7 +419,7 @@ def edge_detectors(K):
     size_zero_mod_p = PointMultiset(K, [((1, 2), 1), ((3 % q, 1), p - 1)])
     out = []
     for name, T, m_d in [("g = 0", zero_mod_p, lambda s: 0),
-                         ("g = h", zero_mod_p, lambda s: 1 + s % (p - 1)),
+                         ("bumps only", zero_mod_p, lambda s: 1 + s % (p - 1)),
                          ("|T| = 0", size_zero_mod_p, lambda s: s % p)]:
         reports = [DirectionReport(slope_direction(K, s), 1, m_d(s), ())
                    for s in range(max(1, q // 2))]
@@ -485,10 +497,10 @@ def test_degree_corpus_covers_the_edge_cases():
         edges = {name + "/" + kind: g for name, kind, g in edge_detectors(K)}
         for kind in ("slope", "point"):
             assert not edges[f"g = 0/{kind}"].terms
-        # g = h: every power is a bump's, in Y (alpha = 0) or in X (beta = 0)
-        g = edges["g = h/slope"]
+        # every power is a bump's, in Y (alpha = 0) or in X (beta = 0)
+        g = edges["bumps only/slope"]
         assert g._powers and g.terms and all(alpha == 0 for _, alpha, _, _ in g._powers)
-        g = edges["g = h/point"]
+        g = edges["bumps only/point"]
         assert g._powers and g.terms and all(beta == 0 for _, _, beta, _ in g._powers)
         g = edges["|T| = 0/slope"]   # the support points' powers have alpha = 1
         assert any(alpha for _, alpha, _, _ in g._powers) and (n, 0) not in g.terms
@@ -527,7 +539,7 @@ def test_profiles_and_cli_bounds_never_build_the_term_map(monkeypatch, tmp_path,
         profile = gcd_profile(d.f, d.g)
         assert len(profile.k) == K.q and profile.deg_g == K.q - 1
     monkeypatch.undo()
-    assert (det.f, det.g, det.h) == slope_detector_by_squaring(T, reports)
+    assert (det.f, det.g) == slope_detector_by_squaring(T, reports)
     assert (pdet.f, pdet.g) == point_detector_by_squaring(T, reports, R)
 
 

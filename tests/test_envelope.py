@@ -319,6 +319,10 @@ def test_scan_picks_smallest_feasible_total():
     outcomes, best = scan_weight_classes(rs, K5.p, cap=3)
     assert best is None
     assert all(total is None for total in outcomes.values())
+    # a line whose count is the typical one rules out every offset at once
+    outcomes, best = scan_weight_classes(rs + [synth_report(K5, 2, 1, (1,))], K5.p, cap=10)
+    assert outcomes == {1: None, 2: None, 3: None, 4: None}
+    assert best is None
 
 
 # -- weighted construction --------------------------------------------------------
@@ -380,6 +384,8 @@ def test_inconsistent_totals_rejected():
     with pytest.raises(HypothesisRejected,
                        match=r"^weight totals differ across directions: \[1, 2\]$"):
         envelope_weighted(T, [r1, r2], 1)
+    with pytest.raises(InputError, match=r"^no renitent lines to envelope$"):
+        envelope_weighted(T, [synth_report(K7, 0, 0, ()), synth_report(K7, 1, 0, ())], 1)
 
 
 def test_weight_cap_enforced():

@@ -19,7 +19,11 @@ direction and point mapped, and reject T' exactly when they reject T.
 The lower bound counts the renitent lines on a set E of uniform slope
 directions twice, from the reports and from the gcd profile of the slope
 detector, so both counts must come out the same on T' over the image of
-E, for every E the map keeps off the vertical direction.
+E, for every E the map keeps off the vertical direction.  The envelope
+constructions are rational over GF(p) in the coordinates of T, so under
+Frobenius the curve of T' is the curve of T with x -> x^p applied to
+every coefficient, and verify_envelope gives the same verdicts on the
+mapped directions and lines.
 """
 
 import pytest
@@ -34,13 +38,19 @@ from renitent import (
     all_directions,
     deficiency_bound_check,
     dichotomy_check,
+    envelope_general,
+    envelope_regular,
+    envelope_weighted,
     field_create,
     gen_planted,
     gen_random,
     renitent_lower_bound_check,
+    scan_weight_classes,
     slope_of,
     uniform_directions,
+    verify_envelope,
 )
+from renitent.cli import _pick_regular
 
 FIELDS = [(7, 1), (3, 2), (13, 1), (2, 4), (5, 2), (3, 3), (31, 1), (7, 2), (2, 6)]
 
@@ -229,3 +239,61 @@ def test_frobenius_image_of_the_lower_bound(pe, data):
     # Frobenius fixes the vertical direction, so E is every slope direction
     E = {d for d in all_directions(K) if slope_of(d) is not None}
     assert lower_bound_report(mapped, lam, E) == lower_bound_report(T, lam, E)
+
+
+# Frobenius is the identity on a prime field.
+EXTENSION_FIELDS = [pe for pe in FIELDS if pe[1] > 1]
+
+
+def envelope_reports(T, lam, coeff_map, point_map, line_map):
+    """The regular, weighted and general envelopes of T, chosen as the CLI
+    chooses their directions, each None when it rejects T: the curve's
+    terms and the verify_envelope verdicts, with every coefficient,
+    direction and renitent line sent through the maps, plus the scanned
+    outcomes and the line weights of the weighted curve and the lead of
+    the general one."""
+    K = T.field
+    candidates = [r for r in uniform_directions(T, lam) if r.lambda_d > 0]
+    slopes = [r for r in candidates if slope_of(r.direction) is not None]
+
+    def mapped(curve, reports, mults=None):
+        verdicts = {point_map(d.direction): (d.pencil_contained, frozenset(
+            (line_map(rc.line), rc.expected, rc.actual, rc.exact, rc.ok) for rc in d.roots))
+            for d in verify_envelope(curve, reports, mults).directions}
+        return {m: coeff_map(c) for m, c in curve.poly.terms.items()}, verdicts
+
+    def regular():
+        used = _pick_regular(K, candidates)[0]
+        return mapped(envelope_regular(T, used), used)
+
+    def weighted():
+        used = candidates if len(candidates) == K.q + 1 else slopes
+        outcomes, c = scan_weight_classes(used, K.p, min(K.q - 2, K.p - 1))
+        if c is None:
+            return outcomes
+        curve, mults = envelope_weighted(T, used, c)
+        return (outcomes, mapped(curve, used, mults),
+                {line_map(line): w for line, w in mults.items()})
+
+    def general():
+        curve = envelope_general(T, slopes, lam)
+        return mapped(curve, slopes), [coeff_map(c) for c in curve.lead.coeffs]
+
+    return tuple(_rejected_or(build) if slopes else None
+                 for build in (regular, weighted, general))
+
+
+@pytest.mark.parametrize("pe", EXTENSION_FIELDS, ids=_field_id)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_frobenius_image_of_the_envelopes(pe, data):
+    K = field_create(*pe)
+    T, lam = data.draw(instances(K, BOUND_LAMS))   # lam <= 2 keeps the general curve small
+
+    def frob(x):
+        return K._pow_raw(x, K.p)
+
+    mapped = image(T, lambda x, y: (frob(x), frob(y)))
+    want = envelope_reports(T, lam, frob, lambda pt: ProjPoint(K, *map(frob, pt.coords)),
+                            lambda line: ProjLine(K, *map(frob, line.coords)))
+    assert envelope_reports(mapped, lam, unchanged, unchanged, unchanged) == want

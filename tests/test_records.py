@@ -75,7 +75,7 @@ FIELDS = {
     ConicInstance: (("multiset", "nucleus", "delta"), False),
 }
 DETECTORS = {
-    SlopeDetector: ("f", "g", "h"),
+    SlopeDetector: ("f", "g"),
     PointDetector: ("f", "g", "collineation"),
 }
 
