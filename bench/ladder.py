@@ -29,6 +29,11 @@ random.Random(q), classified at that lambda:
 * ``renitent_lower_bound_check``: the lower bound on the uniform slope
   directions, its slope detector and gcd profile included (in no digest,
   for the same reason).
+* ``envelope_regular``, ``envelope_weighted`` and ``envelope_general``:
+  the three envelope constructions, the first two on the sharp slope
+  directions (the weighted one at the count offset scan_weight_classes
+  picks for them) and the general one on every uniform slope direction,
+  at that lambda (in no digest, for the same reason).
 
 It also times one row that does not depend on q, ``import_cli`` (listed
 under q = ``any``): the median of 21 fresh ``python -c "import
@@ -156,6 +161,8 @@ def measure_theorems(renitent, q):
     entries = list(renitent.gen_planted(K, points, [1] * lam).multiset._mults.items())
     reports = [r for r in renitent.uniform_directions(renitent.PointMultiset(K, entries), lam)
                if renitent.slope_of(r.direction) is not None]
+    sharp = [r for r in reports if r.lambda_d == lam]
+    offset = renitent.scan_weight_classes(sharp, K.p, min(q - 2, K.p - 1))[1]
     origin = renitent.ProjPoint.affine(K, 0, 0)
 
     def fresh():
@@ -176,7 +183,10 @@ def measure_theorems(renitent, q):
            "gcd_profile_point": (point_detector, profile),
            "dichotomy_check": (fresh, lambda T: renitent.dichotomy_check(T, lam)),
            "renitent_lower_bound_check":
-               (fresh, lambda T: renitent.renitent_lower_bound_check(T, reports))}
+               (fresh, lambda T: renitent.renitent_lower_bound_check(T, reports)),
+           "envelope_regular": (fresh, lambda T: renitent.envelope_regular(T, sharp)),
+           "envelope_weighted": (fresh, lambda T: renitent.envelope_weighted(T, sharp, offset)),
+           "envelope_general": (fresh, lambda T: renitent.envelope_general(T, reports, lam))}
     rows = {op: summary([scaled_sample(prepare, run) for _ in range(REPEATS)])
             for op, (prepare, run) in ops.items()}
     det = slope_detector()

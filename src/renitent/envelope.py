@@ -21,6 +21,8 @@ renitent dual points of a direction (sharp case, nonzero leading
 coefficient) or contains the direction's whole pencil.
 """
 
+from math import comb
+
 from .errors import HypothesisRejected, HypothesisViolation, InputError
 from .plane import format_line, format_point, slope_of
 from .poly import (
@@ -68,25 +70,23 @@ def power_sum_polys(T, k_max):
     """Power-sum polynomials in V: sum of m * (b - a V)^k for k = 0..k_max.
 
     Evaluated at a slope d these give the k-th power sums of the
-    multiset's intercepts on the direction-d pencil.
+    multiset's intercepts on the direction-d pencil.  By the binomial
+    theorem the V^j coefficient of the k-th is C(k, j) times entry k - j
+    of column j, the power sums [sum of m (-a)^j b^i for i = 0..k_max - j].
     """
     K = T.field
     if not isinstance(k_max, int) or k_max < 0:
         raise InputError(f"k_max must be a non-negative integer, got {k_max!r}")
     if k_max > K.q - 2:
         raise InputError(f"k_max must stay below q-1 = {K.q - 1}")
-    sums = [UniPoly.zero(K) for _ in range(k_max + 1)]
-    for (a, b), m in T.items():
-        weight = K.from_int(m)
-        if weight == 0:
-            continue
-        lin = UniPoly(K, (b, K.uneg(a)))
-        cur = UniPoly.one(K)
-        for k in range(k_max + 1):
-            sums[k] = sums[k] + cur.scale(weight)
-            if k < k_max:
-                cur = cur * lin
-    return sums
+    mul, from_int, powsums = K.umul, K.from_int, K.upowsums
+    points = T.items()
+    bs = [b for (_, b), _ in points]
+    weights = [powsums(((from_int(m), K.uneg(a)),), k_max) for (a, _), m in points]
+    cols = [powsums(zip([w[j] for w in weights], bs), k_max - j) for j in range(k_max + 1)]
+    return [UniPoly._trusted(K, [mul(from_int(comb(k, j)), cols[j][k - j])
+                                 for j in range(k + 1)])
+            for k in range(k_max + 1)]
 
 
 def newton_sigma(power_sums, lam, c):
@@ -115,15 +115,21 @@ def newton_sigma(power_sums, lam, c):
     return sigma[1:]
 
 
-def _monic_from_sigmas(K, sigmas, lam):
-    """U^lam - sigma_1 U^(lam-1) + sigma_2 U^(lam-2) - ... as a BiPoly."""
-    terms = {(lam, 0): 1}
-    f = BiPoly(K, terms)
-    for j, s in enumerate(sigmas, start=1):
-        part = BiPoly(K, {(lam - j, i): coeff
-                          for i, coeff in enumerate(s.coeffs) if coeff})
-        f = f + (-part if j % 2 == 1 else part)
-    return f
+def _curve(K, coeffs, n, provenance, lead=None):
+    """The class-n EnvelopeCurve whose U^(m-j) coefficient is (-1)^j
+    coeffs[j](V), for the m + 1 UniPolys in coeffs."""
+    m = len(coeffs) - 1
+    neg = K.uneg
+    terms = {(m - j, i): neg(c) if j % 2 else c
+             for j, cj in enumerate(coeffs) for i, c in enumerate(cj.coeffs) if c}
+    return EnvelopeCurve(homogenize(BiPoly._trusted(K, terms), n), n, provenance, lead)
+
+
+def _monic_curve(T, n, c, provenance):
+    """The class-n curve U^n - sigma_1 U^(n-1) + sigma_2 U^(n-2) - ... of
+    the intercepts, from the power sums of T scaled by 1/c."""
+    sigmas = newton_sigma(power_sum_polys(T, n), n, c)
+    return _curve(T.field, [UniPoly.one(T.field), *sigmas], n, provenance)
 
 
 def envelope_regular(T, reports):
@@ -157,10 +163,7 @@ def envelope_regular(T, reports):
     if len(offsets) != 1:
         raise HypothesisViolation(
             "iii", f"count offsets differ across directions: {sorted(offsets)}")
-    c = offsets.pop()
-    sigmas = newton_sigma(power_sum_polys(T, lam), lam, c)
-    f = _monic_from_sigmas(K, sigmas, lam)
-    return EnvelopeCurve(homogenize(f, lam), lam, "regular")
+    return _monic_curve(T, lam, offsets.pop(), "regular")
 
 
 class WeightEntry(FrozenRecord):
@@ -222,9 +225,7 @@ def envelope_weighted(T, reports, c):
     total = totals.pop()
     if total == 0:
         raise InputError("no renitent lines to envelope")
-    sigmas = newton_sigma(power_sum_polys(T, total), total, c)
-    f = _monic_from_sigmas(K, sigmas, total)
-    curve = EnvelopeCurve(homogenize(f, total), total, "weighted")
+    curve = _monic_curve(T, total, c, "weighted")
     weight_map = {}
     for r, e in zip(reports, entries):
         for entry, w in zip(r.renitent, e.weights):
@@ -348,18 +349,11 @@ def envelope_general(T, reports, lam):
             for r, row in enumerate(hankel_matrix(sums, lam).rows)]
     minors = maximal_minors(K, rows)
     full = (1 << (lam + 1)) - 1
-    terms = {}
-    for j in range(lam + 1):
-        minor = minors[full ^ (1 << j)]
-        if j % 2:
-            minor = -minor
-        terms.update(((lam - j, i), c) for i, c in enumerate(minor.coeffs))
-    f = BiPoly(K, terms)
-    if f.is_zero():
+    coeffs = [minors[full ^ (1 << j)] for j in range(lam + 1)]
+    if all(minor.is_zero() for minor in coeffs):
         raise HypothesisRejected(
             "every coefficient determinant vanishes; no envelope of this class")
-    return EnvelopeCurve(homogenize(f, lam * lam), lam * lam, "general",
-                         lead=minors[full ^ 1])
+    return _curve(K, coeffs, lam * lam, "general", lead=coeffs[0])
 
 
 class DeficiencyReport(Record):

@@ -7,17 +7,18 @@ store sparse {exponents: coefficient} maps with no zero entries, which
 keeps representations canonical.  All binary operations require both
 operands to share one field context.
 
-The public constructors check every coefficient, and each method that
-takes a raw field element checks it on entry.  A polynomial the library
-computes from parts that are already valid (a sum, a product, a
-remainder, a row, a section) is built by a private _trusted constructor,
-which checks nothing.  The univariate loops run on the field's list
-kernels (see gf): K.uconv for products and scaling, K.urem for the
-Euclid's remainders, K.uhorner for evaluation, synthetic division and
-the sections of TriHomPoly.at_vw, and K.upowsums for power lists.
-BiPoly and TriHomPoly share one sparse sum, product, scale and
-evaluation on their term maps (_sparse_*, through the scalar kernels; a
-form multiplies as its (U, V) part), all three classes share one
+The public constructors check every coefficient and exponent (the sparse
+maps through one _checked_terms), and each method that takes a raw field
+element checks it on entry.  A polynomial the library computes from
+parts that are already valid (a sum, a product, a remainder, a row, a
+section) is built by a private _trusted constructor, which checks
+nothing.  The univariate loops run on the field's list kernels (see
+gf): K.uconv for products and scaling, K.urem for the Euclid's
+remainders, K.uhorner for evaluation, synthetic division and the
+sections of TriHomPoly.at_vw, and K.upowsums for power lists.  BiPoly
+and TriHomPoly share one sparse sum, product, scale and evaluation on
+their term maps (_sparse_*, through the scalar kernels; a form
+multiplies as its (U, V) part), all three classes share one
 square-and-multiply power, and every render goes through _render_sparse.
 """
 
@@ -35,6 +36,22 @@ def _same_field(a, b):
 def power_list(K, a, n):
     """[a^0, a^1, ..., a^n] (0^0 is 1) for an already checked element a."""
     return K.upowsums(((1, a),), n)
+
+
+def _checked_terms(field, terms, n, degree=None):
+    """A {exponents: coefficient} map or pair list as a map with no zero
+    entry, once each key holds n non-negative ints (summing to degree,
+    when one is given) and each coefficient is an element."""
+    clean = {}
+    for key, c in (terms.items() if isinstance(terms, dict) else terms):
+        key = tuple(key)
+        if len(key) != n or not all(isinstance(e, int) and e >= 0 for e in key):
+            raise InputError(f"exponents must be {n} non-negative integers, got {key!r}")
+        if degree is not None and sum(key) != degree:
+            raise InputError(f"monomial {key} is not homogeneous of degree {degree}")
+        if field.check(c):
+            clean[key] = c
+    return clean
 
 
 def _power(base, k, one):
@@ -293,15 +310,8 @@ class BiPoly:
     __slots__ = ("field", "terms")
 
     def __init__(self, field, terms=()):
-        clean = {}
-        for (i, j), c in (terms.items() if isinstance(terms, dict) else terms):
-            if i < 0 or j < 0:
-                raise InputError("exponents must be non-negative")
-            field.check(c)
-            if c:
-                clean[(int(i), int(j))] = c
         self.field = field
-        self.terms = clean
+        self.terms = _checked_terms(field, terms, 2)
 
     @classmethod
     def _trusted(cls, field, terms):
@@ -420,19 +430,11 @@ class TriHomPoly:
     __slots__ = ("field", "degree", "terms", "_slices")
 
     def __init__(self, field, degree, terms=()):
-        if degree < 0:
-            raise InputError("degree must be non-negative")
-        clean = {}
-        for (i, j, k), c in (terms.items() if isinstance(terms, dict) else terms):
-            if i + j + k != degree or min(i, j, k) < 0:
-                raise InputError(
-                    f"monomial {(i, j, k)} is not homogeneous of degree {degree}")
-            field.check(c)
-            if c:
-                clean[(int(i), int(j), int(k))] = c
+        if not isinstance(degree, int) or degree < 0:
+            raise InputError(f"degree must be a non-negative integer, got {degree!r}")
         self.field = field
         self.degree = degree
-        self.terms = clean
+        self.terms = _checked_terms(field, terms, 3, degree)
         self._slices = None
 
     @classmethod

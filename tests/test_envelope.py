@@ -106,6 +106,52 @@ def test_power_sum_evaluation_oracle(entries, k, d):
     assert ps[k](d) == naive
 
 
+def power_sums_by_products(T, k_max):
+    """sum of m * (b - a V)^k for k = 0..k_max, each term expanded by
+    repeated multiplication with the linear factor b - a V."""
+    K = T.field
+    sums = [UniPoly.zero(K) for _ in range(k_max + 1)]
+    for (a, b), m in T.items():
+        weight = K.from_int(m)
+        lin = UniPoly(K, (b, K.neg(a)))
+        cur = UniPoly.one(K)
+        for k in range(k_max + 1):
+            sums[k] = sums[k] + cur.scale(weight)
+            cur = cur * lin
+    return sums
+
+
+POWER_SUM_FIELDS = [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (3, 3), (7, 1), (13, 1), (31, 1)]
+
+
+@st.composite
+def power_sum_instances(draw, K):
+    """(T, k_max): up to 8 points, coordinates often zero, multiplicities
+    up to 3p (so some vanish mod p), and k_max up to q - 2."""
+    coord = st.one_of(st.just(0), st.integers(0, K.q - 1))
+    entries = draw(st.lists(st.tuples(st.tuples(coord, coord), st.integers(1, 3 * K.p)),
+                            max_size=8))
+    return PointMultiset(K, entries), draw(st.integers(0, K.q - 2))
+
+
+@pytest.mark.parametrize("pe", POWER_SUM_FIELDS, ids=lambda pe: f"q{pe[0] ** pe[1]}")
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_power_sums_in_closed_form_match_the_products(pe, data):
+    K = field_create(*pe)
+    T, k_max = data.draw(power_sum_instances(K))
+    assert power_sum_polys(T, k_max) == power_sums_by_products(T, k_max)
+
+
+@pytest.mark.parametrize("pe", POWER_SUM_FIELDS, ids=lambda pe: f"q{pe[0] ** pe[1]}")
+def test_power_sums_at_the_largest_index(pe):
+    K = field_create(*pe)
+    T = PointMultiset(K, [((0, 0), K.p), ((1, 0), 1), ((0, K.q - 1), K.p + 1),
+                          ((K.q - 1, 1), 2 * K.p - 1)])
+    assert power_sum_polys(T, K.q - 2) == power_sums_by_products(T, K.q - 2)
+    assert power_sum_polys(PointMultiset(K), K.q - 2) == [UniPoly.zero(K)] * (K.q - 1)
+
+
 # -- Newton's identities ------------------------------------------------------
 
 
@@ -335,6 +381,26 @@ def test_all_weights_one_reduces_to_equal_count_curve():
     curve, mults = envelope_weighted(T, reports, 1)
     assert curve.poly == reg.poly
     assert curve.provenance == "weighted"
+    assert set(mults.values()) == {1}
+
+
+@pytest.mark.parametrize("pe", [(2, 3), (3, 2), (5, 2), (3, 3), (11, 1), (13, 1)],
+                         ids=lambda pe: f"q{pe[0] ** pe[1]}")
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_weighted_with_unit_weights_is_the_regular_curve_on_planted_sets(pe, data):
+    K = field_create(*pe)
+    k = data.draw(st.integers(1, min(3, K.p - 1)))
+    element = st.integers(0, K.q - 1)
+    points = data.draw(st.lists(st.tuples(element, element), min_size=k, max_size=k,
+                                unique=True))
+    c = data.draw(st.integers(1, K.p - 1))
+    inst = gen_planted(K, points, [1] * k, c=c)
+    T = inst.multiset
+    sharp = [r for r in slope_reports(T, k) if r.lambda_d == k]
+    reg = envelope_regular(T, sharp)
+    curve, mults = envelope_weighted(T, sharp, c)
+    assert curve.poly == reg.poly == inst.oracle
     assert set(mults.values()) == {1}
 
 

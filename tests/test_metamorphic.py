@@ -23,7 +23,14 @@ E, for every E the map keeps off the vertical direction.  The envelope
 constructions are rational over GF(p) in the coordinates of T, so under
 Frobenius the curve of T' is the curve of T with x -> x^p applied to
 every coefficient, and verify_envelope gives the same verdicts on the
-mapped directions and lines.
+mapped directions and lines.  Under an affine map that fixes the vertical
+direction the curve of T' is the curve of T up to a scalar, once its
+dual coordinates go through the linear substitution that sends the dual
+point of each line to that of its image.
+
+Every check reads the multiplicities mod p only, so p more copies of a
+point, one of T or a new one, change no report, curve, verdict, count or
+gcd profile.
 """
 
 import pytest
@@ -35,13 +42,16 @@ from renitent import (
     PointMultiset,
     ProjLine,
     ProjPoint,
+    TriHomPoly,
     all_directions,
+    build_slope_detector,
     deficiency_bound_check,
     dichotomy_check,
     envelope_general,
     envelope_regular,
     envelope_weighted,
     field_create,
+    gcd_profile,
     gen_planted,
     gen_random,
     renitent_lower_bound_check,
@@ -297,3 +307,109 @@ def test_frobenius_image_of_the_envelopes(pe, data):
     want = envelope_reports(T, lam, frob, lambda pt: ProjPoint(K, *map(frob, pt.coords)),
                             lambda line: ProjLine(K, *map(frob, line.coords)))
     assert envelope_reports(mapped, lam, unchanged, unchanged, unchanged) == want
+
+
+def slope_profile(T, lam):
+    """The gcd profile of T's slope detector on its uniform slope
+    directions, None when there is none."""
+    reports = [r for r in uniform_directions(T, lam) if slope_of(r.direction) is not None]
+    if not reports:
+        return None
+    det = build_slope_detector(T, reports)
+    return gcd_profile(det.f, det.g).to_json()
+
+
+@pytest.mark.parametrize("pe", FIELDS, ids=_field_id)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_p_copies_of_a_point_change_nothing(pe, data):
+    K = field_create(*pe)
+    T, lam = data.draw(instances(K, BOUND_LAMS))
+    support = [pt for pt, _ in T.items()]
+    if support and data.draw(st.booleans(), label="onto the support"):
+        point = data.draw(st.sampled_from(support))
+    else:
+        element = st.integers(0, K.q - 1)
+        point = data.draw(st.tuples(element, element).filter(lambda pt: pt not in support))
+    padded = PointMultiset(K, [*T.items(), (point, K.p)])
+    assert padded.size == T.size + K.p
+    for lam_ in {lam, 1, (K.q - 1) // 2}:
+        assert ([r.to_json() for r in uniform_directions(padded, lam_)]
+                == [r.to_json() for r in uniform_directions(T, lam_)])
+    assert bound_reports(padded, lam, unchanged) == bound_reports(T, lam, unchanged)
+    assert (envelope_reports(padded, lam, unchanged, unchanged, unchanged)
+            == envelope_reports(T, lam, unchanged, unchanged, unchanged))
+    if K.q <= 27:   # the detectors of LOWER_BOUND_FIELDS
+        E = {d for d in all_directions(K) if slope_of(d) is not None}
+        assert lower_bound_report(padded, lam, E) == lower_bound_report(T, lam, E)
+        assert slope_profile(padded, lam) == slope_profile(T, lam)
+
+
+def substitute(C, forms):
+    """C(forms[0], forms[1], forms[2]) for three linear forms."""
+    K = C.field
+    powers = []
+    for form in forms:
+        pw = [TriHomPoly(K, 0, {(0, 0, 0): 1})]
+        for _ in range(C.degree):
+            pw.append(pw[-1] * form)
+        powers.append(pw)
+    out = TriHomPoly(K, C.degree)
+    for (i, j, k), c in C.terms.items():
+        out = out + (powers[0][i] * powers[1][j] * powers[2][k]).scale(c)
+    return out
+
+
+def envelope_builds(T, lam):
+    """(build, reports) for the regular, weighted and general envelopes,
+    on the directions the CLI chooses; build(T, reports) returns the curve."""
+    K = T.field
+    candidates = [r for r in uniform_directions(T, lam) if r.lambda_d > 0]
+    slopes = [r for r in candidates if slope_of(r.direction) is not None]
+    if not slopes:
+        return []
+    builds = [(lambda T, rs: envelope_general(T, rs, lam), slopes)]
+    try:
+        builds.append((envelope_regular, _pick_regular(K, candidates)[0]))
+    except HypothesisRejected:
+        pass
+    used = candidates if len(candidates) == K.q + 1 else slopes
+    c = scan_weight_classes(used, K.p, min(K.q - 2, K.p - 1))[1]
+    if c is not None:
+        builds.append((lambda T, rs: envelope_weighted(T, rs, c)[0], used))
+    return builds
+
+
+# The substituted curves have class up to p - 1; these fields keep it small.
+AFFINE_ENVELOPE_FIELDS = [pe for pe in FIELDS if pe[0] ** pe[1] <= 27]
+
+
+@pytest.mark.parametrize("pe", AFFINE_ENVELOPE_FIELDS, ids=_field_id)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_affine_image_of_the_envelopes(pe, data):
+    K = field_create(*pe)
+    T, lam = data.draw(instances(K, BOUND_LAMS))
+    nonzero, element = st.integers(1, K.q - 1), st.integers(0, K.q - 1)
+    a, d = data.draw(nonzero), data.draw(nonzero)
+    c, e, f = data.draw(st.tuples(element, element, element))
+    # phi(x, y) = (ax + e, cx + dy + f) fixes the vertical direction and
+    # sends slope s to (c + ds)/a
+    g = Collineation(K, ((a, 0, e), (c, d, f), (0, 0, 1)))
+    mapped = image(T, raw_affine(K, g))
+    image_reports = {r.direction: r for r in uniform_directions(mapped, lam)}
+    # the line y = sx + alpha maps to slope (c + ds)/a and intercept
+    # d alpha - (ed/a)s + f - ec/a, so these forms send each dual point
+    # (alpha : s : 1) of T to the dual point of its image
+    add, mul, minus = K._add_raw, K._mul_raw, K.from_int(-1)
+    d_a, c_a = mul(d, K._inv_raw(a)), mul(c, K._inv_raw(a))
+    forms = (TriHomPoly.linear(K, d, mul(minus, mul(e, d_a)), add(f, mul(minus, mul(e, c_a)))),
+             TriHomPoly.linear(K, 0, d_a, c_a),
+             TriHomPoly.linear(K, 0, 0, 1))
+    for build, reports in envelope_builds(T, lam):
+        want = _rejected_or(build, T, reports)
+        got = _rejected_or(build, mapped,
+                           [image_reports[g.apply_point(r.direction)] for r in reports])
+        assert (want is None) == (got is None)
+        if want is not None:
+            assert substitute(got.poly, forms).proportional_to(want.poly)

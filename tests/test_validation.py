@@ -87,3 +87,39 @@ def test_entries_accept_in_range_elements(name):
     # the same calls with a valid index succeed, so each row above fails
     # on the bad element and not on something else in its arguments
     ENTRIES[name](4)
+
+
+# Exponents and degrees are counts: a float that passes the sign test, a
+# str, or a key of the wrong length is refused with a typed error rather
+# than truncated or let through to a TypeError.
+BAD_SHAPES = {
+    "BiPoly.float": lambda: BiPoly(K, {(1.5, 0): 1}),
+    "BiPoly.str": lambda: BiPoly(K, {("1", 0): 1}),
+    "BiPoly.negative": lambda: BiPoly(K, {(0, -1): 1}),
+    "BiPoly.short": lambda: BiPoly(K, {(1,): 1}),
+    "TriHomPoly.float": lambda: TriHomPoly(K, 1, {(0.5, 0.5, 0): 3}),
+    "TriHomPoly.str": lambda: TriHomPoly(K, 1, {("1", 0, 0): 3}),
+    "TriHomPoly.negative": lambda: TriHomPoly(K, 1, {(2, -1, 0): 3}),
+    "TriHomPoly.long": lambda: TriHomPoly(K, 1, {(1, 0, 0, 0): 3}),
+    "TriHomPoly.degree.float": lambda: TriHomPoly(K, 1.0, {(1, 0, 0): 3}),
+    "TriHomPoly.degree.str": lambda: TriHomPoly(K, "1", {(1, 0, 0): 3}),
+    "TriHomPoly.degree.negative": lambda: TriHomPoly(K, -1, {}),
+}
+SHAPE_MESSAGE = (r"^(exponents must be [23] non-negative integers"
+                 r"|degree must be a non-negative integer), got ")
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SHAPES))
+def test_non_integer_exponent_or_degree_is_refused(name):
+    with pytest.raises(InputError, match=SHAPE_MESSAGE):
+        BAD_SHAPES[name]()
+
+
+def test_integer_exponents_are_kept_as_given():
+    # zero coefficients drop out, a list key becomes a tuple, and a
+    # zero monomial is still held to the degree
+    assert BiPoly(K, {(1, 0): 1, (0, 2): 0}).terms == {(1, 0): 1}
+    assert BiPoly(K, [([0, 2], 5)]).terms == {(0, 2): 5}
+    assert TriHomPoly(K, 1, {(0, 1, 0): 3}).terms == {(0, 1, 0): 3}
+    with pytest.raises(InputError, match=r"^monomial \(1, 1, 0\) is not homogeneous of degree 1$"):
+        TriHomPoly(K, 1, {(1, 1, 0): 0})
