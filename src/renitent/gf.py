@@ -20,39 +20,45 @@ Prime fields (e = 1) compute on the indices with native integer
 arithmetic.  Extension fields compute through a primitive element g:
 the smallest index whose powers run through all q - 1 nonzero elements
 (the root of the modulus need not be one; under the default t^2 + 1 of
-GF(9), t has order 4).  Three tables are built once with the
-digit-vector arithmetic below: exp[i] = g^i (stored twice over), log[a]
-for a != 0, and Zech's logarithm zech[d] = log(1 + g^d), so that g^i +
-g^j = g^(i + zech[j - i]) (K. Huber, IEEE Trans. Inf. Theory 36, 1990);
-p = 2 adds by XOR and has no zech.  The kernels read none of them, only
-one padded set built from them, so no operation tests for a zero:
+GF(9), t has order 4).  Three tables are built once: exp[i] = g^i
+(stored twice over) and log[a] for a != 0 by the digit-vector
+arithmetic below, and Zech's logarithm zech[d] = log(1 + g^d), so that
+g^i + g^j = g^(i + zech[j - i]) (K. Huber, IEEE Trans. Inf. Theory 36,
+1990).  1 + x changes only digit 0 of the index x, to (x + 1) % p, so
+zech takes no digit-vector sum.  Its one None is at half, the logarithm
+of -1: (q - 1)/2 for odd p, and 0 in characteristic 2, where every
+element is its own negative.  The kernels read none of the three
+tables, only one padded set built from them, so no operation tests for
+a zero:
 
 * lg is log with lg[0] = LZ = 4(q - 1), past every nonzero logarithm;
 * ex is exp followed by zeros, so ex[lg[a] + lg[b]] is a*b for every a
   and b, and a quotient or a negative lands on a zero of ex when its
   operand is zero;
-* zz (odd p) is zech stored twice over, extended over the zero cases:
+* zz is zech stored twice over, extended over the zero cases:
   ex[lg[x] + zz[lt - lg[x]]] is x + t for every element x and every
-  exponent lt of a term t (lg[t], or lg[b] + (q - 1)/2 for t = -b), so
-  add, sub and the list kernels' sums are one lookup each.
+  exponent lt of a term t (lg[t], or lg[b] + half for t = -b), so add,
+  sub and the list kernels' sums are one lookup each.
 
 The tables take O(q) memory.  Element indices do not depend on them:
 they stay the base-p encoding above.
 
-Each operation is bound once, when the field is built, to one of three
-kernel sets: prime field, p = 2 (XOR addition) or odd-p extension (Zech
-addition).  The kernels are the attributes uadd, usub, uneg, umul, uinv,
-udiv and upow.  They do not check their operands: an out-of-range index
-gives a wrong answer or an IndexError, and uinv/udiv need a nonzero
-divisor.  The methods add, sub, neg, mul, inv, div and pow are the
-checked entry points: each runs `check` on every operand (and refuses a
-zero divisor or a bad exponent), then calls its kernel.
+Each operation is bound once, when the field is built, to one of two
+kernel sets: prime field or extension field (Zech addition).  In
+characteristic 2 add and sub are XOR, and the intercept kernel and urem
+are XOR kernels of their own, each measured faster than its Zech form.
+The kernels are the attributes uadd, usub, uneg, umul, uinv, udiv and
+upow.  They do not check their operands: an out-of-range index gives a
+wrong answer or an IndexError, and uinv/udiv need a nonzero divisor.
+The methods add, sub, neg, mul, inv, div and pow are the checked entry
+points: each runs `check` on every operand (and refuses a zero divisor
+or a bad exponent), then calls its kernel.
 
-One bulk kernel is bound from the same three sets: uintercepts(points)
-takes affine points (a, b) once and returns (order, keys), where keys(s)
-is the list of intercepts b - a*s of all the points, in the order of
-the list `order` (the same points, regrouped).  It is what classifying
-a point set needs for every slope of a parallel class.  The prime kernel
+One bulk kernel is bound from the same sets: uintercepts(points) takes
+affine points (a, b) once and returns (order, keys), where keys(s) is
+the list of intercepts b - a*s of all the points, in the order of the
+list `order` (the same points, regrouped).  It is what classifying a
+point set needs for every slope of a parallel class.  The prime kernel
 is one (b - a*s) % p comprehension.  The log kernels take each point's
 logarithms once and split off the points with a zero coordinate, so
 that the loop run for each slope has no branch and no call: b ^ g^(log a
@@ -134,13 +140,6 @@ def _trim(v):
     return v
 
 
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-           for i in range(n)]
-    return _trim(out)
-
-
 def _pmul(a, b, p):
     if not a or not b:
         return []
@@ -152,36 +151,16 @@ def _pmul(a, b, p):
     return _trim(out)
 
 
-def _pdivmod(a, b, p):
-    a, b = _trim(list(a)), _trim(list(b))
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    quo = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db:
-        da = len(a) - 1
-        c = a[-1] * inv_lead % p
-        quo[da - db] = c
-        for j in range(db + 1):
-            a[da - db + j] = (a[da - db + j] - c * b[j]) % p
-        _trim(a)
-    return _trim(quo), a
-
-
 def _pmod(a, b, p):
-    return _pdivmod(a, b, p)[1]
-
-
-def _pinvmod(a, mod, p):
-    """Inverse of a modulo mod in GF(p)[x], by the extended Euclid."""
-    r0, r1 = list(mod), _trim(list(a))
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        t0, t1 = t1, _psub(t0, _pmul(q, t1, p), p)
-    # r0 is the gcd, a nonzero constant whenever a is a unit
-    c = pow(r0[0], p - 2, p)
-    return _trim([x * c % p for x in t0])
+    """a mod b in GF(p)[x], for a monic b."""
+    a, db = list(a), len(b) - 1
+    while len(a) > db:
+        c = a.pop()   # the leading term cancels exactly
+        if c:
+            s = len(a) - db
+            for j in range(db):
+                a[s + j] = (a[s + j] - c * b[j]) % p
+    return _trim(a)
 
 
 def _monic(p, d):
@@ -319,9 +298,10 @@ def _prime_kernels(p):
 def _log_kernels(modulus, exp, log, zech):
     """The same twelve for an extension field, from its exp/log/zech tables.
 
-    zech is None in characteristic 2, where addition is XOR and every
-    element is its own negative.  The kernels read only the padded
-    tables lg, ex and zz built here from those three.
+    The kernels read only the padded tables lg, ex and zz built here from
+    those three.  half, the logarithm of -1, is where zech has its None:
+    0 in characteristic 2, where add and sub are XOR and the intercept
+    and remainder kernels are XOR kernels of their own.
     """
     n = len(exp) // 2   # q - 1
     # lg[0] = LZ and ex is zero from 2(q - 1) on (see the module doc).
@@ -331,6 +311,31 @@ def _log_kernels(modulus, exp, log, zech):
     lg = log[:]
     lg[0] = zero
     ex = exp + [0] * (7 * n)
+    half = zech.index(None)   # g^half = -1
+
+    # x + t = ex[lg[x] + zz[lt - lg[x]]] for an element x and a term t of
+    # exponent lt as above.  zz is zech stored twice, its None (where
+    # 1 + g^d = 0) at LZ so that the sum lands on a zero of ex; and for
+    # a zero operand: zz[d] = 0 for d in (3(q - 1), 5(q - 1)), where
+    # t = 0 leaves x, and zz[d] = d for d in [-LZ, -2(q - 1)), where
+    # x = 0 gives t.  The last q - 1 entries repeat zech for the
+    # negative d of two nonzero operands.
+    zz = [zero if z is None else z for z in zech] + [0] * (7 * n)
+    zz[5 * n:7 * n] = range(-4 * n, -2 * n)
+    zz[8 * n:] = zz[:n]
+
+    def add(a, b):
+        # g^i + g^j = g^i (1 + g^(j - i)); zz reads j - i without a
+        # reduction mod q - 1, and its zero cases give a or b
+        la = lg[a]
+        return ex[la + zz[lg[b] - la]]
+
+    def sub(a, b):
+        la = lg[a]
+        return ex[la + zz[lg[b] + half - la]]   # -g^j = g^(j + half)
+
+    def neg(a):
+        return ex[lg[a] + half]
 
     def mul(a, b):
         return ex[lg[a] + lg[b]]
@@ -346,17 +351,49 @@ def _log_kernels(modulus, exp, log, zech):
             return 0 if k else 1
         return ex[lg[a] * k % n]
 
-    def powers_of(w, u, k):
-        """The exponents of w u^0, ..., w u^k, for w, u != 0."""
-        lw, lu = lg[w], lg[u]
-        if not lu:
-            return repeat(lw, k + 1)
-        return map(_mod, range(lw, lw + lu * k + 1, lu), repeat(n))
+    def conv(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return []
+        la = len(a)
+        logs = [lg[x] for x in a]
+        out = [0] * (la + len(b) - 1)
+        for i, y in enumerate(b):
+            if y:
+                ly = lg[y]
+                out[i:i + la] = [ex[(lo := lg[o]) + zz[ly + lx - lo]]
+                                 for o, lx in zip(out[i:i + la], logs)]
+        return out
 
-    if zech is None:
-        def neg(a):
-            return a
+    def horner(a, x):
+        if not x:   # acc * 0 would have the exponent 2 LZ, outside zz's zero cases
+            return list(reversed(a))
+        lx, acc, out = lg[x], 0, []
+        for c in reversed(a):
+            lc = lg[c]
+            acc = ex[lc + zz[lg[acc] + lx - lc]]
+            out.append(acc)
+        return out
 
+    def powsums(pairs, k):
+        sums, fresh = [0] * (k + 1), True
+        for w, u in pairs:
+            if w and u:
+                lw, lu = lg[w], lg[u]   # the exponents of w u^0, ..., w u^k
+                exps = (repeat(lw, k + 1) if not lu
+                        else map(_mod, range(lw, lw + lu * k + 1, lu), repeat(n)))
+                if fresh:
+                    sums = list(map(ex.__getitem__, exps))
+                else:
+                    sums = [ex[(ls := lg[s]) + zz[lt - ls]] for s, lt in zip(sums, exps)]
+                fresh = False
+            elif w:   # w u^0 = w, and 0^j = 0 for j > 0
+                sums[0] = add(sums[0], w)
+                fresh = False
+        return sums
+
+    if not half:   # characteristic 2
         def intercepts(points):
             # b - a*s = b ^ g^(log a + log s); a = 0 gives b at every slope
             (both, b_zero, _), order, level, still = _by_zero_coordinate(points)
@@ -405,64 +442,8 @@ def _log_kernels(modulus, exp, log, zech):
                     x ^= term << width * (k - db)
             return _trim(unpack(x & ((1 << width * db) - 1), db))
 
-        def conv(a, b):
-            if len(a) < len(b):
-                a, b = b, a
-            if not b:
-                return []
-            la = len(a)
-            logs = [lg[x] for x in a]
-            out = [0] * (la + len(b) - 1)
-            for i, y in enumerate(b):
-                if y:
-                    ly = lg[y]
-                    out[i:i + la] = [o ^ ex[ly + lx] for o, lx in zip(out[i:i + la], logs)]
-            return out
-
-        def horner(a, x):
-            lx, acc, out = lg[x], 0, []
-            for c in reversed(a):
-                acc = c ^ ex[lg[acc] + lx]
-                out.append(acc)
-            return out
-
-        def powsums(pairs, k):
-            sums = [0] * (k + 1)
-            for w, u in pairs:
-                if w and u:
-                    sums = list(map(_xor, sums, map(ex.__getitem__, powers_of(w, u, k))))
-                else:   # w u^0 = w, and 0^j = 0 for j > 0
-                    sums[0] ^= w
-            return sums
-
         return (_xor, _xor, neg, mul, inv, div, power, intercepts,
                 rem, conv, horner, powsums)
-
-    half = n // 2   # g^half = -1
-
-    # x + t = ex[lg[x] + zz[lt - lg[x]]] for an element x and a term t of
-    # exponent lt as above.  zz is zech stored twice, its None (where
-    # 1 + g^d = 0) at LZ so that the sum lands on a zero of ex; and for
-    # a zero operand: zz[d] = 0 for d in (3(q - 1), 5(q - 1)), where
-    # t = 0 leaves x, and zz[d] = d for d in [-LZ, -2(q - 1)), where
-    # x = 0 gives t.  The last q - 1 entries repeat zech for the
-    # negative d of two nonzero operands.
-    zz = [zero if z is None else z for z in zech] + [0] * (7 * n)
-    zz[5 * n:7 * n] = range(-4 * n, -2 * n)
-    zz[8 * n:] = zz[:n]
-
-    def add(a, b):
-        # g^i + g^j = g^i (1 + g^(j - i)); zz reads j - i without a
-        # reduction mod q - 1, and its zero cases give a or b
-        la = lg[a]
-        return ex[la + zz[lg[b] - la]]
-
-    def sub(a, b):
-        la = lg[a]
-        return ex[la + zz[lg[b] + half - la]]   # -g^j = g^(j + half)
-
-    def neg(a):
-        return ex[lg[a] + half]
 
     def intercepts(points):
         # b - a*s = g^(log b) (1 + g^(log a + log s + half - log b)), with
@@ -495,46 +476,6 @@ def _log_kernels(modulus, exp, log, zech):
                     a[s:] = [ex[(lx := lg[x]) + zz[lc + ly - lx]]
                              for x, ly in zip(a[s:], low)]
         return _trim(a)
-
-    def conv(a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        if not b:
-            return []
-        la = len(a)
-        logs = [lg[x] for x in a]
-        out = [0] * (la + len(b) - 1)
-        for i, y in enumerate(b):
-            if y:
-                ly = lg[y]
-                out[i:i + la] = [ex[(lo := lg[o]) + zz[ly + lx - lo]]
-                                 for o, lx in zip(out[i:i + la], logs)]
-        return out
-
-    def horner(a, x):
-        if not x:   # acc * 0 would have the exponent 2 LZ, outside zz's zero cases
-            return list(reversed(a))
-        lx, acc, out = lg[x], 0, []
-        for c in reversed(a):
-            lc = lg[c]
-            acc = ex[lc + zz[lg[acc] + lx - lc]]
-            out.append(acc)
-        return out
-
-    def powsums(pairs, k):
-        sums, fresh = [0] * (k + 1), True
-        for w, u in pairs:
-            if w and u:
-                exps = powers_of(w, u, k)
-                if fresh:
-                    sums = list(map(ex.__getitem__, exps))
-                else:
-                    sums = [ex[(ls := lg[s]) + zz[lt - ls]] for s, lt in zip(sums, exps)]
-                fresh = False
-            elif w:   # w u^0 = w, and 0^j = 0 for j > 0
-                sums[0] = add(sums[0], w)
-                fresh = False
-        return sums
 
     return (add, sub, neg, mul, inv, div, power, intercepts,
             rem, conv, horner, powsums)
@@ -609,9 +550,10 @@ class GF:
             exp[i] = exp[i + n] = x
             log[x] = i
             x = self._mul_raw(x, g)
+        # 1 + x changes only digit 0 of the index x, with no carry
+        p = self.p
         self._exp, self._log = exp, log
-        if self.p != 2:
-            self._zech = [log[self._add_raw(1, x)] for x in exp[:n]] * 2
+        self._zech = [log[x - x % p + (x + 1) % p] for x in exp[:n]] * 2
 
     # -- element <-> coefficient vector ---------------------------------
 
@@ -683,18 +625,16 @@ class GF:
     # -- digit-vector arithmetic: builds the tables, and is the tests' oracle
 
     def _add_raw(self, a, b):
-        if self.p == 2:
-            return a ^ b
         p = self.p
         return self.from_coeffs([(x + y) % p
                                  for x, y in zip(self.coeffs(a), self.coeffs(b))])
 
     def _mul_raw(self, a, b):
         prod = _pmul(_trim(self.coeffs(a)), _trim(self.coeffs(b)), self.p)
-        return self.from_coeffs(_pmod(prod, list(self.modulus), self.p))
+        return self.from_coeffs(_pmod(prod, self.modulus, self.p))
 
     def _inv_raw(self, a):
-        return self.from_coeffs(_pinvmod(_trim(self.coeffs(a)), list(self.modulus), self.p))
+        return self._pow_raw(a, self.q - 2)
 
     def _pow_raw(self, a, k):
         result = 1

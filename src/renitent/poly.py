@@ -332,6 +332,10 @@ class BiPoly:
     @classmethod
     def from_uni(cls, f, var=0):
         """Embed a UniPoly as a BiPoly in variable 0 (U) or 1 (V)."""
+        if not isinstance(f, UniPoly):
+            raise InputError("from_uni expects a UniPoly")
+        if var not in (0, 1):
+            raise InputError(f"var must be 0 (U) or 1 (V), got {var!r}")
         terms = {}
         for i, c in enumerate(f.coeffs):
             if c:

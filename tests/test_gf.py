@@ -259,6 +259,17 @@ def test_field_survives_pickling(spec):
     assert [K2.mul(a, 3) for a in K.elements()] == [K.mul(a, 3) for a in K.elements()]
 
 
+@pytest.mark.parametrize("p,e", [pe for pe in ALL_FIELDS if pe[1] > 1])
+def test_zech_is_the_log_of_one_plus_each_power(p, e):
+    # built from the closed form of 1 + x; checked on the digit-vector sum
+    K = field_create(p, e)
+    n = K.q - 1
+    assert len(K._zech) == 2 * n
+    for d in range(2 * n):
+        assert K._zech[d] == K._log[K._add_raw(1, K._exp[d])], d
+    assert K._zech.index(None) == (0 if p == 2 else n // 2)   # g^half = -1
+
+
 def test_generator_is_smallest_primitive_element_not_modulus_root():
     K = field_create(3, 2)         # t^2 + 1, with t at index 3
     assert K._pow_raw(3, 4) == 1   # t has order 4, not 8

@@ -8,7 +8,7 @@ field), GF(2^6) (p = 2), GF(3^4) and GF(7^2) (odd-p extension fields).
 The lists have zero coefficients often, and the corpus holds a degree-0
 divisor, a dividend shorter than its divisor, and empty lists.  A kernel
 set built on a Zech table with one wrong entry must fail the same
-comparison.
+comparison, in characteristic 2 as for odd p.
 """
 
 import random
@@ -188,11 +188,12 @@ def _wrong_zech(K):
     return SimpleNamespace(**dict(zip(names, _log_kernels(K.modulus, K._exp, K._log, zech))))
 
 
-@pytest.mark.parametrize("pe", [(3, 4), (7, 2)], ids=_field_id)
+@pytest.mark.parametrize("pe", [(3, 4), (7, 2), (2, 6), (2, 9)], ids=_field_id)
 def test_a_wrong_zech_entry_fails_the_comparison(pe):
     K = field_create(*pe)
     found = {kernel for kernel, _ in mismatches(K, _wrong_zech(K), corpus(K))}
-    assert found == {"urem", "uconv", "uhorner", "upowsums"}
+    # in characteristic 2 urem packs its lists and adds by XOR: it reads no zz
+    assert found == {"uconv", "uhorner", "upowsums"} | ({"urem"} if K.p != 2 else set())
 
 
 # -- the polynomials built on them -------------------------------------------------
