@@ -19,14 +19,14 @@ direction plus w L_v^(q-1) per support point, where L_P = z X + x Y - y
 for the image (x : y : z) of the point P in the detector's frame (the
 identity for the slope detector).  Each bump is a constant plus one
 more such power, so a DetectorPoly keeps g as one constant and one list
-of powers, unexpanded.  The gcd profile needs the q rows g(X, y), each
-written in closed form from the powers, and deg g, read one homogeneous
-level at a time from the level sums that also write g's term map, only
-when something reads it.  The gcd degrees themselves always come from
-the Euclidean algorithm, so the algebra stays a second count beside the
-geometry.  The geometry reads the reports by parallel class: a uniform
-direction lies on its own lambda_d renitent lines, and the dichotomy
-counts the affine points one column x = x0 at a time.
+of powers, unexpanded, and reads them through one normal form: the gcd
+profile's q rows g(X, y) in closed form, and deg g from the weight sums,
+which leave it at q - 1 unless they cancel the top level.  The gcd
+degrees themselves always come from the Euclidean algorithm, so the
+algebra stays a second count beside the geometry.  The geometry reads
+the reports by parallel class: a uniform direction lies on its own
+lambda_d renitent lines, and the dichotomy counts the affine points one
+column x = x0 at a time.
 """
 
 from collections import Counter
@@ -152,12 +152,11 @@ def detector_work(K, support):
     """Estimated work of building a detector over `support` points of
     GF(q) and running its gcd profile: each of the q rows takes about q
     operations per support point for its closed form (DetectorPoly.rows,
-    dense input or not) and q more for the Euclid.  The term part, the
-    (p(p+1)/2)^e nonzero terms of each point's power (Lucas's theorem),
-    is the cost of no loop: the build writes no term, deg g costs one
-    pass over the powers in the usual case, and g.terms writes the map
-    from level sums, not term by term.  It is kept so that the budget
-    admits and refuses the same inputs."""
+    dense input or not) and q more for the Euclid.  The term part bounds
+    the walk of g's terms (DetectorPoly._coefficients), which deg g runs
+    only when its top level cancels and g.terms runs to the end: each of
+    the (p(p+1)/2)^e terms Lucas's theorem leaves is one sum over the
+    forms, at most support + 1 of them."""
     q = K.q
     return support * (K.p * (K.p + 1) // 2) ** K.e + q * q * (support + 1)
 
@@ -181,28 +180,36 @@ def _check_detector_reports(T, reports, allow_vertical=False):
             "slope directions only; re-coordinatize the vertical away")
 
 
-def _inverse_digit_factorials(K):
-    """F[i] = the product of 1/i_t! mod p over the base-p digits i_t of i,
-    for 0 <= i < q."""
-    p = K.p
+def _multinomials(K):
+    """(k, fits) for k = 0 .. q - 1, so that the level q - 1 - k runs from
+    the top down: fits lists, i ascending, the (i, m) whose multinomial m =
+    (q-1)! / (i! j! k!), j = q - 1 - k - i, is nonzero mod p.
+
+    By Lucas's theorem m is the product over the base-p digits, and every
+    digit of q - 1 is p - 1: m is nonzero exactly when the digits i_t, j_t
+    and k_t add up to p - 1 with no carry, and then, as (p-1)! = -1, it is
+    (-1)^e times the product of 1/(i_t! j_t! k_t!), an integer mod p and
+    so the index of its element.  The fits are written digit by digit from
+    the top, one level at a time: the walk holds O(q e) of them.
+    """
+    p, q = K.p, K.q
     inv_fact = [1] * p
     for d in range(1, p):
         inv_fact[d] = inv_fact[d - 1] * pow(d, p - 2, p) % p
-    F = [1]
-    while len(F) < K.q:   # the next digit d, above the ones F covers
-        F = [inv_fact[d] * f % p for d in range(p) for f in F]
-    return F
 
+    def levels(place, k, fits):
+        # every k with the digits of k above place, ascending; fits covers
+        # the digits of i above place
+        if not place:
+            yield k, fits
+            return
+        for kt in range(p):
+            digit = [(a * place, inv_fact[a] * inv_fact[p - 1 - kt - a] * inv_fact[kt] % p)
+                     for a in range(p - kt)]
+            yield from levels(place // p, k + kt * place,
+                              [(i + a, m * f % p) for i, m in fits for a, f in digit])
 
-def _fitting(p, D):
-    """The i in 0..D, ascending, whose base-p digits are each at most those
-    of D: the i for which i and D - i add up to D with no carry."""
-    fits, place = [0], 1
-    while D:
-        D, d = divmod(D, p)
-        fits = [a * place + i for a in range(d + 1) for i in fits]
-        place *= p
-    return fits
+    return levels(q // p, 0, [(0, K.from_int((-1) ** K.e))])
 
 
 class DetectorPoly(BiPoly):
@@ -210,12 +217,11 @@ class DetectorPoly(BiPoly):
     kept as the constant and the list of (w, alpha, beta, gamma) powers it
     is built from.
 
-    Nothing is expanded when it is built.  rows() writes each row
-    g(X, y) from the powers, and total_degree and terms both read g one
-    homogeneous level at a time from the same level sums (_levels), so a
-    gcd profile never needs the term map; `terms` writes the map down the
-    first time it is read and keeps it.  It equals, term for term, the
-    BiPoly of the same polynomial.
+    Nothing is expanded when it is built.  Every reader goes through one
+    normal form of the powers, _forms: rows(), total_degree (in closed
+    form, from the weight sums), and `terms`, which runs _coefficients to
+    the end the first time it is read and keeps the map.  It equals, term
+    for term, the BiPoly of the same polynomial.
     """
 
     __slots__ = ("_terms", "_const", "_powers")
@@ -225,113 +231,104 @@ class DetectorPoly(BiPoly):
         self.field, self._terms = field, None
         self._const, self._powers = const, powers
 
-    def _levels(self):
-        """(D, fits, sums) for each homogeneous level D of g, from q - 1 down.
+    def _forms(self):
+        """(const, forms): g = const + the sum of w (a X + b Y + s)^(q-1)
+        over the (w, s) of forms[(a, b)], where (a, b) = (1, beta/alpha), or
+        (0, 1) when alpha = 0, and s is gamma over the same lead: as
+        lambda^(q-1) = 1, scaling a power's form changes nothing.  alpha =
+        beta = 0 gives the constant w when gamma != 0, else nothing."""
+        K = self.field
+        mul = K.umul
+        const, forms = self._const, {}
+        for w, alpha, beta, gamma in self._powers:
+            lead = alpha or beta
+            if lead:
+                inv = K.uinv(lead)
+                forms.setdefault((1, mul(beta, inv)) if alpha else (0, 1), []).append(
+                    (w, mul(gamma, inv)))
+            elif gamma:
+                const = K.uadd(const, w)
+        return const, forms
 
-        By Lucas's theorem w (alpha X + beta Y + gamma)^(q-1) has the term
-        (-1)^e F[i] F[j] F[k] w alpha^i beta^j gamma^k at X^i Y^j, k =
-        q-1-i-j, when the base-p digits of i and j add up to those of i + j
-        with no carry, and none otherwise: the multinomial (q-1)! / (i! j!
-        k!) mod p is a product over the digits, each digit of q - 1 is
-        p - 1, and (p-1)! = -1.  fits lists those i of level D = i + j, and
-        sums[i] is g's X^i Y^(D-i) coefficient over the nonzero (-1)^e F[i]
-        F[D-i] F[k].
-
-        As beta^(q-1) = 1, a power with beta != 0 is w (r X + Y + s)^(q-1)
-        with r = alpha/beta, s = gamma/beta, and adds w s^k r^i: one
-        power-sum call over the ratios r gives a level's sums for every i.
-        With beta = 0 != alpha it is w (X + s)^(q-1), s = gamma/alpha,
-        adding w s^k at i = D; with alpha = beta = 0, the constant w when
-        gamma != 0.  Constants sit at D = 0, where (-1)^e F[q-1] = 1.  Powers
-        of one ratio share one power-sum call over their s for the weights
-        of every level, so level q - 1, the usual degree, costs O(powers),
-        and all q levels (powers + ratios * q / 2) * q in the kernel.
-        """
+    def _coefficients(self):
+        """((i, j), g's X^i Y^j coefficient) at each (k, i) of _multinomials,
+        in its order: w (a X + b Y + s)^(q-1) adds m a^i b^j w s^k, so it is m
+        times the sum over the forms of a^i b^j (the power sum of w s^k),
+        0^0 = 1, plus const at k = q - 1, where m = 1."""
         K = self.field
         n = K.q - 1
         add, mul = K.uadd, K.umul
-        const, groups = self._const, {}   # r -> the (w, s) of its powers; None: beta = 0
-        for w, alpha, beta, gamma in self._powers:
-            lead = beta or alpha
-            if lead:
-                inv = K.uinv(lead)
-                groups.setdefault(mul(alpha, inv) if beta else None, []).append(
-                    (w, mul(gamma, inv)))
-            elif gamma:
-                const = add(const, w)
-        # W[r][k] = the sum of w s^k over the powers of ratio r: level q - 1
-        # needs k = 0 alone, and a level below it every k
-        W = {r: K.upowsums(pairs, 0) for r, pairs in groups.items()}
-        for D in range(n, -1, -1):
-            k = n - D
-            if k == 1:
-                W = {r: K.upowsums(pairs, n) for r, pairs in groups.items()}
-            sums = K.upowsums([(Wr[k], r) for r, Wr in W.items() if r is not None], D)
-            if None in W:
-                sums[D] = add(sums[D], W[None][k])
-            if D == 0:
-                sums[0] = add(sums[0], const)
-            yield D, _fitting(K.p, D), sums
+        const, forms = self._forms()
+        parts = [(K.upowsums([(1, a)], n), K.upowsums([(1, b)], n), K.upowsums(pairs, n))
+                 for (a, b), pairs in forms.items()]
+        for k, fits in _multinomials(K):
+            for i, m in fits:
+                j = n - k - i
+                c = const if k == n else 0
+                for A, B, S in parts:
+                    c = add(c, mul(mul(A[i], B[j]), S[k]))
+                yield (i, j), mul(m, c)
 
     @property
     def terms(self):
         if self._terms is None:
-            K = self.field
-            n, mul = K.q - 1, K.umul
-            F = _inverse_digit_factorials(K)
-            sign = K.from_int((-1) ** K.e)
-            out = {}
-            for D, fits, sums in self._levels():
-                front = mul(sign, F[n - D])
-                for i in fits:
-                    if sums[i]:
-                        out[(i, D - i)] = mul(mul(front, F[i]), mul(F[D - i], sums[i]))
-            self._terms = out
+            self._terms = {ij: c for ij, c in self._coefficients() if c}
         return self._terms
 
     @property
     def total_degree(self):
-        """The largest i + j of a nonzero term, -1 for g = 0: the first
-        level of _levels with a nonzero sum at a fitting i.  At D = q - 1
-        every i fits, so the usual case is that one level."""
-        for D, fits, sums in self._levels():
-            if any(sums[i] for i in fits):
-                return D
-        return -1
+        """The largest i + j of a nonzero term, -1 for g = 0.
+
+        It is q - 1 unless every point (a : b) of PG(1, q) carries the same
+        weight sum W_(a:b), the sum of the w of its form (0 where there is
+        no such form).  The top level of g is the sum of W_(a:b) (a X +
+        b Y)^(q-1), and as binom(q-1, j) = (-1)^j mod p its X^(q-1-j) Y^j
+        coefficient is (-1)^j times the sum over r of W_(1:r) r^j, plus
+        W_(0:1) at j = q - 1.  The rows j < q - 1 are q - 1 rows of the
+        Vandermonde matrix of all q elements, of rank q - 1, whose rows
+        each sum to 0: they all vanish exactly when every W_(1:r) is one
+        value c.  Row q - 1 then reads (q - 1) c + W_(0:1) = W_(0:1) - c.
+        When the top level cancels, deg g is the level of the first
+        nonzero coefficient of _coefficients: O(q) per form, no term map.
+        """
+        K = self.field
+        _, forms = self._forms()
+        sums = {K.upowsums(pairs, 0)[0] for pairs in forms.values()}
+        if len(forms) <= K.q:   # a point of PG(1, q) with no form
+            sums.add(0)
+        if len(sums) > 1:
+            return K.q - 1
+        return next((i + j for (i, j), c in self._coefficients() if c), -1)
 
     def rows(self):
-        """Each row g(X, y) from the powers.  A power with alpha != 0 is
-        (X - u)^(q-1) with u = -(beta y + gamma)/alpha, and since
-        binom(q-1, k) = (-1)^k mod p that is the sum of u^k X^(q-1-k); u
-        moves with y when beta != 0 and is fixed when beta = 0.  A power
-        with alpha = 0 is the constant 1 when beta y + gamma != 0 and 0
-        otherwise: with beta != 0, w on every row but y = -gamma/beta, so
-        one constant and one correction per power, both folded before the
-        rows.  Per row that costs (distinct u) * q operations, in one
-        power-sum kernel call: the q * q * support part of detector_work.
+        """Each row g(X, y) from the forms.  As binom(q-1, k) = (-1)^k
+        mod p, (X - u)^(q-1) is the sum of u^k X^(q-1-k): a form (1, b)
+        gives u = -(b y + s), which moves with y when b != 0 and is the
+        fixed root -s when b = 0.  A form (0, 1) gives (y + s)^(q-1), the
+        constant w on every row but y = -s, so one constant and one
+        correction per power, both folded before the rows.  Per row that
+        costs (distinct u) * q operations, in one power-sum kernel call:
+        the q * q * support part of detector_work.
         """
         K = self.field
         n = K.q - 1
         add, mul, neg = K.uadd, K.umul, K.uneg
-        const, fixed, at_y, moving = self._const, {}, {}, []   # moving: u = s y + t
-        for w, alpha, beta, gamma in self._powers:
-            if alpha:
-                inv = neg(K.uinv(alpha))
-                s, t = mul(beta, inv), mul(gamma, inv)
-                if s:
-                    moving.append((w, s, t))
+        const, forms = self._forms()
+        fixed, at_y, moving = {}, {}, []   # moving: (w, -b, -s), u = -b y - s
+        for (a, b), pairs in forms.items():
+            for w, s in pairs:
+                t = neg(s)
+                if not a:
+                    const = add(const, w)
+                    at_y[t] = add(at_y.get(t, 0), neg(w))
+                elif b:
+                    moving.append((w, neg(b), t))
                 else:
                     fixed[t] = add(fixed.get(t, 0), w)
-            elif beta:
-                const = add(const, w)
-                y0 = mul(gamma, neg(K.uinv(beta)))
-                at_y[y0] = add(at_y.get(y0, 0), neg(w))
-            elif gamma:
-                const = add(const, w)
         for y in K.elements():
             weight = dict(fixed)
-            for w, s, t in moving:
-                u = add(mul(s, y), t)
+            for w, nb, t in moving:
+                u = add(mul(nb, y), t)
                 weight[u] = add(weight.get(u, 0), w)
             row = K.upowsums([(w, u) for u, w in weight.items()], n)[::-1]
             row[0] = add(row[0], add(const, at_y.get(y, 0)))

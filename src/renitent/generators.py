@@ -91,7 +91,11 @@ def gen_planted(field, points, weights, c=1):
         raise InputError("need at least one point")
     if lam >= K.p:
         raise InputError(f"need fewer points than p = {K.p}, got {lam}")
-    pts = [(K.check(a), K.check(b)) for a, b in points]
+    try:
+        pts = [(a, b) for a, b in points]
+    except (TypeError, ValueError):
+        raise InputError(f"points must be pairs (a, b), got {points!r}") from None
+    pts = [(K.check(a), K.check(b)) for a, b in pts]
     if len(set(pts)) != lam:
         raise InputError("planted points must be distinct")
     if len(weights) != lam:
@@ -172,7 +176,7 @@ def gen_random(field, seed, density):
     RANDOM_MAX_POINTS affine points are refused before any draw.
     """
     K = field
-    if not 0 < density <= 1:
+    if not isinstance(density, (int, float)) or not 0 < density <= 1:
         raise InputError(f"density must lie in (0, 1], got {density!r}")
     if K.q * K.q > RANDOM_MAX_POINTS:
         raise InputError(

@@ -46,8 +46,12 @@ class PointMultiset:
     def __init__(self, field, entries=()):
         mults = {}
         items = entries.items() if isinstance(entries, dict) else entries
-        for key, m in items:
-            a, b = key
+        for entry in items:
+            try:
+                (a, b), m = entry
+            except (TypeError, ValueError):
+                raise InputError(
+                    f"a multiset entry must be ((a, b), multiplicity), got {entry!r}") from None
             field.check(a), field.check(b)
             if not isinstance(m, int) or m < 1:
                 raise InputError(f"multiplicity of ({a},{b}) must be a positive integer")

@@ -6,12 +6,12 @@ here it is compared with repeated squaring (`BiPoly.__pow__`,
 `UniPoly.__pow__`), the bumps 1 - (X - c)^(q-1) included.  The
 detectors' rows g(X, y) are written in closed form too; here they are
 compared with `BiPoly.eval_v`, and the gcd profiles with the
-eval_v-and-`%` loop.  The degree of g is read one homogeneous level at a
-time, from the level sums the term map is written from; here it is
-compared with the largest i + j of the term map.  The
-dichotomy counts indices by parallel class, one column of the plane at a
-time; here it is compared with the incidence scan of every point of the
-plane.
+eval_v-and-`%` loop.  The degree of g is q - 1 unless the weight sums
+of the forms of g's powers cancel its top level, and only then walks g's
+coefficients from the top level down; here it is compared with the
+largest i + j of the term map.  The dichotomy counts indices by parallel
+class, one column of the plane at a time; here it is compared with the
+incidence scan of every point of the plane.
 """
 
 import functools
@@ -397,7 +397,7 @@ def test_rows_match_eval_v_sampled_at_large_q(pe):
             assert rows[y] == g.eval_v(y), (kind, y)
 
 
-# -- deg g, read level by level from the parts ---------------------------------------
+# -- deg g, from the weight sums, or by the walk below a cancelled top level -----
 
 
 def degree_by_terms(g):
@@ -508,12 +508,78 @@ def test_degree_corpus_covers_the_edge_cases():
     assert g.terms == {(0, 0): 1}
 
 
-def test_cli_check_reports_deg_g_of_the_zero_detector(tmp_path, capsys):
+def test_cli_check_reports_deg_g_of_the_zero_detector(monkeypatch, tmp_path, capsys):
+    # every weight sum is 0, so the top level cancels; the walk below it
+    # finds no nonzero coefficient without building the term map
+    def forbidden(*args):
+        raise AssertionError("the term map was built")
+
+    monkeypatch.setattr(DetectorPoly, "terms", property(forbidden))
     path = tmp_path / "pts.txt"
     path.write_text("1 2 7\n3 5 7\n")
     assert cli.main(["check", "--field", "7", "--in", str(path), "--lambda", "1",
                      "--bound", "gcd"]) == 0
     assert '"deg_g": -1' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("pe", DEGREE_FIELDS, ids=lambda pe: f"q{pe[0] ** pe[1]}")
+def test_top_level_cancels_when_every_weight_sum_is_one_nonzero_value(pe):
+    # all q + 1 forms (1, r) and (0, 1) carry the weight sum c != 0; the
+    # gammas of the forms (1, r) are not all equal, so level q - 2 stays
+    K = field_create(*pe)
+    rng = random.Random(K.q)
+    c = rng.randrange(1, K.q)
+    gammas = [rng.randrange(K.q) for _ in K.elements()]
+    gammas[0] = K.uadd(gammas[1], 1)
+    powers = [(c, 1, r, gamma) for r, gamma in zip(K.elements(), gammas)]
+    g = DetectorPoly(K, 0, powers + [(c, 0, 1, rng.randrange(K.q))])
+    assert g.total_degree == degree_by_terms(g) == K.q - 2
+    # the slope detector of the X-axis, every point of weight 1, and one
+    # made-up report with m_d = -1 mod p, whose power (Y - 1)^(q-1) has
+    # weight 1 too
+    T = PointMultiset(K, [((a, 0), 1) for a in K.elements()])
+    report = DirectionReport(slope_direction(K, 1), 1, K.p - 1, ())
+    g = build_slope_detector(T, [report]).g
+    assert g.total_degree == degree_by_terms(g) == K.q - 2
+
+
+def test_the_usual_degree_walks_no_coefficient(monkeypatch):
+    """Every corpus g of degree q - 1 has its degree from the weight sums
+    alone, with no coefficient computed."""
+    usual = []
+    for pe in sorted(set(ROW_FIELDS) | set(DEGREE_FIELDS), key=lambda pe: pe[0] ** pe[1]):
+        q = pe[0] ** pe[1]
+        usual += [(name, q, g) for name, g in degree_corpus(pe) if degree_by_terms(g) == q - 1]
+
+    def forbidden(*args):
+        raise AssertionError("a coefficient was walked")
+
+    monkeypatch.setattr(DetectorPoly, "_coefficients", forbidden)
+    for name, q, g in usual:
+        assert g.total_degree == q - 1, (q, name)
+    kinds = {name.split("/")[-1] for name, _, _ in usual}
+    assert {"slope", "point"} <= kinds and len(usual) > 1000, len(usual)
+
+
+def test_cancelled_top_stays_linear_in_q_without_the_term_map(monkeypatch):
+    # two points in one column, of weight 1 and -1: one form, whose weight
+    # sum 0 cancels the top level; deg g is q - 2, found by the walk
+    def forbidden(*args):
+        raise AssertionError("the term map was built")
+
+    monkeypatch.setattr(DetectorPoly, "terms", property(forbidden))
+    K = field_create(257)
+    T = PointMultiset(K, [((1, 2), 1), ((1, 5), 256)])
+    reports = [r for r in uniform_directions(T, 2) if slope_of(r.direction) is not None]
+    tracemalloc.start()
+    try:
+        det = build_slope_detector(T, reports)
+        profile = gcd_profile(det.f, det.g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profile.deg_g == K.q - 2
+    assert peak < 1 << 20, peak
 
 
 # -- the term map is built only when it is read --------------------------------------

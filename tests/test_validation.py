@@ -13,7 +13,7 @@ import pytest
 from renitent import field_create
 from renitent.envelope import hankel_det_closed_form, weighted_power_recursion_check
 from renitent.errors import InputError
-from renitent.generators import gen_planted
+from renitent.generators import gen_planted, gen_random
 from renitent.plane import Collineation, ProjLine, ProjPoint, parse_point, slope_direction
 from renitent.poly import BiPoly, TriHomPoly, UniPoly
 from renitent.uniformity import PointMultiset, parse_points
@@ -142,3 +142,40 @@ def test_from_uni_refuses_an_operand_that_is_not_a_unipoly():
 def test_from_uni_embeds_in_u_or_v():
     assert BiPoly.from_uni(F, var=0).terms == {(0, 0): 3, (1, 0): 1, (2, 0): 2}
     assert BiPoly.from_uni(F, var=1).terms == {(0, 0): 3, (0, 1): 1, (0, 2): 2}
+
+
+# A point is a pair of elements and a density a number: any other shape is
+# refused with a typed error, not a ValueError or TypeError from unpacking
+# or comparing it.
+BAD_POINT_SHAPES = {
+    "PointMultiset.triple": (lambda: PointMultiset(K, [((1, 2, 3), 1)]),
+                             r"^a multiset entry must be \(\(a, b\), multiplicity\), got "),
+    "PointMultiset.scalar": (lambda: PointMultiset(K, [(5, 1)]),
+                             r"^a multiset entry must be \(\(a, b\), multiplicity\), got "),
+    "PointMultiset.bare": (lambda: PointMultiset(K, [5]),
+                           r"^a multiset entry must be \(\(a, b\), multiplicity\), got "),
+    "PointMultiset.dict": (lambda: PointMultiset(K, {5: 1}),
+                           r"^a multiset entry must be \(\(a, b\), multiplicity\), got "),
+    "gen_planted.triple": (lambda: gen_planted(K, [(1, 2, 3)], [1]),
+                           r"^points must be pairs \(a, b\), got "),
+    "gen_planted.scalar": (lambda: gen_planted(K, [5], [1]),
+                           r"^points must be pairs \(a, b\), got "),
+    "gen_random.str": (lambda: gen_random(K, 1, "0.5"),
+                       r"^density must lie in \(0, 1\], got '0.5'$"),
+    "gen_random.none": (lambda: gen_random(K, 1, None),
+                        r"^density must lie in \(0, 1\], got None$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_POINT_SHAPES))
+def test_bad_point_or_density_shape_is_refused(name):
+    call, message = BAD_POINT_SHAPES[name]
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+def test_point_and_density_shapes_that_are_kept():
+    assert PointMultiset(K, [([1, 2], 1)]).items() == [((1, 2), 1)]
+    assert PointMultiset(K, {(1, 2): 3}).items() == [((1, 2), 3)]
+    assert gen_planted(K, [[1, 2]], [1]).points == ((1, 2),)
+    assert gen_random(K, 1, 1).size == 49
