@@ -34,12 +34,15 @@ random.Random(q), classified at that lambda:
   directions (the weighted one at the count offset scan_weight_classes
   picks for them) and the general one on every uniform slope direction,
   at that lambda (in no digest, for the same reason).
+* ``gen_random``: one fresh gen_random call at density 0.5 (seed 7), in
+  no digest (``digest`` already covers its output at density 0.3).
 
 It also times one row that does not depend on q, ``import_cli`` (listed
-under q = ``any``): the median of 21 fresh ``python -c "import
-renitent.cli"`` processes less the median of 21 bare ``python -c pass``
-ones, run in turn after the package's bytecode cache is filled; its IQR
-is that of the import processes.
+under q = ``any``): in each of 21 fresh ``python -X importtime -c "import
+renitent.cli"`` processes, started after the package's bytecode cache is
+filled, the cumulative import time the interpreter itself reports for
+the top-level ``renitent`` and ``renitent.*`` imports, so the
+interpreter's own start is in no sample.
 
 Every sample starts from a freshly built multiset (and, for a gcd_profile
 row, a freshly built detector, outside the timing), so work a multiset
@@ -80,14 +83,15 @@ LADDER = (31, 49, 64, 81, 121, 125, 128, 243, 256, 289, 343, 512)
 CLASSIFY_MAX_Q = 289   # the classification rows take seconds a sample above it
 SEED, DENSITY, LAMBDA = 7, 0.3, 2
 REPEATS = 5
+GEN_DENSITY = 0.5
 IMPORT_REPEATS = 21
 NOTE = ("Times are scaled to reference speed (REF_S over the reference loop "
         "timed just before each sample, on the same pinned CPU); medians of "
         "5 samples, IQR from the same samples.  The host's speed can "
         "swing 2-4x over minutes and scaling removes most but not all of it: "
         "read a ratio below 1.2x between columns as noise unless it repeats.  "
-        "The import_cli row is the median of 21 fresh `import renitent.cli` "
-        "processes less that of 21 bare interpreter starts.")
+        "The import_cli row is the median of renitent's cumulative import "
+        "time under -X importtime in 21 fresh `import renitent.cli` processes.")
 
 
 def field_spec(q):
@@ -101,15 +105,20 @@ def field_spec(q):
     return str(p) if e == 1 else f"{p}^{e}"
 
 
+def reference_scale():
+    """REF_S over one timing of perfbench's reference loop."""
+    t = time.perf_counter()
+    reference()
+    return REF_S / (time.perf_counter() - t)
+
+
 def scaled_sample(prepare, run):
     """One sample of run(prepare()) at reference speed, in seconds."""
     arg = prepare()
-    t = time.perf_counter()
-    reference()
-    ref = time.perf_counter() - t
+    scale = reference_scale()
     t = time.perf_counter()
     run(arg)
-    return (time.perf_counter() - t) * REF_S / ref
+    return (time.perf_counter() - t) * scale
 
 
 def summary(samples):
@@ -186,7 +195,8 @@ def measure_theorems(renitent, q):
                (fresh, lambda T: renitent.renitent_lower_bound_check(T, reports)),
            "envelope_regular": (fresh, lambda T: renitent.envelope_regular(T, sharp)),
            "envelope_weighted": (fresh, lambda T: renitent.envelope_weighted(T, sharp, offset)),
-           "envelope_general": (fresh, lambda T: renitent.envelope_general(T, reports, lam))}
+           "envelope_general": (fresh, lambda T: renitent.envelope_general(T, reports, lam)),
+           "gen_random": (lambda: K, lambda K: renitent.gen_random(K, SEED, GEN_DENSITY))}
     rows = {op: summary([scaled_sample(prepare, run) for _ in range(REPEATS)])
             for op, (prepare, run) in ops.items()}
     det = slope_detector()
@@ -196,24 +206,28 @@ def measure_theorems(renitent, q):
     return rows, digest
 
 
+def import_seconds(log):
+    """The cumulative seconds of the top-level renitent imports in an -X importtime log."""
+    total = 0
+    for line in log.splitlines():
+        parts = line.split("|")
+        name = parts[-1][1:]   # nested imports are indented past the one space
+        if len(parts) == 3 and (name == "renitent" or name.startswith("renitent.")):
+            total += int(parts[1])
+    return total * 1e-6
+
+
 def import_row(src):
-    """The scaled cost of `import renitent.cli` over a bare interpreter start."""
+    """The scaled cumulative import time of renitent in fresh `import renitent.cli` starts."""
     compileall.compile_dir(src, quiet=1)
     env = dict(os.environ, PYTHONPATH=src)
-    bare = [sys.executable, "-c", "pass"]
-    cli = [sys.executable, "-c", "import renitent.cli"]
-    subprocess.run(cli, env=env, check=True)   # fails early on a broken package
-
-    def start(cmd):
-        subprocess.run(cmd, env=env, check=True)
-
-    samples = {"bare": [], "cli": []}
+    cmd = [sys.executable, "-X", "importtime", "-c", "import renitent.cli"]
+    samples = []
     for _ in range(IMPORT_REPEATS):
-        for kind, cmd in (("bare", bare), ("cli", cli)):
-            samples[kind].append(scaled_sample(lambda: cmd, start))
-    row = summary(samples["cli"])
-    row["median_s"] -= statistics.median(samples["bare"])
-    return row
+        scale = reference_scale()
+        log = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True).stderr
+        samples.append(import_seconds(log) * scale)
+    return summary(samples)
 
 
 def show(op, q, row):
@@ -283,7 +297,7 @@ def main():
                 doc = json.load(fh)
         doc.update(schema=SCHEMA, note=NOTE,
                    input={"generator": "gen_random", "seed": SEED, "density": DENSITY,
-                          "lambda": LAMBDA,
+                          "lambda": LAMBDA, "gen_random_density": GEN_DENSITY,
                           "theorems": {"generator": "gen_planted",
                                        "points": "min(2, p - 1), coordinates from "
                                                  "random.Random(q), both nonzero",

@@ -47,6 +47,39 @@ def test_splitmix_seed_validation():
         SplitMix64("0")
 
 
+# -- the lane kernel ---------------------------------------------------------
+
+LANES = generators._LANES
+SEEDS = [0, (1 << 64) - 1, (1 << 64) + 5, 42]
+
+
+def scalar_flags(seed, threshold, count):
+    """Oracle: one SplitMix64 draw per coin, kept when below threshold."""
+    rng = SplitMix64(seed)
+    return bytes(rng.next_u64() < threshold for _ in range(count))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("count", [0, 1, LANES - 1, LANES, LANES + 1, 3 * LANES + 7])
+@pytest.mark.parametrize("threshold", [0, 1, 1 << 63, 1 << 64])
+def test_keep_flags_equal_the_scalar_draws(seed, count, threshold):
+    flags = generators._keep_flags(SplitMix64(seed).state, threshold, count)
+    assert flags == scalar_flags(seed, threshold, count)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("index", [0, LANES - 1, LANES, 2 * LANES + 3])
+def test_keep_flags_compare_strictly_below(seed, index):
+    # a draw equal to the threshold is dropped, one below it is kept
+    rng = SplitMix64(seed)
+    draw = [rng.next_u64() for _ in range(index + 1)][-1]
+    state = SplitMix64(seed).state
+    for threshold, kept in ((draw, 0), (draw + 1, 1)):
+        flags = generators._keep_flags(state, threshold, index + 2)
+        assert flags[index] == kept
+        assert flags == scalar_flags(seed, threshold, index + 2)
+
+
 # -- random multisets --------------------------------------------------------
 
 
@@ -74,10 +107,11 @@ def test_random_refuses_fields_over_its_budget_before_any_draw(monkeypatch):
     # the ladder's largest field, 2^9, stays inside the budget
     assert generators.RANDOM_MAX_POINTS >= 512 * 512
 
-    def no_draws(seed):
+    def no_draws(*args):
         raise AssertionError("drew a coin")
 
     monkeypatch.setattr(generators, "SplitMix64", no_draws)
+    monkeypatch.setattr(generators, "_keep_flags", no_draws)
     with pytest.raises(InputError, match=r"^a random instance draws one coin per point: "
                                          r"q\^2 = 1062961 is over the budget of 1048576 points$"):
         gen_random(field_create(1031), 0, 0.5)
@@ -85,6 +119,35 @@ def test_random_refuses_fields_over_its_budget_before_any_draw(monkeypatch):
 
 def test_random_seeds_differ():
     assert gen_random(K7, 1, 0.5).items() != gen_random(K7, 2, 0.5).items()
+
+
+def test_random_seed_refusals():
+    with pytest.raises(InputError, match=r"^seed must be a non-negative integer, got -1$"):
+        gen_random(K7, -1, 0.5)
+    with pytest.raises(InputError, match=r"^seed must be a non-negative integer, got '0'$"):
+        gen_random(K7, "0", 0.5)
+
+
+def scalar_random(K, seed, density):
+    """Oracle: the points one SplitMix64 draw at a time, in (a, b) order."""
+    threshold = int(density * (1 << 64))
+    rng = SplitMix64(seed)
+    return [(a, b) for a in K.elements() for b in K.elements() if rng.next_u64() < threshold]
+
+
+@pytest.mark.parametrize("p,e", [(7, 1), (37, 1), (2, 1), (2, 5), (2, 6), (3, 3), (5, 2)])
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("density", [1, 0.999, 0.5, 0.05, 1e-300])
+def test_random_equals_the_scalar_loop(p, e, seed, density):
+    K = field_create(p, e)
+    T = gen_random(K, seed, density)
+    points = scalar_random(K, seed, density)
+    assert list(T._mults) == points   # the same insertion order
+    assert T.items() == [(pt, 1) for pt in sorted(points)]
+    if density == 1:
+        assert T.size == K.q * K.q
+    if density == 1e-300:   # a threshold of 0 keeps nothing
+        assert T.size == 0
 
 
 # -- planted instances -------------------------------------------------------

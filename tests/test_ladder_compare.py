@@ -4,7 +4,8 @@ The ladder keeps, per q, a digest of the classification reports and a
 theorem digest of the detector terms and gcd profiles.  compare returns
 every (column, digest key, q) whose digest differs from the new column's,
 and main exits 1 when that list is not empty; the timing ratios never
-fail a run.  These call compare on made-up columns, with no timing run.
+fail a run.  These call compare on made-up columns, with no timing run,
+and read the import row's figure from a made-up -X importtime log.
 """
 
 import importlib.util
@@ -71,3 +72,13 @@ def test_a_q_missing_from_either_column_is_no_difference(ladder, tmp_path):
     path = write(tmp_path, {"parent": OLD})
     new = column({"31": "a31", "64": "a64"}, {"31": "t31", "64": "t64"})
     assert ladder.compare(new, path) == []
+
+
+def test_import_seconds_sums_the_top_level_renitent_imports(ladder):
+    log = ("import time: self [us] | cumulative | imported package\n"
+           "import time:      1363 |      70562 | site\n"
+           "import time:       261 |        261 | renitent\n"
+           "import time:      1107 |       1942 |   argparse\n"
+           "import time:       202 |        202 |     renitent.records\n"
+           "import time:       437 |      11228 | renitent.cli\n")
+    assert ladder.import_seconds(log) == pytest.approx((261 + 11228) * 1e-6)
