@@ -34,15 +34,17 @@ random.Random(q), classified at that lambda:
   directions (the weighted one at the count offset scan_weight_classes
   picks for them) and the general one on every uniform slope direction,
   at that lambda (in no digest, for the same reason).
-* ``gen_random``: one fresh gen_random call at density 0.5 (seed 7), in
-  no digest (``digest`` already covers its output at density 0.3).
+* ``gen_random``: one fresh gen_random call at seed 7 and density 0.3,
+  in no digest (``digest`` classifies the set it draws).
 
-It also times one row that does not depend on q, ``import_cli`` (listed
-under q = ``any``): in each of 21 fresh ``python -X importtime -c "import
-renitent.cli"`` processes, started after the package's bytecode cache is
-filled, the cumulative import time the interpreter itself reports for
-the top-level ``renitent`` and ``renitent.*`` imports, so the
-interpreter's own start is in no sample.
+It also times one row that does not depend on q, ``import_renitent``
+(listed under q = ``any``): in each of 21 fresh ``python -X importtime
+-c "import renitent.cli"`` processes, started after the package's
+bytecode cache is filled, the cumulative import time the interpreter
+itself reports for the top-level ``renitent`` and ``renitent.*``
+imports, so the interpreter's own start is in no sample.  Files before
+BENCH_25.json hold an ``import_cli`` row instead, the median of such
+starts less that of bare interpreter starts; the two are not compared.
 
 Every sample starts from a freshly built multiset (and, for a gcd_profile
 row, a freshly built detector, outside the timing), so work a multiset
@@ -83,14 +85,13 @@ LADDER = (31, 49, 64, 81, 121, 125, 128, 243, 256, 289, 343, 512)
 CLASSIFY_MAX_Q = 289   # the classification rows take seconds a sample above it
 SEED, DENSITY, LAMBDA = 7, 0.3, 2
 REPEATS = 5
-GEN_DENSITY = 0.5
 IMPORT_REPEATS = 21
 NOTE = ("Times are scaled to reference speed (REF_S over the reference loop "
         "timed just before each sample, on the same pinned CPU); medians of "
         "5 samples, IQR from the same samples.  The host's speed can "
         "swing 2-4x over minutes and scaling removes most but not all of it: "
         "read a ratio below 1.2x between columns as noise unless it repeats.  "
-        "The import_cli row is the median of renitent's cumulative import "
+        "The import_renitent row is the median of renitent's cumulative import "
         "time under -X importtime in 21 fresh `import renitent.cli` processes.")
 
 
@@ -196,7 +197,7 @@ def measure_theorems(renitent, q):
            "envelope_regular": (fresh, lambda T: renitent.envelope_regular(T, sharp)),
            "envelope_weighted": (fresh, lambda T: renitent.envelope_weighted(T, sharp, offset)),
            "envelope_general": (fresh, lambda T: renitent.envelope_general(T, reports, lam)),
-           "gen_random": (lambda: K, lambda K: renitent.gen_random(K, SEED, GEN_DENSITY))}
+           "gen_random": (lambda: K, lambda K: renitent.gen_random(K, SEED, DENSITY))}
     rows = {op: summary([scaled_sample(prepare, run) for _ in range(REPEATS)])
             for op, (prepare, run) in ops.items()}
     det = slope_detector()
@@ -207,14 +208,20 @@ def measure_theorems(renitent, q):
 
 
 def import_seconds(log):
-    """The cumulative seconds of the top-level renitent imports in an -X importtime log."""
-    total = 0
+    """The cumulative seconds of the top-level renitent imports in an -X importtime log.
+
+    Raises ValueError when the log holds no such line, so a log this
+    parse does not read is never recorded as an import time of 0.
+    """
+    cumulative = []
     for line in log.splitlines():
         parts = line.split("|")
         name = parts[-1][1:]   # nested imports are indented past the one space
         if len(parts) == 3 and (name == "renitent" or name.startswith("renitent.")):
-            total += int(parts[1])
-    return total * 1e-6
+            cumulative.append(int(parts[1]))
+    if not cumulative:
+        raise ValueError("no top-level renitent import in the -X importtime log")
+    return sum(cumulative) * 1e-6
 
 
 def import_row(src):
@@ -287,8 +294,8 @@ def main():
                 column["ops"].setdefault(op, {})[str(q)] = row
                 show(op, q, row)
     row = import_row(os.path.abspath(args.src))
-    column["ops"]["import_cli"] = {"any": row}
-    show("import_cli", "any", row)
+    column["ops"]["import_renitent"] = {"any": row}
+    show("import_renitent", "any", row)
 
     if args.out:
         doc = {"columns": {}}
@@ -297,7 +304,7 @@ def main():
                 doc = json.load(fh)
         doc.update(schema=SCHEMA, note=NOTE,
                    input={"generator": "gen_random", "seed": SEED, "density": DENSITY,
-                          "lambda": LAMBDA, "gen_random_density": GEN_DENSITY,
+                          "lambda": LAMBDA,
                           "theorems": {"generator": "gen_planted",
                                        "points": "min(2, p - 1), coordinates from "
                                                  "random.Random(q), both nonzero",

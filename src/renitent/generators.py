@@ -10,7 +10,7 @@ across runs and platforms.
 """
 
 from functools import cache
-from itertools import combinations, compress, product
+from itertools import combinations, compress, product, repeat
 
 from .errors import InputError
 from .plane import (ProjPoint, all_directions, format_point, line_at_infinity, line_meet,
@@ -24,9 +24,10 @@ _GAMMA = 0x9E3779B97F4A7C15
 _LANES = 1024  # draws per block; its constants live as long as the process
 
 # gen_random draws one coin per affine point, _LANES at a time, about
-# 0.08 us each, and each kept point costs about 0.4 us more: 2^20 points
-# (q <= 1024) take about 0.1 s at low density and 0.5 s at density 1,
-# while q = 2^15 would take 1.5 to 8 minutes and keep up to 2^30 points.
+# 0.1 us each, and each kept point costs about 1 us more (its check and
+# its dict entry): 2^20 points (q <= 1024) take about 0.1 s at low
+# density and 1.3 s at density 1, while q = 2^15 would take 2 to 20
+# minutes and keep up to 2^30 points.
 RANDOM_MAX_POINTS = 1 << 20
 
 
@@ -220,8 +221,7 @@ def gen_random(field, seed, density):
     kept when the next 64-bit SplitMix64 draw falls below density * 2^64.
     Equal seeds give equal multisets, bit for bit.  Fields with more than
     RANDOM_MAX_POINTS affine points are refused before any draw.  The
-    draws are made _LANES at a time (_keep_flags), and the kept points
-    are in range by construction, so they are not checked one by one.
+    draws are made _LANES at a time (_keep_flags).
     """
     K = field
     if not isinstance(density, (int, float)) or not 0 < density <= 1:
@@ -233,4 +233,4 @@ def gen_random(field, seed, density):
     state = SplitMix64(seed).state
     flags = _keep_flags(state, int(density * (1 << 64)), K.q * K.q)
     els = K.elements()
-    return PointMultiset._trusted(K, dict.fromkeys(compress(product(els, els), flags), 1))
+    return PointMultiset(K, zip(compress(product(els, els), flags), repeat(1)))

@@ -60,15 +60,6 @@ class PointMultiset:
         self._mults = mults
         self._intercepts = None
 
-    @classmethod
-    def _trusted(cls, field, mults):
-        """The multiset of a {(a, b): m} map already valid: not checked, not copied."""
-        self = cls.__new__(cls)
-        self.field = field
-        self._mults = mults
-        self._intercepts = None
-        return self
-
     @property
     def size(self):
         return sum(self._mults.values())

@@ -82,3 +82,16 @@ def test_import_seconds_sums_the_top_level_renitent_imports(ladder):
            "import time:       202 |        202 |     renitent.records\n"
            "import time:       437 |      11228 | renitent.cli\n")
     assert ladder.import_seconds(log) == pytest.approx((261 + 11228) * 1e-6)
+
+
+@pytest.mark.parametrize("log", [
+    "",
+    # only nested renitent imports
+    "import time:      1107 |       1942 | argparse\n"
+    "import time:       202 |        202 |   renitent.records\n",
+    # another column layout
+    "import time: 261 | 261 | 0 | renitent\n",
+])
+def test_import_seconds_refuses_a_log_with_no_top_level_renitent_import(ladder, log):
+    with pytest.raises(ValueError, match="no top-level renitent import"):
+        ladder.import_seconds(log)
