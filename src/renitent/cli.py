@@ -22,8 +22,8 @@ import sys
 
 from .errors import HypothesisRejected, InputError, RenitentError
 from .gf import parse_field_spec
-from .plane import all_directions, format_line, format_point, parse_point, slope_of
-from .uniformity import classify_direction, dump_points, parse_points, uniform_directions
+from .plane import format_line, format_point, parse_point, slope_of
+from .uniformity import _classify_all, dump_points, parse_points, uniform_directions
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -248,12 +248,11 @@ def cmd_gen(args):
 
 
 def cmd_analyze(args):
-    field, T = _load_multiset(args)
+    _, T = _load_multiset(args)
     rows = []
     uniform = 0
     renitent_total = 0
-    for d in all_directions(field):
-        report = classify_direction(T, d, args.lam)
+    for d, report in _classify_all(T, args.lam):
         if report is None:
             rows.append({"direction": format_point(d), "uniform": False})
         else:

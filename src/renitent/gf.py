@@ -21,15 +21,15 @@ arithmetic.  Extension fields compute through a primitive element g:
 the smallest index whose powers run through all q - 1 nonzero elements
 (the root of the modulus need not be one; under the default t^2 + 1 of
 GF(9), t has order 4).  Three tables are built once: exp[i] = g^i
-(stored twice over) and log[a] for a != 0 by the digit-vector
-arithmetic below, and Zech's logarithm zech[d] = log(1 + g^d), so that
-g^i + g^j = g^(i + zech[j - i]) (K. Huber, IEEE Trans. Inf. Theory 36,
-1990).  1 + x changes only digit 0 of the index x, to (x + 1) % p, so
-zech takes no digit-vector sum.  Its one None is at half, the logarithm
-of -1: (q - 1)/2 for odd p, and 0 in characteristic 2, where every
-element is its own negative.  The kernels read none of the three
-tables, only one padded set built from them, so no operation tests for
-a zero:
+(stored twice over) and log[a] for a != 0, from the powers of g walked
+as packed coefficient vectors (see _build_log_tables), and Zech's
+logarithm zech[d] = log(1 + g^d), so that g^i + g^j = g^(i + zech[j - i])
+(K. Huber, IEEE Trans. Inf. Theory 36, 1990).  1 + x changes only digit
+0 of the index x, to (x + 1) % p, so zech takes no digit-vector sum.
+Its one None is at half, the logarithm of -1: (q - 1)/2 for odd p, and
+0 in characteristic 2, where every element is its own negative.  The
+kernels read none of the three tables, only one padded set built from
+them, so no operation tests for a zero:
 
 * lg is log with lg[0] = LZ = 4(q - 1), past every nonzero logarithm;
 * ex is exp followed by zeros, so ex[lg[a] + lg[b]] is a*b for every a
@@ -45,8 +45,9 @@ they stay the base-p encoding above.
 
 Each operation is bound once, when the field is built, to one of two
 kernel sets: prime field or extension field (Zech addition).  In
-characteristic 2 add and sub are XOR, and the intercept kernel and urem
-are XOR kernels of their own, each measured faster than its Zech form.
+characteristic 2 add and sub are XOR, and urem and (above q = 256) the
+intercept kernel are XOR kernels of their own, each measured faster than
+its Zech form.
 The kernels are the attributes uadd, usub, uneg, umul, uinv, udiv and
 upow.  They do not check their operands: an out-of-range index gives a
 wrong answer or an IndexError, and uinv/udiv need a nonzero divisor.
@@ -54,17 +55,27 @@ The methods add, sub, neg, mul, inv, div and pow are the checked entry
 points: each runs `check` on every operand (and refuses a zero divisor
 or a bad exponent), then calls its kernel.
 
-One bulk kernel is bound from the same sets: uintercepts(points) takes
+One bulk kernel is bound per field too: uintercepts(points) takes
 affine points (a, b) once and returns (order, keys), where keys(s) is
-the list of intercepts b - a*s of all the points, in the order of the
-list `order` (the same points, regrouped).  It is what classifying a
-point set needs for every slope of a parallel class.  The prime kernel
-is one (b - a*s) % p comprehension.  The log kernels take each point's
-logarithms once and split off the points with a zero coordinate, so
-that the loop run for each slope has no branch and no call: b ^ g^(log a
-+ log s) for p = 2, and one Zech lookup per point for odd p (points with
-b = 0 give -a*s directly, and those with a = 0 give b at every slope).
-Like the scalar kernels it does not check its operands.
+the sequence of intercepts b - a*s of all the points, in the order of
+the list `order` (the same points, possibly regrouped).  It is what
+classifying a point set needs for every slope of a parallel class.
+Every field with q <= ROW_MAX_ORDER = 256 binds the row kernel, built
+from umul and usub alone, so it is the same for every family: the
+field keeps mulrow[a] = bytes(a*s for s = 0..q-1) and subtab[b] =
+bytes(b - x for x = 0..q-1), padded to 256 bytes, each built the first
+time a point needs it.  Point (a, b)'s intercepts at all q slopes are
+mulrow[a].translate(subtab[b]), one C pass; the rows of the points are
+joined into one bytes of n*q bytes, and keys(s) is its slice of stride
+q from s, a bytes.  The bound is that of bytes.translate's one-byte
+table.  Above it the kernel is the family's own, and keys(s) a list:
+the prime kernel is one (b - a*s) % p comprehension, and the log
+kernels take each point's logarithms once and split off the points with
+a zero coordinate, so that the loop run for each slope has no branch
+and no call: b ^ g^(log a + log s) for p = 2, and one Zech lookup per
+point for odd p (points with b = 0 give -a*s directly, and those with
+a = 0 give b at every slope).  Like the scalar kernels it does not
+check its operands.
 
 Four list kernels, bound the same way, run the coefficient loops of the
 polynomial layer on lists of elements (constant term first):
@@ -481,10 +492,49 @@ def _log_kernels(modulus, exp, log, zech):
             rem, conv, horner, powsums)
 
 
+ROW_MAX_ORDER = 256   # largest q of the row intercept kernel: bytes.translate's 1-byte table
+
+
+def _row_intercepts(q, mul, sub, mulrow, subtab):
+    """The intercept kernel of a field with q <= ROW_MAX_ORDER, from its
+    umul and usub.
+
+    mulrow[a] is the byte row a*s over the slopes s = 0..q-1, and subtab[b]
+    the byte table x -> b - x, padded to the 256 bytes bytes.translate
+    reads; both lists are the field's, and each entry is built when a
+    point first needs it.  Point (a, b)'s intercepts at every slope are
+    then mulrow[a].translate(subtab[b]), one row of q bytes; the rows are
+    joined in the order of the points, so keys(s) is the slice of stride
+    q from s.
+    """
+    els = range(q)
+    pad = bytes(256 - q)
+
+    def intercepts(points):
+        points = list(points)
+        xs = [a for a, _ in points]
+        ys = [b for _, b in points]
+        for a in set(xs):
+            if mulrow[a] is None:
+                mulrow[a] = bytes(map(mul, repeat(a), els))
+        for b in set(ys):
+            if subtab[b] is None:
+                subtab[b] = bytes(map(sub, repeat(b), els)) + pad
+        joined = b"".join(map(bytes.translate, map(mulrow.__getitem__, xs),
+                              map(subtab.__getitem__, ys)))
+
+        def keys(s):
+            return joined[s::q]
+
+        return points, keys
+
+    return intercepts
+
+
 class GF:
     """Context for GF(p^e); all element operations live here."""
 
-    __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_zech",
+    __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_zech", "_mulrow", "_subtab",
                  "uadd", "usub", "uneg", "umul", "uinv", "udiv", "upow", "uintercepts",
                  "urem", "uconv", "uhorner", "upowsums")
 
@@ -523,6 +573,11 @@ class GF:
             kernels = _log_kernels(self.modulus, self._exp, self._log, self._zech)
         (self.uadd, self.usub, self.uneg, self.umul, self.uinv, self.udiv, self.upow,
          self.uintercepts, self.urem, self.uconv, self.uhorner, self.upowsums) = kernels
+        self._mulrow = self._subtab = None
+        if self.q <= ROW_MAX_ORDER:
+            self._mulrow, self._subtab = [None] * self.q, [None] * self.q
+            self.uintercepts = _row_intercepts(self.q, self.umul, self.usub,
+                                               self._mulrow, self._subtab)
 
     def _default_modulus(self):
         if self.e == 1:
@@ -542,16 +597,45 @@ class GF:
         raise RuntimeError("unreachable: the multiplicative group is cyclic")
 
     def _build_log_tables(self):
-        n = self.q - 1
+        """exp, log and zech from the powers of the primitive element g.
+
+        The powers are walked as packed coefficient vectors: digit i of an
+        element sits in bits [w i, w (i + 1)) of one int, with w one bit
+        wider than p needs, so a digit-wise sum of two vectors carries into
+        no neighbour and its digits >= p show in bit w - 1 of their slot
+        once 2^(w-1) - p is added to each.  Multiplying by g is linear over
+        GF(p), so g * v is the digit-wise sum mod p of the products of v's
+        low k digits and of its high e - k digits with g, each read from a
+        table of p^k or p^(e-k) entries built by the digit-vector _mul_raw.
+        """
+        p, e, n = self.p, self.e, self.q - 1
         g = self._primitive_element()
+        w, k = p.bit_length() + 1, e // 2
+        low = p ** k
+        ones = sum(1 << w * i for i in range(e))
+        flags, bias = ones << (w - 1), ones * ((1 << (w - 1)) - p)
+
+        def pack(x):
+            packed = 0
+            for i in range(e):
+                x, d = divmod(x, p)
+                packed |= d << w * i
+            return packed
+
+        # packed part of v -> (its index, its product with g, packed)
+        lows = {pack(x): (x, pack(self._mul_raw(x, g))) for x in range(low)}
+        highs = {pack(x) >> (w * k): (x, pack(self._mul_raw(x, g)))
+                 for x in range(0, self.q, low)}
+        mask = (1 << w * k) - 1
         exp, log = [0] * (2 * n), [None] * self.q
-        x = 1
+        v = 1
         for i in range(n):
-            exp[i] = exp[i + n] = x
-            log[x] = i
-            x = self._mul_raw(x, g)
+            (xl, gl), (xh, gh) = lows[v & mask], highs[v >> (w * k)]
+            exp[i] = exp[i + n] = xl + xh
+            log[xl + xh] = i
+            v = gl + gh
+            v -= (((v + bias) & flags) >> (w - 1)) * p
         # 1 + x changes only digit 0 of the index x, with no carry
-        p = self.p
         self._exp, self._log = exp, log
         self._zech = [log[x - x % p + (x + 1) % p] for x in exp[:n]] * 2
 

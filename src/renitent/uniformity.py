@@ -206,9 +206,9 @@ def _intercept_form(T):
     return T._intercepts
 
 
-def intercept_profile(T, direction):
-    """Nonzero line counts of a parallel class, keyed by intercept."""
-    s = slope_of(direction)
+def _line_counts(T, s):
+    """Nonzero line counts of the class of slope s (None for the vertical
+    class), keyed by intercept."""
     xs, keys, weights = _intercept_form(T)
     line_keys = xs if s is None else keys(s)
     profile = {}
@@ -220,11 +220,14 @@ def intercept_profile(T, direction):
     return profile
 
 
-def classify_direction(T, direction, lam):
-    """DirectionReport when the direction is (q-lam)-uniform, else None."""
-    K = T.field
-    check_lam(K, lam)
-    profile = intercept_profile(T, direction)   # refuses a non-direction
+def intercept_profile(T, direction):
+    """Nonzero line counts of a parallel class, keyed by intercept."""
+    return _line_counts(T, slope_of(direction))
+
+
+def _report(K, direction, s, profile, lam):
+    """DirectionReport of the direction of slope s from its profile, or None
+    when it is not (q-lam)-uniform."""
     p = K.p
     # Residue frequencies over all q lines: the q - |profile| lines the
     # profile leaves out are empty, so they add to residue 0.
@@ -235,7 +238,6 @@ def classify_direction(T, direction, lam):
     if not typical:
         return None
     m_d = typical[0]  # unique: two residues on q-lam lines each would exceed q
-    s = slope_of(direction)   # only a uniform direction needs its slope
     # With m_d = 0 every renitent line is in the profile (an empty line has
     # residue 0).  Otherwise every empty line is renitent, so the profile
     # holds all q - lam or more typical lines, and a scan of all q
@@ -248,14 +250,27 @@ def classify_direction(T, direction, lam):
     return DirectionReport(direction=direction, bound=lam, m_d=m_d, renitent=renitent)
 
 
+def classify_direction(T, direction, lam):
+    """DirectionReport when the direction is (q-lam)-uniform, else None."""
+    check_lam(T.field, lam)
+    profile = intercept_profile(T, direction)   # refuses a non-direction
+    return _report(T.field, direction, slope_of(direction), profile, lam)
+
+
+def _classify_all(T, lam):
+    """[(direction, report or None)] for all q + 1 directions, in
+    direction-index order: classify_direction on each, with lam checked
+    once and the slopes walked as field elements beside all_directions
+    (slopes 0..q-1, then vertical)."""
+    K = T.field
+    check_lam(K, lam)
+    return [(d, _report(K, d, s, _line_counts(T, s), lam))
+            for d, s in zip(all_directions(K), (*K.elements(), None))]
+
+
 def uniform_directions(T, lam):
     """Reports for every uniform direction, in direction-index order."""
-    out = []
-    for d in all_directions(T.field):
-        report = classify_direction(T, d, lam)
-        if report is not None:
-            out.append(report)
-    return out
+    return [r for _, r in _classify_all(T, lam) if r is not None]
 
 
 def concurrency_point(lines):

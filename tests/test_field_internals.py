@@ -1,9 +1,9 @@
 """Only gf.py reads a field's tables.
 
-The exp/log/Zech tables are how gf computes, not part of what it offers:
-the other modules reach them only through the kernels (K.uadd, K.umul,
-...) and the checked methods.  This keeps the representation free to
-change inside gf.py alone.
+The exp/log/Zech tables and the row kernel's byte tables are how gf
+computes, not part of what it offers: the other modules reach them only
+through the kernels (K.uadd, K.umul, ...) and the checked methods.  This
+keeps the representation free to change inside gf.py alone.
 """
 
 import ast
@@ -12,7 +12,7 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "renitent"
-INTERNALS = {"_exp", "_log", "_zech", "_half"}
+INTERNALS = {"_exp", "_log", "_zech", "_half", "_mulrow", "_subtab"}
 
 
 def _internal_reads(path):

@@ -270,6 +270,29 @@ def test_zech_is_the_log_of_one_plus_each_power(p, e):
     assert K._zech.index(None) == (0 if p == 2 else n // 2)   # g^half = -1
 
 
+# every extension field of the q ladders, moduli whose root is no
+# primitive element, and the largest odd-p extension degree
+TABLE_SPECS = ["2^2", "2^3", "3^2", "3^3", "7^2", "2^6", "3^4", "11^2", "5^3", "2^7",
+               "3^5", "2^8", "17^2", "7^3", "2^9", "3^9", "3^2:m=1,0,1", "5^2:m=2,0,1",
+               "2^4:m=1,0,0,1,1"]
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_log_tables_equal_the_digit_vector_powers(spec):
+    """exp, log and zech as the packed walk builds them, against the powers
+    of g taken one _mul_raw at a time."""
+    K = parse_field_spec(spec)
+    n, g = K.q - 1, K._exp[1]
+    exp, log, x = [0] * (2 * n), [None] * K.q, 1
+    for i in range(n):
+        exp[i] = exp[i + n] = x
+        log[x] = i
+        x = K._mul_raw(x, g)
+    assert x == 1 and g == K._primitive_element()
+    assert K._exp == exp and K._log == log
+    assert K._zech == [log[K._add_raw(1, y)] for y in exp]   # log[0] is None
+
+
 def test_generator_is_smallest_primitive_element_not_modulus_root():
     K = field_create(3, 2)         # t^2 + 1, with t at index 3
     assert K._pow_raw(3, 4) == 1   # t has order 4, not 8

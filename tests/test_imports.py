@@ -116,7 +116,8 @@ def test_every_exported_name_is_the_defining_modules_object():
 # the README gives; a new uncalled name, or a kept one that gains a
 # caller, must be reconciled with the README and this list.
 KEPT_WITHOUT_CALLER = {
-    "build_point_detector", "concurrency_point", "dual_coords", "gcd_degree_bound",
+    "build_point_detector", "classify_direction", "concurrency_point", "dual_coords",
+    "gcd_degree_bound",
     "hankel_det_closed_form", "index_of_point", "line_count", "parallel_class",
     "roots_with_multiplicity", "weighted_power_recursion_check",
 }

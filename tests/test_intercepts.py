@@ -1,5 +1,10 @@
 """The list-level intercept kernel and the intercept profiles built on it,
-against the per-point profile they replace, across the q ladder."""
+against the per-point profile they replace, across the q ladder.
+
+Fields with q <= 256 run the row kernel (one byte row of intercepts per
+point); the rungs above it run the three family kernels (prime, p = 2 and
+odd-p extension fields), so the ladder keeps both paths under test.
+"""
 
 import pickle
 
@@ -9,17 +14,23 @@ from hypothesis import given, settings, strategies as st
 from renitent import (
     PointMultiset,
     all_directions,
+    classify_direction,
     field_create,
     intercept_profile,
     parse_field_spec,
     slope_direction,
     uniform_directions,
 )
+from renitent.errors import InputError
+from renitent.generators import gen_random
+from renitent.gf import GF, ROW_MAX_ORDER
 from renitent.plane import slope_of
+from renitent.uniformity import _classify_all
 
 from conftest import SMALL_FIELDS
 
-LADDER = SMALL_FIELDS + [(3, 3), (7, 2), (2, 6), (3, 4), (5, 3), (2, 7), (3, 5), (2, 8)]
+LADDER = SMALL_FIELDS + [(3, 3), (7, 2), (2, 6), (3, 4), (5, 3), (2, 7), (3, 5), (2, 8),
+                         (257, 1), (17, 2), (7, 3), (2, 9)]
 
 
 def _ladder_id(pe):
@@ -43,7 +54,8 @@ def _assert_kernel_matches(K, points):
     order, keys = K.uintercepts(points)
     assert sorted(order) == sorted(points)
     for s in K.elements():
-        assert keys(s) == [K.sub(b, K.mul(a, s)) for a, b in order]
+        # bytes from the row kernel, a list from a family kernel
+        assert list(keys(s)) == [K.sub(b, K.mul(a, s)) for a, b in order]
 
 
 def _assert_profiles_match(T):
@@ -59,7 +71,7 @@ def multisets(draw, K):
     points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=24, unique=True))
     if draw(st.booleans()):
         weights = [1] * len(points)
-    else:   # above 1 and above p, so a count and its residue mod p differ
+    else:   # above 1, p and 2p among them, so a count and its residue mod p differ
         weights = draw(st.lists(st.integers(1, 2 * p + 1),
                                 min_size=len(points), max_size=len(points)))
     return K, points, weights
@@ -85,7 +97,7 @@ def test_one_point_sets(pe):
     g = K.q - 1
     for point in [(0, 0), (0, g), (g, 0), (1, g), (g, 1)]:
         _assert_kernel_matches(K, [point])
-        for m in (1, K.p + 1):
+        for m in (1, K.p, K.p + 1, 2 * K.p):   # p and 2p count 0 mod p
             _assert_profiles_match(PointMultiset(K, [(point, m)]))
 
 
@@ -141,3 +153,70 @@ def test_a_classified_multiset_still_pickles():
         T, slope_direction(K, 4))
     assert [r.to_json() for r in uniform_directions(T2, 2)] == [
         r.to_json() for r in before]
+
+
+def test_the_row_kernel_runs_exactly_up_to_its_bound():
+    for pe in LADDER:
+        K = field_create(*pe)
+        _, keys = K.uintercepts([(1, 1)])
+        assert isinstance(keys(0), bytes) == (K.q <= ROW_MAX_ORDER), K
+
+
+def test_row_tables_are_built_per_value_on_first_use():
+    K = GF(2, 7)   # not the cached field, so its tables start empty
+    built = lambda: (sum(r is not None for r in K._mulrow),
+                     sum(r is not None for r in K._subtab))
+    assert built() == (0, 0)
+    K.uintercepts([(3, 5), (3, 6), (9, 5)])
+    assert built() == (2, 2)
+    row = K._mulrow[3]
+    K.uintercepts([(3, 7)])
+    assert built() == (2, 3) and K._mulrow[3] is row
+    assert all(len(t) == 256 for t in K._subtab if t is not None)
+
+
+# -- the shared classification loop against classify_direction -------------------
+
+CLASSIFIED = [pe for pe in LADDER if pe[0] ** pe[1] > 2]   # q = 2 has no lambda
+
+
+def _assert_loop_matches(T, lam):
+    """_classify_all and uniform_directions against classify_direction on
+    every direction; returns the reports with m_d != 0."""
+    pairs = _classify_all(T, lam)
+    assert [d for d, _ in pairs] == list(all_directions(T.field))
+    for d, report in pairs:
+        one = classify_direction(T, d, lam)
+        assert report == one
+        if report is not None:
+            assert report.to_json() == one.to_json()
+            assert report.lambda_d == one.lambda_d
+    reports = [r for _, r in pairs if r is not None]
+    assert uniform_directions(T, lam) == reports
+    return [r for r in reports if r.m_d != 0]
+
+
+@pytest.mark.parametrize("pe", CLASSIFIED, ids=_ladder_id)
+def test_shared_loop_agrees_with_classify_direction(pe):
+    K = field_create(*pe)
+    T = gen_random(K, 0, min(0.3, 40 / K.q ** 2))
+    # weights above 1, p and 2p among them
+    weighted = PointMultiset(K, [(pt, 1 + i % (2 * K.p)) for i, (pt, _) in enumerate(T.items())])
+    top = (K.q - 1) // 2
+    for lam in sorted({1, min(2, top), top}):
+        _assert_loop_matches(T, lam)
+        _assert_loop_matches(weighted, lam)
+
+
+def test_shared_loop_agrees_where_m_d_is_not_zero():
+    """GF(27) at lambda = 13: typical residue m_d != 0, so every empty line
+    is renitent and the report scans all q intercepts."""
+    K = field_create(3, 3)
+    assert _assert_loop_matches(gen_random(K, 0, 0.1), 13)
+
+
+def test_shared_loop_checks_lambda_first():
+    T = PointMultiset(field_create(7), [((1, 2), 1)])
+    for bad in (0, 4, 3.0):
+        with pytest.raises(InputError):
+            _classify_all(T, bad)
