@@ -18,6 +18,10 @@ random.Random(q), classified at that lambda:
 * ``uniform_directions_planted``: all q + 1 directions of the planted set
   classified at that lambda (in no digest: ``uniform_directions`` and
   the theorem rows already cover what it computes);
+* ``uniform_directions_sparse``: all q + 1 directions classified at
+  lambda = 2 on one gen_random set of seed 7 and density 1/q, a support
+  of about q points, where most classes are refused from their count of
+  nonempty lines (in no digest, for the same reason);
 * ``build_slope_detector``: the slope detector of the uniform slope
   directions;
 * ``gcd_profile_slope``: gcd_profile of that detector;
@@ -169,6 +173,7 @@ def measure_theorems(renitent, q):
         if pt not in points:
             points.append(pt)
     entries = list(renitent.gen_planted(K, points, [1] * lam).multiset._mults.items())
+    sparse = list(renitent.gen_random(K, SEED, 1 / q)._mults.items())
     reports = [r for r in renitent.uniform_directions(renitent.PointMultiset(K, entries), lam)
                if renitent.slope_of(r.direction) is not None]
     sharp = [r for r in reports if r.lambda_d == lam]
@@ -188,6 +193,8 @@ def measure_theorems(renitent, q):
         return renitent.gcd_profile(det.f, det.g)
 
     ops = {"uniform_directions_planted": (fresh, lambda T: renitent.uniform_directions(T, lam)),
+           "uniform_directions_sparse": (lambda: renitent.PointMultiset(K, sparse),
+                                         lambda T: renitent.uniform_directions(T, LAMBDA)),
            "build_slope_detector": (fresh, lambda T: renitent.build_slope_detector(T, reports)),
            "gcd_profile_slope": (slope_detector, profile),
            "gcd_profile_point": (point_detector, profile),

@@ -148,14 +148,14 @@ def gen_planted(field, points, weights, c=1):
     if len(weights) != lam:
         raise InputError(f"need one weight per point, got {len(weights)}")
     for w in weights:
-        if not isinstance(w, int) or w < 1:
+        if type(w) is not int or w < 1:   # refuses bool, which to_json would write
             raise InputError(f"weights must be positive integers, got {w!r}")
         if w % K.p == 0:
             raise InputError(
                 f"weight {w} vanishes mod p = {K.p}; its lines would be typical")
         if w >= K.p:
             raise InputError(f"weights must lie in 1..p-1 = {K.p - 1}, got {w}")
-    if not isinstance(c, int) or not 0 < c < K.p:
+    if type(c) is not int or not 0 < c < K.p:
         raise InputError(f"multiplier must lie in 1..p-1, got {c!r}")
     T = PointMultiset(K, [((a, b), c * w) for (a, b), w in zip(pts, weights)])
     oracle = None

@@ -642,7 +642,7 @@ class GF:
     # -- element <-> coefficient vector ---------------------------------
 
     def check(self, a):
-        if not isinstance(a, int) or not 0 <= a < self.q:
+        if type(a) is not int or not 0 <= a < self.q:   # bool is an int subclass
             raise InputError(f"{a!r} is not an element index of {self!r}")
         return a
 

@@ -15,6 +15,14 @@ A uniform direction's DirectionReport holds the direction, the lam it
 was classified at, m_d and the renitent lines with their counts t mod p,
 read from the intercept profile; it keeps no count for the typical
 lines, so classification costs O(support size) per direction.
+
+A class with n nonempty lines is refused before its residues are
+counted when n < q - lam and p n - |T| > lam (p - 1): m_d != 0 would make
+the q - n empty lines renitent, and with m_d = 0 the lines of count
+1..p-1, at least (p n - |T|)/(p - 1) of them, are renitent.  On sparse
+sets it refuses most classes: at density 1/q and lam = 2 all q + 1
+directions take 0.50-0.73x the time of the residue pass alone, at every
+q from 31 to 512 (BENCH_27.json).
 """
 
 from collections import _count_elements
@@ -53,7 +61,7 @@ class PointMultiset:
                 raise InputError(
                     f"a multiset entry must be ((a, b), multiplicity), got {entry!r}") from None
             field.check(a), field.check(b)
-            if not isinstance(m, int) or m < 1:
+            if type(m) is not int or m < 1:   # refuses bool, which dump_points would write
                 raise InputError(f"multiplicity of ({a},{b}) must be a positive integer")
             mults[(a, b)] = mults.get((a, b), 0) + m
         self.field = field
@@ -159,7 +167,7 @@ class DirectionReport(Record):
 def check_lam(K, lam):
     """Refuse a lam outside 0 < lam <= (q-1)/2, the range of the
     uniformity bound (a uniform direction has one typical residue)."""
-    if not isinstance(lam, int) or not 0 < lam <= (K.q - 1) // 2:
+    if type(lam) is not int or not 0 < lam <= (K.q - 1) // 2:   # refuses bool, as check does
         raise InputError(f"need 0 < lam <= (q-1)/2 = {(K.q - 1) // 2}, got {lam!r}")
 
 
@@ -225,16 +233,23 @@ def intercept_profile(T, direction):
     return _line_counts(T, slope_of(direction))
 
 
-def _report(K, direction, s, profile, lam):
+def _report(K, direction, s, profile, lam, size):
     """DirectionReport of the direction of slope s from its profile, or None
-    when it is not (q-lam)-uniform."""
-    p = K.p
+    when it is not (q-lam)-uniform; size is |T|, the multiset's size."""
+    p, n = K.p, len(profile)
+    # Refuse from n, the number of nonempty lines, before the residue pass.
+    # If m_d != 0 the q - n empty lines are all renitent, so n >= q - lam.
+    # If m_d = 0 the a lines with count 1..p-1 are renitent and the other
+    # n - a nonempty lines carry p or more each: a + p(n - a) <= |T|, so
+    # a >= (p n - |T|)/(p - 1), and uniformity needs a <= lam.
+    if n < K.q - lam and p * n - size > lam * (p - 1):
+        return None
     # Residue frequencies over all q lines: the q - |profile| lines the
     # profile leaves out are empty, so they add to residue 0.
     freq = {}
     _count_elements(freq, map(mod, profile.values(), repeat(p)))
-    freq[0] = freq.get(0, 0) + K.q - len(profile)
-    typical = [r for r, n in freq.items() if n >= K.q - lam]
+    freq[0] = freq.get(0, 0) + K.q - n
+    typical = [r for r, lines in freq.items() if lines >= K.q - lam]
     if not typical:
         return None
     m_d = typical[0]  # unique: two residues on q-lam lines each would exceed q
@@ -254,7 +269,7 @@ def classify_direction(T, direction, lam):
     """DirectionReport when the direction is (q-lam)-uniform, else None."""
     check_lam(T.field, lam)
     profile = intercept_profile(T, direction)   # refuses a non-direction
-    return _report(T.field, direction, slope_of(direction), profile, lam)
+    return _report(T.field, direction, slope_of(direction), profile, lam, T.size)
 
 
 def _classify_all(T, lam):
@@ -262,9 +277,9 @@ def _classify_all(T, lam):
     direction-index order: classify_direction on each, with lam checked
     once and the slopes walked as field elements beside all_directions
     (slopes 0..q-1, then vertical)."""
-    K = T.field
+    K, size = T.field, T.size
     check_lam(K, lam)
-    return [(d, _report(K, d, s, _line_counts(T, s), lam))
+    return [(d, _report(K, d, s, _line_counts(T, s), lam, size))
             for d, s in zip(all_directions(K), (*K.elements(), None))]
 
 

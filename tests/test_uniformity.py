@@ -28,7 +28,7 @@ from renitent import (
 from renitent.errors import InputError
 from renitent.generators import gen_random
 from renitent.plane import slope_of
-from renitent.uniformity import DirectionReport, RenitentLine, _class_line
+from renitent.uniformity import DirectionReport, RenitentLine, _class_line, _classify_all
 
 from conftest import SMALL_FIELDS
 
@@ -336,6 +336,83 @@ def test_classification_memory_stays_at_support_size_on_a_large_field():
     assert len(reports) == K.q + 1
     assert sum(r.lambda_d for r in reports) == 2 * K.q
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+# -- the nonempty-line refusal against brute force ----------------------------------
+
+# _report refuses a class with n nonempty lines when n < q - lam and
+# p n - |T| > lam (p - 1), before it counts residues.  The oracle below
+# counts every line of every class with line_count, so it shares nothing
+# with the profile or the refusal.
+REFUSAL_FIELDS = [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
+                  (2, 4), (5, 2), (3, 3), (2, 5)]
+
+
+def _brute_force_reports(T, lam_values):
+    """{lam: [report or None per direction]} from line_count over parallel_class."""
+    K = T.field
+    counts = [[line_count(T, line) % K.p for line in parallel_class(K, d)]
+              for d in all_directions(K)]
+    out = {}
+    for lam in lam_values:
+        reports = []
+        for d, residues in zip(all_directions(K), counts):
+            typical = [m for m in range(K.p) if residues.count(m) >= K.q - lam]
+            if not typical:
+                reports.append(None)
+                continue
+            s = slope_of(d)
+            renitent = tuple(RenitentLine(_class_line(K, s, t), t, c)
+                             for t, c in zip(K.elements(), residues) if c != typical[0])
+            reports.append(DirectionReport(direction=d, bound=lam, m_d=typical[0],
+                                           renitent=renitent))
+        out[lam] = reports
+    return out
+
+
+@st.composite
+def refusal_multisets(draw):
+    K = field_create(*draw(st.sampled_from(REFUSAL_FIELDS)))
+    p = K.p
+    support = draw(st.sets(st.tuples(st.integers(0, K.q - 1), st.integers(0, K.q - 1)),
+                           min_size=1, max_size=3 * K.q))
+    # 1 most of the time (the sparse sets the refusal fires on), else a
+    # multiplicity of p or more, often a multiple of p
+    mult = st.one_of(st.just(1), st.just(1), st.integers(p, 3 * p),
+                     st.sampled_from([p, 2 * p]))
+    return PointMultiset(K, {pt: draw(mult) for pt in sorted(support)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(refusal_multisets())
+def test_refusal_agrees_with_brute_force(T):
+    K = T.field
+    lam_values = range(1, (K.q - 1) // 2 + 1)
+    want = _brute_force_reports(T, lam_values)
+    directions = all_directions(K)
+    for lam in lam_values:
+        got = [r for _, r in _classify_all(T, lam)]
+        assert got == want[lam], lam
+        assert [r and r.to_json() for r in got] == [r and r.to_json() for r in want[lam]]
+        assert [classify_direction(T, d, lam) for d in directions] == want[lam]
+
+
+@pytest.mark.parametrize("pe, entries", [
+    # p n - |T| = 3 - 1 = lam (p - 1): on the bound, so uniform (> not >=)
+    ((3, 1), {(1, 2): 1}),
+    # m_d = 1 with n = q - lam = 2 nonempty lines (< not <=)
+    ((3, 1), {(0, 1): 1, (2, 0): 1}),
+    # |T| = 3 but support 2: p n - |T| = 1 = lam (p - 1), p n - support = 2
+    ((2, 2), {(0, 0): 2, (2, 1): 1}),
+], ids=["strict-bound", "strict-lines", "size-not-support"])
+def test_refusal_keeps_uniform_witnesses_on_its_boundary(pe, entries):
+    K = field_create(*pe)
+    T = PointMultiset(K, entries)
+    d = slope_direction(K, 0)
+    want = _brute_force_reports(T, [1])[1][all_directions(K).index(d)]
+    assert want is not None and want.lambda_d == 1
+    assert classify_direction(T, d, 1) == want
+    assert dict(_classify_all(T, 1))[d] == want
 
 
 # -- renitent lines in closed form -------------------------------------------------

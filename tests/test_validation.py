@@ -10,13 +10,13 @@ silently wrong answer.
 
 import pytest
 
-from renitent import field_create
+from renitent import dichotomy_check, field_create
 from renitent.envelope import hankel_det_closed_form, weighted_power_recursion_check
 from renitent.errors import InputError
 from renitent.generators import gen_planted, gen_random
 from renitent.plane import Collineation, ProjLine, ProjPoint, parse_point, slope_direction
 from renitent.poly import BiPoly, TriHomPoly, UniPoly
-from renitent.uniformity import PointMultiset, parse_points
+from renitent.uniformity import PointMultiset, dump_points, parse_points
 
 K = field_create(7)
 F = UniPoly(K, (3, 1, 2))
@@ -87,6 +87,48 @@ def test_entries_accept_in_range_elements(name):
     # the same calls with a valid index succeed, so each row above fails
     # on the bad element and not on something else in its arguments
     ENTRIES[name](4)
+
+
+# bool subclasses int, so an isinstance check would keep True as element 1;
+# dump_points would then write "True" and parse_points refuse it.
+@pytest.mark.parametrize("name", sorted(set(ENTRIES) - set(PARSER_MESSAGES)))
+def test_bool_element_is_refused(name):
+    with pytest.raises(InputError, match=r"^True is not an element index of GF\(7\)$"):
+        ENTRIES[name](True)
+
+
+BOOL_COUNTS = {
+    "GF.check.False": (lambda: K.check(False), r"^False is not an element index of GF\(7\)$"),
+    "PointMultiset.multiplicity": (lambda: PointMultiset(K, [((1, 2), True)]),
+                                   r"^multiplicity of \(1,2\) must be a positive integer$"),
+    "gen_planted.point": (lambda: gen_planted(K, [(True, 2)], [1]),
+                          r"^True is not an element index of GF\(7\)$"),
+    "gen_planted.weight": (lambda: gen_planted(K, [(1, 2)], [True]),
+                           r"^weights must be positive integers, got True$"),
+    "gen_planted.c": (lambda: gen_planted(K, [(1, 2)], [1], c=True),
+                      r"^multiplier must lie in 1\.\.p-1, got True$"),
+    # the reports of dichotomy_check and deficiency_bound_check write lam out
+    "check_lam": (lambda: dichotomy_check(PointMultiset(K, [((1, 2), 1)]), True),
+                  r"^need 0 < lam <= \(q-1\)/2 = 3, got True$"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOL_COUNTS))
+def test_bool_count_or_coordinate_is_refused(name):
+    call, message = BOOL_COUNTS[name]
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+def test_kept_multisets_round_trip_through_the_text_format():
+    T = PointMultiset(K, [((1, 2), 1), ((0, 6), 7), ((1, 2), 3)])
+    planted = gen_planted(K, [(1, 2), (3, 4)], [1, 2], c=3)
+    for M in (T, planted.multiset):
+        text = dump_points(M)
+        assert parse_points(K, text) == M
+        assert dump_points(parse_points(K, text)) == text
+    assert dump_points(T) == "0 6 7\n1 2 4\n"
+    assert planted.to_json()["weights"] == [1, 2] and planted.to_json()["c"] == 3
 
 
 # Exponents and degrees are counts: a float that passes the sign test, a
