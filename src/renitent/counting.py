@@ -47,13 +47,10 @@ from .uniformity import check_reports, uniform_directions
 
 
 class GcdProfile(Record):
-    __slots__ = ("field", "k", "deg_f", "deg_g")
-
-    def __init__(self, field, k, deg_f, deg_g):
-        self.field = field
-        self.k = k          # y -> deg gcd(f(X,y), g(X,y))
-        self.deg_f = deg_f  # total degree of f
-        self.deg_g = deg_g  # total degree of g
+    __slots__ = ("field",
+                 "k",      # y -> deg gcd(f(X,y), g(X,y))
+                 "deg_f",  # total degree of f
+                 "deg_g")  # total degree of g
 
     def to_json(self):
         return {"deg_f": self.deg_f, "deg_g": self.deg_g,
@@ -83,12 +80,6 @@ def gcd_profile(f, g):
 
 class GcdBoundCheck(Record):
     __slots__ = ("y0", "k_y0", "lhs", "rhs")
-
-    def __init__(self, y0, k_y0, lhs, rhs):
-        self.y0 = y0
-        self.k_y0 = k_y0
-        self.lhs = lhs
-        self.rhs = rhs
 
     @property
     def ok(self):
@@ -129,12 +120,9 @@ def gcd_degree_bounds(profile, anchors):
 
 
 class SlopeDetector(FrozenRecord):
-    __slots__ = ("f", "g")
-
-    def __init__(self, f, g):
-        self.f = f  # X^q - X
-        self.g = g  # vanishes at (x, d) exactly when the slope-d line of
-                    # intercept x is typical, for every covered slope d
+    __slots__ = ("f",  # X^q - X
+                 "g")  # vanishes at (x, d) exactly when the slope-d line of
+                       # intercept x is typical, for every covered slope d
 
     def __iter__(self):   # f, g = detector
         return iter((self.f, self.g))
@@ -387,14 +375,10 @@ def build_slope_detector(T, reports):
 
 
 class LowerBoundReport(Record):
-    __slots__ = ("lam", "n_directions", "count", "gcd_count", "bound")
-
-    def __init__(self, lam, n_directions, count, gcd_count, bound):
-        self.lam = lam
-        self.n_directions = n_directions
-        self.count = count          # renitent lines summed from the reports
-        self.gcd_count = gcd_count  # the same total re-derived from the gcd profile
-        self.bound = bound          # lam * (n_directions + 1 - lam)
+    __slots__ = ("lam", "n_directions",
+                 "count",      # renitent lines summed from the reports
+                 "gcd_count",  # the same total re-derived from the gcd profile
+                 "bound")      # lam * (n_directions + 1 - lam)
 
     @property
     def counts_agree(self):
@@ -433,12 +417,8 @@ def renitent_lower_bound_check(T, reports):
 
 
 class IndexReport(Record):
-    __slots__ = ("point", "count", "lines")
-
-    def __init__(self, point, count, lines):
-        self.point = point
-        self.count = count
-        self.lines = lines  # the renitent lines through the point
+    __slots__ = ("point", "count",
+                 "lines")  # the renitent lines through the point
 
     def to_json(self):
         return {"point": format_point(self.point), "index": self.count,
@@ -457,17 +437,11 @@ def index_of_point(reports, point):
 
 
 class DichotomyReport(Record):
-    __slots__ = ("lam", "n_uniform", "n_lines", "low", "high", "high_points",
-                 "offenders")
-
-    def __init__(self, lam, n_uniform, n_lines, low, high, high_points, offenders):
-        self.lam = lam
-        self.n_uniform = n_uniform
-        self.n_lines = n_lines
-        self.low = low      # indices <= low are allowed
-        self.high = high    # indices >= high are allowed
-        self.high_points = high_points  # (point, index) for every point at or above high
-        self.offenders = offenders      # (point, index) strictly between, must be empty
+    __slots__ = ("lam", "n_uniform", "n_lines",
+                 "low",          # indices <= low are allowed
+                 "high",         # indices >= high are allowed
+                 "high_points",  # (point, index) for every point at or above high
+                 "offenders")    # (point, index) strictly between, must be empty
 
     @property
     def ok(self):
@@ -556,13 +530,10 @@ def _split_indices(K, reports, low, high):
 
 
 class PointDetector(FrozenRecord):
-    __slots__ = ("f", "g", "collineation")
-
-    def __init__(self, f, g, collineation):
-        self.f = f  # product of (X - c_k) over the moved directions
-        self.g = g  # vanishes at (c_k, y) exactly when the line from
-                    # the moved direction c_k to (1:y:0) is typical
-        self.collineation = collineation
+    __slots__ = ("f",  # product of (X - c_k) over the moved directions
+                 "g",  # vanishes at (c_k, y) exactly when the line from
+                       # the moved direction c_k to (1:y:0) is typical
+                 "collineation")
 
     def __iter__(self):   # f, g, collineation = detector
         return iter((self.f, self.g, self.collineation))

@@ -167,12 +167,9 @@ def envelope_regular(T, reports):
 
 
 class WeightEntry(FrozenRecord):
-    __slots__ = ("direction", "weights", "total")
-
-    def __init__(self, direction, weights, total):
-        self.direction = direction
-        self.weights = weights  # one weight in 1..p-1 per renitent line, report order
-        self.total = total      # natural-number sum of the weights
+    __slots__ = ("direction",
+                 "weights",  # one weight in 1..p-1 per renitent line, report order
+                 "total")    # natural-number sum of the weights
 
 
 def lambda_weights(report, c):
@@ -357,14 +354,9 @@ def envelope_general(T, reports, lam):
 
 
 class DeficiencyReport(Record):
-    __slots__ = ("lam", "per_direction", "total_deficit", "bound", "ok")
-
-    def __init__(self, lam, per_direction, total_deficit, bound, ok):
-        self.lam = lam
-        self.per_direction = per_direction  # (direction, lambda_d) pairs
-        self.total_deficit = total_deficit
-        self.bound = bound
-        self.ok = ok
+    __slots__ = ("lam",
+                 "per_direction",  # (direction, lambda_d) pairs
+                 "total_deficit", "bound", "ok")
 
     def to_json(self):
         return {
@@ -405,15 +397,10 @@ def deficiency_bound_check(reports, lam):
 
 
 class RootCheck(Record):
-    __slots__ = ("line", "alpha", "expected", "actual", "exact", "ok")
-
-    def __init__(self, line, alpha, expected, actual, exact, ok):
-        self.line = line
-        self.alpha = alpha
-        self.expected = expected
-        self.actual = actual  # None under pencil containment
-        self.exact = exact    # whether expected multiplicity was enforced exactly
-        self.ok = ok
+    __slots__ = ("line", "alpha", "expected",
+                 "actual",  # None under pencil containment
+                 "exact",   # whether expected multiplicity was enforced exactly
+                 "ok")
 
     def to_json(self):
         return {"line": format_line(self.line), "alpha": self.alpha,
@@ -423,11 +410,6 @@ class RootCheck(Record):
 
 class DirectionCheck(Record):
     __slots__ = ("direction", "pencil_contained", "roots")
-
-    def __init__(self, direction, pencil_contained, roots):
-        self.direction = direction
-        self.pencil_contained = pencil_contained
-        self.roots = roots
 
     @property
     def ok(self):
@@ -442,9 +424,6 @@ class DirectionCheck(Record):
 
 class VerificationReport(Record):
     __slots__ = ("directions",)
-
-    def __init__(self, directions):
-        self.directions = directions
 
     @property
     def ok(self):

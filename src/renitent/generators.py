@@ -95,19 +95,12 @@ def _keep_flags(state, threshold, count):
 
 
 class PlantedInstance(Record):
-    __slots__ = ("multiset", "oracle", "generic_directions", "expected_class",
+    __slots__ = ("multiset",
+                 "oracle",  # product of dual lines, weight as exponent
+                 # the directions that see all planted points on separate lines
+                 "generic_directions",
+                 "expected_class",  # sum of the weights
                  "points", "weights", "c")
-
-    def __init__(self, multiset, oracle, generic_directions, expected_class,
-                 points, weights, c):
-        self.multiset = multiset
-        self.oracle = oracle  # product of dual lines, weight as exponent
-        # the directions that see all planted points on separate lines
-        self.generic_directions = generic_directions
-        self.expected_class = expected_class  # sum of the weights
-        self.points = points
-        self.weights = weights
-        self.c = c
 
     def to_json(self):
         return {
@@ -171,12 +164,8 @@ def gen_planted(field, points, weights, c=1):
 
 
 class ConicInstance(Record):
-    __slots__ = ("multiset", "nucleus", "delta")
-
-    def __init__(self, multiset, nucleus, delta):
-        self.multiset = multiset
-        self.nucleus = nucleus
-        self.delta = delta  # the trace-one element defining the norm form
+    __slots__ = ("multiset", "nucleus",
+                 "delta")  # the trace-one element defining the norm form
 
     def to_json(self):
         return {"kind": "norm_conic",

@@ -656,7 +656,12 @@ class GF:
         return out
 
     def from_coeffs(self, v):
+        """Element index of a coefficient vector, constant term first;
+        each integer coefficient is reduced mod p."""
         v = list(v)
+        for c in v:
+            if type(c) is not int:   # bool is an int subclass
+                raise InputError(f"coefficient {c!r} is not an integer")
         if len(v) > self.e:
             if any(v[self.e:]):
                 raise InputError(f"coefficient vector longer than e={self.e}")
@@ -694,9 +699,9 @@ class GF:
         return self.uinv(a)
 
     def div(self, a, b):
+        self.check(a), self.check(b)
         if b == 0:
             raise DivisionByZero(f"division by zero in {self!r}")
-        self.check(b), self.check(a)
         return self.udiv(a, b)
 
     def pow(self, a, k):

@@ -16,8 +16,6 @@ from .errors import HypothesisRejected, InputError
 
 def _canonical(field, coords):
     coords = tuple(field.check(c) for c in coords)
-    if len(coords) != 3:
-        raise InputError("expected three homogeneous coordinates")
     for i in (2, 1, 0):
         if coords[i]:
             inv, mul = field.uinv(coords[i]), field.umul

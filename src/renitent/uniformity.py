@@ -125,25 +125,19 @@ def dump_points(T):
 
 
 class RenitentLine(FrozenRecord):
-    __slots__ = ("line", "alpha", "t")
-
-    def __init__(self, line, alpha, t):
-        self.line = line
-        self.alpha = alpha  # intercept: Y-axis intercept for slopes, x-coordinate for vertical
-        self.t = t          # line count mod p
+    __slots__ = ("line",
+                 "alpha",  # intercept: Y-axis intercept for slopes, x-coordinate for vertical
+                 "t")      # line count mod p
 
     def to_json(self):
         return {"line": format_line(self.line), "alpha": self.alpha, "t": self.t}
 
 
 class DirectionReport(Record):
-    __slots__ = ("direction", "bound", "m_d", "renitent")
-
-    def __init__(self, direction, bound, m_d, renitent):
-        self.direction = direction
-        self.bound = bound          # the lam used to classify
-        self.m_d = m_d              # typical count mod p
-        self.renitent = renitent    # RenitentLine entries, ascending intercept
+    __slots__ = ("direction",
+                 "bound",     # the lam used to classify
+                 "m_d",       # typical count mod p
+                 "renitent")  # RenitentLine entries, ascending intercept
 
     @property
     def lambda_d(self):

@@ -11,14 +11,20 @@ import pathlib
 
 import pytest
 
+from renitent.gf import GF
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "renitent"
-INTERNALS = {"_exp", "_log", "_zech", "_half", "_mulrow", "_subtab"}
+INTERNALS = {"_exp", "_log", "_zech", "_mulrow", "_subtab"}
 
 
 def _internal_reads(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     return sorted({(node.attr, node.lineno) for node in ast.walk(tree)
                    if isinstance(node, ast.Attribute) and node.attr in INTERNALS})
+
+
+def test_internals_are_fields_of_gf():
+    assert INTERNALS <= set(GF.__slots__)
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "gf.py"),
