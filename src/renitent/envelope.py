@@ -75,7 +75,7 @@ def power_sum_polys(T, k_max):
     of column j, the power sums [sum of m (-a)^j b^i for i = 0..k_max - j].
     """
     K = T.field
-    if not isinstance(k_max, int) or k_max < 0:
+    if type(k_max) is not int or k_max < 0:
         raise InputError(f"k_max must be a non-negative integer, got {k_max!r}")
     if k_max > K.q - 2:
         raise InputError(f"k_max must stay below q-1 = {K.q - 1}")
@@ -96,12 +96,12 @@ def newton_sigma(power_sums, lam, c):
     if not power_sums:
         raise InputError("need the power sums up to index lam")
     K = power_sums[0].field
-    if not isinstance(lam, int) or not 0 < lam <= min(K.q - 2, K.p - 1):
+    if type(lam) is not int or not 0 < lam <= min(K.q - 2, K.p - 1):
         raise InputError(
             f"need 0 < lam <= min(q-2, p-1) = {min(K.q - 2, K.p - 1)}, got {lam!r}")
     if len(power_sums) < lam + 1:
         raise InputError(f"need power sums up to index {lam}, got {len(power_sums) - 1}")
-    if not isinstance(c, int) or not 0 < c < K.p:
+    if type(c) is not int or not 0 < c < K.p:
         raise InputError(f"count offset must be a nonzero residue mod p, got {c!r}")
     c_inv = K.uinv(c)
     scaled = [ps.scale(c_inv) for ps in power_sums[: lam + 1]]
@@ -176,7 +176,7 @@ def lambda_weights(report, c):
     """Weights of a direction's renitent lines for count offset c: the
     unique w in 1..p-1 with c*w = t - m_d (mod p), per line."""
     K = report.direction.field
-    if not isinstance(c, int) or not 0 < c < K.p:
+    if type(c) is not int or not 0 < c < K.p:
         raise InputError(f"count offset must be a nonzero residue mod p, got {c!r}")
     c_inv = pow(c, K.p - 2, K.p)
     weights = []
@@ -262,7 +262,7 @@ def weighted_power_recursion_check(field, c_list, x_list, j):
     K = field
     if len(c_list) != len(x_list) or not x_list:
         raise InputError("need matching nonempty coefficient and node lists")
-    if not isinstance(j, int) or j < 0:
+    if type(j) is not int or j < 0:
         raise InputError(f"index shift must be a non-negative integer, got {j!r}")
     lam = len(x_list)
 
@@ -288,7 +288,7 @@ def weighted_power_recursion_check(field, c_list, x_list, j):
 
 def hankel_matrix(power_sums, lam):
     """The lam x lam moment matrix with (r, c) entry pi_{lam-1+r-c}."""
-    if not isinstance(lam, int) or lam < 1:
+    if type(lam) is not int or lam < 1:
         raise InputError(f"lam must be a positive integer, got {lam!r}")
     if len(power_sums) < 2 * lam - 1:
         raise InputError(

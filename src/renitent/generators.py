@@ -40,7 +40,7 @@ class SplitMix64:
     """
 
     def __init__(self, seed):
-        if not isinstance(seed, int) or seed < 0:
+        if type(seed) is not int or seed < 0:
             raise InputError(f"seed must be a non-negative integer, got {seed!r}")
         self.state = seed & _MASK
 
@@ -213,7 +213,7 @@ def gen_random(field, seed, density):
     draws are made _LANES at a time (_keep_flags).
     """
     K = field
-    if not isinstance(density, (int, float)) or not 0 < density <= 1:
+    if type(density) not in (int, float) or not 0 < density <= 1:
         raise InputError(f"density must lie in (0, 1], got {density!r}")
     if K.q * K.q > RANDOM_MAX_POINTS:
         raise InputError(

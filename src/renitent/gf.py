@@ -74,8 +74,10 @@ kernels take each point's logarithms once and split off the points with
 a zero coordinate, so that the loop run for each slope has no branch
 and no call: b ^ g^(log a + log s) for p = 2, and one Zech lookup per
 point for odd p (points with b = 0 give -a*s directly, and those with
-a = 0 give b at every slope).  Like the scalar kernels it does not
-check its operands.
+a = 0 give b at every slope).  Slope 0 takes the same loop: its
+logarithm is LZ, where ex and zz are zero for q - 1 entries, so its
+window of either table reads b, and 0 on the b = 0 points.  Like the
+scalar kernels it does not check its operands.
 
 Four list kernels, bound the same way, run the coefficient loops of the
 polynomial layer on lists of elements (constant term first):
@@ -117,16 +119,6 @@ from operator import add as _add, mod as _mod, mul as _mul, xor as _xor
 from .errors import DivisionByZero, InputError
 
 MAX_ORDER = 2 ** 15  # largest field order q accepted; its table build takes under a second
-
-
-def _order_exceeds(p, e, limit):
-    """Whether p**e > limit, for p >= 2, without forming a huge power."""
-    q = p
-    while q <= limit:
-        if e <= 1:
-            return False
-        q, e = q * p, e - 1
-    return True
 
 
 def _prime_factors(n):
@@ -206,15 +198,14 @@ def _packer(code):
 
 
 def _by_zero_coordinate(points):
-    """(runs, order, level, still) of the points (a, b): the runs a, b != 0,
-    b = 0 and a = 0; order, the three runs in a row; level, the b of each
-    point in order (its intercept at slope 0); and still, the b of the
-    a = 0 run (its intercept at every slope)."""
+    """(runs, order, still) of the points (a, b): the runs a, b != 0, b = 0
+    and a = 0; order, the three runs in a row; and still, the b of the a = 0
+    run (its intercept at every slope).  Slope 0 needs no case: its log LZ
+    starts the zero stretch of ex and zz, so its window reads b, or 0."""
     runs = ([], [], [])
     for a, b in points:
         runs[2 if not a else 0 if b else 1].append((a, b))
-    order = [pt for run in runs for pt in run]
-    return runs, order, [b for _, b in order], [b for _, b in runs[2]]
+    return runs, [pt for run in runs for pt in run], [b for _, b in runs[2]]
 
 
 def _prime_kernels(p):
@@ -407,12 +398,10 @@ def _log_kernels(modulus, exp, log, zech):
     if not half:   # characteristic 2
         def intercepts(points):
             # b - a*s = b ^ g^(log a + log s); a = 0 gives b at every slope
-            (both, b_zero, _), order, level, still = _by_zero_coordinate(points)
+            (both, b_zero, _), order, still = _by_zero_coordinate(points)
             moving = [(lg[a], b) for a, b in both + b_zero]
 
             def keys(s):
-                if not s:
-                    return level[:]
                 exp_s = ex[lg[s]:lg[s] + n]   # exp_s[i] = g^(i + log s)
                 return [b ^ exp_s[la] for la, b in moving] + still
 
@@ -460,13 +449,11 @@ def _log_kernels(modulus, exp, log, zech):
         # b - a*s = g^(log b) (1 + g^(log a + log s + half - log b)), with
         # the slope-free part of that exponent reduced once per point; a
         # zero coordinate leaves -a*s = g^(log a + half + log s), or b
-        (both, b_zero, _), order, level, still = _by_zero_coordinate(points)
+        (both, b_zero, _), order, still = _by_zero_coordinate(points)
         general = [(lg[b], (lg[a] + half - lg[b]) % n) for a, b in both]
         edge = [(lg[a] + half) % n for a, _ in b_zero]
 
         def keys(s):
-            if not s:
-                return level[:]
             ls = lg[s]
             zech_s, exp_s = zz[ls:ls + n], ex[ls:ls + n]
             return ([ex[lb + zech_s[d]] for lb, d in general]
@@ -539,11 +526,12 @@ class GF:
                  "urem", "uconv", "uhorner", "upowsums")
 
     def __init__(self, p, e=1, modulus=None):
-        if not isinstance(p, int) or p < 2:
+        if type(p) is not int or p < 2:   # bool is an int subclass
             raise InputError(f"{p!r} is not prime")
-        if not isinstance(e, int) or e < 1:
+        if type(e) is not int or e < 1:
             raise InputError(f"extension degree must be a positive integer, got {e!r}")
-        if _order_exceeds(p, e, MAX_ORDER):
+        # e >= 16 gives p**e > 2^15 at once, so no power above 2^225 is formed
+        if p > MAX_ORDER or e >= MAX_ORDER.bit_length() or p ** e > MAX_ORDER:
             name = f"GF({p})" if e == 1 else f"GF({p}^{e})"
             raise InputError(
                 f"{name} is too large: field orders above {MAX_ORDER} are not supported")
@@ -555,14 +543,14 @@ class GF:
         if modulus is None:
             self.modulus = self._default_modulus()
         else:
-            modulus = tuple(int(c) for c in modulus)
+            modulus = tuple(modulus)
             if len(modulus) != e + 1:
                 raise InputError(f"modulus has degree {len(modulus) - 1}, expected {e}")
-            if any(not 0 <= c < p for c in modulus):
+            if any(type(c) is not int or not 0 <= c < p for c in modulus):
                 raise InputError("modulus coefficients must lie in 0..p-1")
             if modulus[-1] != 1:
                 raise InputError("modulus must be monic")
-            if e > 1 and not _irreducible(list(modulus), p):
+            if not _irreducible(list(modulus), p):
                 raise InputError(f"modulus {list(modulus)} is reducible over GF({p})")
             self.modulus = modulus
         self._exp = self._log = self._zech = None
@@ -580,8 +568,6 @@ class GF:
                                                self._mulrow, self._subtab)
 
     def _default_modulus(self):
-        if self.e == 1:
-            return (0, 1)
         for mod in _monic(self.p, self.e):
             if _irreducible(mod, self.p):
                 return tuple(mod)
@@ -707,7 +693,7 @@ class GF:
     def pow(self, a, k):
         """a**k for a non-negative integer k (0**0 is 1)."""
         self.check(a)
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:   # bool is an int subclass
             raise InputError(f"exponent must be a non-negative integer, got {k!r}")
         return self.upow(a, k)
 
@@ -771,7 +757,9 @@ def _cached_field(p, e, modulus):
 def field_create(p, e=1, modulus=None):
     """Build (or fetch the cached) GF(p^e) with the given or default modulus."""
     if modulus is not None:
-        modulus = tuple(int(c) for c in modulus)
+        modulus = tuple(modulus)
+    if type(p) is not int or type(e) is not int or (modulus and {*map(type, modulus)} != {int}):
+        return GF(p, e, modulus)   # refuses it: the cache takes True, 1 and 1.0 as one key
     return _cached_field(p, e, modulus)
 
 

@@ -23,12 +23,33 @@ def _canonical(field, coords):
     raise InputError("projective coordinates cannot all be zero")
 
 
-class ProjPoint:
+class _Triple:
+    """A canonical homogeneous triple over a field: the body of points and lines."""
+
     __slots__ = ("field", "coords")
 
     def __init__(self, field, x, y, z):
         self.field = field
         self.coords = _canonical(field, (x, y, z))
+
+    @classmethod
+    def _trusted(cls, field, coords):
+        """The point or line of coordinates already valid and canonical: not checked."""
+        self = cls.__new__(cls)
+        self.field = field
+        self.coords = coords
+        return self
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__
+                and self.field == other.field and self.coords == other.coords)
+
+    def __hash__(self):
+        return hash((self.field, self.coords))
+
+
+class ProjPoint(_Triple):
+    __slots__ = ()
 
     @classmethod
     def affine(cls, field, a, b):
@@ -42,42 +63,16 @@ class ProjPoint:
             raise InputError(f"{self!r} is at infinity")
         return self.coords[0], self.coords[1]
 
-    def __eq__(self, other):
-        return (isinstance(other, ProjPoint)
-                and self.field == other.field and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.field, self.coords))
-
     def __repr__(self):
         x, y, z = self.coords
         return f"({x}:{y}:{z})"
 
 
-class ProjLine:
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field, a, b, c):
-        self.field = field
-        self.coords = _canonical(field, (a, b, c))
-
-    @classmethod
-    def _trusted(cls, field, coords):
-        """The line of coordinates already valid and canonical: not checked."""
-        self = cls.__new__(cls)
-        self.field = field
-        self.coords = coords
-        return self
+class ProjLine(_Triple):
+    __slots__ = ()
 
     def is_line_at_infinity(self):
         return self.coords[0] == 0 and self.coords[1] == 0
-
-    def __eq__(self, other):
-        return (isinstance(other, ProjLine)
-                and self.field == other.field and self.coords == other.coords)
-
-    def __hash__(self):
-        return hash((self.field, self.coords, "line"))
 
     def __repr__(self):
         a, b, c = self.coords

@@ -45,7 +45,7 @@ def _checked_terms(field, terms, n, degree=None):
     clean = {}
     for key, c in (terms.items() if isinstance(terms, dict) else terms):
         key = tuple(key)
-        if len(key) != n or not all(isinstance(e, int) and e >= 0 for e in key):
+        if len(key) != n or not all(type(e) is int and e >= 0 for e in key):
             raise InputError(f"exponents must be {n} non-negative integers, got {key!r}")
         if degree is not None and sum(key) != degree:
             raise InputError(f"monomial {key} is not homogeneous of degree {degree}")
@@ -56,7 +56,7 @@ def _checked_terms(field, terms, n, degree=None):
 
 def _power(base, k, one):
     """base ** k by square-and-multiply, from one, the identity of its class."""
-    if not isinstance(k, int) or k < 0:
+    if type(k) is not int or k < 0:
         raise InputError(f"exponent must be a non-negative integer, got {k!r}")
     result = one
     while k:
@@ -434,7 +434,7 @@ class TriHomPoly:
     __slots__ = ("field", "degree", "terms", "_slices")
 
     def __init__(self, field, degree, terms=()):
-        if not isinstance(degree, int) or degree < 0:
+        if type(degree) is not int or degree < 0:
             raise InputError(f"degree must be a non-negative integer, got {degree!r}")
         self.field = field
         self.degree = degree

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from renitent import field_create, parse_field_spec
 from renitent.errors import DivisionByZero, InputError
 
-from renitent.gf import MAX_ORDER, _order_exceeds
+from renitent.gf import GF, MAX_ORDER
 
 from conftest import SMALL_FIELDS
 
@@ -301,10 +301,11 @@ def test_generator_is_smallest_primitive_element_not_modulus_root():
 
 def test_field_order_ceiling():
     assert MAX_ORDER == 2 ** 15
-    assert not _order_exceeds(2, 15, MAX_ORDER)
-    assert _order_exceeds(2, 16, MAX_ORDER)
-    assert not _order_exceeds(181, 2, MAX_ORDER)   # 32761
-    assert _order_exceeds(3, 10, MAX_ORDER)
+    assert GF(2, 15).q == MAX_ORDER
+    assert GF(181, 2).q == 32761
+    for p, e in ((2, 16), (3, 10)):
+        with pytest.raises(InputError, match=rf"^GF\({p}\^{e}\) is too large"):
+            GF(p, e)
     assert field_create(32749).q == 32749           # largest prime below it
     with pytest.raises(InputError,
                        match=r"^GF\(32771\) is too large: field orders above 32768"):

@@ -11,12 +11,20 @@ silently wrong answer.
 import pytest
 
 from renitent import dichotomy_check, field_create
-from renitent.envelope import hankel_det_closed_form, weighted_power_recursion_check
+from renitent.envelope import (
+    hankel_det_closed_form,
+    hankel_matrix,
+    lambda_weights,
+    newton_sigma,
+    power_sum_polys,
+    weighted_power_recursion_check,
+)
 from renitent.errors import InputError
-from renitent.generators import gen_planted, gen_random
+from renitent.generators import SplitMix64, gen_planted, gen_random
+from renitent.gf import GF
 from renitent.plane import Collineation, ProjLine, ProjPoint, parse_point, slope_direction
 from renitent.poly import BiPoly, TriHomPoly, UniPoly
-from renitent.uniformity import PointMultiset, dump_points, parse_points
+from renitent.uniformity import PointMultiset, classify_direction, dump_points, parse_points
 
 K = field_create(7)
 F = UniPoly(K, (3, 1, 2))
@@ -110,6 +118,34 @@ BOOL_COUNTS = {
     # the reports of dichotomy_check and deficiency_bound_check write lam out
     "check_lam": (lambda: dichotomy_check(PointMultiset(K, [((1, 2), 1)]), True),
                   r"^need 0 < lam <= \(q-1\)/2 = 3, got True$"),
+    "GF.p": (lambda: GF(True), r"^True is not prime$"),
+    "GF.e": (lambda: GF(7, True), r"^extension degree must be a positive integer, got True$"),
+    "GF.pow.exponent": (lambda: K.pow(2, True),
+                        r"^exponent must be a non-negative integer, got True$"),
+    "UniPoly.pow": (lambda: F ** True, r"^exponent must be a non-negative integer, got True$"),
+    "BiPoly.exponent": (lambda: BiPoly(K, {(True, 0): 1}),
+                        r"^exponents must be 2 non-negative integers, got \(True, 0\)$"),
+    "TriHomPoly.degree": (lambda: TriHomPoly(K, True, {}),
+                          r"^degree must be a non-negative integer, got True$"),
+    "power_sum_polys.k_max": (lambda: power_sum_polys(PointMultiset(K), True),
+                              r"^k_max must be a non-negative integer, got True$"),
+    "newton_sigma.lam": (lambda: newton_sigma([F, F], True, 1),
+                         r"^need 0 < lam <= min\(q-2, p-1\) = 5, got True$"),
+    "newton_sigma.c": (lambda: newton_sigma([F, F], 1, True),
+                       r"^count offset must be a nonzero residue mod p, got True$"),
+    "lambda_weights.c": (lambda: lambda_weights(
+        classify_direction(PointMultiset(K, [((1, 2), 1)]), slope_direction(K, 0), 1), True),
+        r"^count offset must be a nonzero residue mod p, got True$"),
+    "weighted_power_recursion_check.j": (lambda: weighted_power_recursion_check(K, [1], [2], True),
+                                         r"^index shift must be a non-negative integer, got True$"),
+    "hankel_matrix.lam": (lambda: hankel_matrix([F], True),
+                          r"^lam must be a positive integer, got True$"),
+    "SplitMix64.seed": (lambda: SplitMix64(True),
+                        r"^seed must be a non-negative integer, got True$"),
+    "gen_random.seed": (lambda: gen_random(K, True, 0.5),
+                        r"^seed must be a non-negative integer, got True$"),
+    "gen_random.density": (lambda: gen_random(K, 1, True),
+                           r"^density must lie in \(0, 1\], got True$"),
 }
 
 
@@ -118,6 +154,42 @@ def test_bool_count_or_coordinate_is_refused(name):
     call, message = BOOL_COUNTS[name]
     with pytest.raises(InputError, match=message):
         call()
+
+
+@pytest.mark.parametrize("e", [True, 1.0], ids=["True", "1.0"])
+def test_a_refused_degree_leaves_the_field_cache_as_it_was(e):
+    # the cache would key True and 1.0 as 1: refusing after it would hand
+    # back GF(7) for them, and caching first would store e as True
+    with pytest.raises(InputError, match=rf"^extension degree must be a positive integer, got {e}$"):
+        field_create(7, e)
+    assert type(field_create(7).e) is int
+    with pytest.raises(InputError, match=rf"^extension degree must be a positive integer, got {e}$"):
+        field_create(7, e)
+
+
+# A modulus coefficient is an integer in 0..p-1: a float, a str or a bool is
+# refused, not truncated or parsed into some other modulus.
+BAD_MODULI = {
+    "field_create.float": lambda: field_create(3, 2, (2.9, 2.2, 1.7)),
+    "field_create.equal_float": lambda: field_create(3, 2, (2.0, 2, 1)),
+    "field_create.bool": lambda: field_create(3, 2, (2, 2, True)),
+    "GF.str": lambda: GF(3, 2, ["2", "2", "1"]),
+    "GF.bool": lambda: GF(3, 2, [2, 2, True]),
+    "GF.prime.bool": lambda: GF(7, 1, (False, True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MODULI))
+def test_a_modulus_coefficient_that_is_not_an_int_is_refused(name):
+    field_create(3, 2, (2, 2, 1))   # cached, so an equal-valued key would find it
+    with pytest.raises(InputError, match=r"^modulus coefficients must lie in 0\.\.p-1$"):
+        BAD_MODULI[name]()
+
+
+def test_an_int_modulus_is_kept_from_any_sequence():
+    assert field_create(3, 2, [2, 2, 1]).modulus == (2, 2, 1)
+    assert GF(3, 2, iter([2, 2, 1])).modulus == (2, 2, 1)
+    assert field_create(7, 1, (3, 1)).modulus == (3, 1)   # every monic linear is irreducible
 
 
 def test_kept_multisets_round_trip_through_the_text_format():
