@@ -85,7 +85,7 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from worker import REF_S, reference  # noqa: E402
 
 SCHEMA = 1
-LADDER = (31, 49, 64, 81, 121, 125, 128, 243, 256, 289, 343, 512)
+LADDER = (31, 49, 64, 81, 121, 125, 127, 128, 243, 251, 256, 289, 343, 509, 512)
 CLASSIFY_MAX_Q = 289   # the classification rows take seconds a sample above it
 SEED, DENSITY, LAMBDA = 7, 0.3, 2
 REPEATS = 5

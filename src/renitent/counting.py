@@ -41,7 +41,7 @@ from .plane import (
     incident,
     slope_of,
 )
-from .poly import BiPoly, UniPoly, uni_gcd
+from .poly import BiPoly, UniPoly
 from .records import FrozenRecord, Record
 from .uniformity import check_reports, uniform_directions
 
@@ -64,7 +64,9 @@ def gcd_profile(f, g):
 
     The rows f(X, y) and g(X, y) come from BiPoly.rows: an f with no Y
     term is evaluated once, and a detector's g (a DetectorPoly) writes
-    each row in closed form from its powers.
+    each row in closed form from its powers.  k_y is the degree of the
+    last nonzero remainder K.ugcd returns for the two rows, which the
+    monic gcd shares, so no gcd polynomial is built or made monic.
     """
     if f.field != g.field:
         raise InputError("mixed contexts")
@@ -73,7 +75,8 @@ def gcd_profile(f, g):
     lead = {j for (i, j) in f.terms if i == du}
     if du < 0 or lead != {0}:
         raise InputError("the X-leading coefficient of f must be a nonzero constant")
-    k = {y: uni_gcd(f_y, g_y).degree
+    gcd = K.ugcd
+    k = {y: len(gcd(f_y.coeffs, g_y.coeffs)) - 1
          for y, f_y, g_y in zip(K.elements(), f.rows(), g.rows())}
     return GcdProfile(K, k, f.total_degree, g.total_degree)
 

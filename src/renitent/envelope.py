@@ -236,9 +236,11 @@ def scan_weight_classes(reports, p, cap):
     A c is feasible when all directions agree on one total <= cap; the
     winner is the feasible c with the smallest total, ties to smaller c.
     """
-    # t - m_d does not depend on c; a zero difference rules out every c
-    diffs = [[(e.t - r.m_d) % r.direction.field.p for e in r.renitent]
-             for r in reports]
+    # t - m_d does not depend on c; a zero difference rules out every c.
+    # A direction's total depends only on its multiset of differences, so
+    # each distinct multiset is summed once.
+    diffs = {tuple(sorted((e.t - r.m_d) % r.direction.field.p for e in r.renitent))
+             for r in reports}
     if any(0 in ds for ds in diffs):
         return dict.fromkeys(range(1, p)), None
     outcomes = {}

@@ -45,9 +45,9 @@ they stay the base-p encoding above.
 
 Each operation is bound once, when the field is built, to one of two
 kernel sets: prime field or extension field (Zech addition).  In
-characteristic 2 add and sub are XOR, and urem and (above q = 256) the
-intercept kernel are XOR kernels of their own, each measured faster than
-its Zech form.
+characteristic 2 add and sub are XOR, and the remainder step of ugcd
+and (above q = 256) the intercept kernel are XOR kernels of their own,
+each measured faster than its Zech form.
 The kernels are the attributes uadd, usub, uneg, umul, uinv, udiv and
 upow.  They do not check their operands: an out-of-range index gives a
 wrong answer or an IndexError, and uinv/udiv need a nonzero divisor.
@@ -82,8 +82,9 @@ scalar kernels it does not check its operands.
 Four list kernels, bound the same way, run the coefficient loops of the
 polynomial layer on lists of elements (constant term first):
 
-* urem(a, b): a mod b, trimmed, for b with a nonzero last entry (the
-  Euclid's remainder step);
+* ugcd(a, b): the last nonzero remainder of the Euclid on a and b,
+  trimmed and not made monic (a gcd up to a unit; empty when both are
+  zero);
 * uconv(a, b): the product of a and b (untrimmed, length
   len(a) + len(b) - 1, or empty);
 * uhorner(a, x): the running values of Horner's rule at x, highest
@@ -92,8 +93,14 @@ polynomial layer on lists of elements (constant term first):
   (0^0 is 1).
 
 The prime kernels add plain integers and reduce each output entry mod p
-once; urem packs its lists into one integer of 64-bit slots, so a step
-of the division is one integer multiply-add.  The p = 2 urem packs one
+once.  The prime ugcd runs the whole remainder sequence on one pair of
+integers of 64-bit slots, one coefficient a slot, so a quotient term is
+one integer multiply-add.  The slots stay unreduced from step to step:
+each operand carries a bound on its slots, and is reduced (unpacked,
+taken mod p and packed again) only before a step that could take that
+bound to 2^63, or when its leading slot reads 0 mod p, where the degree
+fell by more than one or the remainder is zero.  The extension fields'
+ugcd runs their remainder step in a loop: at p = 2 it packs one
 coefficient a slot too, where a sum is one XOR and c times the divisor
 is the XOR of the divisor's packed multiples by t^i over the bits i of
 c.  The other log kernels are comprehensions over lg, ex and zz with no
@@ -197,6 +204,19 @@ def _packer(code):
     return 8 * size, pack, unpack
 
 
+def _euclid(rem):
+    """The gcd kernel of a remainder step rem(a, b) (a mod b, trimmed, for
+    b with a nonzero last entry): the Euclid's last nonzero remainder."""
+
+    def gcd(a, b):
+        a, b = _trim(list(a)), _trim(list(b))
+        while b:
+            a, b = b, rem(a, b)
+        return a
+
+    return gcd
+
+
 def _by_zero_coordinate(points):
     """(runs, order, still) of the points (a, b): the runs a, b != 0, b = 0
     and a = 0; order, the three runs in a row; and still, the b of the a = 0
@@ -210,7 +230,7 @@ def _by_zero_coordinate(points):
 
 def _prime_kernels(p):
     """add, sub, neg, mul, inv, div, pow, intercepts and the list kernels
-    rem, conv, horner and powsums of GF(p), on the integers mod p."""
+    gcd, conv, horner and powsums of GF(p), on the integers mod p."""
 
     def add(a, b):
         return (a + b) % p
@@ -243,24 +263,51 @@ def _prime_kernels(p):
 
     # The list kernels add plain integers and reduce each output entry mod
     # p once (horner's running value is an output entry at every step).
-    # rem packs its lists into one integer of 64-bit slots: each step adds
-    # c times the packed -b/lead at the right shift, and the slots, which
-    # take at most len(a) products below p^2, never carry (p < 2^15).
+    # gcd runs the whole Euclid on two integers of 64-bit slots, x the
+    # dividend and y the divisor, which hold their coefficients unreduced:
+    # every slot of x is at most bx and every slot of y at most by, and the
+    # top slot of each is nonzero mod p.  A quotient term c t^j takes
+    # c t^j y off x by adding (-c mod p) t^j y, so no slot borrows and
+    # each slot grows by at most (p - 1) by.  A step whose bound would
+    # reach 2^63 first reduces both operands; from there its len(x) terms
+    # add less than len(x) p^2, so no slot carries.  The slots the step
+    # cleared are masked off, and a remainder whose top slot reads 0 mod p
+    # (its degree fell by more than one, or it is zero) is reduced and
+    # trimmed.  Apart from the leading ones, no slot is read mod p before
+    # the last remainder is unpacked.
     bits, pack, unpack = _packer("Q")
     slot = (1 << bits) - 1
+    ceiling = 1 << (bits - 1)
 
-    def rem(a, b):
-        db = len(b) - 1
-        if len(a) <= db:
-            return _trim(list(a))
-        inv = pow(b[-1], p - 2, p)
-        low = pack([-y * inv % p for y in b[:-1]])
-        x = pack(a)
-        for k in range(len(a) - 1, db - 1, -1):
-            c = ((x >> bits * k) & slot) % p   # slot k: the leading term
-            if c:
-                x += c * low << bits * (k - db)
-        return _trim([r % p for r in unpack(x & ((1 << bits * db) - 1), db)])
+    def reduced(x, n):
+        """The packed x of n slots with every slot mod p, and its length
+        once trimmed: a reduced slot is zero only when it reads zero."""
+        x = pack([r % p for r in unpack(x, n)])
+        return x, -(-x.bit_length() // bits)
+
+    def gcd(a, b):
+        a, b = _trim(list(a)), _trim(list(b))
+        if len(a) < len(b):
+            a, b = b, a
+        x, y, la, lb = pack(a), pack(b), len(a), len(b)
+        bx = by = p - 1
+        while lb:
+            db = lb - 1
+            grow = (la - db) * (p - 1)   # la - db quotient terms, (p - 1) y each
+            if bx + grow * by >= ceiling:
+                (x, la), (y, lb) = reduced(x, la), reduced(y, lb)
+                bx = by = p - 1
+            inv = pow((y >> bits * db) % p, p - 2, p)
+            for k in range(la - 1, db - 1, -1):
+                c = ((x >> bits * k) & slot) % p   # slot k: the leading term
+                if c:
+                    x += -c * inv % p * y << bits * (k - db)
+            x, y, la, lb = y, x & ((1 << bits * db) - 1), lb, db
+            bx, by = by, bx + grow * by
+            if lb and not (y >> bits * (lb - 1)) % p:
+                (y, lb), by = reduced(y, lb), p - 1
+        v = unpack(x, la)
+        return v if bx < p else [r % p for r in v]
 
     def conv(a, b):
         if len(a) < len(b):
@@ -294,7 +341,7 @@ def _prime_kernels(p):
         return [s % p for s in sums] if terms > 1 else sums
 
     return (add, sub, neg, mul, inv, div, power, intercepts,
-            rem, conv, horner, powsums)
+            gcd, conv, horner, powsums)
 
 
 def _log_kernels(modulus, exp, log, zech):
@@ -303,7 +350,8 @@ def _log_kernels(modulus, exp, log, zech):
     The kernels read only the padded tables lg, ex and zz built here from
     those three.  half, the logarithm of -1, is where zech has its None:
     0 in characteristic 2, where add and sub are XOR and the intercept
-    and remainder kernels are XOR kernels of their own.
+    and remainder kernels are XOR kernels of their own.  The gcd kernel
+    of either family runs its remainder step in _euclid's loop.
     """
     n = len(exp) // 2   # q - 1
     # lg[0] = LZ and ex is zero from 2(q - 1) on (see the module doc).
@@ -443,7 +491,7 @@ def _log_kernels(modulus, exp, log, zech):
             return _trim(unpack(x & ((1 << width * db) - 1), db))
 
         return (_xor, _xor, neg, mul, inv, div, power, intercepts,
-                rem, conv, horner, powsums)
+                _euclid(rem), conv, horner, powsums)
 
     def intercepts(points):
         # b - a*s = g^(log b) (1 + g^(log a + log s + half - log b)), with
@@ -476,7 +524,7 @@ def _log_kernels(modulus, exp, log, zech):
         return _trim(a)
 
     return (add, sub, neg, mul, inv, div, power, intercepts,
-            rem, conv, horner, powsums)
+            _euclid(rem), conv, horner, powsums)
 
 
 ROW_MAX_ORDER = 256   # largest q of the row intercept kernel: bytes.translate's 1-byte table
@@ -523,7 +571,7 @@ class GF:
 
     __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_zech", "_mulrow", "_subtab",
                  "uadd", "usub", "uneg", "umul", "uinv", "udiv", "upow", "uintercepts",
-                 "urem", "uconv", "uhorner", "upowsums")
+                 "ugcd", "uconv", "uhorner", "upowsums")
 
     def __init__(self, p, e=1, modulus=None):
         if type(p) is not int or p < 2:   # bool is an int subclass
@@ -560,7 +608,7 @@ class GF:
             self._build_log_tables()
             kernels = _log_kernels(self.modulus, self._exp, self._log, self._zech)
         (self.uadd, self.usub, self.uneg, self.umul, self.uinv, self.udiv, self.upow,
-         self.uintercepts, self.urem, self.uconv, self.uhorner, self.upowsums) = kernels
+         self.uintercepts, self.ugcd, self.uconv, self.uhorner, self.upowsums) = kernels
         self._mulrow = self._subtab = None
         if self.q <= ROW_MAX_ORDER:
             self._mulrow, self._subtab = [None] * self.q, [None] * self.q

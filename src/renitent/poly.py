@@ -13,13 +13,14 @@ element checks it on entry.  A polynomial the library computes from
 parts that are already valid (a sum, a product, a remainder, a row, a
 section) is built by a private _trusted constructor, which checks
 nothing.  The univariate loops run on the field's list kernels (see
-gf): K.uconv for products and scaling, K.urem for the Euclid's
-remainders, K.uhorner for evaluation, synthetic division and the
-sections of TriHomPoly.at_vw, and K.upowsums for power lists.  BiPoly
-and TriHomPoly share one sparse sum, product, scale and evaluation on
-their term maps (_sparse_*, through the scalar kernels; a form
-multiplies as its (U, V) part), all three classes share one
-square-and-multiply power, and every render goes through _render_sparse.
+gf): K.uconv for products and scaling, K.ugcd for the whole Euclid (the
+last nonzero remainder, which uni_gcd makes monic), K.uhorner for
+evaluation, synthetic division and the sections of TriHomPoly.at_vw,
+and K.upowsums for power lists.  BiPoly and TriHomPoly share one sparse
+sum, product, scale and evaluation on their term maps (_sparse_*,
+through the scalar kernels; a form multiplies as its (U, V) part), all
+three classes share one square-and-multiply power, and every render
+goes through _render_sparse.
 """
 
 from itertools import repeat
@@ -260,10 +261,10 @@ class UniPoly:
 def uni_gcd(f, g):
     """Monic gcd by the Euclidean algorithm; gcd(f, 0) is monic f.
 
-    Runs on coefficient lists through the field's remainder kernel: only
-    the remainders are kept, so no quotient and no intermediate UniPoly
-    is built.  The last nonzero remainder is made monic, which gives the
-    same polynomial the plain f % g loop ends with.
+    The field's gcd kernel runs the whole Euclid on the coefficient lists
+    and returns the last nonzero remainder, so no quotient and no
+    intermediate UniPoly is built.  Made monic, it is the same polynomial
+    the plain f % g loop ends with.
     """
     if not isinstance(f, UniPoly) or not isinstance(g, UniPoly):
         raise InputError("uni_gcd expects two UniPoly operands")
@@ -271,11 +272,7 @@ def uni_gcd(f, g):
     if f.is_zero() and g.is_zero():
         raise InputError("gcd of two zero polynomials is undefined")
     K = f.field
-    a, b = f.coeffs, g.coeffs
-    rem = K.urem
-    while b:
-        a, b = b, rem(a, b)
-    return UniPoly._trusted(K, a).monic()
+    return UniPoly._trusted(K, K.ugcd(f.coeffs, g.coeffs)).monic()
 
 
 def _root_multiplicity(poly, root):

@@ -1,6 +1,8 @@
 """Dual-plane envelope constructions, their verification machinery, and
 the Newton / Hankel identities they are built on."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -369,6 +371,47 @@ def test_scan_picks_smallest_feasible_total():
     outcomes, best = scan_weight_classes(rs + [synth_report(K5, 2, 1, (1,))], K5.p, cap=10)
     assert outcomes == {1: None, 2: None, 3: None, 4: None}
     assert best is None
+
+
+def scan_by_direction(reports, p, cap):
+    """scan_weight_classes as it ran before: one total per direction at every c."""
+    diffs = [[(e.t - r.m_d) % r.direction.field.p for e in r.renitent] for r in reports]
+    if any(0 in ds for ds in diffs):
+        return dict.fromkeys(range(1, p)), None
+    outcomes, best = {}, None
+    for c in range(1, p):
+        c_inv = pow(c, p - 2, p)
+        totals = {sum(d * c_inv % p for d in ds) for ds in diffs}
+        if len(totals) == 1 and (total := totals.pop()) <= cap:
+            outcomes[c] = total
+            if best is None or total < outcomes[best]:
+                best = c
+        else:
+            outcomes[c] = None
+    return outcomes, best
+
+
+@pytest.mark.parametrize("q", [5, 7, 13, 31])
+def test_scan_equals_the_per_direction_loop(q):
+    """Random reports that repeat a few multisets of counts in shuffled
+    orders (as the directions of one planted set do), or draw each anew."""
+    K = field_create(q)
+    rng = random.Random(q)
+
+    def counts(m_d):   # now and then one equal to m_d, which rules out every c
+        return [rng.randrange(q) if rng.random() < 0.03 else (m_d + rng.randrange(1, q)) % q
+                for _ in range(rng.randrange(1, 5))]
+
+    for _ in range(200):
+        m_d = rng.randrange(q)
+        shapes = [counts(m_d) for _ in range(rng.choice([1, 1, 2, 3]))]
+        reports = []
+        for slope in range(rng.randrange(0, q)):
+            ts = list(rng.choice(shapes)) if rng.random() < 0.9 else counts(m_d)
+            rng.shuffle(ts)
+            reports.append(synth_report(K, slope, m_d, tuple(ts)))
+        cap = rng.choice([q - 2, q * 4, rng.randrange(q)])
+        assert scan_weight_classes(reports, K.p, cap) == scan_by_direction(reports, K.p, cap)
 
 
 # -- weighted construction --------------------------------------------------------

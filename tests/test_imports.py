@@ -119,7 +119,7 @@ KEPT_WITHOUT_CALLER = {
     "build_point_detector", "classify_direction", "concurrency_point", "dual_coords",
     "gcd_degree_bound",
     "hankel_det_closed_form", "index_of_point", "line_count", "parallel_class",
-    "roots_with_multiplicity", "weighted_power_recursion_check",
+    "roots_with_multiplicity", "uni_gcd", "weighted_power_recursion_check",
 }
 
 
