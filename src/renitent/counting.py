@@ -18,15 +18,16 @@ Both detectors' g is -|T| plus a bump m_d (1 - L_d^(q-1)) per covered
 direction plus w L_v^(q-1) per support point, where L_P = z X + x Y - y
 for the image (x : y : z) of the point P in the detector's frame (the
 identity for the slope detector).  Each bump is a constant plus one
-more such power, so a DetectorPoly keeps g as one constant and one list
-of powers, unexpanded, and reads them through one normal form: the gcd
-profile's q rows g(X, y) in closed form, and deg g from the weight sums,
-which leave it at q - 1 unless they cancel the top level.  The gcd
-degrees themselves always come from the Euclidean algorithm, so the
-algebra stays a second count beside the geometry.  The geometry reads
-the reports by parallel class: a uniform direction lies on its own
-lambda_d renitent lines, and the dichotomy counts the affine points one
-column x = x0 at a time.
+more such power, so a DetectorPoly stores g unexpanded, in one normal
+form built once from the constant and the powers, and reads everything
+from it: the gcd profile's q rows g(X, y) in closed form, and deg g
+from the weight sums, which leave it at q - 1 unless they cancel the
+top level.  The point detector's f is the product of X - c over the
+roots c of the moved directions.  The gcd degrees themselves always
+come from the Euclidean algorithm, so the algebra stays a second count
+beside the geometry.  The geometry reads the reports by parallel class:
+a uniform direction lies on its own lambda_d renitent lines, and the
+dichotomy counts the affine points one column x = x0 at a time.
 """
 
 from collections import Counter
@@ -99,7 +100,7 @@ class GcdBoundCheck(Record):
 
 def gcd_degree_bound(profile, y0):
     """Both sides of the degree inequality at the anchor row y0."""
-    if y0 not in profile.k:
+    if type(y0) is not int or y0 not in profile.k:   # True and 1.0 hash as 1
         raise InputError(f"anchor {y0!r} is not a field element")
     return gcd_degree_bounds(profile, (y0,))[0]
 
@@ -142,12 +143,13 @@ DETECTOR_MAX_WORK = 1 << 23
 def detector_work(K, support):
     """Estimated work of building a detector over `support` points of
     GF(q) and running its gcd profile: each of the q rows takes about q
-    operations per support point for its closed form (DetectorPoly.rows,
-    dense input or not) and q more for the Euclid.  The term part bounds
-    the walk of g's terms (DetectorPoly._coefficients), which deg g runs
-    only when its top level cancels and g.terms runs to the end: each of
-    the (p(p+1)/2)^e terms Lucas's theorem leaves is one sum over the
-    forms, at most support + 1 of them."""
+    operations per support point for its closed form (DetectorPoly.rows
+    reads g's stored normal form, dense input or not) and q more for the
+    Euclid.  The term part bounds the walk of g's terms
+    (DetectorPoly._coefficients), which deg g runs only when its top
+    level cancels and g.terms runs to the end: each of the (p(p+1)/2)^e
+    terms Lucas's theorem leaves is one sum over the stored forms, at
+    most support + 1 of them."""
     q = K.q
     return support * (K.p * (K.p + 1) // 2) ** K.e + q * q * (support + 1)
 
@@ -205,41 +207,35 @@ def _multinomials(K):
 
 class DetectorPoly(BiPoly):
     """A detector's g = const + sum of w (alpha X + beta Y + gamma)^(q-1),
-    kept as the constant and the list of (w, alpha, beta, gamma) powers it
-    is built from.
+    built from the constant and the list of (w, alpha, beta, gamma) powers.
 
-    Nothing is expanded when it is built.  Every reader goes through one
-    normal form of the powers, _forms: rows(), total_degree (in closed
-    form, from the weight sums), and `terms`, which runs _coefficients to
-    the end the first time it is read and keeps the map.  It equals, term
-    for term, the BiPoly of the same polynomial.
+    Nothing is expanded.  The powers are normalised once, when g is built,
+    into _const and _forms: g = _const + the sum of w (a X + b Y + s)^(q-1)
+    over the (w, s) of _forms[(a, b)], where (a, b) = (1, beta/alpha), or
+    (0, 1) when alpha = 0, and s is gamma over the same lead: as
+    lambda^(q-1) = 1, scaling a power's form changes nothing.  alpha =
+    beta = 0 adds w to _const when gamma != 0, else nothing.  Every reader
+    reads that one form: rows(), total_degree (in closed form, from the
+    weight sums), and `terms`, which runs _coefficients to the end the
+    first time it is read and keeps the map.  It equals, term for term,
+    the BiPoly of the same polynomial.
     """
 
-    __slots__ = ("_terms", "_const", "_powers")
+    __slots__ = ("_terms", "_const", "_forms")
 
     def __init__(self, field, const, powers):
         # the parts come from valid input: not re-checked
         self.field, self._terms = field, None
-        self._const, self._powers = const, powers
-
-    def _forms(self):
-        """(const, forms): g = const + the sum of w (a X + b Y + s)^(q-1)
-        over the (w, s) of forms[(a, b)], where (a, b) = (1, beta/alpha), or
-        (0, 1) when alpha = 0, and s is gamma over the same lead: as
-        lambda^(q-1) = 1, scaling a power's form changes nothing.  alpha =
-        beta = 0 gives the constant w when gamma != 0, else nothing."""
-        K = self.field
-        mul = K.umul
-        const, forms = self._const, {}
-        for w, alpha, beta, gamma in self._powers:
+        mul, forms = field.umul, {}
+        for w, alpha, beta, gamma in powers:
             lead = alpha or beta
             if lead:
-                inv = K.uinv(lead)
+                inv = field.uinv(lead)
                 forms.setdefault((1, mul(beta, inv)) if alpha else (0, 1), []).append(
                     (w, mul(gamma, inv)))
             elif gamma:
-                const = K.uadd(const, w)
-        return const, forms
+                const = field.uadd(const, w)
+        self._const, self._forms = const, forms
 
     def _coefficients(self):
         """((i, j), g's X^i Y^j coefficient) at each (k, i) of _multinomials,
@@ -249,7 +245,7 @@ class DetectorPoly(BiPoly):
         K = self.field
         n = K.q - 1
         add, mul = K.uadd, K.umul
-        const, forms = self._forms()
+        const, forms = self._const, self._forms
         parts = [(K.upowsums([(1, a)], n), K.upowsums([(1, b)], n), K.upowsums(pairs, n))
                  for (a, b), pairs in forms.items()]
         for k, fits in _multinomials(K):
@@ -283,9 +279,8 @@ class DetectorPoly(BiPoly):
         nonzero coefficient of _coefficients: O(q) per form, no term map.
         """
         K = self.field
-        _, forms = self._forms()
-        sums = {K.upowsums(pairs, 0)[0] for pairs in forms.values()}
-        if len(forms) <= K.q:   # a point of PG(1, q) with no form
+        sums = {K.upowsums(pairs, 0)[0] for pairs in self._forms.values()}
+        if len(self._forms) <= K.q:   # a point of PG(1, q) with no form
             sums.add(0)
         if len(sums) > 1:
             return K.q - 1
@@ -304,9 +299,9 @@ class DetectorPoly(BiPoly):
         K = self.field
         n = K.q - 1
         add, mul, neg = K.uadd, K.umul, K.uneg
-        const, forms = self._forms()
+        const = self._const
         fixed, at_y, moving = {}, {}, []   # moving: (w, -b, -s), u = -b y - s
-        for (a, b), pairs in forms.items():
+        for (a, b), pairs in self._forms.items():
             for w, s in pairs:
                 t = neg(s)
                 if not a:
@@ -373,7 +368,7 @@ def build_slope_detector(T, reports):
     """
     _check_detector_reports(T, reports)
     K = T.field
-    f = BiPoly(K, {(K.q, 0): 1, (1, 0): K.uneg(1)})
+    f = BiPoly._trusted(K, {(K.q, 0): 1, (1, 0): K.uneg(1)})
     return SlopeDetector(f, _detector_g(K, T, reports, _IDENTITY))
 
 
@@ -402,8 +397,9 @@ def renitent_lower_bound_check(T, reports):
     """At least lam(|E| + 1 - lam) renitent lines live on |E| uniform
     slope directions once one of them is sharp.  Counts both ways and
     requires agreement; a mismatch means the algebra and the geometry
-    disagree, which is a bug, not a property of the input."""
-    _check_detector_reports(T, reports)
+    disagree, which is a bug, not a property of the input.  Building the
+    detector first validates the reports."""
+    det = build_slope_detector(T, reports)
     bounds = {r.bound for r in reports}
     if len(bounds) != 1:
         raise InputError(f"reports were classified at different bounds: {sorted(bounds)}")
@@ -411,7 +407,6 @@ def renitent_lower_bound_check(T, reports):
     if not any(r.lambda_d == lam for r in reports):
         raise HypothesisRejected("the bound needs a direction with lambda_d = lam")
     count = sum(r.lambda_d for r in reports)
-    det = build_slope_detector(T, reports)
     profile = gcd_profile(det.f, det.g)
     q = T.field.q
     gcd_count = sum(q - profile.k[slope_of(r.direction)] for r in reports)
@@ -545,7 +540,7 @@ class PointDetector(FrozenRecord):
 def build_point_detector(T, reports, R):
     """Detector in a frame where R sits at infinity as (1:y0:0).
 
-    A collineation sends the line at infinity to the Y-axis, R to a
+    frame_collineation sends the line at infinity to the Y-axis, R to a
     point (1:y0:0), and each covered direction to an affine Y-axis
     point (0:c_k:1).  In that frame g is built so that for every y the
     common roots of f(X, y) and g(X, y) mark the typical lines from the
@@ -553,29 +548,22 @@ def build_point_detector(T, reports, R):
 
         k_y = |E| - (number of renitent lines through (1:y:0)),
 
-    which feeds the degree inequality anchored at y0.  _detector_g with
-    the frame's matrix writes a multiple of X - c_k, a bump in X, for
-    each moved direction and a multiple of X + (x/z) Y - y/z for each
-    point of T with image (x:y:z).  The multiset may cross the moved
-    line at infinity: those members turn into (1:z_j:0) and contribute
+    which feeds the degree inequality anchored at y0.  f is the product
+    of X - c_k over the moved directions.  _detector_g with the frame's
+    matrix writes a multiple of X - c_k, a bump in X, for each moved
+    direction and a multiple of X + (x/z) Y - y/z for each point of T
+    with image (x:y:z).  The multiset may cross the moved line at
+    infinity: those members turn into (1:z_j:0) and contribute
     (Y - z_j)^(q-1) terms.
     """
     _check_detector_reports(T, reports, allow_vertical=True)
     K = T.field
     coll = frame_collineation(K, [r.direction for r in reports], R)
-    c_vals = []
+    # by frame_collineation's proof each direction lands on (0 : y : z) with
+    # z != 0, and the matrix is invertible: the roots c_k = y/z are distinct
+    f = [1]
     for r in reports:
-        x, y, z = _mat_vec(K, coll.matrix, r.direction.coords)
-        if x != 0 or z == 0:
-            raise InputError(
-                f"direction {format_point(r.direction)} did not land on the "
-                f"affine Y-axis")
-        c_vals.append(K.udiv(y, z))
-    if len(set(c_vals)) != len(c_vals):
-        raise InputError("moved directions collide; frame is broken")
-    f_uni = UniPoly.one(K)
-    for c in c_vals:
-        f_uni = f_uni * UniPoly.x_minus(K, c)
-    f = BiPoly.from_uni(f_uni, var=0)
-    g = _detector_g(K, T, reports, coll.matrix)
-    return PointDetector(f, g, coll)
+        _, y, z = _mat_vec(K, coll.matrix, r.direction.coords)
+        f = K.uconv(f, [K.uneg(K.udiv(y, z)), 1])
+    f = BiPoly._trusted(K, {(i, 0): c for i, c in enumerate(f) if c})
+    return PointDetector(f, _detector_g(K, T, reports, coll.matrix), coll)

@@ -266,26 +266,20 @@ def weighted_power_recursion_check(field, c_list, x_list, j):
         raise InputError("need matching nonempty coefficient and node lists")
     if type(j) is not int or j < 0:
         raise InputError(f"index shift must be a non-negative integer, got {j!r}")
+    for a in (*x_list, *c_list):
+        K.check(a)
     lam = len(x_list)
-
-    def psum(k):
-        acc = 0
-        for ci, xi in zip(c_list, x_list):
-            acc = K.add(acc, K.mul(ci, K.pow(xi, k)))
-        return acc
-
-    poly = UniPoly.one(K)
+    sums = K.upowsums(list(zip(c_list, x_list)), lam + j)   # P_0 .. P_(lam+j)
+    poly = [1]
     for xi in x_list:
-        poly = poly * UniPoly.x_minus(K, xi)
+        poly = K.uconv(poly, [K.uneg(xi), 1])
     # poly = x^lam - sigma_1 x^(lam-1) + ... + (-1)^lam sigma_lam
-    lhs = psum(lam + j)
     rhs = 0
     for i in range(1, lam + 1):
-        # poly.coeffs[lam - i] carries (-1)^i sigma_i, so the recursion's
+        # poly[lam - i] carries (-1)^i sigma_i, so the recursion's
         # (-1)^(i+1) sigma_i is its negation for either parity
-        term = K.mul(psum(lam + j - i), poly.coeffs[lam - i])
-        rhs = K.sub(rhs, term)
-    return lhs == rhs
+        rhs = K.usub(rhs, K.umul(sums[lam + j - i], poly[lam - i]))
+    return sums[lam + j] == rhs
 
 
 def hankel_matrix(power_sums, lam):
@@ -305,16 +299,18 @@ def hankel_det_closed_form(field, c_list, x_list):
     K = field
     if len(c_list) != len(x_list) or not x_list:
         raise InputError("need matching nonempty coefficient and node lists")
+    for a in (*c_list, *x_list):
+        K.check(a)
     lam = len(x_list)
     acc = 1
     for ci in c_list:
-        acc = K.mul(acc, ci)
+        acc = K.umul(acc, ci)
     for i in range(lam):
         for j in range(i + 1, lam):
-            d = K.sub(x_list[i], x_list[j])
-            acc = K.mul(acc, K.mul(d, d))
+            d = K.usub(x_list[i], x_list[j])
+            acc = K.umul(acc, K.umul(d, d))
     if (lam * (lam - 1) // 2) % 2 == 1:
-        acc = K.neg(acc)
+        acc = K.uneg(acc)
     return acc
 
 

@@ -368,6 +368,11 @@ def test_rows_match_eval_v(pe):
     assert list(g.rows()) == rows_by_eval_v(g)
 
 
+def stored_pairs(g):
+    """The number of (w, s) pairs in g's stored normal form."""
+    return sum(map(len, g._forms.values()))
+
+
 def test_row_corpus_covers_the_edge_cases():
     """Dense input for both detectors (support size * q above the term
     count of g, where walking g's terms is the cheaper way to a row),
@@ -375,9 +380,9 @@ def test_row_corpus_covers_the_edge_cases():
     dense, alpha_zero, weight_zero = set(), False, False
     for pe in ROW_FIELDS:
         for _, kind, T, g in field_detectors(pe):
-            if len(g._powers) * T.field.q > len(g.terms):
+            if stored_pairs(g) * T.field.q > len(g.terms):
                 dense.add(kind)
-            alpha_zero |= kind == "point" and any(alpha == 0 for _, alpha, _, _ in g._powers)
+            alpha_zero |= kind == "point" and (0, 1) in g._forms
             weight_zero |= any(m % T.field.p == 0 for _, m in T.items())
     assert dense == {"slope", "point"}
     assert alpha_zero and weight_zero
@@ -497,13 +502,14 @@ def test_degree_corpus_covers_the_edge_cases():
         edges = {name + "/" + kind: g for name, kind, g in edge_detectors(K)}
         for kind in ("slope", "point"):
             assert not edges[f"g = 0/{kind}"].terms
-        # every power is a bump's, in Y (alpha = 0) or in X (beta = 0)
+        # every power is a bump's, in Y (alpha = 0, the form (0, 1)) or in
+        # X (beta = 0, the form (1, 0))
         g = edges["bumps only/slope"]
-        assert g._powers and g.terms and all(alpha == 0 for _, alpha, _, _ in g._powers)
+        assert set(g._forms) == {(0, 1)} and g.terms
         g = edges["bumps only/point"]
-        assert g._powers and g.terms and all(beta == 0 for _, _, beta, _ in g._powers)
+        assert set(g._forms) == {(1, 0)} and g.terms
         g = edges["|T| = 0/slope"]   # the support points' powers have alpha = 1
-        assert any(alpha for _, alpha, _, _ in g._powers) and (n, 0) not in g.terms
+        assert any(a for a, _ in g._forms) and (n, 0) not in g.terms
     g = DetectorPoly(field_create(2, 2), 0, CARRY_ONLY_POWERS_Q4)
     assert g.terms == {(0, 0): 1}
 
@@ -706,8 +712,46 @@ def test_dense_detector_evaluates_g_once_per_row(monkeypatch):
     monkeypatch.setattr(DetectorPoly, "rows", counted)
     monkeypatch.setattr(BiPoly, "eval_v", forbidden)
     for det, exp in zip(dets, expected):
-        assert len(det.g._powers) * K.q > len(det.g.terms)
+        assert stored_pairs(det.g) * K.q > len(det.g.terms)
         passes[0] = rows_seen[0] = 0
         assert len(gcd_profile(det.f, det.g).k) == K.q
         assert (passes[0], rows_seen[0]) == (1, K.q)
         assert list(rows(det.g)) == exp
+
+
+@pytest.mark.parametrize("pe", [(7, 1), (2, 2), (3, 2)], ids=lambda pe: f"q{pe[0] ** pe[1]}")
+def test_detector_normalises_its_powers_once(monkeypatch, pe):
+    """g's powers go into their normal form once, when g is built: across
+    rows(), total_degree and terms, K.uinv runs once per power with alpha
+    or beta != 0, and never for a power with alpha = beta = 0."""
+    K = field_create(*pe)
+    rng = random.Random(K.q)
+    inv, calls = K.uinv, [0]
+
+    def counted(a):
+        calls[0] += 1
+        return inv(a)
+
+    cases = [[(rng.randrange(1, K.q), *(rng.choice([0, rng.randrange(K.q)]) for _ in range(3)))
+              for _ in range(rng.randrange(6))] for _ in range(30)]
+    if K.q == 4:
+        cases.append(CARRY_ONLY_POWERS_Q4)   # its top level cancels: deg g walks the terms
+    monkeypatch.setattr(K, "uinv", counted)
+    for powers in cases:
+        calls[0] = 0
+        g = DetectorPoly(K, rng.randrange(K.q), powers)
+        list(g.rows()), g.total_degree, g.terms   # every reader of the stored form
+        assert calls[0] == sum(1 for _, alpha, beta, _ in powers if alpha or beta), powers
+
+
+def test_lower_bound_check_validates_its_reports_once(monkeypatch):
+    K, T, reports = _planted_lam2_q31()
+    check, calls = counting._check_detector_reports, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "_check_detector_reports", counted)
+    assert renitent_lower_bound_check(T, reports).ok
+    assert len(calls) == 1

@@ -42,6 +42,7 @@ from renitent import (
 from renitent.poly import _root_multiplicity
 from renitent.uniformity import DirectionReport, RenitentLine
 from renitent.errors import HypothesisRejected, HypothesisViolation, InputError
+from renitent.gf import GF
 
 from conftest import cofactor_det
 
@@ -583,6 +584,31 @@ def test_closed_form_single_node():
 def test_closed_form_vanishes_on_repeated_nodes():
     assert hankel_det_closed_form(K7, [1, 1], [4, 4]) == 0
     assert hankel_det_closed_form(K7, [2, 3, 4], [1, 5, 1]) == 0
+
+
+def test_acceptance_helpers_check_once_then_run_on_kernels(monkeypatch):
+    """Both helpers check each c_i and x_i once and compute on the field's
+    unchecked kernels: with the checked add, sub, neg, mul and pow made to
+    raise, they return what they returned before."""
+    rng = random.Random(31)
+    cases = []
+    for pe in [(7, 1), (2, 3), (3, 2)]:
+        K = field_create(*pe)
+        for lam in range(1, 5):
+            cs = [rng.randrange(K.q) for _ in range(lam)]
+            xs = [rng.randrange(K.q) for _ in range(lam)]
+            cases.append((K, cs, xs, rng.randrange(5)))
+    before = [(weighted_power_recursion_check(*case), hankel_det_closed_form(*case[:3]))
+              for case in cases]
+    assert all(holds for holds, _ in before)
+
+    def forbidden(*args):
+        raise AssertionError("a checked field operation ran")
+
+    for name in ("add", "sub", "neg", "mul", "pow"):
+        monkeypatch.setattr(GF, name, forbidden)
+    assert [(weighted_power_recursion_check(*case), hankel_det_closed_form(*case[:3]))
+            for case in cases] == before
 
 
 @st.composite

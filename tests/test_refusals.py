@@ -113,6 +113,9 @@ REFUSALS = {
                                      "need matching nonempty"),
     "hankel_det_closed_form.lengths": (lambda: hankel_det_closed_form(K, [1], [1, 2]),
                                        "need matching nonempty"),
+    # one node: no difference of nodes is ever formed, so only its own check reads it
+    "hankel_det_closed_form.single_node": (lambda: hankel_det_closed_form(K, [5], [99]),
+                                           "99 is not an element index"),
     "deficiency_bound_check.empty": (lambda: deficiency_bound_check([], 1),
                                      "need at least one direction report"),
     "verify_envelope.mixed": (lambda: verify_envelope(*_curve_and_foreign_reports()),

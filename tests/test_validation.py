@@ -10,7 +10,7 @@ silently wrong answer.
 
 import pytest
 
-from renitent import dichotomy_check, field_create
+from renitent import dichotomy_check, field_create, gcd_degree_bound, gcd_profile
 from renitent.envelope import (
     hankel_det_closed_form,
     hankel_matrix,
@@ -165,6 +165,15 @@ def test_a_refused_degree_leaves_the_field_cache_as_it_was(e):
     assert type(field_create(7).e) is int
     with pytest.raises(InputError, match=rf"^extension degree must be a positive integer, got {e}$"):
         field_create(7, e)
+
+
+# the profile's keys would find True and 1.0 as row 1, and the check's
+# to_json would write the anchor out as given
+@pytest.mark.parametrize("y0", [True, 1.0], ids=["True", "1.0"])
+def test_gcd_degree_bound_refuses_an_anchor_that_is_not_an_int(y0):
+    f = BiPoly(K, {(1, 0): 1})
+    with pytest.raises(InputError, match=rf"^anchor {y0!r} is not a field element$"):
+        gcd_degree_bound(gcd_profile(f, f), y0)
 
 
 # A modulus coefficient is an integer in 0..p-1: a float, a str or a bool is
