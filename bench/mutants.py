@@ -31,6 +31,8 @@ TIME_LIMIT = 120   # seconds per mutant
 GF = "src/renitent/gf.py"
 COUNTING = "src/renitent/counting.py"
 ENVELOPE = "src/renitent/envelope.py"
+GENERATORS = "src/renitent/generators.py"
+UNIFORMITY = "src/renitent/uniformity.py"
 
 # (name, file, old snippet, replacement, test files that must fail)
 MUTANTS = [
@@ -55,17 +57,78 @@ MUTANTS = [
     ("ugcd not reduced when the leading slot reads 0 mod p", GF,
      "if lb and not (y >> bits * (lb - 1)) % p:", "if False:",
      ["tests/test_list_kernels.py"]),
-    # gf's padded log tables and the order ceiling
+    # gf's padded log tables, their walk and the order ceiling
     ("ex's zero stretch ends one entry before 5(q - 1)", GF,
-     "ex = exp + [0] * (7 * n)", "ex = exp + [0] * (3 * n - 1) + [1] * (4 * n + 1)",
+     "lg, ex = [lz] * self.q, [0] * (9 * n)",
+     "lg, ex = [lz] * self.q, [0] * (5 * n - 1) + [1] * (4 * n + 1)",
      ["tests/test_intercepts.py"]),
     ("zz set to 1 on [4(q - 1), 5(q - 1))", GF,
-     "zz[8 * n:] = zz[:n]", "zz[8 * n:] = zz[:n]\n    zz[4 * n:5 * n] = [1] * n",
+     "*repeat(0, 3 * n),", "*repeat(0, 2 * n), *repeat(1, n),",
      ["tests/test_intercepts.py"]),
+    ("zz[8(q - 1)] set back to zech[0]", GF,
+     "*repeat(0, n + 1), *zech[1:]", "*repeat(0, n), *zech",
+     ["tests/test_list_kernels.py", "tests/test_gf.py"]),
+    ("lg built from [0] * q", GF,
+     "lg, ex = [lz] * self.q,", "lg, ex = [0] * self.q,",
+     ["tests/test_gf.py"]),
+    ("half read as zz.index(0)", GF,
+     "half = zz.index(zero)", "half = zz.index(0)",
+     ["tests/test_gf.py"]),
+    ("the walk's carry flag one bit low", GF,
+     "flags, bias = ones << (w - 1),", "flags, bias = ones << (w - 2),",
+     ["tests/test_gf.py"]),
     ("order ceiling refuses q = MAX_ORDER", GF,
      "p ** e > MAX_ORDER:", "p ** e >= MAX_ORDER:",
      ["tests/test_gf.py"]),
+    # the row intercept kernel (gf._row_intercepts)
+    ("row kernel's byte table x - b for b - x", GF,
+     "bytes(map(sub, repeat(b), els)) + pad", "bytes(map(sub, els, repeat(b))) + pad",
+     ["tests/test_intercepts.py"]),
+    ("row kernel's byte row a + s for a * s", GF,
+     "bytes(map(mul, repeat(a), els))", "bytes((a + s) % q for s in els)",
+     ["tests/test_intercepts.py"]),
+    ("row kernel's keys read with stride q - 1", GF,
+     "return joined[s::q]", "return joined[s::q - 1]",
+     ["tests/test_intercepts.py"]),
+    ("row kernel's byte table for b = 0 unpadded", GF,
+     "els)) + pad", "els)) + (pad if b else b\"\")",
+     ["tests/test_intercepts.py"]),
+    # gen_random's lanes of draws (generators._keep_flags)
+    ("keep flags in 64-bit slots", GENERATORS,
+     "(b\"\\x01\" + bytes(15)) * _LANES", "(b\"\\x01\" + bytes(7)) * _LANES",
+     ["tests/test_generators.py"]),
+    ("keep flags unmasked after the first multiply", GENERATORS,
+     "* 0xBF58476D1CE4E5B9 & mask", "* 0xBF58476D1CE4E5B9",
+     ["tests/test_generators.py"]),
+    ("keep flags' state not advanced between blocks", GENERATORS,
+     "        state = (state + n * _GAMMA) & _MASK\n", "",
+     ["tests/test_generators.py"]),
+    ("keep flags keep a draw equal to the threshold", GENERATORS,
+     "below = (threshold + _MASK) * ones", "below = (threshold + _MASK + 1) * ones",
+     ["tests/test_generators.py"]),
+    # the refusal from a class's nonempty-line count (uniformity._report)
+    ("refusal with >= for >", UNIFORMITY,
+     "p * n - size > lam * (p - 1)", "p * n - size >= lam * (p - 1)",
+     ["tests/test_uniformity.py"]),
+    ("refusal with <= for <", UNIFORMITY,
+     "if n < K.q - lam and", "if n <= K.q - lam and",
+     ["tests/test_uniformity.py"]),
+    ("refusal reads the support size for |T|", UNIFORMITY,
+     "K, size = T.field, T.size", "K, size = T.field, T.support_size",
+     ["tests/test_uniformity.py"]),
     # the gcd detectors
+    ("deg g's cancellation rule: every weight sum is 0", COUNTING,
+     "if len(sums) > 1:", "if sums != {0}:",
+     ["tests/test_counting_oracles.py"]),
+    ("deg g's weight sums without the (0, 1) form", COUNTING,
+     "for pairs in self._forms.values()}", "for (a, _), pairs in self._forms.items() if a}",
+     ["tests/test_counting_oracles.py"]),
+    ("multinomials without the sign (-1)^e", COUNTING,
+     "[(0, K.from_int((-1) ** K.e))]", "[(0, 1)]",
+     ["tests/test_counting_oracles.py"]),
+    ("the constant dropped from _coefficients", COUNTING,
+     "c = const if k == n else 0", "c = 0",
+     ["tests/test_counting_oracles.py"]),
     ("detector form keyed (1, alpha/lead)", COUNTING,
      "(1, mul(beta, inv)) if alpha", "(1, mul(alpha, inv)) if alpha",
      ["tests/test_counting_oracles.py"]),

@@ -20,28 +20,25 @@ Prime fields (e = 1) compute on the indices with native integer
 arithmetic.  Extension fields compute through a primitive element g:
 the smallest index whose powers run through all q - 1 nonzero elements
 (the root of the modulus need not be one; under the default t^2 + 1 of
-GF(9), t has order 4).  Three tables are built once: exp[i] = g^i
-(stored twice over) and log[a] for a != 0, from the powers of g walked
-as packed coefficient vectors (see _build_log_tables), and Zech's
-logarithm zech[d] = log(1 + g^d), so that g^i + g^j = g^(i + zech[j - i])
-(K. Huber, IEEE Trans. Inf. Theory 36, 1990).  1 + x changes only digit
-0 of the index x, to (x + 1) % p, so zech takes no digit-vector sum.
-Its one None is at half, the logarithm of -1: (q - 1)/2 for odd p, and
-0 in characteristic 2, where every element is its own negative.  The
-kernels read none of the three tables, only one padded set built from
-them, so no operation tests for a zero:
+GF(9), t has order 4).  One padded table set is built once, from the
+powers of g walked as packed coefficient vectors (see
+_build_log_tables), and every kernel reads it, so no operation tests
+for a zero.  With LZ = 4(q - 1), past every nonzero logarithm:
 
-* lg is log with lg[0] = LZ = 4(q - 1), past every nonzero logarithm;
-* ex is exp followed by zeros, so ex[lg[a] + lg[b]] is a*b for every a
-  and b, and a quotient or a negative lands on a zero of ex when its
-  operand is zero;
-* zz is zech stored twice over, extended over the zero cases:
+* lg[a] is the logarithm of a != 0, and lg[0] = LZ;
+* ex[i] = g^i (stored twice over), then zeros, so ex[lg[a] + lg[b]] is
+  a*b for every a and b, and a quotient or a negative lands on a zero
+  of ex when its operand is zero;
+* zz is Zech's logarithm zech[d] = log(1 + g^d), so that g^i + g^j =
+  g^(i + zech[j - i]) (K. Huber, IEEE Trans. Inf. Theory 36, 1990),
+  stored twice over and extended over the zero cases:
   ex[lg[x] + zz[lt - lg[x]]] is x + t for every element x and every
   exponent lt of a term t (lg[t], or lg[b] + half for t = -b), so add,
   sub and the list kernels' sums are one lookup each.
 
-The tables take O(q) memory.  Element indices do not depend on them:
-they stay the base-p encoding above.
+zech reads LZ at half, the logarithm of -1: (q - 1)/2 for odd p, and 0
+in characteristic 2, where every element is its own negative.  The
+tables take O(q) memory; element indices stay the base-p encoding.
 
 Each operation is bound once, when the field is built, to one of two
 kernel sets: prime field or extension field (Zech addition).  In
@@ -344,35 +341,27 @@ def _prime_kernels(p):
             gcd, conv, horner, powsums)
 
 
-def _log_kernels(modulus, exp, log, zech):
-    """The same twelve for an extension field, from its exp/log/zech tables.
+def _log_kernels(modulus, lg, ex, zz):
+    """The same twelve for an extension field, on its padded tables lg, ex
+    and zz as _build_log_tables writes them.
 
-    The kernels read only the padded tables lg, ex and zz built here from
-    those three.  half, the logarithm of -1, is where zech has its None:
-    0 in characteristic 2, where add and sub are XOR and the intercept
-    and remainder kernels are XOR kernels of their own.  The gcd kernel
-    of either family runs its remainder step in _euclid's loop.
+    half, the logarithm of -1, is the first d where zz reads LZ: 0 in
+    characteristic 2, where add and sub are XOR and the intercept and
+    remainder kernels are XOR kernels of their own.  The gcd kernel of
+    either family runs its remainder step in _euclid's loop.
     """
-    n = len(exp) // 2   # q - 1
-    # lg[0] = LZ and ex is zero from 2(q - 1) on (see the module doc).
-    # The exponents lt of a product t stay in [0, 2(q - 1)) for t != 0
-    # and in [LZ, LZ + q - 1) for t = 0.
-    zero = 4 * n
-    lg = log[:]
-    lg[0] = zero
-    ex = exp + [0] * (7 * n)
-    half = zech.index(None)   # g^half = -1
+    n = len(lg) - 1   # q - 1
+    zero = 4 * n   # LZ
+    half = zz.index(zero)   # g^half = -1
 
-    # x + t = ex[lg[x] + zz[lt - lg[x]]] for an element x and a term t of
-    # exponent lt as above.  zz is zech stored twice, its None (where
-    # 1 + g^d = 0) at LZ so that the sum lands on a zero of ex; and for
-    # a zero operand: zz[d] = 0 for d in (3(q - 1), 5(q - 1)), where
-    # t = 0 leaves x, and zz[d] = d for d in [-LZ, -2(q - 1)), where
-    # x = 0 gives t.  The last q - 1 entries repeat zech for the
-    # negative d of two nonzero operands.
-    zz = [zero if z is None else z for z in zech] + [0] * (7 * n)
-    zz[5 * n:7 * n] = range(-4 * n, -2 * n)
-    zz[8 * n:] = zz[:n]
+    # x + t = ex[lg[x] + zz[d]], d = lt - lg[x], for an element x and a
+    # term t of exponent lt: lt < 2n for t != 0, in [LZ, LZ + n) for a
+    # zero product, and 2 LZ for 0 * 0.  add, sub, conv, rem, powsums and
+    # horner read d in (-n, 2n) for x, t != 0 (zech; a negative d wraps
+    # onto the last n entries), (3n, 5n) for t = 0 (zz is 0: x stays),
+    # [-LZ, -2n) for x = 0 (zz[d] = d: the sum is t), and [0, n) or LZ
+    # for x = t = 0 (ex is 0 from LZ on); horner at x = 0 also reads
+    # (7n, 8n], where zz is 0.  The intercept kernel reads zz[ls:ls + n].
 
     def add(a, b):
         # g^i + g^j = g^i (1 + g^(j - i)); zz reads j - i without a
@@ -417,8 +406,6 @@ def _log_kernels(modulus, exp, log, zech):
         return out
 
     def horner(a, x):
-        if not x:   # acc * 0 would have the exponent 2 LZ, outside zz's zero cases
-            return list(reversed(a))
         lx, acc, out = lg[x], 0, []
         for c in reversed(a):
             lc = lg[c]
@@ -569,7 +556,7 @@ def _row_intercepts(q, mul, sub, mulrow, subtab):
 class GF:
     """Context for GF(p^e); all element operations live here."""
 
-    __slots__ = ("p", "e", "q", "modulus", "_exp", "_log", "_zech", "_mulrow", "_subtab",
+    __slots__ = ("p", "e", "q", "modulus", "_lg", "_ex", "_zz", "_mulrow", "_subtab",
                  "uadd", "usub", "uneg", "umul", "uinv", "udiv", "upow", "uintercepts",
                  "ugcd", "uconv", "uhorner", "upowsums")
 
@@ -601,12 +588,12 @@ class GF:
             if not _irreducible(list(modulus), p):
                 raise InputError(f"modulus {list(modulus)} is reducible over GF({p})")
             self.modulus = modulus
-        self._exp = self._log = self._zech = None
+        self._lg = self._ex = self._zz = None
         if e == 1:
             kernels = _prime_kernels(p)
         else:
             self._build_log_tables()
-            kernels = _log_kernels(self.modulus, self._exp, self._log, self._zech)
+            kernels = _log_kernels(self.modulus, self._lg, self._ex, self._zz)
         (self.uadd, self.usub, self.uneg, self.umul, self.uinv, self.udiv, self.upow,
          self.uintercepts, self.ugcd, self.uconv, self.uhorner, self.upowsums) = kernels
         self._mulrow = self._subtab = None
@@ -616,22 +603,19 @@ class GF:
                                                self._mulrow, self._subtab)
 
     def _default_modulus(self):
-        for mod in _monic(self.p, self.e):
-            if _irreducible(mod, self.p):
-                return tuple(mod)
-        raise RuntimeError("unreachable: irreducible polynomials exist for every degree")
+        # every degree has an irreducible monic polynomial, so next() finds one
+        return tuple(next(mod for mod in _monic(self.p, self.e) if _irreducible(mod, self.p)))
 
     def _primitive_element(self):
-        """Smallest index of multiplicative order q - 1."""
+        """Smallest index of multiplicative order q - 1 (GF(q)* is cyclic)."""
         n = self.q - 1
         cofactors = [n // r for r in _prime_factors(n)]
-        for g in range(2, self.q):
-            if all(self._pow_raw(g, k) != 1 for k in cofactors):
-                return g
-        raise RuntimeError("unreachable: the multiplicative group is cyclic")
+        return next(g for g in range(2, self.q)
+                    if all(self._pow_raw(g, k) != 1 for k in cofactors))
 
     def _build_log_tables(self):
-        """exp, log and zech from the powers of the primitive element g.
+        """lg, ex and zz (see the module doc), written directly from the
+        powers of the primitive element g.
 
         The powers are walked as packed coefficient vectors: digit i of an
         element sits in bits [w i, w (i + 1)) of one int, with w one bit
@@ -661,17 +645,22 @@ class GF:
         highs = {pack(x) >> (w * k): (x, pack(self._mul_raw(x, g)))
                  for x in range(0, self.q, low)}
         mask = (1 << w * k) - 1
-        exp, log = [0] * (2 * n), [None] * self.q
+        lz = 4 * n
+        lg, ex = [lz] * self.q, [0] * (9 * n)
         v = 1
         for i in range(n):
             (xl, gl), (xh, gh) = lows[v & mask], highs[v >> (w * k)]
-            exp[i] = exp[i + n] = xl + xh
-            log[xl + xh] = i
+            ex[i] = ex[i + n] = xl + xh
+            lg[xl + xh] = i
             v = gl + gh
             v -= (((v + bias) & flags) >> (w - 1)) * p
         # 1 + x changes only digit 0 of the index x, with no carry
-        self._exp, self._log = exp, log
-        self._zech = [log[x - x % p + (x + 1) % p] for x in exp[:n]] * 2
+        zech = [lg[x - x % p + (x + 1) % p] for x in ex[:n]]
+        # zech twice, 0 on [2n, 5n), zz[d] = d for d in [-LZ, -2n) (indices
+        # [5n, 7n)), 0 on [7n, 8n], and zech[d] for the negative d > -n
+        self._lg, self._ex = lg, ex
+        self._zz = [*zech, *zech, *repeat(0, 3 * n), *range(-lz, -2 * n),
+                    *repeat(0, n + 1), *zech[1:]]
 
     # -- element <-> coefficient vector ---------------------------------
 

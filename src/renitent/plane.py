@@ -45,7 +45,7 @@ class _Triple:
                 and self.field == other.field and self.coords == other.coords)
 
     def __hash__(self):
-        return hash((self.field, self.coords))
+        return hash(self.coords)   # __eq__ still tells the fields apart
 
 
 class ProjPoint(_Triple):
@@ -251,7 +251,7 @@ def frame_collineation(field, avoid, target):
     have to land on both the new Y-axis and the new line at infinity,
     which pins it to (0:1:0)) and only when some direction is spare.
     """
-    avoid = set(avoid)
+    avoid = dict.fromkeys(avoid)   # in input order: the first non-direction is refused
     for d in avoid:
         if not d.is_at_infinity():
             raise InputError(f"{d!r} is not a direction")

@@ -5,11 +5,14 @@ by handing the whole document to json.dumps."""
 import collections
 import enum
 import gc
+import importlib.util
 import json
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from renitent import cli
 from renitent.cli import canonical_json
 
 
@@ -100,3 +103,15 @@ def test_writer_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_writer_without_the_c_encoder(monkeypatch):
+    """On an interpreter built without _json, a fresh import of the CLI
+    escapes strings with json.encoder's function, to the same bytes."""
+    monkeypatch.setitem(sys.modules, "_json", None)   # `import _json` raises ImportError
+    spec = importlib.util.spec_from_file_location("renitent._cli_without_json", cli.__file__)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module._encode_str is json.encoder.encode_basestring_ascii
+    doc = {"s": 'quote " and \\ backslash \x00 \u00e9\u4e2d', "n": [1, 2.5, None, True]}
+    assert module.canonical_json(doc) == oracle(doc)

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -583,6 +584,20 @@ def test_console_script_round_trip(tmp_path):
     payload = json.loads(check.stdout)
     assert payload["theorem"] == "renitent-count-lower-bound"
     assert payload["pass"] is True
+
+
+def test_python_dash_m_exits_with_mains_status(monkeypatch, tmp_path, capsys):
+    """`python -m renitent.cli` runs main on sys.argv and exits with its
+    return value; runpy runs it here in-process, on a fresh copy of the
+    module, as the interpreter does."""
+    path = write_points(tmp_path, "0 0 1\n")
+    monkeypatch.setattr(sys, "argv", ["renitent", "analyze", "--field", "7", "--in", path,
+                                      "--lambda", "9"])
+    monkeypatch.delitem(sys.modules, "renitent.cli")
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("renitent.cli", run_name="__main__")
+    assert exit_info.value.code == EXIT_INPUT
+    assert "lam" in capsys.readouterr().err
 
 
 @pytest.mark.skipif(

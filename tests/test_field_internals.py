@@ -1,6 +1,6 @@
 """Only gf.py reads a field's tables.
 
-The exp/log/Zech tables and the row kernel's byte tables are how gf
+The padded log tables (lg, ex, zz) and the row kernel's byte tables are how gf
 computes, not part of what it offers: the other modules reach them only
 through the kernels (K.uadd, K.umul, ...) and the checked methods.  This
 keeps the representation free to change inside gf.py alone.
@@ -14,7 +14,7 @@ import pytest
 from renitent.gf import GF
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "renitent"
-INTERNALS = {"_exp", "_log", "_zech", "_mulrow", "_subtab"}
+INTERNALS = {"_lg", "_ex", "_zz", "_mulrow", "_subtab"}
 
 
 def _internal_reads(path):
@@ -35,5 +35,5 @@ def test_no_module_but_gf_reads_field_tables(path):
 
 def test_checker_flags_a_table_read(tmp_path):
     path = tmp_path / "mod.py"
-    path.write_text("def f(K, a):\n    return K._exp[K._log[a]]\n")
-    assert _internal_reads(path) == [("_exp", 2), ("_log", 2)]
+    path.write_text("def f(K, a):\n    return K._ex[K._lg[a]]\n")
+    assert _internal_reads(path) == [("_ex", 2), ("_lg", 2)]

@@ -264,10 +264,16 @@ def test_zech_is_the_log_of_one_plus_each_power(p, e):
     # built from the closed form of 1 + x; checked on the digit-vector sum
     K = field_create(p, e)
     n = K.q - 1
-    assert len(K._zech) == 2 * n
-    for d in range(2 * n):
-        assert K._zech[d] == K._log[K._add_raw(1, K._exp[d])], d
-    assert K._zech.index(None) == (0 if p == 2 else n // 2)   # g^half = -1
+    lz = 4 * n   # lg[0], read where 1 + g^d = 0
+    assert len(K._zz) == len(K._ex) == 9 * n
+    for d in range(1 - n, 2 * n):   # the d of two nonzero operands
+        assert K._zz[d] == K._lg[K._add_raw(1, K._ex[d % n])], d
+    assert K._zz.index(lz) == (0 if p == 2 else n // 2)   # g^half = -1
+    # the zero cases: 0 where t = 0, d itself where x = 0, and 0 at
+    # d = -(q - 1), which only horner's 0 * 0 reads
+    assert K._zz[2 * n:5 * n] == [0] * (3 * n)
+    assert K._zz[5 * n:7 * n] == list(range(-lz, -2 * n))
+    assert K._zz[7 * n:8 * n + 1] == [0] * (n + 1)
 
 
 # every extension field of the q ladders, moduli whose root is no
@@ -279,24 +285,24 @@ TABLE_SPECS = ["2^2", "2^3", "3^2", "3^3", "7^2", "2^6", "3^4", "11^2", "5^3", "
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)
 def test_log_tables_equal_the_digit_vector_powers(spec):
-    """exp, log and zech as the packed walk builds them, against the powers
+    """lg, ex and zz as the packed walk builds them, against the powers
     of g taken one _mul_raw at a time."""
     K = parse_field_spec(spec)
-    n, g = K.q - 1, K._exp[1]
-    exp, log, x = [0] * (2 * n), [None] * K.q, 1
+    n, g = K.q - 1, K._ex[1]
+    ex, lg, x = [0] * (9 * n), [4 * n] * K.q, 1
     for i in range(n):
-        exp[i] = exp[i + n] = x
-        log[x] = i
+        ex[i] = ex[i + n] = x
+        lg[x] = i
         x = K._mul_raw(x, g)
     assert x == 1 and g == K._primitive_element()
-    assert K._exp == exp and K._log == log
-    assert K._zech == [log[K._add_raw(1, y)] for y in exp]   # log[0] is None
+    assert K._ex == ex and K._lg == lg
+    assert K._zz[:2 * n] == [lg[K._add_raw(1, y)] for y in ex[:2 * n]]   # lg[0] is LZ
 
 
 def test_generator_is_smallest_primitive_element_not_modulus_root():
     K = field_create(3, 2)         # t^2 + 1, with t at index 3
     assert K._pow_raw(3, 4) == 1   # t has order 4, not 8
-    assert K._exp[1] == 4          # 1 + t, the smallest index of order 8
+    assert K._ex[1] == 4           # 1 + t, the smallest index of order 8
 
 
 def test_field_order_ceiling():

@@ -196,6 +196,8 @@ def test_kernels_take_tuples_and_leave_their_operands(pe):
     assert K.uconv(tuple(a), tuple(b)) == K.uconv(a, b)
     assert K.uhorner(tuple(a), 1) == K.uhorner(a, 1)
     assert K.uhorner(tuple(a), 0) == K.uhorner(a, 0) == list(reversed(a))
+    # at x = 0 a 1 after a 0 adds the term 0 * 0, whose exponent is 2 lg[0]
+    assert K.uhorner([1, 0, 1, 1, 0], 0) == [0, 1, 1, 0, 1]
     assert (a, b) == copies
 
 
@@ -211,14 +213,15 @@ def test_remainders_of_large_dividends(pe):
 
 
 def _wrong_zech(K):
-    """K's kernel set built on a Zech table with one entry off by one."""
-    zech = list(K._zech)
+    """K's kernel set built on a Zech table with one entry off by one: zech[d]
+    for one d in [(q - 1)/3, q - 1), at d and at its negative d - (q - 1)."""
+    zz = list(K._zz)
     n = K.q - 1
-    d = next(d for d in range(n // 3, n) if zech[d] is not None)
-    zech[d] = (zech[d] + 1) % n
+    d = next(d for d in range(n // 3, n) if zz[d] != 4 * n)
+    zz[d] = zz[d - n] = (zz[d] + 1) % n
     names = ("uadd", "usub", "uneg", "umul", "uinv", "udiv", "upow", "uintercepts",
              "ugcd", "uconv", "uhorner", "upowsums")
-    return SimpleNamespace(**dict(zip(names, _log_kernels(K.modulus, K._exp, K._log, zech))))
+    return SimpleNamespace(**dict(zip(names, _log_kernels(K.modulus, K._lg, K._ex, zz))))
 
 
 @pytest.mark.parametrize("pe", [(3, 4), (7, 2), (2, 6), (2, 9)], ids=_field_id)

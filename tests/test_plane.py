@@ -15,6 +15,7 @@ from renitent import (
     format_line,
     format_point,
     frame_collineation,
+    gen_planted,
     incident,
     line_at_infinity,
     line_meet,
@@ -23,9 +24,12 @@ from renitent import (
     parse_point,
     slope_direction,
     slope_of,
+    uniform_directions,
     vertical_direction,
 )
 from renitent.errors import HypothesisRejected, InputError, RenitentError
+from renitent.gf import GF
+from renitent.uniformity import check_reports
 
 K3 = field_create(3)
 K5 = field_create(5)
@@ -317,6 +321,34 @@ def test_frame_needs_a_spare_direction():
     with pytest.raises(HypothesisRejected,
                        match=r"^every direction must stay off \(0:1:0\)$"):
         frame_collineation(K3, all_directions(K3), ProjPoint.affine(K3, 0, 0))
+
+
+def test_frame_refuses_the_first_affine_point_it_is_given():
+    avoid = [slope_direction(K5, 1), ProjPoint.affine(K5, 3, 4), ProjPoint.affine(K5, 1, 2)]
+    with pytest.raises(InputError, match=r"^\(3:4:1\) is not a direction$"):
+        frame_collineation(K5, avoid, ProjPoint.affine(K5, 0, 0))
+
+
+def test_points_and_lines_hash_by_their_coordinates(monkeypatch):
+    """A point's or a line's hash reads its coordinates and not its field,
+    so check_reports' set of directions hashes no GF; equality still tells
+    two fields, and a point from a line, apart."""
+    K7 = field_create(7)
+    reports = uniform_directions(gen_planted(K7, [(0, 0), (1, 3)], [1, 2]).multiset, 3)
+    points, lines = all_points(K5), all_lines(K5)   # all_directions caches by field
+
+    def refuse(self):
+        raise AssertionError("a GF was hashed")
+
+    monkeypatch.setattr(GF, "__hash__", refuse)
+    check_reports(K7, reports)
+    with pytest.raises(InputError, match=r"^duplicate direction"):
+        check_reports(K7, reports + reports[:1])
+    points = set(points)
+    assert len(points) == 31 and ProjPoint.affine(K5, 1, 2) in points
+    assert ProjPoint.affine(K3, 1, 2) not in points   # the same coordinates
+    assert ProjLine(K5, 1, 2, 1) not in points
+    assert len(set(lines)) == 31
 
 
 def _det3(K, m):

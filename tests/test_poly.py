@@ -245,6 +245,11 @@ def test_eval_v_on_v_free_input():
     assert f.eval_v(3) == P(K5, 4, 0, 1)
 
 
+def test_bipoly_zero():
+    z = BiPoly.zero(K5)
+    assert z.is_zero() and z == BiPoly(K5, {}) and z.eval_v(3) == UniPoly.zero(K5)
+
+
 @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
                        st.integers(0, 4), max_size=8),
        st.integers(0, 4), st.integers(0, 4))
@@ -315,6 +320,16 @@ def test_proportional_to():
     assert g.proportional_to(g.scale(4))
     assert not g.proportional_to(TriHomPoly.linear(K5, 1, 2, 4))
     assert not g.proportional_to(g.scale(4) + TriHomPoly.linear(K5, 0, 1, 0))
+    zero = g + g.scale(4)
+    assert zero.is_zero() and zero.proportional_to(zero)
+    assert not g.proportional_to(zero) and not zero.proportional_to(g)   # one side zero
+    assert not g.proportional_to(TriHomPoly.linear(K5, 1, 2, 0))   # no W term
+
+
+def test_curves_hash_by_value():
+    g = TriHomPoly.linear(K5, 1, 2, 3)
+    assert hash(g.scale(1)) == hash(g)
+    assert len({g, g.scale(1), g.scale(2)}) == 2
 
 
 def test_adding_curves_of_different_degrees_rejected():
@@ -434,6 +449,7 @@ def test_det_upper_triangular():
     V = UniPoly.x(K5)
     M = PolyMatrix(K5, [[V, UniPoly.one(K5)], [UniPoly.zero(K5), V]])
     assert M.det() == P(K5, 0, 0, 1)
+    assert repr(M) == "PolyMatrix([x, 1]; [0, x])"
 
 
 @given(st.lists(st.lists(st.lists(st.integers(0, 4), max_size=3),
