@@ -22,6 +22,10 @@ random.Random(q), classified at that lambda:
   lambda = 2 on one gen_random set of seed 7 and density 1/q, a support
   of about q points, where most classes are refused from their count of
   nonempty lines (in no digest, for the same reason);
+* ``uniform_directions_conic``: at p = 2 and e >= 2 only, all q + 1
+  directions of gen_norm_conic's q + 1 points classified at lambda = 1,
+  where every class is uniform and read on the sparse residue branch (in
+  no digest, for the same reason);
 * ``build_slope_detector``: the slope detector of the uniform slope
   directions;
 * ``gcd_profile_slope``: gcd_profile of that detector;
@@ -205,6 +209,10 @@ def measure_theorems(renitent, q):
            "envelope_weighted": (fresh, lambda T: renitent.envelope_weighted(T, sharp, offset)),
            "envelope_general": (fresh, lambda T: renitent.envelope_general(T, reports, lam)),
            "gen_random": (lambda: K, lambda K: renitent.gen_random(K, SEED, DENSITY))}
+    if K.p == 2 and K.e >= 2:
+        conic = list(renitent.gen_norm_conic(K).multiset._mults.items())
+        ops["uniform_directions_conic"] = (lambda: renitent.PointMultiset(K, conic),
+                                           lambda T: renitent.uniform_directions(T, 1))
     rows = {op: summary([scaled_sample(prepare, run) for _ in range(REPEATS)])
             for op, (prepare, run) in ops.items()}
     det = slope_detector()

@@ -106,16 +106,32 @@ MUTANTS = [
     ("keep flags keep a draw equal to the threshold", GENERATORS,
      "below = (threshold + _MASK) * ones", "below = (threshold + _MASK + 1) * ones",
      ["tests/test_generators.py"]),
-    # the refusal from a class's nonempty-line count (uniformity._report)
+    # the refusal from a class's nonempty-line count (uniformity._thin), the
+    # distinct-intercept count after a thin class, the sparse branch of
+    # uniformity._report and the field check of intercept_profile
     ("refusal with >= for >", UNIFORMITY,
      "p * n - size > lam * (p - 1)", "p * n - size >= lam * (p - 1)",
      ["tests/test_uniformity.py"]),
     ("refusal with <= for <", UNIFORMITY,
-     "if n < K.q - lam and", "if n <= K.q - lam and",
+     "return n < K.q - lam and", "return n <= K.q - lam and",
      ["tests/test_uniformity.py"]),
     ("refusal reads the support size for |T|", UNIFORMITY,
      "K, size = T.field, T.size", "K, size = T.field, T.support_size",
      ["tests/test_uniformity.py"]),
+    ("sparse branch refuses lam nonzero residues", UNIFORMITY,
+     "n - res.count(0) > lam", "n - res.count(0) >= lam",
+     ["tests/test_uniformity.py"]),
+    ("thin path reads the point count for n", UNIFORMITY,
+     "len(set(line_keys))", "len(line_keys)",
+     ["tests/test_uniformity.py"]),
+    ("renitent lines taken from every nonempty line", UNIFORMITY,
+     "compress(profile, res)", "compress(profile, profile.values())",
+     ["tests/test_uniformity.py"]),
+    ("intercept_profile without its field check", UNIFORMITY,
+     "    if direction.field != T.field:\n"
+     "        raise InputError(\"multiset and direction use different contexts\")\n",
+     "",
+     ["tests/test_refusals.py"]),
     # the gcd detectors
     ("deg g's cancellation rule: every weight sum is 0", COUNTING,
      "if len(sums) > 1:", "if sums != {0}:",

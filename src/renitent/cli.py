@@ -22,7 +22,7 @@ import sys
 
 from .errors import HypothesisRejected, InputError, RenitentError
 from .gf import parse_field_spec
-from .plane import format_line, format_point, parse_point, slope_of
+from .plane import _decimal, format_line, format_point, parse_point, slope_of
 from .uniformity import _classify_all, dump_points, parse_points, uniform_directions
 
 EXIT_OK = 0
@@ -202,10 +202,10 @@ def _parse_point_list(field, text):
 
 
 def _parse_int_list(text):
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise InputError(f"bad integer list {text!r}") from exc
+    values = [_decimal(x) for x in text.split(",") if x.strip()]
+    if None in values:
+        raise InputError(f"bad integer list {text!r}")
+    return values
 
 
 # -- gen ------------------------------------------------------------------
@@ -341,10 +341,9 @@ def cmd_envelope(args):
                 raise HypothesisRejected("no count offset gives a constant class")
             c = best
         else:
-            try:
-                c = int(args.c)
-            except ValueError as exc:
-                raise InputError(f"--c must be an integer or 'scan', got {args.c!r}") from exc
+            c = _decimal(args.c)
+            if c is None:
+                raise InputError(f"--c must be an integer or 'scan', got {args.c!r}")
         extra["c"] = c
         curve, mults = envelope.envelope_weighted(T, used, c)
         extra["weights"] = [{"line": format_line(line), "weight": w}

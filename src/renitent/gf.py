@@ -800,12 +800,12 @@ def field_create(p, e=1, modulus=None):
     return _cached_field(p, e, modulus)
 
 
-_SPEC_RE = re.compile(r"^(\d+)(?:\^(\d+))?(?::m=([\d,]+))?$")
+_SPEC_RE = re.compile(r"^(\d+)(?:\^(\d+))?(?::m=([\d,]+))?$", re.ASCII)
 
 
 def parse_field_spec(spec):
     """Parse "p", "p^e" or "p^e:m=c0,c1,...,ce" into a field context."""
-    m = _SPEC_RE.match(spec.strip())
+    m = _SPEC_RE.match(spec.strip(" \t\n\r\f\v"))   # strip() also drops non-ASCII spaces
     if not m:
         raise InputError(f"bad field spec {spec!r} (want p, p^e or p^e:m=c0,c1,...)")
     p = int(m.group(1))

@@ -279,25 +279,35 @@ def format_point(point):
     return f"{a},{b}"
 
 
+def _decimal(text):
+    """int(text), or None when text is not a decimal integer in ASCII:
+    int() also reads '1_0' and non-ASCII digits, which no input format of
+    the package allows."""
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return None
+
+
 def parse_point(field, text):
     text = text.strip()
     if text == "inf:vert":
         return vertical_direction(field)
     if text.startswith("inf:"):
-        try:
-            d = int(text[4:])
-        except ValueError:
-            raise InputError(f"bad direction {text!r}") from None
+        d = _decimal(text[4:])
+        if d is None:
+            raise InputError(f"bad direction {text!r}")
         if not 0 <= d < field.q:
             raise InputError(f"slope {d} out of range for {field!r}")
         return slope_direction(field, d)
     parts = text.split(",")
     if len(parts) != 2:
         raise InputError(f"bad point {text!r} (want 'a,b' or 'inf:d')")
-    try:
-        a, b = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise InputError(f"bad point {text!r}") from None
+    a, b = _decimal(parts[0]), _decimal(parts[1])
+    if a is None or b is None:
+        raise InputError(f"bad point {text!r}")
     if not (0 <= a < field.q and 0 <= b < field.q):
         raise InputError(f"point {text!r} out of range for {field!r}")
     return ProjPoint.affine(field, a, b)

@@ -16,17 +16,28 @@ was classified at, m_d and the renitent lines with their counts t mod p,
 read from the intercept profile; it keeps no count for the typical
 lines, so classification costs O(support size) per direction.
 
-A class with n nonempty lines is refused before its residues are
-counted when n < q - lam and p n - |T| > lam (p - 1): m_d != 0 would make
-the q - n empty lines renitent, and with m_d = 0 the lines of count
-1..p-1, at least (p n - |T|)/(p - 1) of them, are renitent.  On sparse
-sets it refuses most classes: at density 1/q and lam = 2 all q + 1
-directions take 0.50-0.73x the time of the residue pass alone, at every
-q from 31 to 512 (BENCH_27.json).
+A class with n nonempty lines is thin, and refused before its residues
+are counted, when n < q - lam and p n - |T| > lam (p - 1): m_d != 0
+would make the q - n empty lines renitent, and with m_d = 0 the lines of
+count 1..p-1, at least (p n - |T|)/(p - 1) of them, are renitent.  Since
+every multiplicity is at least 1, n is also the number of distinct
+intercepts of the support points, so after a thin class the next one is
+first refused from a set of its intercepts, about a third of the cost
+of a count, and counted only if it survives; after a kept class the next
+one is counted at once.  Sparse random sets refuse nearly every class
+this way, and conics and planted sets none.
+
+A class that survives with n < q - lam has more than lam empty lines,
+each of residue 0, so only m_d = 0 can be typical: it is uniform exactly
+when at most lam of its n residues are nonzero, and its renitent lines
+are the nonempty lines of nonzero residue, read with one compress pass
+and no residue histogram.  Only a class with n >= q - lam builds one.
+On sparse sets all q + 1 directions take about half the time they took
+with a count and a histogram per class (BENCH_33.json).
 """
 
 from collections import _count_elements
-from itertools import repeat
+from itertools import compress, repeat
 from operator import mod
 
 from .errors import InputError
@@ -108,7 +119,10 @@ def parse_points(field, text):
         try:
             nums = [int(x) for x in parts]
         except ValueError:
-            raise InputError(f"line {lineno}: non-integer field in {raw!r}") from None
+            nums = None
+        # int() also reads '1_0' and non-ASCII digits, which are refused too
+        if nums is None or not line.isascii() or "_" in line:
+            raise InputError(f"line {lineno}: non-integer field in {raw!r}")
         a, b = nums[0], nums[1]
         m = nums[2] if len(nums) == 3 else 1
         if not (0 <= a < field.q and 0 <= b < field.q):
@@ -208,11 +222,9 @@ def _intercept_form(T):
     return T._intercepts
 
 
-def _line_counts(T, s):
-    """Nonzero line counts of the class of slope s (None for the vertical
-    class), keyed by intercept."""
-    xs, keys, weights = _intercept_form(T)
-    line_keys = xs if s is None else keys(s)
+def _tally(line_keys, weights):
+    """Nonzero line counts keyed by intercept, from the intercepts of the
+    support points and their weights (None when every weight is 1)."""
     profile = {}
     if weights is None:
         _count_elements(profile, line_keys)
@@ -224,57 +236,94 @@ def _line_counts(T, s):
 
 def intercept_profile(T, direction):
     """Nonzero line counts of a parallel class, keyed by intercept."""
-    return _line_counts(T, slope_of(direction))
+    if direction.field != T.field:
+        raise InputError("multiset and direction use different contexts")
+    s = slope_of(direction)   # refuses a non-direction
+    xs, keys, weights = _intercept_form(T)
+    return _tally(xs if s is None else keys(s), weights)
 
 
-def _report(K, direction, s, profile, lam, size):
+def _thin(K, n, size, lam):
+    """True when a class with n nonempty lines cannot be (q-lam)-uniform
+    by the nonempty-line count alone; size is |T|.
+
+    If m_d != 0 the q - n empty lines are all renitent, so n >= q - lam.
+    If m_d = 0 the a lines with count 1..p-1 are renitent and the other
+    n - a nonempty lines carry p or more each: a + p(n - a) <= |T|, so
+    a >= (p n - |T|)/(p - 1), and uniformity needs a <= lam.
+    """
+    p = K.p
+    return n < K.q - lam and p * n - size > lam * (p - 1)
+
+
+def _report(K, direction, s, profile, lam):
     """DirectionReport of the direction of slope s from its profile, or None
-    when it is not (q-lam)-uniform; size is |T|, the multiset's size."""
-    p, n = K.p, len(profile)
-    # Refuse from n, the number of nonempty lines, before the residue pass.
-    # If m_d != 0 the q - n empty lines are all renitent, so n >= q - lam.
-    # If m_d = 0 the a lines with count 1..p-1 are renitent and the other
-    # n - a nonempty lines carry p or more each: a + p(n - a) <= |T|, so
-    # a >= (p n - |T|)/(p - 1), and uniformity needs a <= lam.
-    if n < K.q - lam and p * n - size > lam * (p - 1):
-        return None
-    # Residue frequencies over all q lines: the q - |profile| lines the
-    # profile leaves out are empty, so they add to residue 0.
-    freq = {}
-    _count_elements(freq, map(mod, profile.values(), repeat(p)))
-    freq[0] = freq.get(0, 0) + K.q - n
-    typical = [r for r, lines in freq.items() if lines >= K.q - lam]
-    if not typical:
-        return None
-    m_d = typical[0]  # unique: two residues on q-lam lines each would exceed q
-    # With m_d = 0 every renitent line is in the profile (an empty line has
-    # residue 0).  Otherwise every empty line is renitent, so the profile
-    # holds all q - lam or more typical lines, and a scan of all q
-    # intercepts is at most lam steps longer than the profile.
-    candidates = sorted(profile) if m_d == 0 else K.elements()
-    count = profile.get
-    renitent = tuple(
-        RenitentLine(_class_line(K, s, t), t, count(t, 0) % p)
-        for t in candidates if count(t, 0) % p != m_d)
-    return DirectionReport(direction=direction, bound=lam, m_d=m_d, renitent=renitent)
+    when it is not (q-lam)-uniform."""
+    p, q, n = K.p, K.q, len(profile)
+    res = map(mod, profile.values(), repeat(p))
+    if n < q - lam:
+        # More than lam lines are empty, and each has residue 0, so only
+        # m_d = 0 can be typical: uniform when at most lam of the nonempty
+        # lines have a nonzero residue.
+        res = list(res)
+        if n - res.count(0) > lam:
+            return None
+        m_d = 0
+    else:
+        # Residue frequencies over all q lines: the q - n lines the profile
+        # leaves out are empty, so they add to residue 0.
+        freq = {}
+        _count_elements(freq, res)
+        freq[0] = freq.get(0, 0) + q - n
+        typical = [r for r, lines in freq.items() if lines >= q - lam]
+        if not typical:
+            return None
+        m_d = typical[0]  # unique: two residues on q-lam lines each would exceed q
+        res = map(mod, profile.values(), repeat(p))   # the histogram used up the first pass
+    if m_d == 0:
+        # every renitent line is in the profile (an empty line has residue 0)
+        renitent = [(t, profile[t] % p) for t in sorted(compress(profile, res))]
+    else:
+        # every empty line is renitent, so the profile holds all q - lam or
+        # more typical lines, and a scan of all q intercepts is at most lam
+        # steps longer than the profile
+        count = profile.get
+        renitent = [(t, r) for t in K.elements() if (r := count(t, 0) % p) != m_d]
+    return DirectionReport(
+        direction=direction, bound=lam, m_d=m_d,
+        renitent=tuple(RenitentLine(_class_line(K, s, t), t, r) for t, r in renitent))
 
 
 def classify_direction(T, direction, lam):
     """DirectionReport when the direction is (q-lam)-uniform, else None."""
-    check_lam(T.field, lam)
+    K = T.field
+    check_lam(K, lam)
     profile = intercept_profile(T, direction)   # refuses a non-direction
-    return _report(T.field, direction, slope_of(direction), profile, lam, T.size)
+    if _thin(K, len(profile), T.size, lam):
+        return None
+    return _report(K, direction, slope_of(direction), profile, lam)
 
 
 def _classify_all(T, lam):
     """[(direction, report or None)] for all q + 1 directions, in
     direction-index order: classify_direction on each, with lam checked
-    once and the slopes walked as field elements beside all_directions
-    (slopes 0..q-1, then vertical)."""
+    once, the intercept form read once and the slopes walked as field
+    elements beside all_directions (slopes 0..q-1, then vertical).  After
+    a thin class the next one is first tested from its distinct intercepts
+    and counted only if it survives."""
     K, size = T.field, T.size
     check_lam(K, lam)
-    return [(d, _report(K, d, s, _line_counts(T, s), lam, size))
-            for d, s in zip(all_directions(K), (*K.elements(), None))]
+    xs, keys, weights = _intercept_form(T)
+    out, thin = [], False
+    for d, s in zip(all_directions(K), (*K.elements(), None)):
+        line_keys = xs if s is None else keys(s)
+        if thin and _thin(K, len(set(line_keys)), size, lam):
+            out.append((d, None))
+            continue
+        profile = _tally(line_keys, weights)
+        thin = _thin(K, len(profile), size, lam)
+        out.append((d, None if thin else _report(K, d, s, profile, lam)))
+    return out
 
 
 def uniform_directions(T, lam):

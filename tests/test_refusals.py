@@ -12,15 +12,18 @@ import operator
 import pytest
 
 from renitent import (
+    classify_direction,
     deficiency_bound_check,
     envelope_regular,
     field_create,
     hankel_det_closed_form,
     hankel_matrix,
+    intercept_profile,
     line_count,
     newton_sigma,
     parse_points,
     power_sum_polys,
+    slope_direction,
     slope_of,
     uniform_directions,
     verify_envelope,
@@ -55,6 +58,10 @@ P, P5 = ProjPoint.affine(K, 2, 3), ProjPoint.affine(L, 2, 3)
 ROW, ROW5 = ProjLine(K, 1, 2, 3), ProjLine(L, 1, 2, 3)
 IDENTITY = Collineation(K, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 T = parse_points(K, "2 3 1\n")
+# slope 9 of GF(11) read against GF(7)'s intercept rows loses a point, and
+# slope 10 would give a GF(11) report holding a GF(7) line
+T2 = parse_points(K, "1 2 1\n3 4 2\n")
+K11 = field_create(11)
 
 
 def _curve_and_foreign_reports():
@@ -123,6 +130,10 @@ REFUSALS = {
     # uniformity
     "line_count.mixed": (lambda: line_count(T, ROW5),
                          "multiset and line use different contexts"),
+    "intercept_profile.mixed": (lambda: intercept_profile(T2, slope_direction(K11, 9)),
+                                "multiset and direction use different contexts"),
+    "classify_direction.mixed": (lambda: classify_direction(T2, slope_direction(K11, 10), 1),
+                                 "multiset and direction use different contexts"),
 }
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from renitent import (
     PointMultiset,
@@ -28,7 +28,13 @@ from renitent import (
 from renitent.errors import InputError
 from renitent.generators import gen_random
 from renitent.plane import slope_of
-from renitent.uniformity import DirectionReport, RenitentLine, _class_line, _classify_all
+from renitent.uniformity import (
+    DirectionReport,
+    RenitentLine,
+    _class_line,
+    _classify_all,
+    _thin,
+)
 
 from conftest import SMALL_FIELDS
 
@@ -340,8 +346,9 @@ def test_classification_memory_stays_at_support_size_on_a_large_field():
 
 # -- the nonempty-line refusal against brute force ----------------------------------
 
-# _report refuses a class with n nonempty lines when n < q - lam and
-# p n - |T| > lam (p - 1), before it counts residues.  The oracle below
+# _thin refuses a class with n nonempty lines when n < q - lam and
+# p n - |T| > lam (p - 1), before its residues are counted, and after a
+# thin class _classify_all reads n from a set of intercepts.  The oracle below
 # counts every line of every class with line_count, so it shares nothing
 # with the profile or the refusal.
 REFUSAL_FIELDS = [(3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
@@ -383,8 +390,30 @@ def refusal_multisets(draw):
     return PointMultiset(K, {pt: draw(mult) for pt in sorted(support)})
 
 
+# Multisets over GF(7) that the property test below always runs, each on a
+# path of the classification that random draws reach only by chance;
+# test_path_witnesses_reach_their_paths checks that they do.
+K7 = field_create(7)
+PATH_WITNESSES = {
+    # slope 0 meets it in two lines of count 1: n = 2 < q - lam with exactly
+    # lam = 2 nonzero residues, uniform on the sparse branch's boundary
+    "sparse-boundary": {(0, 0): 1, (0, 1): 1},
+    # three points on y = x: at lam = 1 and 2 every class but slope 1 is
+    # thin, so slope 1 is read from its one distinct intercept after a thin
+    # class and kept, and slope 2 after it is thin again
+    "thin-kept-thin": {(0, 0): 1, (1, 1): 1, (2, 2): 1},
+    # multiplicities p and p + 1 beside unit points on y = x: slope 0 is
+    # counted first and is thin at lam = 1 and dense with a line of count
+    # p at lam = 3; slope 1 is read from one distinct intercept
+    "heavy": {(0, 0): 7, (1, 1): 1, (2, 2): 1, (3, 3): 8},
+}
+
+
 @settings(max_examples=60, deadline=None)
 @given(refusal_multisets())
+@example(PointMultiset(K7, PATH_WITNESSES["sparse-boundary"]))
+@example(PointMultiset(K7, PATH_WITNESSES["thin-kept-thin"]))
+@example(PointMultiset(K7, PATH_WITNESSES["heavy"]))
 def test_refusal_agrees_with_brute_force(T):
     K = T.field
     lam_values = range(1, (K.q - 1) // 2 + 1)
@@ -413,6 +442,31 @@ def test_refusal_keeps_uniform_witnesses_on_its_boundary(pe, entries):
     assert want is not None and want.lambda_d == 1
     assert classify_direction(T, d, 1) == want
     assert dict(_classify_all(T, 1))[d] == want
+
+
+def test_path_witnesses_reach_their_paths():
+    def n(T, s):   # nonempty lines of the class of slope s
+        return len(intercept_profile(T, slope_direction(K7, s)))
+
+    T = PointMultiset(K7, PATH_WITNESSES["sparse-boundary"])
+    assert n(T, 0) == 2 < K7.q - 2 and not _thin(K7, 2, T.size, 2)
+    assert classify_direction(T, slope_direction(K7, 0), 2).sharp
+
+    T = PointMultiset(K7, PATH_WITNESSES["thin-kept-thin"])
+    for lam in (1, 2):
+        assert [_thin(K7, n(T, s), T.size, lam) for s in range(3)] == [True, False, True]
+        # the point count, 3, would refuse slope 1, whose three points share a line
+        assert n(T, 1) == 1 and _thin(K7, T.support_size, T.size, lam)
+        assert classify_direction(T, slope_direction(K7, 1), lam).lambda_d == 1
+
+    T = PointMultiset(K7, PATH_WITNESSES["heavy"])
+    assert _thin(K7, n(T, 0), T.size, 1) and not _thin(K7, n(T, 1), T.size, 1)
+    assert not _thin(K7, n(T, 0), T.size, 3) and n(T, 0) == K7.q - 3
+    r = classify_direction(T, slope_direction(K7, 0), 3)
+    # the line y = 0 holds 7 points, residue 0, so it is typical
+    assert r.m_d == 0 and [(e.alpha, e.t) for e in r.renitent] == [(1, 1), (2, 1), (3, 1)]
+    r = classify_direction(T, slope_direction(K7, 1), 1)
+    assert [(e.alpha, e.t) for e in r.renitent] == [(0, 17 % 7)]
 
 
 # -- renitent lines in closed form -------------------------------------------------

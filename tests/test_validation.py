@@ -19,9 +19,10 @@ from renitent.envelope import (
     power_sum_polys,
     weighted_power_recursion_check,
 )
+from renitent.cli import EXIT_INPUT, main
 from renitent.errors import InputError
 from renitent.generators import SplitMix64, gen_planted, gen_random
-from renitent.gf import GF
+from renitent.gf import GF, parse_field_spec
 from renitent.plane import Collineation, ProjLine, ProjPoint, parse_point, slope_direction
 from renitent.poly import BiPoly, TriHomPoly, UniPoly
 from renitent.uniformity import PointMultiset, classify_direction, dump_points, parse_points
@@ -302,3 +303,56 @@ def test_point_and_density_shapes_that_are_kept():
     assert PointMultiset(K, {(1, 2): 3}).items() == [((1, 2), 3)]
     assert gen_planted(K, [[1, 2]], [1]).points == ((1, 2),)
     assert gen_random(K, 1, 1).size == 49
+
+
+# int() also reads '0_3' as 3 and non-ASCII digits such as '３' (U+FF13);
+# every site that reads an integer from text refuses both, with its own
+# message.  Each row reads an in-range value, so without the refusal it
+# would be kept.
+NON_DECIMAL = {
+    "parse_points.underscore": (lambda: parse_points(K, "0_3 2\n"),
+                                r"^line 1: non-integer field in '0_3 2'$"),
+    "parse_points.fullwidth": (lambda: parse_points(K, "３ 1 # three\n"),
+                               r"^line 1: non-integer field in '３ 1 # three'$"),
+    "parse_point.point": (lambda: parse_point(K, "0_3,2"), r"^bad point '0_3,2'$"),
+    "parse_point.direction": (lambda: parse_point(K, "inf:0_3"), r"^bad direction 'inf:0_3'$"),
+    "parse_field_spec": (lambda: parse_field_spec("１３"),
+                         r"^bad field spec '１３' \(want p, p\^e or"),
+    "parse_field_spec.modulus": (lambda: parse_field_spec("3^2:m=2,2,１"),
+                                 r"^bad field spec"),
+    # the ideographic space U+3000 around "7": str.strip() would drop it,
+    # and the report would echo it as the field
+    "parse_field_spec.space": (lambda: parse_field_spec("\u30007"), r"^bad field spec"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_DECIMAL))
+def test_an_integer_that_is_not_ascii_decimal_is_refused(name):
+    call, message = NON_DECIMAL[name]
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--field", "7", "--kind", "planted", "--points", "0,0;1,3",
+      "--weights", "1,0_2"], "bad integer list '1,0_2'"),
+    (["envelope", "--field", "7", "--lambda", "1", "--theorem", "weighted",
+      "--c", "0_1"], "--c must be an integer or 'scan', got '0_1'"),
+    (["analyze", "--field", "７", "--lambda", "1"], "bad field spec '７'"),
+], ids=["gen.weights", "envelope.c", "analyze.field"])
+def test_the_cli_refuses_an_integer_that_is_not_ascii_decimal(tmp_path, capsys, argv, message):
+    path = tmp_path / "pts.txt"
+    path.write_text("0 0 1\n1 3 2\n", encoding="utf-8")
+    if argv[0] != "gen":
+        argv = [*argv, "--in", str(path)]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_signed_integers_still_reach_the_range_checks():
+    with pytest.raises(InputError, match=r"^line 1: multiplicity must be positive$"):
+        parse_points(K, "+1 2 -1\n")
+    with pytest.raises(InputError, match=r"^line 1: coordinates out of range for GF\(7\)$"):
+        parse_points(K, "-1 2\n")
+    assert parse_points(K, "+1 2 +3\n").items() == [((1, 2), 3)]
+    assert parse_point(K, "+1, 2") == ProjPoint.affine(K, 1, 2)
