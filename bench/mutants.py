@@ -33,6 +33,7 @@ COUNTING = "src/renitent/counting.py"
 ENVELOPE = "src/renitent/envelope.py"
 GENERATORS = "src/renitent/generators.py"
 UNIFORMITY = "src/renitent/uniformity.py"
+CLI = "src/renitent/cli.py"
 
 # (name, file, old snippet, replacement, test files that must fail)
 MUTANTS = [
@@ -132,6 +133,14 @@ MUTANTS = [
      "        raise InputError(\"multiset and direction use different contexts\")\n",
      "",
      ["tests/test_refusals.py"]),
+    # analyze's rows, written from a template into the canonical JSON writer
+    ("analyze row sharp whenever a line is renitent", CLI,
+     'sharp = "true" if report.sharp else "false"',
+     'sharp = "true" if report.lambda_d else "false"',
+     ["tests/test_cli.py"]),
+    ("written text put in place unindented", CLI,
+     'out.append(obj.text.replace("\\n", nl))', "out.append(obj.text)",
+     ["tests/test_canonical_json.py", "tests/test_cli.py"]),
     # the gcd detectors
     ("deg g's cancellation rule: every weight sum is 0", COUNTING,
      "if len(sums) > 1:", "if sums != {0}:",

@@ -150,8 +150,22 @@ def _write_json(obj, out, nl):
         out.append("false")
     elif t is float and math.isfinite(obj):
         out.append(float.__repr__(obj))
+    elif t is _Written:
+        out.append(obj.text.replace("\n", nl))
     else:
         raise _NotPlain
+
+
+class _Written:
+    """The canonical JSON of a value, written at the top level: inside a
+    document the writer puts it in place as given, indented to its level.
+    json.dumps cannot write one, so a document holding one raises
+    TypeError rather than fall back to json.dumps and write it as a string."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
 
 
 def canonical_json(doc):
@@ -160,7 +174,8 @@ def canonical_json(doc):
     With an indent, json.dumps runs CPython's pure-Python encoder; this
     writes the plain types (str, int, bool, None, finite float, list,
     tuple, dict with str keys) in one pass and hands any other document
-    to json.dumps whole.
+    to json.dumps whole.  A _Written value stands for the value whose
+    canonical JSON it holds.
     """
     out = []
     try:
@@ -247,16 +262,32 @@ def cmd_gen(args):
 # -- analyze ----------------------------------------------------------------
 
 
+def _analyze_row(direction, report):
+    """analyze's row for one direction, as _Written: the canonical JSON of
+    {"direction": ..., "uniform": False} when report is None, else of
+    report.to_json(), from one f-string per row and per renitent line
+    rather than a dict per row and per line for canonical_json to walk."""
+    if report is None:
+        name = _encode_str(format_point(direction))
+        return _Written(f'{{\n  "direction": {name},\n  "uniform": false\n}}')
+    lines = ",".join([f'\n    {{\n      "alpha": {r.alpha},'
+                      f'\n      "line": {_encode_str(format_line(r.line))},'
+                      f'\n      "t": {r.t}\n    }}' for r in report.renitent])
+    renitent = f"[{lines}\n  ]" if lines else "[]"
+    sharp = "true" if report.sharp else "false"
+    return _Written(f'{{\n  "direction": {_encode_str(format_point(report.direction))},'
+                    f'\n  "lambda_d": {report.lambda_d},\n  "m_d": {report.m_d},'
+                    f'\n  "renitent": {renitent},\n  "sharp": {sharp},\n  "uniform": true\n}}')
+
+
 def cmd_analyze(args):
     _, T = _load_multiset(args)
     rows = []
     uniform = 0
     renitent_total = 0
     for d, report in _classify_all(T, args.lam):
-        if report is None:
-            rows.append({"direction": format_point(d), "uniform": False})
-        else:
-            rows.append(report.to_json())
+        rows.append(_analyze_row(d, report))
+        if report is not None:
             uniform += 1
             renitent_total += report.lambda_d
     _emit(args, {

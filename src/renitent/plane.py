@@ -272,11 +272,10 @@ def frame_collineation(field, avoid, target):
 
 def format_point(point):
     """"a,b" for affine points, "inf:d" / "inf:vert" for directions."""
-    if point.is_at_infinity():
-        s = slope_of(point)
-        return "inf:vert" if s is None else f"inf:{s}"
-    a, b = point.affine_coords()
-    return f"{a},{b}"
+    x, y, z = point.coords   # canonical: z = 1 when affine; a direction's slope is y/x
+    if z:
+        return f"{x},{y}"
+    return f"inf:{point.field.udiv(y, x)}" if x else "inf:vert"
 
 
 def _decimal(text):

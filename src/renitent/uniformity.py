@@ -282,16 +282,16 @@ def _report(K, direction, s, profile, lam):
         res = map(mod, profile.values(), repeat(p))   # the histogram used up the first pass
     if m_d == 0:
         # every renitent line is in the profile (an empty line has residue 0)
-        renitent = [(t, profile[t] % p) for t in sorted(compress(profile, res))]
+        renitent = [RenitentLine(_class_line(K, s, t), t, profile[t] % p)
+                    for t in sorted(compress(profile, res))]
     else:
         # every empty line is renitent, so the profile holds all q - lam or
         # more typical lines, and a scan of all q intercepts is at most lam
         # steps longer than the profile
         count = profile.get
-        renitent = [(t, r) for t in K.elements() if (r := count(t, 0) % p) != m_d]
-    return DirectionReport(
-        direction=direction, bound=lam, m_d=m_d,
-        renitent=tuple(RenitentLine(_class_line(K, s, t), t, r) for t, r in renitent))
+        renitent = [RenitentLine(_class_line(K, s, t), t, r)
+                    for t in K.elements() if (r := count(t, 0) % p) != m_d]
+    return DirectionReport(direction, lam, m_d, tuple(renitent))
 
 
 def classify_direction(T, direction, lam):

@@ -89,6 +89,19 @@ def test_writer_raises_what_json_dumps_raises(doc):
     assert str(got.value) == str(expected.value)
 
 
+def test_written_text_is_indented_to_its_place():
+    inner = {"b": [1, {"c": None}], "a": "x"}
+    doc = {"k": [cli._Written(canonical_json(inner)), 2], "j": cli._Written("[]")}
+    assert canonical_json(doc) == oracle({"k": [inner, 2], "j": []})
+
+
+def test_written_text_is_never_handed_to_json_dumps():
+    """A document that falls back to json.dumps (here for its NaN) raises
+    on written text rather than write it as a string."""
+    with pytest.raises(TypeError, match="_Written"):
+        canonical_json({"a": cli._Written("1"), "b": float("nan")})
+
+
 def test_writer_leaves_no_cyclic_garbage():
     """One call frees everything it built by reference counting alone, so
     its chunk list does not wait for the cyclic collector."""

@@ -14,10 +14,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import renitent
-from renitent import parse_field_spec
-from renitent.cli import EXIT_HYPOTHESIS, EXIT_INPUT, EXIT_OK, build_parser, main
+from renitent import PointMultiset, cli, parse_field_spec
+from renitent.cli import (EXIT_HYPOTHESIS, EXIT_INPUT, EXIT_OK, build_parser, canonical_json,
+                          main)
+from renitent.plane import format_point, slope_of
+from renitent.uniformity import _classify_all
 from renitent.counting import DETECTOR_MAX_WORK, detector_work
 
 GF13_LINE_PLUS_HEAVY = "".join(
@@ -125,6 +129,60 @@ def test_analyze_single_point(tmp_path, capsys):
     rc2, out2 = run(capsys, ["analyze", "--field", "5", "--in", path,
                              "--lambda", "1"])
     assert out2 == out
+
+
+def _analyze_row_dict(d, report):
+    """The row cmd_analyze's output holds for direction d, as a dict."""
+    return ({"direction": format_point(d), "uniform": False} if report is None
+            else report.to_json())
+
+
+def _row_kinds(d, report):
+    if report is None:
+        return {"refused"}
+    return {"uniform", "vertical" if slope_of(d) is None else "slope",
+            "m_d != 0" if report.m_d else "m_d = 0",
+            "renitent" if report.renitent else "no renitent line",
+            "sharp" if report.sharp else "not sharp"}
+
+
+# (field, multiset, lambda): together they write every kind of row
+ANALYZE_ROW_CORPUS = [
+    ("5", {(2, 3): 1}, 1),                                # one sharp renitent line each
+    ("5", {(x, y): 1 for x in range(5) for y in range(5)}, 2),   # no renitent line
+    ("5", {**{(x, 0): 1 for x in range(5)}, (0, 1): 1}, 1),      # m_d = 1, vertical
+    ("5", {(0, 0): 1, (1, 1): 1}, 1),                     # refused classes
+    ("3^2", {(1, 2): 1, (4, 5): 2}, 2),
+    ("2^3", {(1, 1): 1, (2, 5): 1, (6, 3): 1}, 3),
+]
+
+
+def test_analyze_rows_are_the_canonical_json_of_their_dicts():
+    """cli._analyze_row writes each row from a template; it must read as
+    canonical_json of the row's dict, alone and inside a document."""
+    seen = set()
+    for spec, mults, lam in ANALYZE_ROW_CORPUS:
+        T = PointMultiset(parse_field_spec(spec), mults)
+        for d, report in _classify_all(T, lam):
+            row, written = _analyze_row_dict(d, report), cli._analyze_row(d, report)
+            assert written.text == canonical_json(row)
+            assert (canonical_json({"directions": [written, written]})
+                    == canonical_json({"directions": [row, row]}))
+            seen |= _row_kinds(d, report)
+    assert seen == {"refused", "uniform", "vertical", "slope", "m_d != 0", "m_d = 0",
+                    "renitent", "no renitent line", "sharp", "not sharp"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["5", "7", "2^2", "2^3", "3^2"]), st.data())
+def test_analyze_rows_match_on_random_multisets(spec, data):
+    K = parse_field_spec(spec)
+    point = st.tuples(st.integers(0, K.q - 1), st.integers(0, K.q - 1))
+    mults = data.draw(st.dictionaries(point, st.integers(1, 2 * K.p), min_size=1,
+                                      max_size=2 * K.q))
+    lam = data.draw(st.integers(1, (K.q - 1) // 2))
+    for d, report in _classify_all(PointMultiset(K, mults), lam):
+        assert cli._analyze_row(d, report).text == canonical_json(_analyze_row_dict(d, report))
 
 
 def test_analyze_reads_stdin(capsys, monkeypatch):
