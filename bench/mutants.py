@@ -4,12 +4,12 @@
 
 Each row of MUTANTS names a mutant, the source file it edits, an exact
 snippet of that file, the text that replaces it, and the test files that
-must fail once it is applied.  The script copies src/ and tests/ to a
-temporary directory, applies one row at a time to the copy (putting the
-file back after), and runs ``python -m pytest -x -q <test files>`` there
-under a time limit of TIME_LIMIT seconds.  A mutant is killed when that
-run exits nonzero within the limit; one whose tests pass, or run past
-the limit, survives.
+must fail once it is applied.  The script copies src/, tests/ and
+pyproject.toml (which tests/test_cli.py reads) to a temporary directory,
+applies one row at a time to the copy (putting the file back after), and
+runs ``python -m pytest -x -q <test files>`` there under a time limit of
+TIME_LIMIT seconds.  A mutant is killed when that run exits nonzero
+within the limit; one whose tests pass, or run past the limit, survives.
 
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when
 a row's snippet does not occur exactly once in its file (the code moved,
@@ -34,6 +34,18 @@ ENVELOPE = "src/renitent/envelope.py"
 GENERATORS = "src/renitent/generators.py"
 UNIFORMITY = "src/renitent/uniformity.py"
 CLI = "src/renitent/cli.py"
+
+# the root-row template of cli._verification_text; the row "envelope root row
+# one indent level short" writes every one of its indents two spaces shorter
+ENVELOPE_ROOT_ROW = """\
+            f'\\n        {{\\n          "actual": {"null" if r.actual is None else r.actual},'
+            f'\\n          "alpha": {r.alpha},'
+            f'\\n          "exact": {"true" if r.exact else "false"},'
+            f'\\n          "expected": {r.expected},'
+            f'\\n          "line": {_encode_str(format_line(r.line))},'
+            f'\\n          "ok": {"true" if r.ok else "false"}\\n        }}'
+            for r in d.roots], "\\n      ")
+"""
 
 # (name, file, old snippet, replacement, test files that must fail)
 MUTANTS = [
@@ -141,6 +153,21 @@ MUTANTS = [
     ("written text put in place unindented", CLI,
      'out.append(obj.text.replace("\\n", nl))', "out.append(obj.text)",
      ["tests/test_canonical_json.py", "tests/test_cli.py"]),
+    # envelope's curve, verification and weights, written from templates
+    ("envelope root row one indent level short", CLI,
+     ENVELOPE_ROOT_ROW, ENVELOPE_ROOT_ROW.replace("\\n    ", "\\n  "),
+     ["tests/test_cli.py"]),
+    ("envelope root's exact written from ok", CLI,
+     '"true" if r.exact else "false"', '"true" if r.ok else "false"',
+     ["tests/test_cli.py"]),
+    ("envelope root's actual None written as 0", CLI,
+     '"null" if r.actual is None else r.actual', '0 if r.actual is None else r.actual',
+     ["tests/test_cli.py"]),
+    ("envelope weights ordered by weight", CLI,
+     "rows = sorted([(format_line(line), w) for line, w in mults.items()])",
+     "rows = sorted([(format_line(line), w) for line, w in mults.items()], "
+     "key=lambda row: row[1])",
+     ["tests/test_cli.py"]),
     # the gcd detectors
     ("deg g's cancellation rule: every weight sum is 0", COUNTING,
      "if len(sums) > 1:", "if sums != {0}:",
@@ -208,6 +235,7 @@ def main():
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, work / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", work)
         for row in MUTANTS:
             start = time.perf_counter()
             outcome = run(*row, work)

@@ -8,6 +8,13 @@ defect, not as bad data).  All reports are JSON with "schema": 1 and
 sorted keys, written atomically when --out is given (gen's points file
 and its .json sidecar both or neither).
 
+The bulky parts of a report are written from one f-string per row and
+handed to the writer as _Written text: analyze's direction rows
+(_analyze_row), and envelope's curve, verification and weights
+(_curve_text, _verification_text, _weights_text).  Each is the same
+text canonical_json gives the record's to_json() dict; the rest of a
+report, and every check report, goes through the generic writer.
+
 Each command imports the modules it runs when it runs: analyze loads no
 more than classification needs, and only envelope and check load
 `envelope` or `counting`.  They call those modules' functions through
@@ -168,6 +175,13 @@ class _Written:
         self.text = text
 
 
+def _json_list(rows, nl):
+    """The canonical JSON of a list whose items are written as rows, each
+    starting with its own newline and indent; nl is the newline and indent
+    of the list's own level."""
+    return f"[{','.join(rows)}{nl}]" if rows else "[]"
+
+
 def canonical_json(doc):
     """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
 
@@ -270,10 +284,9 @@ def _analyze_row(direction, report):
     if report is None:
         name = _encode_str(format_point(direction))
         return _Written(f'{{\n  "direction": {name},\n  "uniform": false\n}}')
-    lines = ",".join([f'\n    {{\n      "alpha": {r.alpha},'
-                      f'\n      "line": {_encode_str(format_line(r.line))},'
-                      f'\n      "t": {r.t}\n    }}' for r in report.renitent])
-    renitent = f"[{lines}\n  ]" if lines else "[]"
+    renitent = _json_list([f'\n    {{\n      "alpha": {r.alpha},'
+                           f'\n      "line": {_encode_str(format_line(r.line))},'
+                           f'\n      "t": {r.t}\n    }}' for r in report.renitent], "\n  ")
     sharp = "true" if report.sharp else "false"
     return _Written(f'{{\n  "direction": {_encode_str(format_point(report.direction))},'
                     f'\n  "lambda_d": {report.lambda_d},\n  "m_d": {report.m_d},'
@@ -304,6 +317,46 @@ def cmd_analyze(args):
 
 
 # -- envelope ---------------------------------------------------------------
+
+
+def _curve_text(curve):
+    """curve.to_json() as _Written, from one f-string per monomial."""
+    monomials = _json_list([f'\n    {{\n      "coeff": {c},\n      "i": {i},'
+                            f'\n      "j": {j},\n      "k": {k}\n    }}'
+                            for i, j, k, c in curve.poly.monomials()], "\n  ")
+    return _Written(f'{{\n  "affine_degree": {curve.affine_degree},'
+                    f'\n  "class": {curve.nominal_class},\n  "monomials": {monomials},'
+                    f'\n  "provenance": {_encode_str(curve.provenance)}\n}}')
+
+
+def _verification_text(report):
+    """report.to_json() as _Written, from one f-string per direction and
+    per root: a root row sits 8 spaces deep, its keys 10."""
+    rows = []
+    for d in report.directions:
+        roots = _json_list([
+            f'\n        {{\n          "actual": {"null" if r.actual is None else r.actual},'
+            f'\n          "alpha": {r.alpha},'
+            f'\n          "exact": {"true" if r.exact else "false"},'
+            f'\n          "expected": {r.expected},'
+            f'\n          "line": {_encode_str(format_line(r.line))},'
+            f'\n          "ok": {"true" if r.ok else "false"}\n        }}'
+            for r in d.roots], "\n      ")
+        rows.append(f'\n    {{\n      "direction": {_encode_str(format_point(d.direction))},'
+                    f'\n      "ok": {"true" if d.ok else "false"},'
+                    f'\n      "pencil_contained": {"true" if d.pencil_contained else "false"},'
+                    f'\n      "roots": {roots}\n    }}')
+    directions = _json_list(rows, "\n  ")
+    return _Written(f'{{\n  "directions": {directions},'
+                    f'\n  "pass": {"true" if report.ok else "false"}\n}}')
+
+
+def _weights_text(mults):
+    """The weighted construction's {"line", "weight"} rows as _Written, in
+    the order of the lines' text."""
+    rows = sorted([(format_line(line), w) for line, w in mults.items()])
+    return _Written(_json_list([f'\n  {{\n    "line": {_encode_str(text)},'
+                                f'\n    "weight": {w}\n  }}' for text, w in rows], "\n"))
 
 
 def _split_vertical(reports, reason="vertical direction"):
@@ -377,9 +430,7 @@ def cmd_envelope(args):
                 raise InputError(f"--c must be an integer or 'scan', got {args.c!r}")
         extra["c"] = c
         curve, mults = envelope.envelope_weighted(T, used, c)
-        extra["weights"] = [{"line": format_line(line), "weight": w}
-                            for line, w in sorted(mults.items(),
-                                                  key=lambda kv: format_line(kv[0]))]
+        extra["weights"] = _weights_text(mults)
     else:
         used, excluded = _split_vertical(candidates)
         if not used:
@@ -392,8 +443,8 @@ def cmd_envelope(args):
         "theorem": args.theorem,
         "field": args.field,
         "lambda": args.lam,
-        "curve": curve.to_json(),
-        "verification": verification.to_json(),
+        "curve": _curve_text(curve),
+        "verification": _verification_text(verification),
         "directions_used": [format_point(r.direction) for r in used],
         "directions_excluded": [{"direction": format_point(r.direction),
                                  "reason": reason} for r, reason in excluded],
@@ -467,6 +518,26 @@ def cmd_check(args):
 # -- wiring -----------------------------------------------------------------
 
 
+def _int_arg(text):
+    """An integer option's value, read as every input format reads one:
+    int() would also take '1_0' and non-ASCII digits."""
+    value = _decimal(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
+
+
+def _density_arg(text):
+    """gen's --density: float() of ASCII text with no '_', which float()
+    would also read."""
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+
+
 def _add_common(sub):
     sub.add_argument("--field", required=True,
                      help="field spec: p, p^e, or p^e:m=c0,c1,... (constant first)")
@@ -475,7 +546,7 @@ def _add_common(sub):
     sub.add_argument("--out", help="write the JSON report here (atomically)")
     sub.add_argument("--json", action="store_true",
                      help="also print JSON to stdout when --out is given")
-    sub.add_argument("--lambda", dest="lam", type=int, required=True,
+    sub.add_argument("--lambda", dest="lam", type=_int_arg, required=True,
                      help="uniformity bound (0 < lambda <= (q-1)/2)")
 
 
@@ -495,10 +566,10 @@ def build_parser():
                      choices=["planted", "norm_conic", "random"])
     gen.add_argument("--points", help="planted points as 'a,b;c,d;...'")
     gen.add_argument("--weights", help="planted weights as 'w1,w2,...' (default all 1)")
-    gen.add_argument("--c", type=int, default=1,
+    gen.add_argument("--c", type=_int_arg, default=1,
                      help="multiplicity multiplier for planted instances")
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--density", type=float, default=0.5)
+    gen.add_argument("--seed", type=_int_arg, default=0)
+    gen.add_argument("--density", type=_density_arg, default=0.5)
     gen.add_argument("--out", help="write the point file here; ground truth "
                                    "goes to OUT.json")
     gen.add_argument("--json", action="store_true",

@@ -2,6 +2,7 @@
 the gen -> analyze -> envelope -> check pipeline."""
 
 import argparse
+import contextlib
 import importlib.util
 import io
 import json
@@ -20,7 +21,7 @@ import renitent
 from renitent import PointMultiset, cli, parse_field_spec
 from renitent.cli import (EXIT_HYPOTHESIS, EXIT_INPUT, EXIT_OK, build_parser, canonical_json,
                           main)
-from renitent.plane import format_point, slope_of
+from renitent.plane import format_line, format_point, slope_of
 from renitent.uniformity import _classify_all
 from renitent.counting import DETECTOR_MAX_WORK, detector_work
 
@@ -415,6 +416,120 @@ def test_envelope_rejects_inputs_with_no_usable_class(tmp_path, capsys, field, l
     rc = main(argv + (["--c", "scan"] if theorem == "weighted" else []))
     assert rc == EXIT_HYPOTHESIS
     assert capsys.readouterr().err == f"hypothesis rejected: {message}\n"
+
+
+def _weights_dicts(mults):
+    """envelope's weights rows as dicts, in the order of the lines' text."""
+    return [{"line": format_line(line), "weight": w}
+            for line, w in sorted(mults.items(), key=lambda kv: format_line(kv[0]))]
+
+
+def _run_envelope(argv, text):
+    """(exit status, stdout) of one envelope run reading its points from stdin."""
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        mp.setattr(sys, "stdin", io.StringIO(text))
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+def _envelope_values(spec, text, lam, theorem, c):
+    """The curve, verification report and weight map (None unless
+    weighted) that cmd_envelope hands its templates for this input."""
+    seen = {}
+
+    def recorder(name):
+        template = getattr(cli, name)
+
+        def record(value):
+            seen[name] = value
+            return template(value)
+        return record
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_curve_text", "_verification_text", "_weights_text"):
+            mp.setattr(cli, name, recorder(name))
+        rc, _ = _run_envelope(["envelope", "--field", spec, "--in", "-", "--lambda", str(lam),
+                               "--theorem", theorem, "--c", c], text)
+    assert rc == EXIT_OK
+    return seen["_curve_text"], seen["_verification_text"], seen.get("_weights_text")
+
+
+def _wrong_curve_values():
+    """A class-1 curve through no renitent line of {(2, 3)} over GF(7):
+    every root fails."""
+    K = parse_field_spec("7")
+    reports = [r for r in renitent.uniform_directions(PointMultiset(K, {(2, 3): 1}), 1)
+               if slope_of(r.direction) is not None]
+    curve = renitent.EnvelopeCurve(renitent.TriHomPoly.linear(K, 1, 2, K.neg(4)), 1, "regular")
+    return curve, renitent.verify_envelope(curve, reports), None
+
+
+def _envelope_kinds(curve, verification, mults):
+    kinds = {curve.provenance}
+    for d in verification.directions:
+        kinds.add("vertical" if slope_of(d.direction) is None else "slope")
+        kinds.add("pencil" if d.pencil_contained else "section")
+        for r in d.roots:
+            kinds |= {"exact" if r.exact else "at least", "ok" if r.ok else "failing root"}
+    if mults and sorted(mults.values()) != [w for _, w in sorted(
+            (format_line(line), w) for line, w in mults.items())]:
+        kinds.add("weights out of weight order")
+    return kinds
+
+
+# (field, points, lambda, theorem, c): with the wrong curve they write
+# every kind of envelope row
+ENVELOPE_CORPUS = [
+    ("7", "2 3 1\n", 1, "regular", "1"),
+    ("13", GF13_LINE_PLUS_HEAVY, 2, "weighted", "scan"),   # the vertical direction
+    ("11", "0 0 1\n1 1 1\n2 2 1\n", 3, "general", "1"),   # inf:1 contains its pencil
+    ("11", "0 0 2\n1 2 6\n3 5 1\n", 3, "weighted", "1"),  # weights 2, 6 and 1
+    ("3^2", "1 2 1\n4 5 1\n", 2, "general", "1"),
+]
+
+
+def test_envelope_templates_are_the_canonical_json_of_their_records():
+    """cmd_envelope writes curve, verification and weights from templates;
+    each must read as canonical_json of its to_json() (for the weights, of
+    the rows cmd_envelope built before), alone and inside a document."""
+    seen = set()
+    for values in [_envelope_values(*row) for row in ENVELOPE_CORPUS] + [_wrong_curve_values()]:
+        curve, verification, mults = values
+        pairs = [(cli._curve_text(curve), curve.to_json()),
+                 (cli._verification_text(verification), verification.to_json())]
+        if mults is not None:
+            pairs.append((cli._weights_text(mults), _weights_dicts(mults)))
+        for written, reference in pairs:
+            assert written.text == canonical_json(reference)
+            assert (canonical_json({"doc": {"value": written}, "schema": 1})
+                    == canonical_json({"doc": {"value": reference}, "schema": 1}))
+        seen |= _envelope_kinds(*values)
+    assert seen == {"regular", "weighted", "general", "vertical", "slope", "pencil", "section",
+                    "exact", "at least", "ok", "failing root", "weights out of weight order"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["5", "7", "3^2", "13"]),
+       st.sampled_from(["regular", "weighted", "general"]), st.data())
+def test_envelope_documents_match_json_dumps_of_the_records(spec, theorem, data):
+    """A whole envelope document equals json.dumps(indent=2, sort_keys=True)
+    of the document built from the records' to_json()."""
+    K = parse_field_spec(spec)
+    point = st.tuples(st.integers(0, K.q - 1), st.integers(0, K.q - 1))
+    mults = data.draw(st.dictionaries(point, st.integers(1, 2 * K.p), min_size=1, max_size=4))
+    lam = data.draw(st.integers(1, min(3, (K.q - 1) // 2)))
+    text = "".join(f"{a} {b} {m}\n" for (a, b), m in mults.items())
+    argv = ["envelope", "--field", spec, "--in", "-", "--lambda", str(lam),
+            "--theorem", theorem, "--c", "scan" if theorem == "weighted" else "1"]
+    written = _run_envelope(argv, text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_curve_text", lambda curve: curve.to_json())
+        mp.setattr(cli, "_verification_text", lambda report: report.to_json())
+        mp.setattr(cli, "_weights_text", _weights_dicts)
+        mp.setattr(cli, "canonical_json", lambda doc: json.dumps(doc, indent=2, sort_keys=True))
+        assert _run_envelope(argv, text) == written
 
 
 # -- check ------------------------------------------------------------------------

@@ -180,3 +180,49 @@ def test_poly_arithmetic_refuses_a_foreign_operand(name):
 def test_analyze_refuses_an_empty_input_path(capsys):
     assert main(["analyze", "--field", "7", "--in", "", "--lambda", "1"]) == EXIT_INPUT
     assert "--in is required" in capsys.readouterr().err
+
+
+# argparse's int() and float() would read '_' and non-ASCII digits; each
+# typed option refuses them, and argparse exits 2 with its usage line.
+# Every row's value would read as an in-range one without the refusal.
+TYPED_OPTIONS = {
+    "analyze.lambda": (["analyze", "--field", "7", "--lambda", "２"],
+                       "argument --lambda: invalid int value: '２'"),
+    "gen.seed": (["gen", "--field", "7", "--kind", "random", "--seed", "1_0"],
+                 "argument --seed: invalid int value: '1_0'"),
+    "gen.c": (["gen", "--field", "7", "--kind", "planted", "--points", "0,0", "--c", "３"],
+              "argument --c: invalid int value: '３'"),
+    "gen.density": (["gen", "--field", "7", "--kind", "random", "--density", "０.５"],
+                    "argument --density: invalid float value: '０.５'"),
+}
+
+
+@pytest.mark.parametrize("argv, message", TYPED_OPTIONS.values(), ids=TYPED_OPTIONS.keys())
+def test_typed_option_refuses_text_that_is_not_ascii_decimal(tmp_path, capsys, argv, message):
+    path = tmp_path / "pts.txt"
+    path.write_text("2 3 1\n", encoding="utf-8")
+    if argv[0] != "gen":
+        argv = [*argv, "--in", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+def test_typed_options_keep_their_signs_and_range_messages(tmp_path, capsys):
+    path = tmp_path / "pts.txt"
+    path.write_text("2 3 1\n", encoding="utf-8")
+    analyze = ["analyze", "--field", "7", "--in", str(path)]
+    random = ["gen", "--field", "7", "--kind", "random"]
+    assert main([*analyze, "--lambda", "+1"]) == 0
+    assert main([*random, "--seed", "+3", "--density", " 1e-1 "]) == 0
+    capsys.readouterr()
+    for argv, message in [
+            ([*analyze, "--lambda", "-1"], "need 0 < lam <= (q-1)/2 = 3, got -1"),
+            ([*random, "--seed", "-3"], "seed must be a non-negative integer, got -3"),
+            ([*random, "--density", "2"], "density must lie in (0, 1], got 2.0"),
+            ([*random, "--density", "-0.5"], "density must lie in (0, 1], got -0.5"),
+            (["gen", "--field", "7", "--kind", "planted", "--points", "0,0", "--c", "-1"],
+             "multiplier must lie in 1..p-1, got -1")]:
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
