@@ -33,6 +33,8 @@ COUNTING = "src/renitent/counting.py"
 ENVELOPE = "src/renitent/envelope.py"
 GENERATORS = "src/renitent/generators.py"
 UNIFORMITY = "src/renitent/uniformity.py"
+PLANE = "src/renitent/plane.py"
+RECORDS = "src/renitent/records.py"
 CLI = "src/renitent/cli.py"
 
 # the root-row template of cli._verification_text; the row "envelope root row
@@ -92,6 +94,13 @@ MUTANTS = [
      ["tests/test_gf.py"]),
     ("order ceiling refuses q = MAX_ORDER", GF,
      "p ** e > MAX_ORDER:", "p ** e >= MAX_ORDER:",
+     ["tests/test_gf.py"]),
+    ("Zech's closed form with the carry kept", GF,
+     "zech = [lg[x - x % p + (x + 1) % p] for x in ex[:n]]",
+     "zech = [lg[x + 1] for x in ex[:n]]",
+     ["tests/test_gf.py"]),
+    ("_inv_raw with exponent q - 1", GF,
+     "return self._pow_raw(a, self.q - 2)", "return self._pow_raw(a, self.q - 1)",
      ["tests/test_gf.py"]),
     # the row intercept kernel (gf._row_intercepts)
     ("row kernel's byte table x - b for b - x", GF,
@@ -153,6 +162,16 @@ MUTANTS = [
     ("written text put in place unindented", CLI,
      'out.append(obj.text.replace("\\n", nl))', "out.append(obj.text)",
      ["tests/test_canonical_json.py", "tests/test_cli.py"]),
+    ("non-finite floats written", CLI,
+     "elif t is float and math.isfinite(obj):", "elif t is float:",
+     ["tests/test_canonical_json.py"]),
+    ("dict keys written unsorted", CLI,
+     "for key in sorted(obj):", "for key in obj:",
+     ["tests/test_canonical_json.py"]),
+    ("direction names built in reverse order", PLANE,
+     "return tuple(map(format_point, all_directions(field)))",
+     "return tuple(map(format_point, reversed(all_directions(field))))",
+     ["tests/test_cli.py"]),
     # envelope's curve, verification and weights, written from templates
     ("envelope root row one indent level short", CLI,
      ENVELOPE_ROOT_ROW, ENVELOPE_ROOT_ROW.replace("\\n    ", "\\n  "),
@@ -168,6 +187,30 @@ MUTANTS = [
      "rows = sorted([(format_line(line), w) for line, w in mults.items()], "
      "key=lambda row: row[1])",
      ["tests/test_cli.py"]),
+    # the frame change of the point-index argument (plane.frame_collineation)
+    ("frame's middle row always (1, 0, 0)", PLANE,
+     "row2 = (1, 0, 0) if spare.coords[0] else (0, 1, 0)", "row2 = (1, 0, 0)",
+     ["tests/test_plane.py"]),
+    ("frame's middle row always (0, 1, 0)", PLANE,
+     "row2 = (1, 0, 0) if spare.coords[0] else (0, 1, 0)", "row2 = (0, 1, 0)",
+     ["tests/test_plane.py"]),
+    ("frame's middle row with r2 = 1", PLANE,
+     "row2 = (1, 0, 0) if spare.coords[0] else (0, 1, 0)",
+     "row2 = (1, 0, 1) if spare.coords[0] else (0, 1, 1)",
+     ["tests/test_plane.py"]),
+    ("frame's spare the last free direction", PLANE,
+     "spare = next((d for d in all_directions(field) if d not in avoid), None)",
+     "spare = next((d for d in reversed(all_directions(field)) if d not in avoid), None)",
+     ["tests/test_plane.py"]),
+    # the record constructors compiled from __slots__
+    ("compiled __init__ without its __qualname__", RECORDS,
+     '    init.__qualname__ = f"{cls.__qualname__}.__init__"\n', "",
+     ["tests/test_record_init.py"]),
+    ("compiled __init__ stored on a base class too", RECORDS,
+     "        if not cls.__subclasses__():   # a base keeps this one for its subclasses\n"
+     "            cls.__init__ = init\n",
+     "        cls.__init__ = init\n",
+     ["tests/test_record_init.py"]),
     # the gcd detectors
     ("deg g's cancellation rule: every weight sum is 0", COUNTING,
      "if len(sums) > 1:", "if sums != {0}:",

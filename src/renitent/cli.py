@@ -12,8 +12,10 @@ The bulky parts of a report are written from one f-string per row and
 handed to the writer as _Written text: analyze's direction rows
 (_analyze_row), and envelope's curve, verification and weights
 (_curve_text, _verification_text, _weights_text).  Each is the same
-text canonical_json gives the record's to_json() dict; the rest of a
-report, and every check report, goes through the generic writer.
+text canonical_json gives the record's to_json() dict.  canonical_json
+writes the rest of a report, and every check report, in its one pass; a
+value no report holds raises TypeError.  analyze's direction names come
+from plane's tuple of them, built once per field.
 
 Each command imports the modules it runs when it runs: analyze loads no
 more than classification needs, and only envelope and check load
@@ -29,7 +31,7 @@ import sys
 
 from .errors import HypothesisRejected, InputError, RenitentError
 from .gf import parse_field_spec
-from .plane import _decimal, format_line, format_point, parse_point, slope_of
+from .plane import _decimal, _direction_names, format_line, format_point, parse_point, slope_of
 from .uniformity import _classify_all, dump_points, parse_points, uniform_directions
 
 EXIT_OK = 0
@@ -96,10 +98,6 @@ def _atomic_write(*files):
         raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-class _NotPlain(Exception):
-    """A value the fast writer leaves to json.dumps."""
-
-
 try:   # the C encoder alone: importing json would load its decoder too
     from _json import encode_basestring_ascii as _encode_str
 except ImportError:   # an interpreter built without _json
@@ -109,10 +107,13 @@ except ImportError:   # an interpreter built without _json
 def _write_json(obj, out, nl):
     """Append obj as json.dumps(indent=2, sort_keys=True) would write it.
 
-    ``nl`` is the newline plus the indent of obj's own level.  This is a
-    module-level function, not a closure over ``out``: a closure that
-    calls itself is a reference cycle, which would keep every document's
-    chunks alive until the cyclic collector runs.
+    A value no report holds raises TypeError: keys of mixed types in
+    sorted(), a key that is not a str in _encode_str, any other type in
+    the last branch, with json.dumps's message for a set.  ``nl`` is the
+    newline plus the indent of obj's own level.  This is a module-level
+    function, not a closure over ``out``: a closure that calls itself is
+    a reference cycle, which would keep every document's chunks alive
+    until the cyclic collector runs.
     """
     t = type(obj)
     if t is str:
@@ -123,15 +124,9 @@ def _write_json(obj, out, nl):
         if not obj:
             out.append("{}")
             return
-        try:
-            keys = sorted(obj)
-        except TypeError:  # keys of mixed types
-            raise _NotPlain from None
         inner = nl + "  "
         sep = "{" + inner
-        for key in keys:
-            if type(key) is not str:
-                raise _NotPlain
+        for key in sorted(obj):
             out.append(sep)
             out.append(_encode_str(key))
             out.append(": ")
@@ -160,14 +155,13 @@ def _write_json(obj, out, nl):
     elif t is _Written:
         out.append(obj.text.replace("\n", nl))
     else:
-        raise _NotPlain
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 class _Written:
     """The canonical JSON of a value, written at the top level: inside a
     document the writer puts it in place as given, indented to its level.
-    json.dumps cannot write one, so a document holding one raises
-    TypeError rather than fall back to json.dumps and write it as a string."""
+    Only canonical_json writes one: json.dumps raises TypeError on it."""
 
     __slots__ = ("text",)
 
@@ -183,21 +177,14 @@ def _json_list(rows, nl):
 
 
 def canonical_json(doc):
-    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte.
-
-    With an indent, json.dumps runs CPython's pure-Python encoder; this
-    writes the plain types (str, int, bool, None, finite float, list,
-    tuple, dict with str keys) in one pass and hands any other document
-    to json.dumps whole.  A _Written value stands for the value whose
-    canonical JSON it holds.
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, for
+    the documents reports hold: str, int, bool, None, finite float, list,
+    tuple and dict with str keys, in one pass.  Any other value raises
+    TypeError, as json.dumps does for a set.  A _Written value stands for
+    the value whose canonical JSON it holds.
     """
     out = []
-    try:
-        _write_json(doc, out, "\n")
-    except _NotPlain:
-        import json
-
-        return json.dumps(doc, indent=2, sort_keys=True)
+    _write_json(doc, out, "\n")
     return "".join(out)
 
 
@@ -276,30 +263,31 @@ def cmd_gen(args):
 # -- analyze ----------------------------------------------------------------
 
 
-def _analyze_row(direction, report):
-    """analyze's row for one direction, as _Written: the canonical JSON of
-    {"direction": ..., "uniform": False} when report is None, else of
-    report.to_json(), from one f-string per row and per renitent line
-    rather than a dict per row and per line for canonical_json to walk."""
+def _analyze_row(name, report):
+    """analyze's row for the direction named name, as _Written: the
+    canonical JSON of {"direction": name, "uniform": False} when report
+    is None, else of report.to_json(), from one f-string per row and per
+    renitent line rather than a dict per row and per line for
+    canonical_json to walk."""
+    name = _encode_str(name)
     if report is None:
-        name = _encode_str(format_point(direction))
         return _Written(f'{{\n  "direction": {name},\n  "uniform": false\n}}')
     renitent = _json_list([f'\n    {{\n      "alpha": {r.alpha},'
                            f'\n      "line": {_encode_str(format_line(r.line))},'
                            f'\n      "t": {r.t}\n    }}' for r in report.renitent], "\n  ")
     sharp = "true" if report.sharp else "false"
-    return _Written(f'{{\n  "direction": {_encode_str(format_point(report.direction))},'
+    return _Written(f'{{\n  "direction": {name},'
                     f'\n  "lambda_d": {report.lambda_d},\n  "m_d": {report.m_d},'
                     f'\n  "renitent": {renitent},\n  "sharp": {sharp},\n  "uniform": true\n}}')
 
 
 def cmd_analyze(args):
-    _, T = _load_multiset(args)
+    field, T = _load_multiset(args)
     rows = []
     uniform = 0
     renitent_total = 0
-    for d, report in _classify_all(T, args.lam):
-        rows.append(_analyze_row(d, report))
+    for name, (_, report) in zip(_direction_names(field), _classify_all(T, args.lam)):
+        rows.append(_analyze_row(name, report))
         if report is not None:
             uniform += 1
             renitent_total += report.lambda_d

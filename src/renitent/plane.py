@@ -278,6 +278,13 @@ def format_point(point):
     return f"inf:{point.field.udiv(y, x)}" if x else "inf:vert"
 
 
+@functools.cache
+def _direction_names(field):
+    """format_point of each of all_directions(field), in its order: one
+    tuple per field, built on the first call like all_directions."""
+    return tuple(map(format_point, all_directions(field)))
+
+
 def _decimal(text):
     """int(text), or None when text is not a decimal integer in ASCII:
     int() also reads '1_0' and non-ASCII digits, which no input format of

@@ -1,6 +1,6 @@
 """The canonical JSON writer equals json.dumps(indent=2, sort_keys=True)
-byte for byte: on plain trees by its own one-pass path, on anything else
-by handing the whole document to json.dumps."""
+byte for byte on the plain trees reports hold, and raises TypeError on
+any other value: there is no second path to json.dumps."""
 
 import collections
 import enum
@@ -46,15 +46,6 @@ def test_writer_equals_json_dumps(doc):
     assert canonical_json(doc) == oracle(doc)
 
 
-@pytest.mark.parametrize("doc", [
-    {}, [], (), {"a": []}, {"a": {}}, [[], {}, ()],
-    {"b": True, "a": 1, "c": False, "d": 0, "e": None},
-    {"schema": 1, "directions": [{"uniform": False, "direction": "inf:0"}]},
-], ids=repr)
-def test_writer_on_edge_shapes(doc):
-    assert canonical_json(doc) == oracle(doc)
-
-
 class Colour(enum.IntEnum):
     RED = 1
 
@@ -64,16 +55,32 @@ class Tag(str):
 
 
 @pytest.mark.parametrize("doc", [
-    float("nan"), float("inf"), -float("inf"),
-    {"x": [1.0, float("nan")]},
-    {10: 0, 9: 1},
-    {"a": {2: "b", 1.5: None, True: 0}},
-    Colour.RED, [Colour.RED],
-    Tag("s"), {Tag("k"): 1},
-    collections.OrderedDict([("b", 1), ("a", 2)]),
+    {}, [], (), {"a": []}, {"a": {}}, [[], {}, ()],
+    {"b": True, "a": 1, "c": False, "d": 0, "e": None},
+    {"schema": 1, "directions": [{"uniform": False, "direction": "inf:0"}]},
+    {Tag("k"): 1},        # a str-subclass key is written as its text
 ], ids=repr)
-def test_writer_falls_back_to_json_dumps(doc):
+def test_writer_on_edge_shapes(doc):
     assert canonical_json(doc) == oracle(doc)
+
+
+@pytest.mark.parametrize("doc, type_name", [
+    (float("nan"), "float"), (float("inf"), "float"), (-float("inf"), "float"),
+    ({"x": [1.0, float("nan")]}, "float"),
+    ({"a": cli._Written("1"), "b": float("nan")}, "float"),
+    ({10: 0, 9: 1}, "int"),
+    ({"a": {2: "b", 1.5: None, True: 0}}, "bool"),   # True sorts first
+    (Colour.RED, "Colour"), ([Colour.RED], "Colour"),
+    (Tag("s"), "Tag"),
+    (collections.OrderedDict([("b", 1), ("a", 2)]), "OrderedDict"),
+], ids=["nan", "inf", "-inf", "nan-in-a-list", "nan-beside-written-text", "int-keys",
+        "bool-key", "int-enum", "int-enum-in-a-list", "str-subclass", "ordered-dict"])
+def test_writer_refuses_values_no_report_holds(doc, type_name):
+    """No report holds any of these values, which json.dumps writes: the
+    writer raises TypeError naming the type instead.  Beside written text,
+    which json.dumps cannot write, the NaN is still the value named."""
+    with pytest.raises(TypeError, match=rf"\b{type_name}\b"):
+        canonical_json(doc)
 
 
 @pytest.mark.parametrize("doc", [
@@ -93,13 +100,6 @@ def test_written_text_is_indented_to_its_place():
     inner = {"b": [1, {"c": None}], "a": "x"}
     doc = {"k": [cli._Written(canonical_json(inner)), 2], "j": cli._Written("[]")}
     assert canonical_json(doc) == oracle({"k": [inner, 2], "j": []})
-
-
-def test_written_text_is_never_handed_to_json_dumps():
-    """A document that falls back to json.dumps (here for its NaN) raises
-    on written text rather than write it as a string."""
-    with pytest.raises(TypeError, match="_Written"):
-        canonical_json({"a": cli._Written("1"), "b": float("nan")})
 
 
 def test_writer_leaves_no_cyclic_garbage():

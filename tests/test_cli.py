@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import renitent
-from renitent import PointMultiset, cli, parse_field_spec
+from renitent import PointMultiset, cli, parse_field_spec, plane
 from renitent.cli import (EXIT_HYPOTHESIS, EXIT_INPUT, EXIT_OK, build_parser, canonical_json,
                           main)
 from renitent.plane import format_line, format_point, slope_of
@@ -165,7 +165,8 @@ def test_analyze_rows_are_the_canonical_json_of_their_dicts():
     for spec, mults, lam in ANALYZE_ROW_CORPUS:
         T = PointMultiset(parse_field_spec(spec), mults)
         for d, report in _classify_all(T, lam):
-            row, written = _analyze_row_dict(d, report), cli._analyze_row(d, report)
+            row = _analyze_row_dict(d, report)
+            written = cli._analyze_row(format_point(d), report)
             assert written.text == canonical_json(row)
             assert (canonical_json({"directions": [written, written]})
                     == canonical_json({"directions": [row, row]}))
@@ -183,7 +184,29 @@ def test_analyze_rows_match_on_random_multisets(spec, data):
                                       max_size=2 * K.q))
     lam = data.draw(st.integers(1, (K.q - 1) // 2))
     for d, report in _classify_all(PointMultiset(K, mults), lam):
-        assert cli._analyze_row(d, report).text == canonical_json(_analyze_row_dict(d, report))
+        assert (cli._analyze_row(format_point(d), report).text
+                == canonical_json(_analyze_row_dict(d, report)))
+
+
+def test_analyze_names_each_direction_once_per_field(tmp_path, capsys, monkeypatch):
+    """The direction names are built once per field: from an empty cache,
+    two analyze runs on GF(7) format q + 1 = 8 directions in all."""
+    calls = []
+
+    def counting_format_point(point):
+        calls.append(point)
+        return format_point(point)
+
+    monkeypatch.setattr(cli, "format_point", counting_format_point)
+    monkeypatch.setattr(plane, "format_point", counting_format_point)
+    plane._direction_names.cache_clear()
+    path = write_points(tmp_path, "0 0 1\n1 3 2\n")
+    for lam in (1, 2):
+        rc, out = run(capsys, ["analyze", "--field", "7", "--in", path, "--lambda", str(lam)])
+        assert rc == EXIT_OK
+        names = [row["direction"] for row in json.loads(out)["directions"]]
+        assert names == [f"inf:{s}" for s in range(7)] + ["inf:vert"]
+    assert len(calls) <= 8
 
 
 def test_analyze_reads_stdin(capsys, monkeypatch):

@@ -3,8 +3,8 @@
 ``renitent`` loads its names on first use (PEP 562), and each CLI
 command imports the modules it runs when it runs, so ``gen`` and
 ``analyze`` never pay for ``counting``, ``envelope`` or ``dataclasses``;
-and the JSON writer takes its string encoder from ``_json``, so no
-command loads the ``json`` decoder.
+and the JSON writer takes its string encoder from ``_json`` and has
+no path to ``json.dumps``, so no command loads ``json`` or its decoder.
 These checks are structural: they list modules, and time nothing.
 """
 
@@ -98,6 +98,21 @@ def test_check_loads_the_module_of_its_bound(bound, needs, skips, points):
     assert needs in loaded
     assert skips not in loaded
     assert not loaded & {"dataclasses", "json.decoder"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["envelope", "--theorem", "regular"],
+    ["envelope", "--theorem", "weighted"],
+    ["envelope", "--theorem", "general"],
+    ["check", "--bound", "gcd"],
+    ["check", "--bound", "dichotomy"],
+], ids=["envelope-regular", "envelope-weighted", "envelope-general", "check-gcd",
+        "check-dichotomy"])
+def test_theorem_commands_leave_json_out(argv, points):
+    # each exits 0, so its report goes through the writer
+    loaded = loaded_by([*argv, "--field", "7", "--in", points, "--lambda", "1"])
+    assert "renitent.cli" in loaded
+    assert not loaded & {"json", "json.decoder"}
 
 
 # -- the lazy namespace ------------------------------------------------------
