@@ -7,7 +7,11 @@ For each q up to 289 it times, on one gen_random set (seed 7, density
 0.3):
 
 * ``uniform_directions``: all q + 1 directions classified at lambda = 2;
-* ``intercept_profile``: the q + 1 intercept profiles alone;
+* ``intercept_profile``: the q + 1 intercept profiles alone, each from
+  the scalar per-direction reference (one usub and umul per support
+  point), not from the intercept kernel, which ``intercepts`` times;
+  files up to BENCH_33.json time it through the kernel, so the row's
+  ratios against them are not like for like;
 * ``intercepts``: the field's list-level intercept kernel, prepared once
   and then called for all q slopes (absent from a checkout without it).
 
@@ -55,14 +59,13 @@ BENCH_25.json hold an ``import_cli`` row instead, the median of such
 starts less that of bare interpreter starts; the two are not compared.
 
 Every sample starts from a freshly built multiset (and, for a gcd_profile
-row, a freshly built detector, outside the timing), so work a multiset
-caches is paid inside the sample.  The process pins itself to one CPU,
-and every sample is scaled to reference speed as perfbench does: times
-``REF_S`` over the timing of perfbench's ``reference()`` loop run just
-before it.  The result is one column of medians and IQRs per (op, q),
-written into ``--out`` beside any columns already there, so one file can
-hold the figures of two checkouts (``--src`` times another checkout's
-package).  Each column also keeps its Python version and a SHA-256
+row, a freshly built detector, outside the timing).  The process pins
+itself to one CPU, and every sample is scaled to reference speed as
+perfbench does: times ``REF_S`` over the timing of perfbench's
+``reference()`` loop run just before it.  The result is one column of
+medians and IQRs per (op, q), written into ``--out`` beside any columns
+already there, so one file can hold the figures of two checkouts
+(``--src`` times another checkout's package).  Each column also keeps its Python version and a SHA-256
 digest per q of the reports and the profiles, and a theorem digest per q
 of the slope detector's terms and both gcd profiles, so two columns can
 be seen to compute alike.  ``--compare`` prints, per (op, q), this run's median

@@ -129,8 +129,10 @@ MUTANTS = [
      "below = (threshold + _MASK) * ones", "below = (threshold + _MASK + 1) * ones",
      ["tests/test_generators.py"]),
     # the refusal from a class's nonempty-line count (uniformity._thin), the
-    # distinct-intercept count after a thin class, the sparse branch of
-    # uniformity._report and the field check of intercept_profile
+    # distinct-intercept count after a thin class, the weights and x
+    # coordinates of the shared loop in the order of the intercept kernel,
+    # the sparse branch of uniformity._report and the field check of
+    # intercept_profile
     ("refusal with >= for >", UNIFORMITY,
      "p * n - size > lam * (p - 1)", "p * n - size >= lam * (p - 1)",
      ["tests/test_uniformity.py"]),
@@ -138,7 +140,8 @@ MUTANTS = [
      "return n < K.q - lam and", "return n <= K.q - lam and",
      ["tests/test_uniformity.py"]),
     ("refusal reads the support size for |T|", UNIFORMITY,
-     "K, size = T.field, T.size", "K, size = T.field, T.support_size",
+     "K, mults, size = T.field, T._mults, T.size",
+     "K, mults, size = T.field, T._mults, T.support_size",
      ["tests/test_uniformity.py"]),
     ("sparse branch refuses lam nonzero residues", UNIFORMITY,
      "n - res.count(0) > lam", "n - res.count(0) >= lam",
@@ -146,6 +149,12 @@ MUTANTS = [
     ("thin path reads the point count for n", UNIFORMITY,
      "len(set(line_keys))", "len(line_keys)",
      ["tests/test_uniformity.py"]),
+    ("shared loop's weights in dict order", UNIFORMITY,
+     "[mults[pt] for pt in points]", "list(mults.values())",
+     ["tests/test_intercepts.py"]),
+    ("shared loop's x coordinates in dict order", UNIFORMITY,
+     "xs = [a for a, _ in points]", "xs = [a for a, _ in mults]",
+     ["tests/test_intercepts.py"]),
     ("renitent lines taken from every nonempty line", UNIFORMITY,
      "compress(profile, res)", "compress(profile, profile.values())",
      ["tests/test_uniformity.py"]),

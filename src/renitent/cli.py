@@ -349,8 +349,13 @@ def _weights_text(mults):
 
 def _split_vertical(reports, reason="vertical direction"):
     """(slope reports, [(vertical report, reason)]), in input order."""
-    return ([r for r in reports if slope_of(r.direction) is not None],
-            [(r, reason) for r in reports if slope_of(r.direction) is None])
+    slopes, vertical = [], []
+    for r in reports:
+        if slope_of(r.direction) is None:
+            vertical.append((r, reason))
+        else:
+            slopes.append(r)
+    return slopes, vertical
 
 
 def _candidate_reports(T, lam):

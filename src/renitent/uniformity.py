@@ -34,6 +34,14 @@ are the nonempty lines of nonzero residue, read with one compress pass
 and no residue histogram.  Only a class with n >= q - lam builds one.
 On sparse sets all q + 1 directions take about half the time they took
 with a count and a histogram per class (BENCH_33.json).
+
+The field's intercept kernel, the thin refusals and the set pre-test
+belong to the loop behind uniform_directions and analyze, which prepares
+the support's intercepts once per call; a multiset keeps nothing
+prepared.  classify_direction, the per-class reference the tests hold
+that loop to, counts its one class with the scalar kernels and reads it
+with _report alone: a thin class has more than lam lines of nonzero
+residue, so _report refuses it too.
 """
 
 from collections import _count_elements
@@ -54,13 +62,10 @@ from .records import FrozenRecord, Record
 
 
 class PointMultiset:
-    """Affine points with positive integer multiplicities.
+    """Affine points with positive integer multiplicities, immutable once
+    built; it holds the points alone, nothing prepared from them."""
 
-    Immutable once built, so the form `intercept_profile` prepares from
-    the support is kept in a private slot and reused for every direction.
-    """
-
-    __slots__ = ("field", "_mults", "_intercepts")
+    __slots__ = ("field", "_mults")
 
     def __init__(self, field, entries=()):
         mults = {}
@@ -77,7 +82,6 @@ class PointMultiset:
             mults[(a, b)] = mults.get((a, b), 0) + m
         self.field = field
         self._mults = mults
-        self._intercepts = None
 
     @property
     def size(self):
@@ -100,10 +104,6 @@ class PointMultiset:
 
     def __repr__(self):
         return f"PointMultiset({self.field!r}, size={self.size})"
-
-    def __reduce__(self):
-        # the prepared intercept form holds closures, which pickle cannot carry
-        return PointMultiset, (self.field, self._mults)
 
 
 def parse_points(field, text):
@@ -209,38 +209,18 @@ def line_count(T, line):
     return total
 
 
-def _intercept_form(T):
-    """(x-coordinates, slope -> intercepts, weights) of T's support, in the
-    order the field's intercept kernel lists the points; weights is None
-    when every multiplicity is 1."""
-    if T._intercepts is None:
-        points, keys = T.field.uintercepts(T._mults)
-        mults = T._mults
-        weights = (None if all(m == 1 for m in mults.values())
-                   else [mults[pt] for pt in points])
-        T._intercepts = ([a for a, _ in points], keys, weights)
-    return T._intercepts
-
-
-def _tally(line_keys, weights):
-    """Nonzero line counts keyed by intercept, from the intercepts of the
-    support points and their weights (None when every weight is 1)."""
-    profile = {}
-    if weights is None:
-        _count_elements(profile, line_keys)
-    else:
-        for key, m in zip(line_keys, weights):
-            profile[key] = profile.get(key, 0) + m
-    return profile
-
-
 def intercept_profile(T, direction):
-    """Nonzero line counts of a parallel class, keyed by intercept."""
+    """Nonzero line counts of a parallel class, keyed by intercept: b - a*s
+    for slope s, the x-coordinate for the vertical class."""
     if direction.field != T.field:
         raise InputError("multiset and direction use different contexts")
     s = slope_of(direction)   # refuses a non-direction
-    xs, keys, weights = _intercept_form(T)
-    return _tally(xs if s is None else keys(s), weights)
+    sub, mul = T.field.usub, T.field.umul
+    profile = {}
+    for (a, b), m in T._mults.items():
+        key = a if s is None else sub(b, mul(a, s))
+        profile[key] = profile.get(key, 0) + m
+    return profile
 
 
 def _thin(K, n, size, lam):
@@ -296,31 +276,36 @@ def _report(K, direction, s, profile, lam):
 
 def classify_direction(T, direction, lam):
     """DirectionReport when the direction is (q-lam)-uniform, else None."""
-    K = T.field
-    check_lam(K, lam)
+    check_lam(T.field, lam)
     profile = intercept_profile(T, direction)   # refuses a non-direction
-    if _thin(K, len(profile), T.size, lam):
-        return None
-    return _report(K, direction, slope_of(direction), profile, lam)
+    return _report(T.field, direction, slope_of(direction), profile, lam)
 
 
 def _classify_all(T, lam):
     """[(direction, report or None)] for all q + 1 directions, in
     direction-index order: classify_direction on each, with lam checked
-    once, the intercept form read once and the slopes walked as field
-    elements beside all_directions (slopes 0..q-1, then vertical).  After
-    a thin class the next one is first tested from its distinct intercepts
+    once, the support's intercepts prepared once by the field's kernel and
+    the slopes walked as field elements beside all_directions (slopes
+    0..q-1, then vertical).  A thin class is refused before _report, and
+    after one the next class is first tested from its distinct intercepts
     and counted only if it survives."""
-    K, size = T.field, T.size
+    K, mults, size = T.field, T._mults, T.size
     check_lam(K, lam)
-    xs, keys, weights = _intercept_form(T)
+    points, keys = K.uintercepts(mults)   # the kernel may regroup the points
+    xs = [a for a, _ in points]
+    weights = None if all(m == 1 for m in mults.values()) else [mults[pt] for pt in points]
     out, thin = [], False
     for d, s in zip(all_directions(K), (*K.elements(), None)):
         line_keys = xs if s is None else keys(s)
         if thin and _thin(K, len(set(line_keys)), size, lam):
             out.append((d, None))
             continue
-        profile = _tally(line_keys, weights)
+        profile = {}   # nonzero line counts keyed by intercept
+        if weights is None:
+            _count_elements(profile, line_keys)
+        else:
+            for key, m in zip(line_keys, weights):
+                profile[key] = profile.get(key, 0) + m
         thin = _thin(K, len(profile), size, lam)
         out.append((d, None if thin else _report(K, d, s, profile, lam)))
     return out

@@ -38,8 +38,8 @@ def _ladder_id(pe):
 
 
 def _oracle_profile(T, direction):
-    """intercept_profile as it was before the kernel: two scalar kernel
-    calls and one dict update per support point."""
+    """intercept_profile written out: two scalar kernel calls and one dict
+    update per support point."""
     K = T.field
     sub, mul = K.usub, K.umul
     s = slope_of(direction)
@@ -133,14 +133,12 @@ def test_equal_q_with_other_moduli_never_share_a_prepared_form(specs):
     assert K1.q == K2.q and K1 != K2
     entries = [((a, b), 1 + (a + b) % 2) for a in range(K1.q) for b in range(0, K1.q, 3)]
     T1, T2 = PointMultiset(K1, entries), PointMultiset(K2, entries)
-    differ = False
-    for d1, d2 in zip(all_directions(K1), all_directions(K2)):
-        # both multisets prepared, then each read again
-        p1, p2 = intercept_profile(T1, d1), intercept_profile(T2, d2)
-        assert p1 == _oracle_profile(T1, d1)
-        assert p2 == _oracle_profile(T2, d2)
-        differ = differ or p1 != p2
-    assert differ   # the moduli make the profiles differ, so a shared form would show
+    for T in (T1, T2, T1, T2):   # both fields' row tables built, then each read again
+        _assert_kernel_matches(T.field, list(T._mults))
+        _assert_loop_matches(T, 1)
+    # the moduli make the profiles differ, so a shared table would show
+    assert any(intercept_profile(T1, d1) != intercept_profile(T2, d2)
+               for d1, d2 in zip(all_directions(K1), all_directions(K2)))
 
 
 def test_a_classified_multiset_still_pickles():
@@ -206,6 +204,31 @@ def test_shared_loop_agrees_with_classify_direction(pe):
     for lam in sorted({1, min(2, top), top}):
         _assert_loop_matches(T, lam)
         _assert_loop_matches(weighted, lam)
+
+
+# prime, p = 2 and odd-p fields, below and above ROW_MAX_ORDER
+REFERENCE_FIELDS = [(31, 1), (2, 6), (3, 4), (257, 1), (2, 9), (17, 2)]
+
+
+@pytest.mark.parametrize("pe", REFERENCE_FIELDS, ids=_ladder_id)
+def test_the_reference_never_calls_the_intercept_kernel(pe, monkeypatch):
+    """classify_direction and intercept_profile stay independent of the
+    kernel the shared loop runs, so comparing the two checks the kernel."""
+    K = field_create(*pe)
+    T = gen_random(K, 1, min(0.3, 40 / K.q ** 2))
+    weighted = PointMultiset(K, [(pt, 1 + i % (2 * K.p)) for i, (pt, _) in enumerate(T.items())])
+    want = [(S, lam, _classify_all(S, lam)) for S in (T, weighted) for lam in (1, 2)]
+
+    def refuse(points):
+        raise AssertionError("K.uintercepts called")
+
+    monkeypatch.setattr(K, "uintercepts", refuse)
+    with pytest.raises(AssertionError, match="uintercepts"):
+        _classify_all(T, 1)   # the patch is the one the loop reads
+    for S, lam, pairs in want:
+        for d, report in pairs:
+            assert intercept_profile(S, d) == _oracle_profile(S, d)
+            assert classify_direction(S, d, lam) == report
 
 
 def test_shared_loop_agrees_where_m_d_is_not_zero():
