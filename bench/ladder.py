@@ -7,13 +7,15 @@ For each q up to 289 it times, on one gen_random set (seed 7, density
 0.3):
 
 * ``uniform_directions``: all q + 1 directions classified at lambda = 2;
-* ``intercept_profile``: the q + 1 intercept profiles alone, each from
-  the scalar per-direction reference (one usub and umul per support
-  point), not from the intercept kernel, which ``intercepts`` times;
-  files up to BENCH_33.json time it through the kernel, so the row's
-  ratios against them are not like for like;
 * ``intercepts``: the field's list-level intercept kernel, prepared once
-  and then called for all q slopes (absent from a checkout without it).
+  and then called for all q slopes (absent from a checkout without it);
+* ``parse_points``: the set written with dump_points, read back with
+  parse_points, and checked equal to the set once (in no digest).
+
+The q + 1 intercept profiles of the set are in the digest but not timed:
+no command runs the scalar per-direction reference that computes them.
+Files up to BENCH_33.json hold an ``intercept_profile`` row, timed
+through the intercept kernel.
 
 For every q, up to 512, it times the theorem layer on a planted set of
 lambda = min(2, p - 1) points with both coordinates nonzero, drawn from
@@ -147,22 +149,21 @@ def measure(renitent, q):
     def fresh():
         return renitent.PointMultiset(K, entries)
 
-    def profiles(T):
-        for d in directions:
-            renitent.intercept_profile(T, d)
-
     def kernel(T):
         _, keys = K.uintercepts(T._mults)
         for s in K.elements():
             keys(s)
 
-    ops = {"uniform_directions": lambda T: renitent.uniform_directions(T, LAMBDA),
-           "intercept_profile": profiles}
-    if hasattr(K, "uintercepts"):
-        ops["intercepts"] = kernel
-    rows = {op: summary([scaled_sample(fresh, run) for _ in range(REPEATS)])
-            for op, run in ops.items()}
     T = fresh()
+    text = renitent.dump_points(T)
+    ops = {"uniform_directions": (fresh, lambda T: renitent.uniform_directions(T, LAMBDA)),
+           "parse_points": (lambda: text, lambda text: renitent.parse_points(K, text))}
+    if hasattr(K, "uintercepts"):
+        ops["intercepts"] = (fresh, kernel)
+    rows = {op: summary([scaled_sample(prepare, run) for _ in range(REPEATS)])
+            for op, (prepare, run) in ops.items()}
+    if renitent.parse_points(K, text) != T:
+        raise SystemExit(f"parse_points does not read back dump_points' set at q={q}")
     outcome = {"reports": [r.to_json() for r in renitent.uniform_directions(T, LAMBDA)],
                "profiles": [sorted(renitent.intercept_profile(T, d).items())
                             for d in directions]}

@@ -163,6 +163,17 @@ MUTANTS = [
      "        raise InputError(\"multiset and direction use different contexts\")\n",
      "",
      ["tests/test_refusals.py"]),
+    # parse_points' bulk pass (uniformity._read_bulk): its coordinate bound,
+    # the sum of a repeated point's multiplicities and the multiplicity floor
+    ("bulk pass admits q as a coordinate", UNIFORMITY,
+     "max(coords) < q", "max(coords) <= q",
+     ["tests/test_parse_points.py"]),
+    ("bulk pass keeps a repeated point's last multiplicity", UNIFORMITY,
+     "if len(mults) < len(points):", "if False:",
+     ["tests/test_parse_points.py"]),
+    ("bulk pass admits multiplicity 0", UNIFORMITY,
+     "min(ms) >= 1", "min(ms) >= 0",
+     ["tests/test_parse_points.py"]),
     # analyze's rows, written from a template into the canonical JSON writer
     ("analyze row sharp whenever a line is renitent", CLI,
      'sharp = "true" if report.sharp else "false"',

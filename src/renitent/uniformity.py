@@ -1,5 +1,15 @@
 """Point multisets in AG(2,q) and the uniformity classification.
 
+parse_points reads ASCII text in one bulk pass: each line split once for
+its shape, one int() over all tokens, min/max for the coordinate range
+and the multiplicity floor, and one dict in file order that sums
+repeated points.  Text that is not ASCII (a comment may hold any text),
+and a file the bulk checks refuse, is read one line at a time, which
+raises the first error with its line number; the tests hold the bulk
+pass to that loop.  Either reader checks each point once and builds the
+multiset through PointMultiset._trusted; the checked constructor serves
+API callers.
+
 A direction is (q-lam)-uniform when at least q-lam of the q lines of its
 parallel class meet the multiset in the same number of points mod p;
 that shared residue is the typical count m_d, and the exceptional lines
@@ -45,7 +55,7 @@ residue, so _report refuses it too.
 """
 
 from collections import _count_elements
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import mod
 
 from .errors import InputError
@@ -83,6 +93,16 @@ class PointMultiset:
         self.field = field
         self._mults = mults
 
+    @classmethod
+    def _trusted(cls, field, mults):
+        """The multiset of a {(a, b): m} dict whose points are already
+        checked elements of field and whose m are positive ints: neither
+        checked nor copied, so the caller hands the dict over."""
+        self = cls.__new__(cls)
+        self.field = field
+        self._mults = mults
+        return self
+
     @property
     def size(self):
         return sum(self._mults.values())
@@ -107,8 +127,58 @@ class PointMultiset:
 
 
 def parse_points(field, text):
-    """Parse the "a b m" line format (m optional, '#' starts a comment)."""
-    entries = []
+    """Parse the "a b m" line format (m optional, '#' starts a comment).
+
+    ASCII text is read in one bulk pass (_read_bulk); text that is not
+    ASCII, and a file the bulk checks refuse, is read line by line
+    (_read_lines), which raises the first error.  Either way each point
+    is checked once, by the reader, and the multiset is built unchecked.
+    """
+    mults = _read_bulk(field.q, text) if text.isascii() else None
+    if mults is None:
+        mults = _read_lines(field, text)
+    return PointMultiset._trusted(field, mults)
+
+
+def _read_bulk(q, text):
+    """{(a, b): m} of ASCII text in file order, repeated points summed, or
+    None when some line is malformed: every line split once for its shape,
+    one int() over all tokens, and min/max for the coordinate range and
+    the multiplicity floor."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    if "_" in text and any("_" in line for line in lines):
+        return None   # int() reads "0_3" as 3, which _read_lines refuses
+    rows = [row for row in map(str.split, lines) if row]
+    shapes = set(map(len, rows))
+    if not shapes <= {2, 3}:
+        return None
+    if 2 in shapes:
+        rows = [row if len(row) == 3 else [*row, "1"] for row in rows]
+    try:
+        nums = list(map(int, chain.from_iterable(rows)))
+    except ValueError:
+        return None
+    xs, ys, ms = nums[0::3], nums[1::3], nums[2::3]
+    coords = xs + ys
+    if nums and not (0 <= min(coords) and max(coords) < q and min(ms) >= 1):
+        return None
+    points = list(zip(xs, ys))
+    mults = dict(zip(points, ms))   # a repeated point keeps its first place
+    if len(mults) < len(points):
+        mults = dict.fromkeys(mults, 0)
+        for pt, m in zip(points, ms):
+            mults[pt] += m
+    return mults
+
+
+def _read_lines(field, text):
+    """{(a, b): m} of the text, one line at a time, repeated points summed;
+    raises InputError at the first bad line, checking its token count,
+    its integers, its coordinate range and its multiplicity in that order.
+    The reference the tests hold _read_bulk to."""
+    mults = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -129,8 +199,8 @@ def parse_points(field, text):
             raise InputError(f"line {lineno}: coordinates out of range for {field!r}")
         if m < 1:
             raise InputError(f"line {lineno}: multiplicity must be positive")
-        entries.append(((a, b), m))
-    return PointMultiset(field, entries)
+        mults[(a, b)] = mults.get((a, b), 0) + m
+    return mults
 
 
 def dump_points(T):
