@@ -34,6 +34,7 @@ ENVELOPE = "src/renitent/envelope.py"
 GENERATORS = "src/renitent/generators.py"
 UNIFORMITY = "src/renitent/uniformity.py"
 PLANE = "src/renitent/plane.py"
+POLY = "src/renitent/poly.py"
 RECORDS = "src/renitent/records.py"
 CLI = "src/renitent/cli.py"
 
@@ -254,6 +255,19 @@ MUTANTS = [
      "    _check_detector_reports(T, reports)\n    K = T.field\n",
      "    K = T.field\n",
      ["tests/test_counting.py", "tests/test_counting_oracles.py"]),
+    # the polynomial ring the oracle tests build their references with
+    ("divmod's quotient coefficient squared", POLY,
+     "quo[da - db] = c", "quo[da - db] = mul(c, c)",
+     ["tests/test_poly.py"]),
+    ("uni_gcd not made monic", POLY,
+     "K.ugcd(f.coeffs, g.coeffs)).monic()", "K.ugcd(f.coeffs, g.coeffs))",
+     ["tests/test_poly.py"]),
+    ("sparse product adds the first V exponent twice", POLY,
+     "key = (i1 + i2, j1 + j2)", "key = (i1 + i2, j1 + j1)",
+     ["tests/test_counting_oracles.py"]),
+    ("root multiplicity counts the step with a nonzero remainder", POLY,
+     "if quo.pop():\n            break", "if quo.pop():\n            m += 1\n            break",
+     ["tests/test_envelope.py"]),
     # the acceptance helpers
     ("recursion reads P_(lam+j-i+1)", ENVELOPE,
      "K.umul(sums[lam + j - i], poly[lam - i])", "K.umul(sums[lam + j - i + 1], poly[lam - i])",

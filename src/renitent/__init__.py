@@ -26,10 +26,10 @@ _EXPORTS = {
     ),
     "envelope": (
         "DeficiencyReport", "EnvelopeCurve", "VerificationReport", "WeightEntry",
-        "deficiency_bound_check", "dual_coords", "envelope_general",
-        "envelope_regular", "envelope_weighted", "hankel_det_closed_form",
-        "hankel_matrix", "lambda_weights", "newton_sigma", "power_sum_polys",
-        "scan_weight_classes", "verify_envelope", "weighted_power_recursion_check",
+        "deficiency_bound_check", "envelope_general", "envelope_regular",
+        "envelope_weighted", "hankel_det_closed_form", "hankel_matrix",
+        "lambda_weights", "newton_sigma", "power_sum_polys", "scan_weight_classes",
+        "verify_envelope", "weighted_power_recursion_check",
     ),
     "errors": ("HypothesisRejected", "InputError", "RenitentError"),
     "generators": (
@@ -44,8 +44,7 @@ _EXPORTS = {
         "slope_direction", "slope_of", "vertical_direction",
     ),
     "poly": (
-        "BiPoly", "PolyMatrix", "TriHomPoly", "UniPoly", "homogenize",
-        "roots_with_multiplicity", "uni_gcd",
+        "BiPoly", "PolyMatrix", "TriHomPoly", "UniPoly", "homogenize", "uni_gcd",
     ),
     "uniformity": (
         "DirectionReport", "PointMultiset", "RenitentLine", "classify_direction",

@@ -128,9 +128,6 @@ class SlopeDetector(FrozenRecord):
                  "g")  # vanishes at (x, d) exactly when the slope-d line of
                        # intercept x is typical, for every covered slope d
 
-    def __iter__(self):   # f, g = detector
-        return iter((self.f, self.g))
-
 
 # The most work a detector may take, in the units of detector_work.  On the
 # ladder of BENCH_13.json (build_slope_detector plus gcd_profile_slope, at
@@ -445,10 +442,6 @@ class DichotomyReport(Record):
     def ok(self):
         return not self.offenders
 
-    @property
-    def worst(self):
-        return self.offenders[0] if self.offenders else None
-
     def to_json(self):
         return {"lambda": self.lam, "uniform_directions": self.n_uniform,
                 "renitent_lines": self.n_lines,
@@ -532,9 +525,6 @@ class PointDetector(FrozenRecord):
                  "g",  # vanishes at (c_k, y) exactly when the line from
                        # the moved direction c_k to (1:y:0) is typical
                  "collineation")
-
-    def __iter__(self):   # f, g, collineation = detector
-        return iter((self.f, self.g, self.collineation))
 
 
 def build_point_detector(T, reports, R):

@@ -37,12 +37,6 @@ from .records import FrozenRecord, Record
 from .uniformity import check_lam, check_reports
 
 
-def dual_coords(line):
-    """Dual-plane coordinates (U:V:W) of a line: [a:b:c] -> (c:a:-b)."""
-    a, b, c = line.coords
-    return (c, a, line.field.uneg(b))
-
-
 class EnvelopeCurve(Record):
     __slots__ = ("poly", "nominal_class", "provenance", "lead")
 

@@ -141,18 +141,6 @@ class UniPoly:
     def one(cls, field):
         return cls(field, (1,))
 
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, (c,))
-
-    @classmethod
-    def x(cls, field):
-        return cls(field, (0, 1))
-
-    @classmethod
-    def x_minus(cls, field, gamma):
-        return cls(field, (field.neg(gamma), 1))
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -291,16 +279,6 @@ def _root_multiplicity(poly, root):
     return m
 
 
-def roots_with_multiplicity(f):
-    """All (root, multiplicity) pairs in ascending element order."""
-    if not isinstance(f, UniPoly):
-        raise InputError("roots_with_multiplicity expects a UniPoly")
-    if f.is_zero():
-        raise InputError("every element is a root of the zero polynomial")
-    return [(gamma, m) for gamma in f.field.elements()
-            if (m := _root_multiplicity(f, gamma))]
-
-
 class BiPoly:
     """Bivariate polynomial as a sparse {(i, j): coeff} map, U^i V^j."""
 
@@ -319,25 +297,8 @@ class BiPoly:
         return self
 
     @classmethod
-    def zero(cls, field):
-        return cls(field, {})
-
-    @classmethod
     def constant(cls, field, c):
         return cls(field, {(0, 0): c})
-
-    @classmethod
-    def from_uni(cls, f, var=0):
-        """Embed a UniPoly as a BiPoly in variable 0 (U) or 1 (V)."""
-        if not isinstance(f, UniPoly):
-            raise InputError("from_uni expects a UniPoly")
-        if var not in (0, 1):
-            raise InputError(f"var must be 0 (U) or 1 (V), got {var!r}")
-        terms = {}
-        for i, c in enumerate(f.coeffs):
-            if c:
-                terms[(i, 0) if var == 0 else (0, i)] = c
-        return cls(f.field, terms)
 
     def is_zero(self):
         return not self.terms
@@ -610,9 +571,6 @@ class PolyMatrix:
     @property
     def size(self):
         return len(self.rows)
-
-    def eval_at(self, d):
-        return [[entry(d) for entry in row] for row in self.rows]
 
     def det(self):
         """Determinant: the one maximal minor, from maximal_minors."""

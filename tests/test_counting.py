@@ -274,7 +274,6 @@ def test_dichotomy_single_point():
     assert (rep.low, rep.high) == (1, 6)
     assert rep.high_points == ((ProjPoint.affine(K5, 2, 3), 6),)
     assert rep.offenders == ()
-    assert rep.worst is None
     assert rep.to_json()["pass"] is True
 
 

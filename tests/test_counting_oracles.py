@@ -106,12 +106,14 @@ def test_bump_sum_matches_repeated_squaring(pe):
     reports = [DirectionReport(slope_direction(K, c), 1, m, ()) for m, c in bumps]
     expected = UniPoly.zero(K)
     for m, c in bumps:
-        bump = UniPoly.one(K) - UniPoly.x_minus(K, c) ** (K.q - 1)
+        bump = UniPoly.one(K) - UniPoly(K, (K.neg(c), 1)) ** (K.q - 1)
         expected = expected + bump.scale(K.from_int(m))
     T = PointMultiset(K, [((0, 0), K.p)])
     swap = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     for matrix, var in ((counting._IDENTITY, 1), (swap, 0)):
-        g, want = counting._detector_g(K, T, reports, matrix), BiPoly.from_uni(expected, var=var)
+        g = counting._detector_g(K, T, reports, matrix)
+        want = BiPoly(K, {((i, 0) if var == 0 else (0, i)): c
+                          for i, c in enumerate(expected.coeffs)})
         assert g == want and g.total_degree == want.total_degree
 
 
@@ -124,9 +126,10 @@ def slope_detector_by_squaring(T, reports):
     f = BiPoly(K, {(q, 0): 1, (1, 0): K.neg(1)})
     h = UniPoly.zero(K)
     for r in reports:
-        bump = UniPoly.one(K) - UniPoly.x_minus(K, slope_of(r.direction)) ** (q - 1)
+        bump = UniPoly.one(K) - UniPoly(K, (K.neg(slope_of(r.direction)), 1)) ** (q - 1)
         h = h + bump.scale(K.from_int(r.m_d))
-    g = BiPoly.constant(K, K.neg(K.from_int(T.size))) + BiPoly.from_uni(h, var=1)
+    g = BiPoly.constant(K, K.neg(K.from_int(T.size))) + BiPoly(
+        K, {(0, i): c for i, c in enumerate(h.coeffs)})
     for (a, b), mult in T.items():
         g = g + linear_power_by_squaring(K, 1, a, K.neg(b), K.from_int(mult))
     return f, g
@@ -142,9 +145,10 @@ def point_detector_by_squaring(T, reports, R):
         x, y, z = coll.apply_point(r.direction).coords
         c = K.div(y, z)
         f = f * BiPoly(K, {(1, 0): 1, (0, 0): K.neg(c)})
-        bump = UniPoly.one(K) - UniPoly.x_minus(K, c) ** (q - 1)
+        bump = UniPoly.one(K) - UniPoly(K, (K.neg(c), 1)) ** (q - 1)
         h = h + bump.scale(K.from_int(r.m_d))
-    g = BiPoly.constant(K, K.neg(K.from_int(T.size))) + BiPoly.from_uni(h, var=0)
+    g = BiPoly.constant(K, K.neg(K.from_int(T.size))) + BiPoly(
+        K, {(i, 0): c for i, c in enumerate(h.coeffs)})
     for (a, b), mult in T.items():
         x, y, z = coll.apply_point(ProjPoint.affine(K, a, b)).coords
         w = K.from_int(mult)

@@ -9,6 +9,7 @@ These checks are structural: they list modules, and time nothing.
 """
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ import pytest
 
 import renitent
 
+ROOT = Path(__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH=str(Path(renitent.__file__).parents[1]))
 
 # Runs the CLI in a fresh interpreter and prints, last on stderr, the
@@ -119,7 +121,7 @@ def test_theorem_commands_leave_json_out(argv, points):
 
 
 def test_every_exported_name_is_the_defining_modules_object():
-    assert len(renitent.__all__) == len(set(renitent.__all__)) == 76
+    assert len(renitent.__all__) == len(set(renitent.__all__)) == 74
     for name in renitent.__all__:
         obj = getattr(renitent, name)
         module = sys.modules[obj.__module__]
@@ -127,15 +129,50 @@ def test_every_exported_name_is_the_defining_modules_object():
         assert vars(module)[name] is obj, name
 
 
-# The public names that no module of src/ calls, each kept for the reason
-# the README gives; a new uncalled name, or a kept one that gains a
-# caller, must be reconciled with the README and this list.
+# The public names, and the public methods of the exported classes, that
+# no module of src/ calls, each kept for the reason the README gives and
+# mapped to one file that uses it; a new uncalled name, or a kept one
+# that gains a caller, must be reconciled with the README and this map.
 KEPT_WITHOUT_CALLER = {
-    "build_point_detector", "classify_direction", "concurrency_point", "dual_coords",
-    "gcd_degree_bound",
-    "hankel_det_closed_form", "index_of_point", "line_count", "parallel_class",
-    "roots_with_multiplicity", "uni_gcd", "weighted_power_recursion_check",
+    "build_point_detector": "perfbench/workloads.py",
+    "classify_direction": "tests/test_intercepts.py",
+    "concurrency_point": "tests/test_acceptance.py",
+    "gcd_degree_bound": "tests/test_acceptance.py",
+    "hankel_det_closed_form": "tests/test_acceptance.py",
+    "index_of_point": "perfbench/oracles.py",
+    "line_count": "perfbench/oracles.py",
+    "parallel_class": "tests/test_uniformity.py",
+    "uni_gcd": "perfbench/tracing.py",
+    "weighted_power_recursion_check": "tests/test_acceptance.py",
+    "Collineation.apply_line": "tests/test_metamorphic.py",
+    "Collineation.apply_point": "perfbench/oracles.py",
+    "Collineation.inverse": "perfbench/oracles.py",
+    "PointMultiset.multiplicity": "tests/test_uniformity.py",
+    "SplitMix64.next_u64": "tests/test_generators.py",
+    "TriHomPoly.proportional_to": "perfbench/oracles.py",
 }
+
+
+def referenced(source, strings=False):
+    """The identifiers a module reads: its names and attributes, and with
+    strings=True its string constants too (a tracing target names the
+    function it wraps)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def public_methods(cls):
+    """The public functions, properties and class methods a class defines."""
+    return [attr for attr, value in vars(cls).items() if not attr.startswith("_")
+            and (inspect.isfunction(value)
+                 or isinstance(value, (property, classmethod, staticmethod)))]
 
 
 def test_public_names_without_a_caller_are_the_kept_ones():
@@ -144,12 +181,19 @@ def test_public_names_without_a_caller_are_the_kept_ones():
     used = set()
     for path in Path(renitent.__file__).parent.glob("*.py"):
         if path.name != "__init__.py":
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-    assert set(renitent.__all__) - used == KEPT_WITHOUT_CALLER
+            used |= referenced(path.read_text(encoding="utf-8"))
+    uncalled = set(renitent.__all__) - used
+    for name in renitent.__all__:
+        obj = getattr(renitent, name)
+        if isinstance(obj, type):
+            uncalled |= {f"{name}.{attr}" for attr in public_methods(obj) if attr not in used}
+    assert uncalled == set(KEPT_WITHOUT_CALLER)
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_WITHOUT_CALLER))
+def test_each_kept_name_has_its_user(name):
+    source = (ROOT / KEPT_WITHOUT_CALLER[name]).read_text(encoding="utf-8")
+    assert name.rpartition(".")[2] in referenced(source, strings=True)
 
 
 def test_dir_lists_every_exported_name():

@@ -15,11 +15,10 @@ from renitent import (
     UniPoly,
     field_create,
     homogenize,
-    roots_with_multiplicity,
     uni_gcd,
 )
 from renitent.errors import InputError
-from renitent.poly import maximal_minors
+from renitent.poly import _root_multiplicity, maximal_minors
 
 from conftest import cofactor_det
 
@@ -46,7 +45,7 @@ def test_add_zero_is_identity():
 
 
 def test_product_of_two_linears():
-    f = UniPoly.x_minus(K5, 2) * UniPoly.x_minus(K5, 3)
+    f = P(K5, K5.neg(2), 1) * P(K5, K5.neg(3), 1)
     assert f.coeffs == (1, 0, 1)  # x^2 + 1 over GF(5)
 
 
@@ -69,7 +68,7 @@ def test_mul_degree_adds(fc, gc):
 def test_eval_known_values():
     assert P(K5, 1, 0, 1)(2) == 0       # 4 + 1
     assert UniPoly.zero(K5)(3) == 0
-    assert UniPoly.constant(K5, 4)(0) == 4
+    assert P(K5, 4)(0) == 4
 
 
 @given(st.lists(st.integers(0, 6), max_size=6), st.integers(0, 6))
@@ -192,44 +191,32 @@ def test_gcd_divides_nothing_by_divmod(monkeypatch):
     assert uni_gcd(P(K, 1, 2), span) == P(K, 7, 1)
 
 
-# -- roots -----------------------------------------------------------------
-
-
-def test_roots_ascending_with_multiplicity():
-    f = UniPoly.x_minus(K5, 1) ** 2 * UniPoly.x_minus(K5, 2)
-    assert roots_with_multiplicity(f) == [(1, 2), (2, 1)]
-
-
-def test_irreducible_quadratic_has_no_roots():
-    K3 = field_create(3)
-    assert roots_with_multiplicity(P(K3, 1, 0, 1)) == []
+# -- root multiplicities (what verify_envelope reads) ------------------------
 
 
 def test_span_polynomial_splits_completely(small_field):
+    # X^q - X is the product of X - g over every element g
     K = small_field
     span = UniPoly(K, [0, K.neg(1)] + [0] * (K.q - 2) + [1])
-    assert roots_with_multiplicity(span) == [(g, 1) for g in K.elements()]
-
-
-def test_zero_polynomial_has_no_root_list():
-    with pytest.raises(InputError,
-                       match=r"^every element is a root of the zero polynomial$"):
-        roots_with_multiplicity(UniPoly.zero(K5))
+    assert all(_root_multiplicity(span, g) == 1 for g in K.elements())
 
 
 @given(st.lists(st.integers(0, 4), min_size=2, max_size=7))
 def test_roots_factor_out_exactly(coeffs):
+    # dividing out (X - g)^m at every root g leaves no root, and the
+    # factors times what is left rebuild f
     f = UniPoly(K5, coeffs)
     if f.is_zero():
         return
+    factors = [P(K5, K5.neg(g), 1) ** m for g in K5.elements()
+               if (m := _root_multiplicity(f, g))]
     cofactor = f
-    for gamma, m in roots_with_multiplicity(f):
-        cofactor = cofactor // (UniPoly.x_minus(K5, gamma) ** m)
+    for factor in factors:
+        cofactor = cofactor // factor
     assert all(cofactor(x) != 0 for x in K5.elements())
-    rebuilt = cofactor
-    for gamma, m in roots_with_multiplicity(f):
-        rebuilt = rebuilt * UniPoly.x_minus(K5, gamma) ** m
-    assert rebuilt == f
+    for factor in factors:
+        cofactor = cofactor * factor
+    assert cofactor == f
 
 
 # -- bivariate -------------------------------------------------------------
@@ -246,7 +233,7 @@ def test_eval_v_on_v_free_input():
 
 
 def test_bipoly_zero():
-    z = BiPoly.zero(K5)
+    z = BiPoly(K5)
     assert z.is_zero() and z == BiPoly(K5, {}) and z.eval_v(3) == UniPoly.zero(K5)
 
 
@@ -446,7 +433,7 @@ def test_det_identity():
 
 
 def test_det_upper_triangular():
-    V = UniPoly.x(K5)
+    V = P(K5, 0, 1)
     M = PolyMatrix(K5, [[V, UniPoly.one(K5)], [UniPoly.zero(K5), V]])
     assert M.det() == P(K5, 0, 0, 1)
     assert repr(M) == "PolyMatrix([x, 1]; [0, x])"

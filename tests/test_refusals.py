@@ -45,7 +45,6 @@ from renitent.poly import (
     TriHomPoly,
     UniPoly,
     homogenize,
-    roots_with_multiplicity,
     uni_gcd,
 )
 
@@ -104,8 +103,6 @@ REFUSALS = {
     "UniPoly.divmod.zero": (lambda: divmod(F, ZERO), "division by the zero polynomial"),
     "UniPoly.monic.zero": (lambda: ZERO.monic(), "cannot normalize the zero polynomial"),
     "uni_gcd.type": (lambda: uni_gcd(F, 1), "uni_gcd expects two UniPoly operands"),
-    "roots_with_multiplicity.type": (lambda: roots_with_multiplicity(G),
-                                     "roots_with_multiplicity expects a UniPoly"),
     "TriHomPoly.proportional_to.type": (lambda: H.proportional_to(G),
                                         "proportional_to expects a TriHomPoly"),
     "homogenize.type": (lambda: homogenize(F, 2), "homogenize expects a BiPoly"),

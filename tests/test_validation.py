@@ -48,7 +48,6 @@ ENTRIES = {
     "GF.coeffs": lambda x: K.coeffs(x),
     "GF.trace": lambda x: K.trace(x),
     "UniPoly": lambda x: UniPoly(K, (1, x)),
-    "UniPoly.x_minus": lambda x: UniPoly.x_minus(K, x),
     "UniPoly.eval": lambda x: F.eval(x),
     "UniPoly.scale": lambda x: F.scale(x),
     "BiPoly": lambda x: BiPoly(K, {(1, 0): x}),
@@ -247,25 +246,6 @@ def test_integer_exponents_are_kept_as_given():
     assert TriHomPoly(K, 1, {(0, 1, 0): 3}).terms == {(0, 1, 0): 3}
     with pytest.raises(InputError, match=r"^monomial \(1, 1, 0\) is not homogeneous of degree 1$"):
         TriHomPoly(K, 1, {(1, 1, 0): 0})
-
-
-# BiPoly.from_uni embeds in U (var 0) or V (var 1) and nothing else.
-@pytest.mark.parametrize("var", [2, -1, "U", None], ids=["2", "-1", "U", "None"])
-def test_from_uni_refuses_a_variable_other_than_0_or_1(var):
-    with pytest.raises(InputError, match=r"^var must be 0 \(U\) or 1 \(V\), got "):
-        BiPoly.from_uni(F, var=var)
-
-
-def test_from_uni_refuses_an_operand_that_is_not_a_unipoly():
-    with pytest.raises(InputError, match=r"^from_uni expects a UniPoly$"):
-        BiPoly.from_uni((3, 1, 2))
-    with pytest.raises(InputError, match=r"^from_uni expects a UniPoly$"):
-        BiPoly.from_uni(G, var=1)
-
-
-def test_from_uni_embeds_in_u_or_v():
-    assert BiPoly.from_uni(F, var=0).terms == {(0, 0): 3, (1, 0): 1, (2, 0): 2}
-    assert BiPoly.from_uni(F, var=1).terms == {(0, 0): 3, (0, 1): 1, (0, 2): 2}
 
 
 # A point is a pair of elements and a density a number: any other shape is
