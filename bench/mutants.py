@@ -164,8 +164,15 @@ MUTANTS = [
      "        raise InputError(\"multiset and direction use different contexts\")\n",
      "",
      ["tests/test_refusals.py"]),
-    # parse_points' bulk pass (uniformity._read_bulk): its coordinate bound,
-    # the sum of a repeated point's multiplicities and the multiplicity floor
+    # parse_points' bulk pass (uniformity._read_bulk): its test of the text
+    # outside comments, its coordinate bound, the sum of a repeated point's
+    # multiplicities and the multiplicity floor
+    ("bulk pass without its test of the text outside comments", UNIFORMITY,
+     "    if not text.isascii() or \"_\" in text:\n"
+     "        body = \"\".join(lines)",
+     "    if False:\n"
+     "        body = \"\".join(lines)",
+     ["tests/test_parse_points.py"]),
     ("bulk pass admits q as a coordinate", UNIFORMITY,
      "max(coords) < q", "max(coords) <= q",
      ["tests/test_parse_points.py"]),
@@ -175,6 +182,13 @@ MUTANTS = [
     ("bulk pass admits multiplicity 0", UNIFORMITY,
      "min(ms) >= 1", "min(ms) >= 0",
      ["tests/test_parse_points.py"]),
+    # the one reader of an integer token (gf._decimal) and the field spec
+    ("integer reader takes '_'", GF,
+     'if text.isascii() and "_" not in text:', "if text.isascii():",
+     ["tests/test_validation.py"]),
+    ("modulus entry read with bare int()", GF,
+     'tuple(map(_decimal, m[3].split(",")))', 'tuple(map(int, m[3].split(",")))',
+     ["tests/test_validation.py"]),
     # analyze's rows, written from a template into the canonical JSON writer
     ("analyze row sharp whenever a line is renitent", CLI,
      'sharp = "true" if report.sharp else "false"',

@@ -30,8 +30,8 @@ import os
 import sys
 
 from .errors import HypothesisRejected, InputError, RenitentError
-from .gf import parse_field_spec
-from .plane import _decimal, _direction_names, format_line, format_point, parse_point, slope_of
+from .gf import _decimal, parse_field_spec
+from .plane import _direction_names, format_line, format_point, parse_point, slope_of
 from .uniformity import _classify_all, dump_points, parse_points, uniform_directions
 
 EXIT_OK = 0

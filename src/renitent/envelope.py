@@ -334,9 +334,7 @@ def envelope_general(T, reports, lam):
                 f"direction {format_point(r.direction)} shows {r.lambda_d} "
                 f"renitent lines, more than lam = {lam}")
     sums = power_sum_polys(T, 2 * lam - 1)
-    rows = [(sums[lam + r],) + row
-            for r, row in enumerate(hankel_matrix(sums, lam).rows)]
-    minors = maximal_minors(K, rows)
+    minors = maximal_minors(K, [[sums[lam + r - c] for c in range(lam + 1)] for r in range(lam)])
     full = (1 << (lam + 1)) - 1
     coeffs = [minors[full ^ (1 << j)] for j in range(lam + 1)]
     if all(minor.is_zero() for minor in coeffs):

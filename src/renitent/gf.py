@@ -107,11 +107,13 @@ they were.
 Validation therefore happens where elements enter: these checked methods,
 the constructors of the polynomial, plane and multiset types, the parsers
 and the generators, and a `check` on each raw scalar a public function
-takes.  Inner loops run on operands that one of those already validated,
-so they call the kernels.  Only this module reads the tables; everything
-else goes through the kernels.  Orders above MAX_ORDER are refused
-before the modulus search or any table build, so an oversized field fails
-at once instead of building tables of that size.
+takes.  Every integer read from text goes through one reader, _decimal,
+which refuses what int() would also read ('1_0', '３') or raise on ('',
+4,301 digits).  Inner loops run on operands that one of those already
+validated, so they call the kernels.  Only this module reads the tables;
+everything else goes through the kernels.  Orders above MAX_ORDER are
+refused before the modulus search or any table build, so an oversized
+field fails at once instead of building tables of that size.
 """
 
 import functools
@@ -803,12 +805,24 @@ def field_create(p, e=1, modulus=None):
 _SPEC_RE = re.compile(r"^(\d+)(?:\^(\d+))?(?::m=([\d,]+))?$", re.ASCII)
 
 
+def _decimal(text):
+    """int(text), or None when text is not a decimal integer in ASCII:
+    int() also reads '1_0' and non-ASCII digits, which no input format of
+    the package allows."""
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return None
+
+
 def parse_field_spec(spec):
     """Parse "p", "p^e" or "p^e:m=c0,c1,...,ce" into a field context."""
     m = _SPEC_RE.match(spec.strip(" \t\n\r\f\v"))   # strip() also drops non-ASCII spaces
-    if not m:
+    if m:
+        p, e = _decimal(m[1]), _decimal(m[2] or "1")
+        modulus = m[3] and tuple(map(_decimal, m[3].split(",")))
+    if not m or None in (p, e, *(modulus or ())):
         raise InputError(f"bad field spec {spec!r} (want p, p^e or p^e:m=c0,c1,...)")
-    p = int(m.group(1))
-    e = int(m.group(2)) if m.group(2) else 1
-    modulus = tuple(int(c) for c in m.group(3).split(",")) if m.group(3) else None
     return field_create(p, e, modulus)

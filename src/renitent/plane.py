@@ -7,11 +7,13 @@ coordinate scaled to 1, so equality is plain tuple equality.  Lines of
 slope s through intercept t are [s : -1 : t]; vertical lines x = t are
 [1 : 0 : -t]; collineations act on points by M.v and on lines by the
 cofactor matrix of M, which is the inverse transpose up to a scalar.
+parse_point reads its integers with gf._decimal, as every parser does.
 """
 
 import functools
 
 from .errors import HypothesisRejected, InputError
+from .gf import _decimal
 
 
 def _canonical(field, coords):
@@ -283,18 +285,6 @@ def _direction_names(field):
     """format_point of each of all_directions(field), in its order: one
     tuple per field, built on the first call like all_directions."""
     return tuple(map(format_point, all_directions(field)))
-
-
-def _decimal(text):
-    """int(text), or None when text is not a decimal integer in ASCII:
-    int() also reads '1_0' and non-ASCII digits, which no input format of
-    the package allows."""
-    if text.isascii() and "_" not in text:
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    return None
 
 
 def parse_point(field, text):

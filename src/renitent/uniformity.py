@@ -1,14 +1,13 @@
 """Point multisets in AG(2,q) and the uniformity classification.
 
-parse_points reads ASCII text in one bulk pass: each line split once for
+parse_points reads every file in one bulk pass: each line split once for
 its shape, one int() over all tokens, min/max for the coordinate range
 and the multiplicity floor, and one dict in file order that sums
-repeated points.  Text that is not ASCII (a comment may hold any text),
-and a file the bulk checks refuse, is read one line at a time, which
-raises the first error with its line number; the tests hold the bulk
-pass to that loop.  Either reader checks each point once and builds the
-multiset through PointMultiset._trusted; the checked constructor serves
-API callers.
+repeated points.  A file the bulk checks refuse, or with non-ASCII text
+outside its comments, is read again line by line, which raises the first
+error with its line number; the tests hold the bulk pass to that loop.
+Either reader checks each point once and builds the multiset through
+PointMultiset._trusted; the checked constructor serves API callers.
 
 A direction is (q-lam)-uniform when at least q-lam of the q lines of its
 parallel class meet the multiset in the same number of points mod p;
@@ -59,6 +58,7 @@ from itertools import chain, compress, repeat
 from operator import mod
 
 from .errors import InputError
+from .gf import _decimal
 from .plane import (
     _class_line,
     all_directions,
@@ -129,27 +129,29 @@ class PointMultiset:
 def parse_points(field, text):
     """Parse the "a b m" line format (m optional, '#' starts a comment).
 
-    ASCII text is read in one bulk pass (_read_bulk); text that is not
-    ASCII, and a file the bulk checks refuse, is read line by line
-    (_read_lines), which raises the first error.  Either way each point
-    is checked once, by the reader, and the multiset is built unchecked.
+    Every text is read in one bulk pass (_read_bulk); a file the bulk
+    checks refuse is read again line by line (_read_lines), which raises
+    the first error.  Either way each point is checked once, by the
+    reader, and the multiset is built unchecked.
     """
-    mults = _read_bulk(field.q, text) if text.isascii() else None
+    mults = _read_bulk(field.q, text)
     if mults is None:
         mults = _read_lines(field, text)
     return PointMultiset._trusted(field, mults)
 
 
 def _read_bulk(q, text):
-    """{(a, b): m} of ASCII text in file order, repeated points summed, or
-    None when some line is malformed: every line split once for its shape,
-    one int() over all tokens, and min/max for the coordinate range and
-    the multiplicity floor."""
+    """{(a, b): m} of the text in file order, repeated points summed, or
+    None when the text outside comments is not ASCII or some line is
+    malformed: every line split once for its shape, one int() over all
+    tokens, and min/max for the coordinate range and the multiplicity floor."""
     lines = text.splitlines()
     if "#" in text:
         lines = [line.partition("#")[0] for line in lines]
-    if "_" in text and any("_" in line for line in lines):
-        return None   # int() reads "0_3" as 3, which _read_lines refuses
+    if not text.isascii() or "_" in text:
+        body = "".join(lines)   # int() reads "0_3" and "３" as 3, which _read_lines refuses
+        if not body.isascii() or "_" in body:
+            return None
     rows = [row for row in map(str.split, lines) if row]
     shapes = set(map(len, rows))
     if not shapes <= {2, 3}:
@@ -186,12 +188,8 @@ def _read_lines(field, text):
         parts = line.split()
         if len(parts) not in (2, 3):
             raise InputError(f"line {lineno}: expected 'a b' or 'a b m', got {raw!r}")
-        try:
-            nums = [int(x) for x in parts]
-        except ValueError:
-            nums = None
-        # int() also reads '1_0' and non-ASCII digits, which are refused too
-        if nums is None or not line.isascii() or "_" in line:
+        nums = [_decimal(x) for x in parts]
+        if None in nums or not line.isascii():   # str.split() also splits at non-ASCII spaces
             raise InputError(f"line {lineno}: non-integer field in {raw!r}")
         a, b = nums[0], nums[1]
         m = nums[2] if len(nums) == 3 else 1

@@ -139,6 +139,7 @@ KEPT_WITHOUT_CALLER = {
     "concurrency_point": "tests/test_acceptance.py",
     "gcd_degree_bound": "tests/test_acceptance.py",
     "hankel_det_closed_form": "tests/test_acceptance.py",
+    "hankel_matrix": "tests/test_acceptance.py",
     "index_of_point": "perfbench/oracles.py",
     "line_count": "perfbench/oracles.py",
     "parallel_class": "tests/test_uniformity.py",

@@ -1,8 +1,8 @@
 """parse_points' bulk pass against the per-line loop it falls back to.
 
 _read_lines, the loop, is the reference: on every generated file the
-bulk pass (parse_points on ASCII text) gives the same points in the same
-insertion order, or the same InputError text.
+bulk pass gives the same points in the same insertion order, or refuses
+the file, which the loop then refuses with its InputError text.
 """
 
 import pytest
@@ -87,11 +87,12 @@ def test_the_bulk_pass_agrees_with_the_line_loop(pe):
         expected = outcome(lambda: _read_lines(K, text))
         assert outcome(lambda: parse_points(K, text)._mults) == expected
         assert isinstance(expected, str) == has_bad
-        if text.isascii():
-            # the bulk pass refuses exactly the files the loop refuses, so
-            # a well-formed ASCII file never takes the loop
-            bulk = _read_bulk(K.q, text)
-            assert (expected if bulk is None else list(bulk.items())) == expected
+        # these files hold non-ASCII text only in comments and bad lines, so
+        # the bulk pass refuses exactly the files the loop refuses, and a
+        # well-formed file never takes the loop
+        bulk = _read_bulk(K.q, text)
+        assert (expected if bulk is None else list(bulk.items())) == expected
+        assert (bulk is None) == has_bad
 
     check()
 
@@ -125,3 +126,6 @@ def test_a_well_formed_ascii_file_never_takes_the_loop(monkeypatch):
     T = parse_points(K, "# q = 16\n15 0 3\n0 15\n+07 007 1 # leading zeros\n\n")
     assert T.items() == [((0, 15), 1), ((7, 7), 1), ((15, 0), 3)]
     assert parse_points(K, "").items() == []
+    # a comment may hold any text, '_' and non-ASCII digits included
+    T = parse_points(K, "# généré, q = 2⁴\n15 0 3 # x_3 = ３\n0 15\n")
+    assert T.items() == [((0, 15), 1), ((15, 0), 3)]

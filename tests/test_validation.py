@@ -287,8 +287,11 @@ def test_point_and_density_shapes_that_are_kept():
 
 # int() also reads '0_3' as 3 and non-ASCII digits such as '３' (U+FF13);
 # every site that reads an integer from text refuses both, with its own
-# message.  Each row reads an in-range value, so without the refusal it
-# would be kept.
+# message.  Each of the first seven rows reads an in-range value, so
+# without the refusal it would be kept.  The last six hold a field spec
+# entry that int() raises ValueError on, not InputError: an empty one, or
+# one of 5,000 digits (above int()'s limit of 4,300).
+LONG = "1" * 5000
 NON_DECIMAL = {
     "parse_points.underscore": (lambda: parse_points(K, "0_3 2\n"),
                                 r"^line 1: non-integer field in '0_3 2'$"),
@@ -303,6 +306,16 @@ NON_DECIMAL = {
     # the ideographic space U+3000 around "7": str.strip() would drop it,
     # and the report would echo it as the field
     "parse_field_spec.space": (lambda: parse_field_spec("\u30007"), r"^bad field spec"),
+    "parse_field_spec.empty_entry": (lambda: parse_field_spec("7^2:m=1,,1"),
+                                     r"^bad field spec '7\^2:m=1,,1' \(want p, p\^e or"),
+    "parse_field_spec.empty_last": (lambda: parse_field_spec("7^2:m=1,0,1,"),
+                                    r"^bad field spec '7\^2:m=1,0,1,' \(want p, p\^e or"),
+    "parse_field_spec.empty_all": (lambda: parse_field_spec("7^2:m=,"),
+                                   r"^bad field spec '7\^2:m=,' \(want p, p\^e or"),
+    "parse_field_spec.long_p": (lambda: parse_field_spec(LONG), r"^bad field spec"),
+    "parse_field_spec.long_e": (lambda: parse_field_spec(f"7^{LONG}"), r"^bad field spec"),
+    "parse_field_spec.long_modulus": (lambda: parse_field_spec(f"7^2:m={LONG},0,1"),
+                                      r"^bad field spec"),
 }
 
 
@@ -319,7 +332,8 @@ def test_an_integer_that_is_not_ascii_decimal_is_refused(name):
     (["envelope", "--field", "7", "--lambda", "1", "--theorem", "weighted",
       "--c", "0_1"], "--c must be an integer or 'scan', got '0_1'"),
     (["analyze", "--field", "７", "--lambda", "1"], "bad field spec '７'"),
-], ids=["gen.weights", "envelope.c", "analyze.field"])
+    (["analyze", "--field", "7^2:m=1,,1", "--lambda", "1"], "bad field spec '7^2:m=1,,1'"),
+], ids=["gen.weights", "envelope.c", "analyze.field", "analyze.field.empty_entry"])
 def test_the_cli_refuses_an_integer_that_is_not_ascii_decimal(tmp_path, capsys, argv, message):
     path = tmp_path / "pts.txt"
     path.write_text("0 0 1\n1 3 2\n", encoding="utf-8")
